@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import Shape, enumerate_words, grade_dim, iter_grades, leq, word_rank
-from .cp import DefectData, OperatorTuple, cp_apply_power, defect_data, require_membership
+from .cp import DENSE_GUARD, PSD_TOL, DefectData, OperatorTuple, cp_apply_power, defect_data, require_membership
 from .fock import (
     FockTruncation,
     GradedOperator,
@@ -33,8 +33,6 @@ from .fock import (
 INTERTWINE_TOL = 1e-10
 MULTIPLIER_TOL = 1e-12
 COMPLETION_TOL = 1e-8
-PSD_TOL = 1e-10
-DENSE_GUARD = 6000
 
 
 @dataclass

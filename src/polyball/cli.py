@@ -1,21 +1,18 @@
 """Command-line front end: estimators, identity checks, and subspace constructions.
 
-Output is deterministic: tables are sorted lexicographically by multi-degree,
-floats are printed with 17 significant digits, and grade-parallel work is
-merged in submission order, so identical inputs produce byte-identical
-output at any thread count.
+Output is deterministic: tables are sorted lexicographically by multi-degree
+and floats are printed with 17 significant digits, so identical inputs
+produce byte-identical output.
 
-Exit codes: 0 success, 1 bad input, 2 polyball membership failure,
-3 numerical instability.
+Exit codes: 0 success, 1 bad input (including usage errors), 2 polyball
+membership failure, 3 numerical instability.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .basis import iter_grades
 from .berezin import (
@@ -79,13 +76,6 @@ def _write(text: str, out: str | None) -> None:
 
 def _parse_caps(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(","))
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("POLYBALL_THREADS")
-    return max(1, int(env)) if env else 1
 
 
 def _grade_rows(values, k, cesaro, defect_product, qmax, value_key):
@@ -273,8 +263,7 @@ def cmd_check(args) -> int:
     if kind == "connection":
         kb = berezin_kernel(t, caps)
         grades = sorted(iter_grades(tuple(min(args.qmax, c) for c in caps)))
-        with ThreadPoolExecutor(max_workers=_threads(args)) as pool:
-            resids = list(pool.map(lambda q: connection_identity(kb, q)[2], grades))
+        resids = [connection_identity(kb, q)[2] for q in grades]
         rows = [
             {f"q{i + 1}": q[i] for i in range(t.k)} | {"residual": r}
             for q, r in zip(grades, resids)
@@ -352,8 +341,15 @@ def cmd_demo(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise, so ``main`` reports them as invalid input with exit code 1."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="polyball",
         description="curvature and multiplicity invariants of operator tuples on regular polyballs",
     )
@@ -365,14 +361,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--caps", type=_parse_caps, default=None, help="per-factor caps a,b,...")
         p.add_argument("--qmax", type=int, default=6)
         p.add_argument("--tol", type=float, default=None, help="tolerance override (reserved)")
-        p.add_argument("--formula", choices=["ratio", "cesaro", "defect-product", "operator-trace"],
-                       default="ratio")
         p.add_argument("--format", choices=["json", "csv"], default="json")
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--out", default=None)
 
     p_curv = sub.add_parser("curv", help="curvature of an operator tuple")
     common(p_curv)
+    p_curv.add_argument("--formula", choices=["ratio", "cesaro", "defect-product", "operator-trace"],
+                        default="ratio")
     p_curv.set_defaults(func=cmd_curv)
 
     p_curvc = sub.add_parser("curv-c", help="commutative curvature of an operator tuple")
@@ -391,8 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--omega", type=float, default=0.75)
     p_con.add_argument("--terms", type=int, default=20)
     p_con.add_argument("--caps", type=_parse_caps, default=(8,))
-    p_con.add_argument("--format", choices=["json", "csv"], default="json")
-    p_con.add_argument("--threads", type=int, default=None)
     p_con.add_argument("--out", default=None)
     p_con.set_defaults(func=cmd_construct)
 
@@ -410,9 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except MembershipError as exc:
         payload = {"error": "membership", "reason": str(exc), "p": list(exc.p),

@@ -24,6 +24,7 @@ PURITY_TOL = 1e-9
 STALL_TOL = 1e-12
 MAX_PURITY_ITER = 200
 RANK_TOL = 1e-9
+DENSE_GUARD = 6000  # largest total dimension a dense projection or window may take
 
 DENSE_CP_MAX_DIM = 16
 

@@ -11,8 +11,10 @@ proxy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -47,29 +49,36 @@ class CurvEstimate:
     caveats: tuple[str, ...] = ()
 
 
+def _real_trace(y: np.ndarray) -> float:
+    tr = complex(np.trace(y))
+    if abs(tr.imag) > IMAG_TOL * max(abs(tr.real), 1.0):
+        raise NumericalInstabilityError(f"grade trace has imaginary part {tr.imag:.3e}")
+    return tr.real
+
+
 def grade_trace(t: OperatorTuple, q: tuple[int, ...]) -> float:
     """Normalized trace ``trace[Phi^q(defect)] / prod n_i**q_i`` at one grade."""
     dd = defect_data(t)
     y = dd.defect
     for i in range(t.k):
         y = cp_apply_power(t, i, y, q[i])
-    tr = complex(np.trace(y))
-    if abs(tr.imag) > IMAG_TOL * max(abs(tr.real), 1.0):
-        raise NumericalInstabilityError(f"grade trace has imaginary part {tr.imag:.3e}")
-    return tr.real / grade_dim(t.shape, q)
+    return _real_trace(y) / grade_dim(t.shape, q)
 
 
-def grade_trace_table(t: OperatorTuple, qmax: tuple[int, ...]) -> dict[tuple[int, ...], float]:
-    """All normalized grade traces on the box ``q <= qmax``, reusing partial iterates."""
+def grade_trace_table(t: OperatorTuple, qmax: tuple[int, ...], word_dim=None) -> dict[tuple[int, ...], float]:
+    """All normalized grade traces on the box ``q <= qmax``, reusing partial iterates.
+
+    ``word_dim(q)`` is the grade dimension dividing each trace: ``prod n_i**q_i``
+    by default (word model), binomial for the symmetric model.
+    """
+    if word_dim is None:
+        word_dim = partial(grade_dim, t.shape)
     dd = defect_data(t)
     table: dict[tuple[int, ...], float] = {}
 
     def walk(i: int, y: np.ndarray, prefix: tuple[int, ...]) -> None:
         if i == t.k:
-            tr = complex(np.trace(y))
-            if abs(tr.imag) > IMAG_TOL * max(abs(tr.real), 1.0):
-                raise NumericalInstabilityError(f"grade trace has imaginary part {tr.imag:.3e}")
-            table[prefix] = tr.real / grade_dim(t.shape, prefix)
+            table[prefix] = _real_trace(y) / word_dim(prefix)
             return
         cur = y
         for qi in range(qmax[i] + 1):
@@ -105,45 +114,57 @@ def _cesaro_means(values: dict[tuple[int, ...], float], k: int, mmax: int) -> li
     return out
 
 
-def _defect_product_seq(t: OperatorTuple, qmax: int) -> list[float]:
+def _summary(n: tuple[int, ...], values: dict[tuple[int, ...], float], q_max: int) -> dict:
+    """Estimate fields shared by every estimator: the corner sequence, its Cesaro
+    means, the corner value and its last decrement as the error proxy."""
+    if q_max < 0:
+        raise ValueError(f"q_max must be >= 0, got {q_max}")
+    k = len(n)
+    corner = [values[(qq,) * k] for qq in range(q_max + 1)]
+    return {
+        "n": n,
+        "grade_values": values,
+        "corner_seq": corner,
+        "cesaro_seq": _cesaro_means(values, k, q_max),
+        "estimate": corner[-1],
+        "error_proxy": corner[-2] - corner[-1] if q_max >= 1 else float("nan"),
+    }
+
+
+def _defect_product_traces(t: OperatorTuple, q_max: int) -> list[float]:
+    """``trace[(id - Phi_1^{q+1}) ... (id - Phi_k^{q+1})(I)]`` for ``q = 0..q_max``."""
     out = []
     eye = np.eye(t.dimH, dtype=complex)
-    for qq in range(qmax + 1):
+    for qq in range(q_max + 1):
         y = eye
         for i in range(t.k):
             y = y - cp_apply_power(t, i, y, qq + 1)
-        denom = 1.0
-        for ni in t.shape.n:
-            denom *= sum(ni**s for s in range(qq + 1))
-        out.append(float(np.trace(y).real) / denom)
+        out.append(float(np.trace(y).real))
     return out
 
 
 def curvature_estimate(t: OperatorTuple, q_max: int, extrapolate: bool = False) -> CurvEstimate:
-    """Fill all sequences up to the corner ``(q_max,...,q_max)`` and report the corner value."""
+    """Fill all sequences up to the corner ``(q_max,...,q_max)`` and report the corner value.
+
+    The defect-product route divides by ``prod_i sum_{s<=q} n_i**s``.
+    """
     require_membership(t)
-    qmax_vec = (q_max,) * t.k
-    values = grade_trace_table(t, qmax_vec)
+    values = grade_trace_table(t, (q_max,) * t.k)
+    fields = _summary(t.shape.n, values, q_max)
     monotone_ok = _check_monotone(values, t.k)
-    corner = [values[(qq,) * t.k] for qq in range(q_max + 1)]
-    cesaro = _cesaro_means(values, t.k, q_max)
-    defect_product = _defect_product_seq(t, q_max)
-    estimate = corner[-1]
-    error_proxy = corner[-2] - corner[-1] if q_max >= 1 else float("nan")
-    extrapolated = _aitken(corner) if extrapolate else None
-    routes = (corner[-1], cesaro[-1], defect_product[-1])
-    spread = max(routes) - min(routes)
+    # a float product: sums such as 2**61 - 1 are not exact doubles, and an
+    # integer product would round them differently
+    defect_product = [
+        tr / math.prod((sum(ni**s for s in range(qq + 1)) for ni in t.shape.n), start=1.0)
+        for qq, tr in enumerate(_defect_product_traces(t, q_max))
+    ]
+    routes = (fields["estimate"], fields["cesaro_seq"][-1], defect_product[-1])
     return CurvEstimate(
-        n=t.shape.n,
-        grade_values=values,
-        corner_seq=corner,
-        cesaro_seq=cesaro,
+        **fields,
         defect_product_seq=defect_product,
-        estimate=estimate,
-        error_proxy=error_proxy,
         monotone_ok=monotone_ok,
-        formula_spread=spread,
-        extrapolated=extrapolated,
+        formula_spread=max(routes) - min(routes),
+        extrapolated=_aitken(fields["corner_seq"]) if extrapolate else None,
     )
 
 
@@ -183,26 +204,14 @@ def subspace_curvature(sub, q_max: int) -> CurvEstimate:
             frac = dim_e - Fraction(t_exact, gd)
             exact[q] = frac
             values[q] = float(frac)
-    monotone_ok = _check_monotone(values, k)
-    corner = [values[(qq,) * k] for qq in range(q_max + 1)]
-    cesaro = _cesaro_means(values, k, q_max)
-    estimate = corner[-1]
-    error_proxy = corner[-2] - corner[-1] if q_max >= 1 else float("nan")
-    limit = None
+    fields = _summary(ft.shape.n, values, q_max)
     frac_limit = sub.fraction_limit()
-    if frac_limit is not None:
-        limit = dim_e - frac_limit
     return CurvEstimate(
-        n=ft.shape.n,
-        grade_values=values,
-        corner_seq=corner,
-        cesaro_seq=cesaro,
+        **fields,
         defect_product_seq=[],
-        estimate=estimate,
-        error_proxy=error_proxy,
-        monotone_ok=monotone_ok,
+        monotone_ok=_check_monotone(values, k),
         exact_values=exact,
-        exact_limit=limit,
+        exact_limit=None if frac_limit is None else dim_e - frac_limit,
     )
 
 

@@ -299,14 +299,3 @@ def defect_shift(y: GradedOperator, factors=None) -> GradedOperator:
         out = out - apply_cp_shift(out, i)
     return out
 
-
-def cp_shift_power(y: GradedOperator, i: int, q: int) -> GradedOperator:
-    for _ in range(q):
-        y = apply_cp_shift(y, i)
-    return y
-
-
-def cp_shift_multi(y: GradedOperator, q: tuple[int, ...]) -> GradedOperator:
-    for i, qi in enumerate(q):
-        y = cp_shift_power(y, i, qi)
-    return y

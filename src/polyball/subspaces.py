@@ -26,9 +26,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .basis import Shape, iter_grades
-from .cp import OperatorTuple
-from .curvature import CurvEstimate, _cesaro_means, subspace_curvature
+from .basis import Shape, iter_grades, word_rank
+from .cp import DENSE_GUARD, PSD_TOL, OperatorTuple
+from .curvature import CurvEstimate, _summary, subspace_curvature
 from .fock import (
     FockTruncation,
     GradedOperator,
@@ -41,9 +41,7 @@ from .fock import (
 GRAM_TOL = 1e-12
 INVARIANCE_TOL = 1e-10
 DECOMPOSITION_TOL = 1e-10
-PSD_TOL = 1e-10
 SUPPORT_TOL = 1e-12
-DENSE_GUARD = 6000
 
 
 class InvarianceError(ValueError):
@@ -310,13 +308,13 @@ def construct_mt(exp: NAdicExpansion, cap: int) -> GradedSubspace:
     ft = FockTruncation(Shape((n,), caps=(cap,)), coeff_dim=1)
 
     def index_set(q):
-        qi = q[0]
-        idx = []
-        for widx in range(n**qi):
-            word = _unrank_word(n, qi, widx)
-            if any(len(s) <= qi and word[qi - len(s) :] == s for s in suffixes):
-                idx.append(widx)
-        return np.asarray(idx, dtype=int)
+        # a word ends with suffix s exactly when its rank is rank(s) mod n**len(s)
+        ranks = np.arange(n ** q[0])
+        keep = np.zeros(len(ranks), dtype=bool)
+        for s in suffixes:
+            if len(s) <= q[0]:
+                keep |= ranks % n ** len(s) == word_rank(n, s)
+        return ranks[keep]
 
     def count(q):
         return sum(d * n ** (q[0] - k) for k, d in zip(exp.exponents, exp.digits) if k <= q[0])
@@ -342,14 +340,6 @@ def construct_mt(exp: NAdicExpansion, cap: int) -> GradedSubspace:
     return sub
 
 
-def _unrank_word(n, q, rank):
-    letters = []
-    for _ in range(q):
-        rank, digit = divmod(rank, n)
-        letters.append(digit + 1)
-    return tuple(reversed(letters))
-
-
 def cur0_subspace(n_1: int, cap: int) -> GradedSubspace:
     """Single-factor subspace whose complement is the ladder of powers of the first letter."""
     if n_1 < 2:
@@ -357,8 +347,7 @@ def cur0_subspace(n_1: int, cap: int) -> GradedSubspace:
     ft = FockTruncation(Shape((n_1,), caps=(cap,)), coeff_dim=1)
 
     def index_set(q):
-        ladder = 0  # the word (1,...,1) has rank 0
-        return np.array([v for v in range(n_1 ** q[0]) if v != ladder], dtype=int)
+        return np.arange(1, n_1 ** q[0])  # every word but the ladder (1,...,1), which has rank 0
 
     return GradedSubspace(ft, "cur0", index_set_fn=index_set, limit=Fraction(1),
                           count_fn=lambda q: n_1 ** q[0] - 1, params={"n": n_1})
@@ -579,18 +568,10 @@ def multiplicity_estimate(sub: GradedSubspace, q_max: int) -> MultiplicityEstima
         if curv.exact_values is not None and exact is not None:
             if dim_e - exact[q] != curv.exact_values[q]:
                 raise RuntimeError(f"complement route mismatch at grade {q}")
-    corner = [values[(qq,) * k] for qq in range(q_max + 1)]
-    cesaro = _cesaro_means(values, k, q_max)
-    limit = sub.fraction_limit()
     return MultiplicityEstimate(
-        n=ft.shape.n,
-        grade_values=values,
-        corner_seq=corner,
-        cesaro_seq=cesaro,
-        estimate=corner[-1],
-        error_proxy=corner[-2] - corner[-1] if q_max >= 1 else float("nan"),
+        **_summary(ft.shape.n, values, q_max),
         exact_values=exact,
-        exact_limit=limit,
+        exact_limit=sub.fraction_limit(),
         curvature=curv,
     )
 

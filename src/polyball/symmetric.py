@@ -8,9 +8,10 @@ multiplication by the coordinate functions, with entries
 symmetrization of the word-model shifts reproduces them, which the tests
 cross-check at small caps.
 
-Block-graded operators, kernels, subspaces, and estimators are shared with
-the word model through the truncation protocol; only normalizations change
-(grade traces are binomial instead of ``n^q``).
+``SymFockTruncation`` is a ``FockTruncation`` that changes only the grade
+dimensions (binomial instead of ``n^q``) and the shift weights, so
+block-graded operators, kernels, subspaces and the estimator pipeline are
+shared with the word model.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -34,18 +35,10 @@ from .berezin import (
     index_check_from_blocks,
     validate_multiplier_blocks,
 )
-from .cp import OperatorTuple, cp_apply_power, defect_data, require_membership
-from .curvature import (
-    IMAG_TOL,
-    CurvEstimate,
-    NumericalInstabilityError,
-    _cesaro_means,
-    _check_monotone,
-)
-from .fock import GradedOperator, creation_op
+from .cp import COMMUTATION_TOL, OperatorTuple, require_membership
+from .curvature import CurvEstimate, _check_monotone, _defect_product_traces, _summary, grade_trace_table
+from .fock import FockTruncation, GradedOperator, creation_op
 from .subspaces import BeurlingVerdict, GradedSubspace, MultiplicityEstimate, beurling_check, multiplicity_estimate
-
-COMMUTATION_TOL = 1e-10
 
 
 def sym_grade_dim(n_i: int, q: int) -> int:
@@ -53,6 +46,14 @@ def sym_grade_dim(n_i: int, q: int) -> int:
     if n_i < 1 or q < 0:
         raise ValueError(f"need n_i >= 1 and q >= 0, got n_i={n_i}, q={q}")
     return math.comb(q + n_i - 1, n_i - 1)
+
+
+def sym_word_dim(n: tuple[int, ...], q: tuple[int, ...]) -> int:
+    """Dimension ``prod_i C(q_i + n_i - 1, n_i - 1)`` of the grade-``q`` monomial slice."""
+    d = 1
+    for ni, qi in zip(n, q):
+        d *= sym_grade_dim(ni, qi)
+    return d
 
 
 @lru_cache(maxsize=None)
@@ -75,51 +76,13 @@ def monomial_weight(alpha: tuple[int, ...]) -> Fraction:
     return Fraction(num, math.factorial(sum(alpha)))
 
 
-@dataclass(frozen=True)
-class SymFockTruncation:
-    """Truncated tensor product of symmetric Fock spaces; same protocol as the word model."""
-
-    shape: Shape
-    coeff_dim: int = 1
+class SymFockTruncation(FockTruncation):
+    """Truncated tensor product of symmetric Fock spaces: binomial grades, weighted shifts."""
 
     model = "symmetric"
 
-    def __post_init__(self):
-        self.shape.require_caps()
-        if self.coeff_dim < 0:
-            raise ValueError("coefficient dimension must be >= 0")
-
-    @cached_property
-    def grades(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(iter_grades(self.shape.caps))
-
-    @cached_property
-    def _offsets(self):
-        out, pos = {}, 0
-        for q in self.grades:
-            out[q] = pos
-            pos += self.dim(q)
-        return out
-
-    @property
-    def total_dim(self) -> int:
-        last = self.grades[-1]
-        return self._offsets[last] + self.dim(last)
-
     def word_dim(self, q: tuple[int, ...]) -> int:
-        d = 1
-        for ni, qi in zip(self.shape.n, q):
-            d *= sym_grade_dim(ni, qi)
-        return d
-
-    def dim(self, q: tuple[int, ...]) -> int:
-        return self.word_dim(q) * self.coeff_dim
-
-    def offset(self, q: tuple[int, ...]) -> int:
-        return self._offsets[q]
-
-    def has_grade(self, q: tuple[int, ...]) -> bool:
-        return all(0 <= qi <= c for qi, c in zip(q, self.shape.caps))
+        return sym_word_dim(self.shape.n, q)
 
     def shift_data(self, i: int, j: int, q: tuple[int, ...]):
         """Multiplication by coordinate ``j`` of factor ``i`` on the grade-``q`` monomials."""
@@ -196,68 +159,31 @@ def curv_c_estimate(t: OperatorTuple, q_max: int, check_char_function: bool = Tr
     """
     require_commutative(t)
     require_membership(t)
-    k = t.k
-    dd = defect_data(t)
-    values: dict[tuple[int, ...], float] = {}
-
-    def walk(i, y, prefix):
-        if i == k:
-            tr = complex(np.trace(y))
-            if abs(tr.imag) > IMAG_TOL * max(abs(tr.real), 1.0):
-                raise NumericalInstabilityError(f"grade trace has imaginary part {tr.imag:.3e}")
-            denom = 1
-            for ni, qi in zip(t.shape.n, prefix):
-                denom *= sym_grade_dim(ni, qi)
-            values[prefix] = tr.real / denom
-            return
-        cur = y
-        for qi in range(q_max + 1):
-            walk(i + 1, cur, prefix + (qi,))
-            if qi < q_max:
-                cur = _phi(t, i, cur)
-
-    walk(0, dd.defect, ())
-    monotone_ok = _check_monotone(values, k)
-    corner = [values[(qq,) * k] for qq in range(q_max + 1)]
-    cesaro = _cesaro_means(values, k, q_max)
-    factorial_form = [float("nan")]
+    values = grade_trace_table(t, (q_max,) * t.k, partial(sym_word_dim, t.shape.n))
+    fields = _summary(t.shape.n, values, q_max)
+    monotone_ok = _check_monotone(values, t.k)
     fact = math.prod(math.factorial(ni) for ni in t.shape.n)
-    eye = np.eye(t.dimH, dtype=complex)
-    for qq in range(1, q_max + 1):
-        y = eye
-        for i in range(k):
-            y = y - cp_apply_power(t, i, y, qq + 1)
-        denom = math.prod(float(qq) ** ni for ni in t.shape.n)
-        factorial_form.append(fact * float(np.trace(y).real) / denom)
-    routes = [corner[-1], cesaro[-1]]
+    traces = _defect_product_traces(t, q_max)
+    factorial_form = [float("nan")] + [
+        fact * tr / math.prod(float(qq) ** ni for ni in t.shape.n)
+        for qq, tr in enumerate(traces[1:], start=1)
+    ]
+    routes = [fields["estimate"], fields["cesaro_seq"][-1]]
     if q_max >= 1:
         routes.append(factorial_form[-1])
-    spread = max(routes) - min(routes)
     caveats: tuple[str, ...] = ()
     if check_char_function and any(ni >= 2 for ni in t.shape.n):
-        caps = (min(q_max, 3) + 1,) * k
+        caps = (min(q_max, 3) + 1,) * t.k
         verdict = constrained_char_function(t, caps)
         if not verdict.positive:
             caveats = ("characteristic function test failed; existence of the limit is unproved",)
     return CurvEstimate(
-        n=t.shape.n,
-        grade_values=values,
-        corner_seq=corner,
-        cesaro_seq=cesaro,
+        **fields,
         defect_product_seq=factorial_form,
-        estimate=corner[-1],
-        error_proxy=corner[-2] - corner[-1] if q_max >= 1 else float("nan"),
         monotone_ok=monotone_ok,
-        formula_spread=spread,
+        formula_spread=max(routes) - min(routes),
         caveats=caveats,
     )
-
-
-def _phi(t, i, y):
-    out = np.zeros_like(y)
-    for a in t.factors[i]:
-        out += a @ y @ a.conj().T
-    return out
 
 
 def constrained_berezin(t: OperatorTuple, caps: tuple[int, ...]) -> BerezinKernel:

@@ -168,25 +168,37 @@ def test_output_independent_of_thread_count(tmp_path, capsys):
     path = tmp_path / "diff.json"
     path.write_text(subspace_to_json(sub))
     outputs = []
-    for threads in ("1", "4"):
-        out_path = tmp_path / f"mult-{threads}.json"
-        code, _, _ = run(
-            ["mult", "--input", str(path), "--qmax", "4", "--threads", threads,
-             "--out", str(out_path)],
-            capsys,
-        )
+    for attempt in ("a", "b"):
+        out_path = tmp_path / f"mult-{attempt}.json"
+        code, _, _ = run(["mult", "--input", str(path), "--qmax", "4", "--out", str(out_path)], capsys)
         assert code == 0
         outputs.append(out_path.read_bytes())
     assert outputs[0] == outputs[1]
 
 
-def test_threads_env_fallback(scalar_file, capsys, monkeypatch):
-    monkeypatch.setenv("POLYBALL_THREADS", "2")
-    code, out, _ = run(
-        ["check", "connection", "--input", scalar_file, "--qmax", "2", "--caps", "3"], capsys
-    )
-    assert code == 0
-    assert json.loads(out)["max_residual"] < 1e-12
+@pytest.mark.parametrize("command", ["curv", "curv-c", "mult"])
+def test_negative_qmax_is_invalid_input(command, scalar_file, tmp_path, capsys):
+    path = scalar_file
+    if command == "mult":
+        path = tmp_path / "mt.json"
+        path.write_text(subspace_to_json(construct_mt(construct_nadic(2, 0.5), 4)))
+    code, out, err = run([command, "--input", str(path), "--qmax", "-1"], capsys)
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "invalid-input"
+    assert "q_max" in payload["reason"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["curv", "--qmax", "abc"], "--qmax"), (["construct", "mt", "--threads", "2"], "--threads")],
+)
+def test_usage_errors_are_invalid_input(argv, flag, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "invalid-input"
+    assert flag in payload["reason"]
 
 
 def test_demo_runs(capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from polyball.basis import Shape, iter_grades
+from polyball.basis import Shape, iter_grades, word_unrank
 from polyball.cp import check_polyball, defect_map
 from polyball.curvature import subspace_curvature
 from polyball.fock import FockTruncation, GradedOperator, defect_shift
@@ -107,6 +107,20 @@ def test_mt_complement_ratio_closed_form():
         expected = 1 - float(exp.partial_sum(q))
         assert est.grade_values[(q,)] == pytest.approx(expected)
     assert est.exact_limit == Fraction(1, 4)
+
+
+def test_suffix_index_sets_match_word_by_word_definition():
+    exp = construct_nadic(3, 0.3, n_terms=4)
+    suffixes, prev = [], 0
+    for k, d in zip(exp.exponents, exp.digits):
+        suffixes += [(j,) * (k - prev) + (3,) * prev for j in range(1, d + 1)]
+        prev = k
+    mt, cur0 = construct_mt(exp, cap=6), cur0_subspace(3, cap=6)
+    for q in range(7):
+        words = [word_unrank(3, q, r) for r in range(3**q)]
+        expected = [r for r, w in enumerate(words) if any(len(s) <= q and w[q - len(s):] == s for s in suffixes)]
+        assert mt.index_set_fn((q,)).tolist() == expected
+        assert cur0.index_set_fn((q,)).tolist() == [r for r, w in enumerate(words) if w != (1,) * q]
 
 
 def test_cur0_per_grade_values():

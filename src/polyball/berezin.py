@@ -18,14 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import Shape, enumerate_words, grade_dim, iter_grades, leq, word_rank
+from .basis import Shape, enumerate_words, grade_dim, iter_grades, word_rank
 from .cp import DENSE_GUARD, PSD_TOL, DefectData, OperatorTuple, cp_apply_power, defect_data, require_membership
 from .fock import (
     FockTruncation,
     GradedOperator,
     _expand_indices,
     _expand_weights,
-    apply_cp_shift,
     bump,
     defect_shift,
 )
@@ -59,6 +58,7 @@ class BerezinKernel:
         return float(np.linalg.norm(np.eye(self.op.dimH) - gram, 2))
 
     def kk_star_diag(self, grades=None) -> GradedOperator:
+        """Dense grade-diagonal blocks of ``K K^*``; the oracle of ``curvature_operator_trace``."""
         grades = self.truncation.grades if grades is None else grades
         return GradedOperator(
             self.truncation,
@@ -176,19 +176,42 @@ class TraceCheck:
 
 
 def curvature_operator_trace(kb: BerezinKernel, q: tuple[int, ...]) -> TraceCheck:
-    """``trace[Delta_{S(x)I}(K K^*)(N_{<=q} (x) I)]`` against the grade-ratio route."""
+    """``trace[Delta_{S(x)I}(K K^*)(N_{<=q} (x) I)]`` against the grade-ratio route.
+
+    Only grade traces enter, so the route carries the diagonals of the grade
+    blocks of ``K K^*`` on the grades ``s <= q`` and never forms a block
+    product.  The creation operators map basis vectors to weighted basis
+    vectors, injectively for each letter, so ``id - Phi_i`` acts on those
+    diagonals by scattering squared shift weights; both models differ only in
+    the ``shift_data`` weights.
+    """
     ft = kb.truncation
     caps = ft.shape.caps
+    if len(q) != ft.shape.k or any(qi < 0 for qi in q):
+        raise ValueError(f"grade {q} must have {ft.shape.k} non-negative entries")
     if any(qi > c - 1 for qi, c in zip(q, caps)):
         raise ValueError(f"grade {q} needs one interior grade of margin below caps {caps}")
-    lattice = [s for s in iter_grades(q)]
-    diag = kb.kk_star_diag([s for s in ft.grades if leq(s, q)])
-    delta = diag
+    lattice = list(iter_grades(q))
+    cd = ft.coeff_dim
+    diag = {s: np.einsum("rh,rh->r", kb.blocks[s], kb.blocks[s].conj()).real for s in lattice}
     for i in range(ft.shape.k):
-        delta = delta - apply_cp_shift(delta, i)
+        nxt = {}
+        for s in lattice:
+            if s[i] == 0:
+                nxt[s] = diag[s]
+                continue
+            src = bump(s, i, -1)
+            # sum every letter first, subtract once: keeps exact values such as 1.0 exact
+            shifted = np.zeros(ft.dim(s))
+            for j in range(1, ft.shape.n[i] + 1):
+                tgt, w = ft.shift_data(i, j, src)
+                w = _expand_weights(w, cd)
+                shifted[_expand_indices(tgt, cd)] += (w * diag[src]) * w
+            nxt[s] = diag[s] - shifted
+        diag = nxt
     value = 0.0
     for s in lattice:
-        value += delta.grade_trace(s).real / ft.word_dim(s)
+        value += float(diag[s].sum()) / ft.word_dim(s)
     ratio = float(np.trace(kb.grade_gram(q)).real) / ft.word_dim(q)
     return TraceCheck(value, ratio, abs(value - ratio))
 
@@ -363,16 +386,24 @@ def _completion_residual(kb: BerezinKernel, theta: InnerMultiplier, blocks) -> f
     interior = [
         s for s in ft.grades if all(si <= c - m for si, c, m in zip(s, ft.shape.caps, max_deg))
     ]
+    # target grade -> {source grade: block}, sources in ``ft.grades`` order
+    into: dict = {t: {} for t in ft.grades}
+    for s in ft.grades:
+        for t in ft.grades:
+            b = blocks.get((s, t))
+            if b is not None:
+                into[t][s] = b
     worst = 0.0
     for p in interior:
+        kp_h = kb.blocks[p].conj().T
+        into_p = into[p]
         for qq in interior:
-            val = kb.blocks[qq] @ kb.blocks[p].conj().T
+            val = kb.blocks[qq] @ kp_h
             # Theta Theta* block (p -> qq): sum over source grades s of B[s->qq] B[s->p]^*
             tt = np.zeros_like(val)
-            for s in ft.grades:
-                bq = blocks.get((s, qq))
-                bp = blocks.get((s, p))
-                if bq is not None and bp is not None:
+            for s, bq in into[qq].items():
+                bp = into_p.get(s)
+                if bp is not None:
                     tt += bq @ bp.conj().T
             expected = np.eye(ft.dim(qq)) if p == qq else np.zeros((ft.dim(qq), ft.dim(p)))
             worst = max(worst, float(np.linalg.norm(val + tt - expected, 2)))

@@ -348,6 +348,8 @@ def tuple_from_json(text: str) -> OperatorTuple:
     data = json.loads(text)
     n = tuple(int(v) for v in data["n"])
     dim = int(data["dimH"])
+    if dim < 1:
+        raise ValueError(f"dimH must be >= 1, got {dim}")
     factors = tuple(
         tuple(_matrix_from_pairs(m, dim) for m in row) for row in data["factors"]
     )
@@ -362,4 +364,6 @@ def _matrix_from_pairs(pairs, dim: int) -> np.ndarray:
     if len(pairs) != dim * dim:
         raise ValueError(f"matrix payload has {len(pairs)} entries, expected {dim * dim}")
     flat = np.array([complex(re, im) for re, im in pairs], dtype=complex)
+    if not np.isfinite(flat).all():
+        raise ValueError("matrix entries must be finite; got NaN or inf")
     return flat.reshape(dim, dim)

@@ -12,6 +12,16 @@ def random_row_tuple(rng, n, dim, norm):
     return OperatorTuple(Shape((n,)), dim, ((tuple(scale * m for m in mats)),))
 
 
+def commuting_tuple(rng, n, dim, norm):
+    """Simultaneously diagonalizable row tuple; all entries commute."""
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    u, _ = np.linalg.qr(g)
+    mats = [u @ np.diag(rng.uniform(0.2, 1.0, dim) * np.exp(2j * np.pi * rng.uniform(0, 1, dim))) @ u.conj().T for _ in range(n)]
+    row = sum(m @ m.conj().T for m in mats)
+    scale = norm / np.sqrt(np.linalg.norm(row, 2))
+    return OperatorTuple(Shape((n,)), dim, ((tuple(scale * m for m in mats)),))
+
+
 def random_polyball_tuple(rng, n, dims, norm):
     """Cross-commuting k-tuple built as the ampliation of independent row contractions."""
     parts = [random_row_tuple(rng, ni, di, norm) for ni, di in zip(n, dims)]

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_polyball_tuple, random_row_tuple
-from polyball.basis import Shape
+from conftest import commuting_tuple, random_polyball_tuple, random_row_tuple
+from polyball.basis import Shape, iter_grades, leq
 from polyball.berezin import (
     berezin_kernel,
     connection_identity,
@@ -15,8 +19,8 @@ from polyball.berezin import (
     validate_multiplier,
     verify_intertwining,
 )
-from polyball.cp import OperatorTuple
-from polyball.fock import FockTruncation
+from polyball.cp import OperatorTuple, ampliation
+from polyball.fock import FockTruncation, defect_shift
 from polyball.subspaces import (
     GradedSubspace,
     bidisc_difference_subspace,
@@ -25,6 +29,7 @@ from polyball.subspaces import (
     construct_nadic,
     zero_subspace,
 )
+from polyball.symmetric import constrained_berezin
 
 
 def scalar_tuple(r):
@@ -137,6 +142,82 @@ def test_curvature_operator_trace_two_routes():
     for q in [(0, 0), (1, 1), (2, 2), (3, 3)]:
         chk = curvature_operator_trace(kb, q)
         assert chk.residual < 1e-10
+
+
+def dense_operator_trace(kb, q):
+    """Oracle: dense ``K_s K_s^*`` blocks pushed through the transfer maps of the shifts."""
+    ft = kb.truncation
+    delta = defect_shift(kb.kk_star_diag([s for s in ft.grades if leq(s, q)]))
+    return sum(delta.grade_trace(s).real / ft.word_dim(s) for s in iter_grades(q))
+
+
+def assert_matches_oracle(kb, q):
+    value = curvature_operator_trace(kb, q).value
+    assert abs(value - dense_operator_trace(kb, q)) <= 1e-12 * max(1.0, abs(value))
+
+
+@pytest.mark.parametrize(
+    "n, dims, caps",
+    [((2, 2), (2, 2), (4, 4)), ((1, 2, 1), (2, 2, 1), (3, 3, 3))],
+)
+def test_operator_trace_matches_dense_oracle_word_model(n, dims, caps):
+    rng = np.random.default_rng(131)
+    kb = berezin_kernel(random_polyball_tuple(rng, n, dims, 0.7), caps)
+    for q in iter_grades(tuple(c - 1 for c in caps)):
+        assert_matches_oracle(kb, q)
+
+
+def test_operator_trace_matches_dense_oracle_symmetric_model():
+    rng = np.random.default_rng(137)
+    t = ampliation([commuting_tuple(rng, 2, 2, 0.7), commuting_tuple(rng, 3, 2, 0.7)])
+    kb = constrained_berezin(t, (3, 3))
+    for q in iter_grades((2, 2)):
+        assert_matches_oracle(kb, q)
+        assert curvature_operator_trace(kb, q).residual < 1e-10
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([(1,), (3,), (2, 2), (1, 3), (2, 1, 1)]),
+    norm=st.floats(0.2, 0.9),
+    data=st.data(),
+)
+def test_operator_trace_property_random_pure_tuples(seed, n, norm, data):
+    rng = np.random.default_rng(seed)
+    t = random_polyball_tuple(rng, n, (2,) * len(n), norm)
+    caps = (3,) * len(n)
+    kb = berezin_kernel(t, caps)
+    q = tuple(data.draw(st.integers(0, c - 1)) for c in caps)
+    assert_matches_oracle(kb, q)
+    assert curvature_operator_trace(kb, q).residual < 1e-10
+
+
+def test_operator_trace_memory_stays_below_kernel_size():
+    rng = np.random.default_rng(139)
+    kb = berezin_kernel(random_polyball_tuple(rng, (2, 2), (2, 2), 0.7), (4, 4))
+    assert kb.op.dimH == 4
+    tracemalloc.start()
+    try:
+        curvature_operator_trace(kb, (3, 3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < sum(b.nbytes for b in kb.blocks.values())
+
+
+def test_operator_trace_at_caps_five():
+    rng = np.random.default_rng(149)
+    kb = berezin_kernel(random_polyball_tuple(rng, (2, 2), (4, 4), 0.7), (5, 5))
+    assert curvature_operator_trace(kb, (4, 4)).residual <= 1e-10
+
+
+@pytest.mark.parametrize("q", [(1,), (1, 1, 1), (-1, 0)])
+def test_operator_trace_rejects_malformed_grade(q):
+    rng = np.random.default_rng(151)
+    kb = berezin_kernel(random_polyball_tuple(rng, (1, 1), (1, 1), 0.5), (3, 3))
+    with pytest.raises(ValueError, match="non-negative"):
+        curvature_operator_trace(kb, q)
 
 
 def test_curvature_operator_trace_scalar_geometric():

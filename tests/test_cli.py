@@ -190,6 +190,24 @@ def test_negative_qmax_is_invalid_input(command, scalar_file, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "payload, reason",
+    [
+        ({"n": [1], "dimH": 0, "factors": [[[]]]}, "dimH"),
+        ({"n": [1], "dimH": 1, "factors": [[[[float("nan"), 0.0]]]]}, "finite"),
+        ({"n": [1], "dimH": 1, "factors": [[[[0.5, float("inf")]]]]}, "finite"),
+    ],
+)
+def test_degenerate_tuple_is_invalid_input(payload, reason, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(["curv", "--input", str(path), "--qmax", "3"], capsys)
+    assert code == 1 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "invalid-input"
+    assert reason in report["reason"]
+
+
+@pytest.mark.parametrize(
     "argv, flag",
     [(["curv", "--qmax", "abc"], "--qmax"), (["construct", "mt", "--threads", "2"], "--threads")],
 )

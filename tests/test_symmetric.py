@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import commuting_tuple
 from polyball.basis import Shape
 from polyball.berezin import InnerMultiplier, connection_identity, verify_intertwining
 from polyball.cp import OperatorTuple
@@ -36,16 +37,6 @@ from polyball.symmetric import (
     universal_factorial_form_value,
     validate_sym_multiplier,
 )
-
-
-def commuting_tuple(rng, n, dim, norm):
-    """Simultaneously diagonalizable row tuple; all entries commute."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    u, _ = np.linalg.qr(g)
-    mats = [u @ np.diag(rng.uniform(0.2, 1.0, dim) * np.exp(2j * np.pi * rng.uniform(0, 1, dim))) @ u.conj().T for _ in range(n)]
-    row = sum(m @ m.conj().T for m in mats)
-    scale = norm / np.sqrt(np.linalg.norm(row, 2))
-    return OperatorTuple(Shape((n,)), dim, ((tuple(scale * m for m in mats)),))
 
 
 def scalar_tuple(r):

@@ -66,7 +66,6 @@ from .symmetric import (
     constrained_berezin,
     coordinate_multiple_subspace,
     curv_c_estimate,
-    index3_check,
     m_c_estimate,
     sym_grade_dim,
 )

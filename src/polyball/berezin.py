@@ -1,14 +1,17 @@
 """Berezin kernels, the connection identity, and index-formula machinery.
 
-The kernel of a tuple is assembled row by row from adjoint word products
-against the defect square root; rows live on the truncated Fock tensor
-product with the defect range as coefficient space.  Grade blocks of the
-kernel are exact (truncation only discards rows beyond the caps), so the
-connection identity is a genuine two-route consistency check.
+The kernel of a tuple is built grade by grade from its vacuum row, the
+defect square root, through the intertwining ``K T_{i,j}^* = (S_{i,j}^* (x) I) K``;
+rows live on the truncated Fock tensor product with the defect range as
+coefficient space.  Grade blocks of the kernel are exact (truncation only
+discards rows beyond the caps), so the connection identity is a genuine
+two-route consistency check.
 
 Multipliers that intertwine the universal shifts are accepted as input data
 (coefficient blocks of their symbols); they are validated, never synthesized
-from a tuple.
+from a tuple.  Their blocks follow from the vacuum in the same way, through
+``Theta S_{i,j} = S_{i,j} Theta``, in the word model and the symmetric model
+alike.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import Shape, enumerate_words, grade_dim, iter_grades, word_rank
+from .basis import Shape, grade_dim, iter_grades, word_rank
 from .cp import DENSE_GUARD, PSD_TOL, DefectData, OperatorTuple, cp_apply_power, defect_data, require_membership
 from .fock import (
     FockTruncation,
@@ -27,6 +30,9 @@ from .fock import (
     _expand_weights,
     bump,
     defect_shift,
+    last_step,
+    require_model,
+    truncation_for,
 )
 
 INTERTWINE_TOL = 1e-10
@@ -43,9 +49,6 @@ class BerezinKernel:
     blocks: dict[tuple[int, ...], np.ndarray]
     defect: DefectData
     tail_bound: float
-
-    def grade_block(self, q: tuple[int, ...]) -> np.ndarray:
-        return self.blocks[q]
 
     def grade_gram(self, q: tuple[int, ...]) -> np.ndarray:
         """``K^* (P_q (x) I) K`` as a dimH x dimH matrix."""
@@ -80,36 +83,30 @@ class BerezinKernel:
 
 
 def berezin_kernel(t: OperatorTuple, caps: tuple[int, ...]) -> BerezinKernel:
-    """Assemble the kernel by word recursion over cached adjoint word products."""
+    """Assemble the kernel grade by grade from its vacuum row through the shift intertwining.
+
+    The vacuum block is ``D^{1/2}`` on the defect range.  Grade ``q`` follows
+    from grade ``q - e_i`` (``i`` the last factor with ``q_i > 0``) by
+    ``K T_{i,j}^* = (S_{i,j}^* (x) I) K``: the ``S_{i,j}`` target rows of grade
+    ``q`` are ``(K_{q - e_i} T_{i,j}^*) / w`` with the shift weights ``w``.
+    """
     require_membership(t)
     dd = defect_data(t)
-    shape = t.shape.with_caps(caps)
-    ft = FockTruncation(shape, coeff_dim=dd.rank)
-    prefix = dd.range_basis.conj().T @ dd.sqrt  # rank x dimH
-    adj: list[dict[tuple[int, ...], np.ndarray]] = []
-    for i in range(t.k):
-        table: dict[tuple[int, ...], np.ndarray] = {(): np.eye(t.dimH, dtype=complex)}
-        for q in range(1, caps[i] + 1):
-            for w in enumerate_words(shape.n[i], q):
-                table[w] = t.entry(i, w[-1]).conj().T @ table[w[:-1]]
-        adj.append(table)
-
+    ft = FockTruncation(t.shape.with_caps(caps), coeff_dim=dd.rank)
     blocks: dict[tuple[int, ...], np.ndarray] = {}
     for q in ft.grades:
-        wd = ft.word_dim(q)
-        block = np.zeros((wd * dd.rank, t.dimH), dtype=complex)
-
-        def fill(i: int, acc: np.ndarray, widx: int) -> None:
-            if i == t.k:
-                block[widx * dd.rank : (widx + 1) * dd.rank, :] = acc
-                return
-            stride = 1
-            for l in range(i + 1, t.k):
-                stride *= shape.n[l] ** q[l]
-            for r, w in enumerate(enumerate_words(shape.n[i], q[i])):
-                fill(i + 1, acc @ adj[i][w], widx + r * stride)
-
-        fill(0, prefix, 0)
+        if not any(q):
+            blocks[q] = dd.range_basis.conj().T @ dd.sqrt  # rank x dimH
+            continue
+        i, src = last_step(q)
+        block = np.zeros((ft.dim(q), t.dimH), dtype=complex)
+        for j in range(1, t.shape.n[i] + 1):
+            tgt, w = ft.shift_data(i, j, src)
+            # product first, then the division: exact rows stay exact
+            rows = blocks[src] @ t.entry(i, j).conj().T
+            rows /= _expand_weights(w, dd.rank)[:, None]
+            block[_expand_indices(tgt, dd.rank)] = rows
+            del rows  # one product alive at a time
         blocks[q] = block
 
     # I - K*K = I - prod_i (id - Phi_i^{D_i+1})(I) is dominated by the sum of
@@ -220,10 +217,11 @@ def curvature_operator_trace(kb: BerezinKernel, q: tuple[int, ...]) -> TraceChec
 class InnerMultiplier:
     """Symbol coefficients of a multi-analytic operator, one block per multi-degree.
 
-    ``coeffs[d]`` has shape ``(num_words(d), dim_target, dim_source)``; entry
-    ``b`` is the coefficient of the degree-``d`` tensor word of index ``b``.
-    The operator sends a source word to target words extended on the right,
-    factor by factor.
+    ``coeffs[d]`` has shape ``(num_basis(d), dim_target, dim_source)``; entry
+    ``b`` is the coefficient of the degree-``d`` symbol basis vector of index
+    ``b``: the tensor word in the ``"full"`` model, the monomial ``z^b`` in the
+    ``"symmetric"`` model.  The operator multiplies by the symbol, which in the
+    word model extends a source word on the right, factor by factor.
     """
 
     shape: Shape
@@ -234,36 +232,65 @@ class InnerMultiplier:
     isometric: bool = False
 
     def materialize_blocks(self, caps: tuple[int, ...]) -> dict:
-        """Blocks ``(source grade s) -> (target grade s + d)`` on the truncation."""
-        if self.model != "full":
-            raise ValueError("use the symmetric module to materialize symmetric multipliers")
+        """Blocks ``(source grade s) -> (target grade s + d)`` on the truncation of ``self.model``.
+
+        The vacuum block ``(0 -> d)`` is ``coeffs[d]`` scaled by the norms of the
+        symbol basis vectors.  Every other block follows one grade down by
+        ``Theta S_{i,j} = S_{i,j} Theta``, with ``i`` the last factor where
+        ``s_i > 0``: ``B[s -> t] = (w_t B[s - e_i -> t - e_i]) / w_s`` on the
+        ``S_{i,j}`` targets.
+        """
         shape = Shape(self.shape.n, caps)
         ds, dt = self.dim_source, self.dim_target
+        src = truncation_for(self.model, shape, ds)
+        dst = truncation_for(self.model, shape, dt)
         blocks: dict = {}
-        for s in iter_grades(caps):
-            for d, coeff in self.coeffs.items():
+        for d, coeff in self.coeffs.items():
+            for s in src.grades:
                 tgrade = tuple(si + di for si, di in zip(s, d))
-                if any(g > c for g, c in zip(tgrade, caps)):
+                if not dst.has_grade(tgrade):
                     continue
-                wd_s = grade_dim(shape, s)
-                wd_t = grade_dim(shape, tgrade)
-                block = blocks.get((s, tgrade))
-                if block is None:
-                    block = np.zeros((wd_t * dt, wd_s * ds), dtype=complex)
-                    blocks[(s, tgrade)] = block
-                src_dims = tuple(shape.n[i] ** s[i] for i in range(shape.k))
-                deg_dims = tuple(shape.n[i] ** d[i] for i in range(shape.k))
-                tgt_dims = tuple(a * b for a, b in zip(src_dims, deg_dims))
-                src_ranks = np.unravel_index(np.arange(wd_s), src_dims)
-                for b in range(coeff.shape[0]):
-                    beta_ranks = np.unravel_index(b, deg_dims)
-                    combined = tuple(
-                        sr * deg_dims[i] + beta_ranks[i] for i, sr in enumerate(src_ranks)
-                    )
-                    g = np.ravel_multi_index(combined, tgt_dims)
-                    for a in range(wd_s):
-                        block[g[a] * dt : (g[a] + 1) * dt, a * ds : (a + 1) * ds] += coeff[b]
+                if not any(s):
+                    norms = _basis_norms(src, d)
+                    if len(coeff) != len(norms):
+                        raise ValueError(f"degree {d} needs {len(norms)} coefficients, got {len(coeff)}")
+                    blocks[(s, tgrade)] = (norms[:, None, None] * coeff).reshape(dst.dim(d), ds).astype(complex)
+                    continue
+                i, s0 = last_step(s)
+                t0 = bump(tgrade, i, -1)
+                prev = blocks[(s0, t0)]
+                block = np.zeros((dst.dim(tgrade), src.dim(s)), dtype=complex)
+                for j in range(1, shape.n[i] + 1):
+                    tgt_s, w_s = src.shift_data(i, j, s0)
+                    tgt_t, w_t = dst.shift_data(i, j, t0)
+                    rows, cols = np.ix_(_expand_indices(tgt_t, dt), _expand_indices(tgt_s, ds))
+                    block[rows, cols] = (_expand_weights(w_t, dt)[:, None] * prev) / _expand_weights(w_s, ds)
+                blocks[(s, tgrade)] = block
         return blocks
+
+    def interior_grades(self, ft: FockTruncation) -> list[tuple[int, ...]]:
+        """Grades ``s`` of ``ft`` with ``s + d`` inside the caps for every symbol degree ``d``."""
+        top = [max((d[i] for d in self.coeffs), default=0) for i in range(ft.shape.k)]
+        return [s for s in ft.grades if all(si + m <= c for si, m, c in zip(s, top, ft.shape.caps))]
+
+
+def _basis_norms(ft: FockTruncation, q: tuple[int, ...]) -> np.ndarray:
+    """Norms of the grade-``q`` symbol basis vectors (1 for words, ``sqrt(b!/|b|!)`` for ``z^b``).
+
+    Each is the product of the shift weights along a path from the vacuum.
+    """
+    norms = {}
+    for p in iter_grades(q):
+        if not any(p):
+            norms[p] = np.ones(1)
+            continue
+        i, p0 = last_step(p)
+        v = np.empty(ft.word_dim(p))
+        for j in range(1, ft.shape.n[i] + 1):
+            tgt, w = ft.shift_data(i, j, p0)
+            v[tgt] = norms[p0] * w
+        norms[p] = v
+    return norms[q]
 
 
 def monomial_multiplier(shape: Shape, factor: int, word: tuple[int, ...]) -> InnerMultiplier:
@@ -278,16 +305,14 @@ def monomial_multiplier(shape: Shape, factor: int, word: tuple[int, ...]) -> Inn
 
 def validate_multiplier(theta: InnerMultiplier, caps: tuple[int, ...]) -> float:
     """Blockwise intertwining residual against the universal shifts; isometry if flagged."""
+    return _validate_blocks(theta, theta.materialize_blocks(caps), caps)
+
+
+def _validate_blocks(theta: InnerMultiplier, blocks: dict, caps: tuple[int, ...]) -> float:
     shape = Shape(theta.shape.n, caps)
-    src_ft = FockTruncation(shape, coeff_dim=theta.dim_source)
-    dst_ft = FockTruncation(shape, coeff_dim=theta.dim_target)
-    blocks = theta.materialize_blocks(caps)
-    return validate_multiplier_blocks(theta, blocks, src_ft, dst_ft)
-
-
-def validate_multiplier_blocks(theta, blocks, src_ft, dst_ft) -> float:
-    """Model-agnostic validation against the shift data of the given truncations."""
-    shape = src_ft.shape
+    ds, dt = theta.dim_source, theta.dim_target
+    src_ft = truncation_for(theta.model, shape, ds)
+    dst_ft = truncation_for(theta.model, shape, dt)
     worst = 0.0
     for (s, tgrade), b in blocks.items():
         for i in range(shape.k):
@@ -298,32 +323,25 @@ def validate_multiplier_blocks(theta, blocks, src_ft, dst_ft) -> float:
             if up_block is None:
                 up_block = np.zeros((dst_ft.dim(t_up), src_ft.dim(s_up)), dtype=complex)
             for j in range(1, shape.n[i] + 1):
+                # Theta S_{i,j} and S_{i,j} Theta on source grade s, as shifted index maps
                 tgt_s, w_s = src_ft.shift_data(i, j, s)
-                cs = np.zeros((src_ft.dim(s_up), src_ft.dim(s)), dtype=complex)
-                cs[_expand_indices(tgt_s, theta.dim_source), np.arange(src_ft.dim(s))] = (
-                    _expand_weights(w_s, theta.dim_source)
-                )
+                lhs = up_block[:, _expand_indices(tgt_s, ds)] * _expand_weights(w_s, ds)
                 tgt_t, w_t = dst_ft.shift_data(i, j, tgrade)
-                cd_ = np.zeros((dst_ft.dim(t_up), dst_ft.dim(tgrade)), dtype=complex)
-                cd_[_expand_indices(tgt_t, theta.dim_target), np.arange(dst_ft.dim(tgrade))] = (
-                    _expand_weights(w_t, theta.dim_target)
-                )
-                worst = max(worst, float(np.linalg.norm(up_block @ cs - cd_ @ b, 2)))
+                rhs = np.zeros_like(lhs)
+                rhs[_expand_indices(tgt_t, dt)] = _expand_weights(w_t, dt)[:, None] * b
+                worst = max(worst, float(np.linalg.norm(lhs - rhs, 2)))
     if worst > MULTIPLIER_TOL:
         raise ValueError(f"multiplier does not intertwine the shifts (residual {worst:.3e})")
     if theta.isometric:
-        resid = _isometry_residual(theta, src_ft.shape.caps, blocks, src_ft)
+        resid = _isometry_residual(theta, blocks, src_ft)
         if resid > INTERTWINE_TOL:
             raise ValueError(f"multiplier flagged isometric but Theta*Theta != I (residual {resid:.3e})")
     return worst
 
 
-def _isometry_residual(theta, caps, blocks, src_ft) -> float:
+def _isometry_residual(theta, blocks, src_ft) -> float:
     worst = 0.0
-    max_deg = [0] * len(caps)
-    for d in theta.coeffs:
-        max_deg = [max(a, b) for a, b in zip(max_deg, d)]
-    interior = [s for s in src_ft.grades if all(si <= c - m for si, c, m in zip(s, caps, max_deg))]
+    interior = theta.interior_grades(src_ft)
     for s in interior:
         for s2 in interior:
             gram = np.zeros((src_ft.dim(s2), src_ft.dim(s)), dtype=complex)
@@ -350,11 +368,15 @@ def index_formula_check(
 ) -> IndexCheck:
     """``curv = rank - trace[Theta (P_C (x) I) Theta^* (N_{<=q} (x) I)]`` at finite depth.
 
-    The supplied multiplier must complete the kernel range projection to the
-    identity on interior grades; otherwise it is rejected.
+    Serves both models: the multiplier must be of the kernel's model and must
+    complete the kernel range projection to the identity on interior grades;
+    otherwise it is rejected.
     """
-    validate_multiplier(theta, kb.truncation.shape.caps)
-    blocks = theta.materialize_blocks(kb.truncation.shape.caps)
+    ft = kb.truncation
+    if theta.model != ft.model:
+        raise ValueError(f"a {theta.model!r}-model multiplier on a {ft.model!r}-model kernel")
+    blocks = theta.materialize_blocks(ft.shape.caps)
+    _validate_blocks(theta, blocks, ft.shape.caps)
     return index_check_from_blocks(kb, theta, blocks, q)
 
 
@@ -380,12 +402,7 @@ def index_check_from_blocks(kb, theta, blocks, q=None) -> IndexCheck:
 
 def _completion_residual(kb: BerezinKernel, theta: InnerMultiplier, blocks) -> float:
     ft = kb.truncation
-    max_deg = [0] * ft.shape.k
-    for d in theta.coeffs:
-        max_deg = [max(a, b) for a, b in zip(max_deg, d)]
-    interior = [
-        s for s in ft.grades if all(si <= c - m for si, c, m in zip(s, ft.shape.caps, max_deg))
-    ]
+    interior = theta.interior_grades(ft)
     # target grade -> {source grade: block}, sources in ``ft.grades`` order
     into: dict = {t: {} for t in ft.grades}
     for s in ft.grades:
@@ -445,6 +462,6 @@ def multiplier_from_json(text: str) -> InnerMultiplier:
             mats.append(arr)
         coeffs[d] = np.stack(mats, axis=0)
     return InnerMultiplier(
-        Shape(n), ds, dt, coeffs, model=data.get("model", "full"),
+        Shape(n), ds, dt, coeffs, model=require_model(data.get("model", "full")),
         isometric=bool(data.get("isometric", False)),
     )

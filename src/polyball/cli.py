@@ -36,7 +36,7 @@ from .subspaces import (
     tensor_subspace,
     uncountable_family,
 )
-from .symmetric import constrained_berezin, curv_c_estimate, index3_check, m_c_estimate
+from .symmetric import constrained_berezin, curv_c_estimate, m_c_estimate
 
 
 def fmt(x: float) -> str:
@@ -93,28 +93,30 @@ def _grade_rows(values, k, cesaro, defect_product, qmax, value_key):
     return rows
 
 
+def _csv_cell(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return json.dumps(v)
+    if isinstance(v, float):
+        return fmt(v)
+    if isinstance(v, (list, tuple)):
+        return ";".join(_csv_cell(x) for x in v)
+    return str(v)
+
+
 def _rows_to_csv(rows) -> str:
     if not rows:
         return "\n"
     header = list(rows[0].keys())
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for key in header:
-            v = row[key]
-            if v is None:
-                cells.append("")
-            elif isinstance(v, float):
-                cells.append(fmt(v))
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
+    lines = [",".join(header)] + [",".join(_csv_cell(row[key]) for key in header) for row in rows]
     return "\n".join(lines) + "\n"
 
 
 def _emit(payload: dict, rows, args) -> None:
+    """JSON payload with the table, or CSV of the table (of the payload as one row if none)."""
     if args.format == "csv":
-        _write(_rows_to_csv(rows or []), args.out)
+        _write(_rows_to_csv([payload] if rows is None else rows), args.out)
     else:
         if rows is not None:
             payload = payload | {"table": rows}
@@ -230,6 +232,8 @@ def cmd_construct(args) -> int:
     elif kind == "uncountable":
         sub = uncountable_family(args.t, args.omega, args.caps, n_terms=args.terms)
     elif kind == "tensor":
+        if args.input is None:
+            raise ValueError("construct tensor needs --input")
         parts = []
         for path in args.input.split(","):
             with open(path) as fh:
@@ -243,6 +247,8 @@ def cmd_construct(args) -> int:
 
 def cmd_check(args) -> int:
     kind = args.kind
+    if kind == "index" and args.theta is None:
+        raise ValueError("check index needs --theta")
     if kind == "beurling":
         with open(args.input) as fh:
             sub = subspace_from_json(fh.read())
@@ -295,12 +301,9 @@ def cmd_check(args) -> int:
     if kind == "index":
         with open(args.theta) as fh:
             theta = multiplier_from_json(fh.read())
-        if theta.model == "symmetric":
-            kb = constrained_berezin(t, caps)
-            chk = index3_check(kb, theta)
-        else:
-            kb = berezin_kernel(t, caps)
-            chk = index_formula_check(kb, theta)
+        kernel = constrained_berezin if theta.model == "symmetric" else berezin_kernel
+        kb = kernel(t, caps)
+        chk = index_formula_check(kb, theta)
         payload = {
             "command": "check",
             "kind": "index",
@@ -355,10 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("--input", required=True, help="input JSON path")
-        p.add_argument("--caps", type=_parse_caps, default=None, help="per-factor caps a,b,...")
+    def common(p, caps=False):
+        p.add_argument("--input", required=True, help="input JSON path")
+        if caps:
+            p.add_argument("--caps", type=_parse_caps, default=None, help="per-factor caps a,b,...")
         p.add_argument("--qmax", type=int, default=6)
         p.add_argument("--tol", type=float, default=None, help="tolerance override (reserved)")
         p.add_argument("--format", choices=["json", "csv"], default="json")
@@ -391,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_chk = sub.add_parser("check", help="identity and positivity checks")
     p_chk.add_argument("kind", choices=["beurling", "connection", "index", "intertwine"])
-    common(p_chk)
+    common(p_chk, caps=True)
     p_chk.add_argument("--theta", default=None, help="multiplier JSON (index check)")
     p_chk.set_defaults(func=cmd_check)
 

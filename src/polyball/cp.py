@@ -104,7 +104,7 @@ class OperatorTuple:
         return self.factors[i][j - 1]
 
     def word_product_adjoint(self, i: int, word: tuple[int, ...]) -> np.ndarray:
-        """``T_{i,word}^* = T_{j_p}^* ... T_{j_1}^*`` for a letter word."""
+        """``T_{i,word}^* = T_{j_p}^* ... T_{j_1}^*`` for a letter word; the oracle of the kernel rows."""
         out = np.eye(self.dimH, dtype=complex)
         for letter in word:
             out = self.entry(i, letter).conj().T @ out

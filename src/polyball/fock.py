@@ -81,6 +81,28 @@ class FockTruncation:
         return targets, np.ones(self.word_dim(q))
 
 
+def require_model(model: str) -> str:
+    """``model`` itself if it names a model: ``"full"`` (words) or ``"symmetric"`` (monomials)."""
+    if model not in ("full", "symmetric"):
+        raise ValueError(f"unknown model {model!r}; expected 'full' or 'symmetric'")
+    return model
+
+
+def truncation_for(model: str, shape: Shape, coeff_dim: int = 1) -> FockTruncation:
+    """The truncation of ``model`` on ``shape``."""
+    if require_model(model) == "symmetric":
+        from .symmetric import SymFockTruncation
+
+        return SymFockTruncation(shape, coeff_dim)
+    return FockTruncation(shape, coeff_dim)
+
+
+def last_step(q: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """``(i, q - e_i)``, ``i`` the last factor with ``q_i > 0``: the grade recursions build ``q`` from."""
+    i = max(l for l, v in enumerate(q) if v)
+    return i, bump(q, i, -1)
+
+
 def _expand_indices(idx: np.ndarray, cd: int) -> np.ndarray:
     return (idx[:, None] * cd + np.arange(cd)[None, :]).reshape(-1)
 

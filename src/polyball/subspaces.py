@@ -36,6 +36,7 @@ from .fock import (
     _expand_weights,
     bump,
     defect_shift,
+    truncation_for,
 )
 
 GRAM_TOL = 1e-12
@@ -722,13 +723,7 @@ def subspace_from_json(text: str) -> GradedSubspace:
     n = tuple(int(v) for v in data["n"])
     caps = tuple(int(v) for v in data["caps"])
     dim_e = int(data.get("dimE", 1))
-    model = data.get("model", "full")
-    if model == "symmetric":
-        from .symmetric import SymFockTruncation
-
-        ft = SymFockTruncation(Shape(n, caps=caps), coeff_dim=dim_e)
-    else:
-        ft = FockTruncation(Shape(n, caps=caps), coeff_dim=dim_e)
+    ft = truncation_for(data.get("model", "full"), Shape(n, caps=caps), dim_e)
     mode = data["mode"]
     if mode == "structured":
         return _structured_from_params(data["kind"], data.get("params", {}), n, caps, dim_e, ft)

@@ -24,17 +24,8 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .basis import Shape, iter_grades
-from .berezin import (
-    BerezinKernel,
-    IndexCheck,
-    InnerMultiplier,
-    PsdVerdict,
-    berezin_kernel,
-    has_characteristic_function,
-    index_check_from_blocks,
-    validate_multiplier_blocks,
-)
+from .basis import Shape
+from .berezin import BerezinKernel, InnerMultiplier, PsdVerdict, berezin_kernel, has_characteristic_function
 from .cp import COMMUTATION_TOL, OperatorTuple, require_membership
 from .curvature import CurvEstimate, _check_monotone, _defect_product_traces, _summary, grade_trace_table
 from .fock import FockTruncation, GradedOperator, creation_op
@@ -212,55 +203,6 @@ def constrained_char_function(t: OperatorTuple, caps: tuple[int, ...]) -> PsdVer
     return has_characteristic_function(kb)
 
 
-def materialize_sym_multiplier(theta: InnerMultiplier, caps: tuple[int, ...]) -> dict:
-    """Blocks of a symmetric-model multiplier from its monomial symbol coefficients.
-
-    ``coeffs[d][b]`` is the coefficient of the degree-``d`` monomial of index
-    ``b``; matrix entries carry the norm ratios ``||z^{a+b}|| / ||z^a||``.
-    """
-    if theta.model != "symmetric":
-        raise ValueError("expected a symmetric-model multiplier")
-    shape = Shape(theta.shape.n, caps)
-    ds, dt = theta.dim_source, theta.dim_target
-    src = SymFockTruncation(shape, coeff_dim=ds)
-    blocks: dict = {}
-    for s in iter_grades(caps):
-        for d, coeff in theta.coeffs.items():
-            tgrade = tuple(si + di for si, di in zip(s, d))
-            if any(g > c for g, c in zip(tgrade, caps)):
-                continue
-            src_mons = [monomials(shape.n[i], s[i]) for i in range(shape.k)]
-            tgt_mons = [monomials(shape.n[i], tgrade[i]) for i in range(shape.k)]
-            tgt_index = [{m: r for r, m in enumerate(ms)} for ms in tgt_mons]
-            deg_mons = [monomials(shape.n[i], d[i]) for i in range(shape.k)]
-            wd_s = src.word_dim(s)
-            wd_t = math.prod(len(ms) for ms in tgt_mons)
-            block = blocks.get((s, tgrade))
-            if block is None:
-                block = np.zeros((wd_t * dt, wd_s * ds), dtype=complex)
-                blocks[(s, tgrade)] = block
-            dims_s = tuple(len(ms) for ms in src_mons)
-            dims_d = tuple(len(ms) for ms in deg_mons)
-            dims_t = tuple(len(ms) for ms in tgt_mons)
-            for b in range(coeff.shape[0]):
-                beta_parts = np.unravel_index(b, dims_d)
-                betas = [deg_mons[i][beta_parts[i]] for i in range(shape.k)]
-                for a in range(wd_s):
-                    alpha_parts = np.unravel_index(a, dims_s)
-                    alphas = [src_mons[i][alpha_parts[i]] for i in range(shape.k)]
-                    ratio = 1.0
-                    tgt_rank = []
-                    for i in range(shape.k):
-                        gamma = tuple(x + y for x, y in zip(alphas[i], betas[i]))
-                        ratio *= math.sqrt(
-                            float(monomial_weight(gamma) / monomial_weight(alphas[i]))
-                        )
-                        tgt_rank.append(tgt_index[i][gamma])
-                    g = np.ravel_multi_index(tuple(tgt_rank), dims_t)
-                    block[g * dt : (g + 1) * dt, a * ds : (a + 1) * ds] += ratio * coeff[b]
-    return blocks
-
-
 def sym_monomial_multiplier(shape: Shape, exponents: tuple[tuple[int, ...], ...]) -> InnerMultiplier:
     """Multiplication by a single monomial ``prod_i z^{exponents[i]}``; symmetric model."""
     d = tuple(sum(e) for e in exponents)
@@ -270,24 +212,6 @@ def sym_monomial_multiplier(shape: Shape, exponents: tuple[tuple[int, ...], ...]
     ranks = [monomials(shape.n[i], d[i]).index(tuple(exponents[i])) for i in range(shape.k)]
     coeff[int(np.ravel_multi_index(tuple(ranks), tuple(dims))), 0, 0] = 1.0
     return InnerMultiplier(Shape(shape.n), 1, 1, {d: coeff}, model="symmetric")
-
-
-def validate_sym_multiplier(theta: InnerMultiplier, caps: tuple[int, ...]) -> float:
-    shape = Shape(theta.shape.n, caps)
-    src = SymFockTruncation(shape, coeff_dim=theta.dim_source)
-    dst = SymFockTruncation(shape, coeff_dim=theta.dim_target)
-    blocks = materialize_sym_multiplier(theta, caps)
-    return validate_multiplier_blocks(theta, blocks, src, dst)
-
-
-def index3_check(kb: BerezinKernel, theta: InnerMultiplier, q: tuple[int, ...] | None = None) -> IndexCheck:
-    """Finite-depth index evaluation on the symmetric model."""
-    if not isinstance(kb.truncation, SymFockTruncation):
-        raise ValueError("expected a kernel on a symmetric truncation")
-    caps = kb.truncation.shape.caps
-    validate_sym_multiplier(theta, caps)
-    blocks = materialize_sym_multiplier(theta, caps)
-    return index_check_from_blocks(kb, theta, blocks, q)
 
 
 def coordinate_multiple_subspace(sf: SymFockTruncation, factor: int, var: int) -> GradedSubspace:

@@ -43,7 +43,6 @@ from polyball.symmetric import (
     b_operator,
     constrained_berezin,
     coordinate_multiple_subspace,
-    index3_check,
     monomials,
     sym_grade_dim,
     universal_factorial_form_value,
@@ -261,7 +260,7 @@ def test_criterion_10_index_formulas():
     kb3 = constrained_berezin(t3, (4, 4))
     from polyball.symmetric import sym_monomial_multiplier
 
-    chk3 = index3_check(kb3, sym_monomial_multiplier(Shape((1, 1)), ((1,), (0,))))
+    chk3 = index_formula_check(kb3, sym_monomial_multiplier(Shape((1, 1)), ((1,), (0,))))
     assert chk3.residual < 1e-8
     assert abs(chk2.lhs - chk3.lhs) < 1e-8 and abs(chk2.rhs - chk3.rhs) < 1e-8
     # zero multiplier: both formulas reduce to curv = rank, exactly
@@ -273,7 +272,7 @@ def test_criterion_10_index_formulas():
     sf_m = SymFockTruncation(Shape((2,), caps=(4,)))
     t5 = compression_tuple(zero_subspace(sf_m))
     kb5 = constrained_berezin(t5, (4,))
-    chk5 = index3_check(kb5, InnerMultiplier(Shape((2,)), 1, 1, {}, model="symmetric"))
+    chk5 = index_formula_check(kb5, InnerMultiplier(Shape((2,)), 1, 1, {}, model="symmetric"))
     assert chk5.lhs == chk5.rhs == float(kb5.defect.rank) == 1.0
     _report(10, "index formulas agree on monomial fixtures; zero multiplier gives curv = rank")
 

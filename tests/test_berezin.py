@@ -1,3 +1,5 @@
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -6,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import commuting_tuple, random_polyball_tuple, random_row_tuple
-from polyball.basis import Shape, iter_grades, leq
+from polyball.basis import Shape, enumerate_words, iter_grades, leq
 from polyball.berezin import (
+    InnerMultiplier,
     berezin_kernel,
     connection_identity,
     curvature_operator_trace,
@@ -29,7 +32,7 @@ from polyball.subspaces import (
     construct_nadic,
     zero_subspace,
 )
-from polyball.symmetric import constrained_berezin
+from polyball.symmetric import constrained_berezin, monomial_weight, monomials, sym_monomial_multiplier
 
 
 def scalar_tuple(r):
@@ -316,3 +319,132 @@ def test_kernel_is_a_contraction():
     kb = berezin_kernel(t, (5, 5))
     gram = sum(kb.grade_gram(q) for q in kb.truncation.grades)
     assert float(np.linalg.eigvalsh((gram + gram.conj().T) / 2)[-1]) <= 1 + 1e-12
+
+
+# -- vacuum recursions against their closed forms ---------------------------------
+
+
+@pytest.mark.parametrize(
+    "n, dims, caps",
+    [((2, 2), (2, 2), (3, 3)), ((1, 2, 1), (2, 2, 1), (2, 3, 2)), ((3,), (3,), (4,))],
+)
+def test_kernel_rows_match_adjoint_word_products(n, dims, caps):
+    rng = np.random.default_rng(227)
+    t = random_polyball_tuple(rng, n, dims, 0.7)
+    kb = berezin_kernel(t, caps)
+    dd = kb.defect
+    prefix = dd.range_basis.conj().T @ dd.sqrt
+    r = dd.rank
+    assert r > 0
+    for q in kb.truncation.grades:
+        tensor_words = itertools.product(*(enumerate_words(ni, qi) for ni, qi in zip(n, q)))
+        for idx, words in enumerate(tensor_words):
+            row = prefix
+            for i, w in enumerate(words):
+                row = row @ t.word_product_adjoint(i, w)
+            np.testing.assert_allclose(kb.blocks[q][idx * r : (idx + 1) * r], row, rtol=0, atol=1e-14)
+
+
+def test_kernel_memory_stays_below_word_tables():
+    t = compression_tuple(construct_mt(construct_nadic(2, 0.5), 6))
+    assert t.dimH == 64
+    tracemalloc.start()
+    try:
+        berezin_kernel(t, (6,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one dimH x dimH complex matrix per word of length <= 6
+    word_tables = 127 * 64**2 * 16
+    assert peak < word_tables / 4
+
+
+def closed_form_blocks(theta, caps):
+    """Entry by entry: source basis vector ``a`` goes to ``(||a.b|| / ||a||) coeff[b]`` on ``a.b``.
+
+    ``a.b`` is concatenation of words, or the sum of exponents of monomials.
+    """
+    sym = theta.model == "symmetric"
+    n, ds, dt = theta.shape.n, theta.dim_source, theta.dim_target
+
+    def basis(q):
+        per = [monomials(ni, qi) if sym else enumerate_words(ni, qi) for ni, qi in zip(n, q)]
+        return list(itertools.product(*per))
+
+    def join(x, y):
+        return tuple(a + b for a, b in zip(x, y)) if sym else x + y
+
+    def sq_norm(x):
+        return float(monomial_weight(x)) if sym else 1.0
+
+    blocks = {}
+    for d, coeff in theta.coeffs.items():
+        for s in iter_grades(caps):
+            tgrade = tuple(a + b for a, b in zip(s, d))
+            if any(g > c for g, c in zip(tgrade, caps)):
+                continue
+            index = {x: r for r, x in enumerate(basis(tgrade))}
+            src = basis(s)
+            block = np.zeros((len(index) * dt, len(src) * ds), dtype=complex)
+            for a, alpha in enumerate(src):
+                for b, beta in enumerate(basis(d)):
+                    gamma = tuple(join(x, y) for x, y in zip(alpha, beta))
+                    ratio = math.sqrt(math.prod(sq_norm(g) / sq_norm(x) for g, x in zip(gamma, alpha)))
+                    g = index[gamma]
+                    block[g * dt : (g + 1) * dt, a * ds : (a + 1) * ds] = ratio * coeff[b]
+            blocks[(s, tgrade)] = block
+    return blocks
+
+
+def random_symbol(rng, model, n, degrees, ds, dt):
+    count = (lambda ni, q: len(monomials(ni, q))) if model == "symmetric" else (lambda ni, q: ni**q)
+    coeffs = {}
+    for d in degrees:
+        num = math.prod(count(ni, di) for ni, di in zip(n, d))
+        coeffs[d] = rng.standard_normal((num, dt, ds)) + 1j * rng.standard_normal((num, dt, ds))
+    return InnerMultiplier(Shape(n), ds, dt, coeffs, model=model)
+
+
+@pytest.mark.parametrize(
+    "model, n, degrees, caps",
+    [
+        ("full", (2, 1), [(0, 0), (1, 0), (0, 2), (1, 1)], (3, 2)),
+        ("full", (3,), [(1,), (2,)], (3,)),
+        ("symmetric", (2, 3), [(0, 0), (1, 0), (0, 2), (2, 1)], (3, 3)),
+        ("symmetric", (3,), [(1,), (3,)], (4,)),
+    ],
+)
+def test_multiplier_blocks_match_closed_form(model, n, degrees, caps):
+    theta = random_symbol(np.random.default_rng(229), model, n, degrees, ds=2, dt=3)
+    blocks = theta.materialize_blocks(caps)
+    oracle = closed_form_blocks(theta, caps)
+    assert blocks.keys() == oracle.keys()
+    for key, b in oracle.items():
+        if model == "full":  # unit shift weights: the recursion only copies entries
+            assert np.array_equal(blocks[key], b)
+        else:
+            np.testing.assert_allclose(blocks[key], b, rtol=0, atol=1e-14)
+    assert validate_multiplier(theta, caps) < 1e-12
+
+
+def test_index_formula_rejects_a_multiplier_of_the_other_model():
+    rng = np.random.default_rng(233)
+    t = ampliation([commuting_tuple(rng, 2, 2, 0.7), commuting_tuple(rng, 1, 2, 0.7)])
+    sym_kb = constrained_berezin(t, (3, 3))
+    with pytest.raises(ValueError, match="'full'-model multiplier on a 'symmetric'-model kernel"):
+        index_formula_check(sym_kb, monomial_multiplier(Shape((2, 1)), 0, (1,)))
+    word_kb = berezin_kernel(t, (3, 3))
+    with pytest.raises(ValueError, match="'symmetric'-model multiplier on a 'full'-model kernel"):
+        index_formula_check(word_kb, sym_monomial_multiplier(Shape((2, 1)), ((1, 0), (0,))))
+
+
+def test_unknown_multiplier_model_is_rejected():
+    text = multiplier_to_json(monomial_multiplier(Shape((2,)), 0, (1,))).replace('"full"', '"sym"')
+    with pytest.raises(ValueError, match="unknown model 'sym'"):
+        multiplier_from_json(text)
+
+
+def test_multiplier_with_a_wrong_coefficient_count_is_rejected():
+    theta = InnerMultiplier(Shape((2,)), 1, 1, {(2,): np.ones((3, 1, 1), dtype=complex)})
+    with pytest.raises(ValueError, match=r"degree \(2,\) needs 4 coefficients, got 3"):
+        theta.materialize_blocks((3,))

@@ -142,19 +142,24 @@ def test_check_intertwine(scalar_file, capsys):
     assert json.loads(out)["max_residual"] < 1e-12
 
 
-def test_check_index(tmp_path, capsys):
+def index_files(tmp_path):
+    """The suffix-subspace compression tuple and the letter-1 monomial multiplier, as files."""
     from polyball.berezin import monomial_multiplier, multiplier_to_json
     from polyball.basis import Shape
     from polyball.subspaces import compression_tuple
 
     sub = construct_mt(construct_nadic(2, 0.5), 4)
-    t = compression_tuple(sub)
     t_path = tmp_path / "tuple.json"
-    t_path.write_text(tuple_to_json(t))
+    t_path.write_text(tuple_to_json(compression_tuple(sub)))
     theta_path = tmp_path / "theta.json"
     theta_path.write_text(multiplier_to_json(monomial_multiplier(Shape((2,)), 0, (1,))))
+    return str(t_path), str(theta_path)
+
+
+def test_check_index(tmp_path, capsys):
+    t_path, theta_path = index_files(tmp_path)
     code, out, _ = run(
-        ["check", "index", "--input", str(t_path), "--theta", str(theta_path), "--caps", "4"],
+        ["check", "index", "--input", t_path, "--theta", theta_path, "--caps", "4"],
         capsys,
     )
     assert code == 0
@@ -209,7 +214,13 @@ def test_degenerate_tuple_is_invalid_input(payload, reason, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "argv, flag",
-    [(["curv", "--qmax", "abc"], "--qmax"), (["construct", "mt", "--threads", "2"], "--threads")],
+    [
+        (["curv", "--qmax", "abc"], "--qmax"),
+        (["construct", "mt", "--threads", "2"], "--threads"),
+        (["curv", "--input", "tuple.json", "--caps", "3"], "--caps"),
+        (["check", "index", "--input", "tuple.json"], "--theta"),
+        (["construct", "tensor"], "--input"),
+    ],
 )
 def test_usage_errors_are_invalid_input(argv, flag, capsys):
     code, out, err = run(argv, capsys)
@@ -258,3 +269,55 @@ def test_mult_symmetric_model_via_cli(tmp_path, capsys):
     assert payload["beurling_positive"] is True
     assert payload["estimate"] == pytest.approx(8 / 9)
     assert payload["exact_limit"] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("kind", ["beurling", "intertwine", "index"])
+def test_check_csv_is_the_payload_as_one_row(kind, scalar_file, tmp_path, capsys):
+    if kind == "beurling":
+        path = tmp_path / "mt.json"
+        path.write_text(subspace_to_json(construct_mt(construct_nadic(2, 0.5), 5)))
+        argv = ["check", "beurling", "--input", str(path)]
+    elif kind == "intertwine":
+        argv = ["check", "intertwine", "--input", scalar_file, "--caps", "3"]
+    else:
+        t_path, theta_path = index_files(tmp_path)
+        argv = ["check", "index", "--input", t_path, "--theta", theta_path, "--caps", "4"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    payload = json.loads(out)
+    code, out, _ = run(argv + ["--format", "csv"], capsys)
+    assert code == 0
+    header, row, *rest = out.splitlines()
+    assert rest == [] and header.split(",") == list(payload)
+    for key, cell in zip(payload, row.split(",")):
+        value = payload[key]
+        if isinstance(value, bool):
+            assert cell == json.dumps(value)
+        elif isinstance(value, float):
+            assert float(cell) == value
+        elif isinstance(value, list):
+            assert cell == ";".join(str(v) for v in value)
+        else:
+            assert cell == str(value)
+
+
+def test_unknown_multiplier_model_is_invalid_input(tmp_path, capsys):
+    t_path, theta_path = index_files(tmp_path)
+    theta = tmp_path / "theta.json"
+    theta.write_text(json.dumps(json.loads(theta.read_text()) | {"model": "sym"}))
+    code, out, err = run(["check", "index", "--input", t_path, "--theta", theta_path, "--caps", "4"], capsys)
+    assert code == 1 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "invalid-input"
+    assert "unknown model 'sym'" in report["reason"]
+
+
+def test_unknown_subspace_model_is_invalid_input(tmp_path, capsys):
+    data = json.loads(subspace_to_json(construct_mt(construct_nadic(2, 0.5), 4))) | {"model": "sym"}
+    path = tmp_path / "mt.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(["mult", "--input", str(path), "--qmax", "4"], capsys)
+    assert code == 1 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "invalid-input"
+    assert "unknown model 'sym'" in report["reason"]

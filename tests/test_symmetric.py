@@ -7,7 +7,13 @@ import pytest
 
 from conftest import commuting_tuple
 from polyball.basis import Shape
-from polyball.berezin import InnerMultiplier, connection_identity, verify_intertwining
+from polyball.berezin import (
+    InnerMultiplier,
+    connection_identity,
+    index_formula_check,
+    validate_multiplier,
+    verify_intertwining,
+)
 from polyball.cp import OperatorTuple
 from polyball.curvature import subspace_curvature
 from polyball.fock import FockTruncation, GradedOperator, creation_op
@@ -27,7 +33,6 @@ from polyball.symmetric import (
     coordinate_multiple_subspace,
     curv_c_estimate,
     embedding_matrix,
-    index3_check,
     m_c_estimate,
     monomial_weight,
     monomials,
@@ -35,7 +40,6 @@ from polyball.symmetric import (
     sym_grade_dim,
     sym_monomial_multiplier,
     universal_factorial_form_value,
-    validate_sym_multiplier,
 )
 
 
@@ -327,7 +331,7 @@ def test_index3_polydisc_monomial():
     t = compression_tuple(sub)
     kb = constrained_berezin(t, (4, 4))
     theta = sym_monomial_multiplier(Shape((1, 1)), ((1,), (0,)))
-    chk = index3_check(kb, theta)
+    chk = index_formula_check(kb, theta)
     assert chk.lhs == pytest.approx(0.0, abs=1e-10)
     assert chk.rhs == pytest.approx(0.0, abs=1e-10)
     assert chk.residual < 1e-8
@@ -339,14 +343,14 @@ def test_index3_zero_theta_reduces_to_rank():
     kb = constrained_berezin(t, (4,))
     assert kb.defect.rank == 1
     theta = InnerMultiplier(Shape((2,)), 1, 1, {}, model="symmetric")
-    chk = index3_check(kb, theta)
+    chk = index_formula_check(kb, theta)
     assert chk.lhs == pytest.approx(1.0, abs=1e-10)
     assert chk.rhs == pytest.approx(1.0)
 
 
 def test_sym_multiplier_validation():
     theta = sym_monomial_multiplier(Shape((2,)), ((1, 0),))
-    assert validate_sym_multiplier(theta, (4,)) < 1e-12
+    assert validate_multiplier(theta, (4,)) < 1e-12
 
 
 def test_symmetric_subspace_json_roundtrip():
@@ -366,4 +370,4 @@ def test_symmetric_multiplier_json_roundtrip():
     assert back.model == "symmetric"
     for d, c in theta.coeffs.items():
         assert np.array_equal(back.coeffs[d], c)
-    assert validate_sym_multiplier(back, (4,)) < 1e-12
+    assert validate_multiplier(back, (4,)) < 1e-12

@@ -23,6 +23,7 @@ from .cp import (
     DefectData,
     MembershipError,
     OperatorTuple,
+    PsdVerdict,
     ampliation,
     check_polyball,
     check_pure,
@@ -30,6 +31,7 @@ from .cp import (
     defect_data,
     defect_map,
     direct_sum,
+    psd_verdict,
     tuple_from_json,
     tuple_to_json,
 )

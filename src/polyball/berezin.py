@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import Shape, grade_dim, iter_grades, word_rank
-from .cp import DENSE_GUARD, PSD_TOL, DefectData, OperatorTuple, cp_apply_power, defect_data, require_membership
+from .cp import DENSE_GUARD, DefectData, OperatorTuple, PsdVerdict, cp_apply_power, defect_data, require_membership
 from .fock import (
     FockTruncation,
     GradedOperator,
@@ -150,19 +150,10 @@ def connection_identity(kb: BerezinKernel, q: tuple[int, ...]):
     return lhs, rhs, residual
 
 
-@dataclass(frozen=True)
-class PsdVerdict:
-    positive: bool
-    min_eigenvalue: float
-
-
 def has_characteristic_function(kb: BerezinKernel) -> PsdVerdict:
     """PSD test of ``Delta_{S (x) I}(I - K K^*)`` on interior grades (margin 1 per factor)."""
-    y = GradedOperator.identity(kb.truncation) - kb.kk_star_full()
-    d = defect_shift(y)
-    lo = d.min_eig_interior()
-    bound = -PSD_TOL * max(d.norm_interior(), 1.0)
-    return PsdVerdict(lo >= bound, lo)
+    d = defect_shift(GradedOperator.identity(kb.truncation) - kb.kk_star_full())
+    return d.interior_verdict(d.interior_grades())
 
 
 @dataclass(frozen=True)

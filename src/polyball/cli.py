@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .basis import iter_grades
 from .berezin import (
+    INTERTWINE_TOL,
     berezin_kernel,
     connection_identity,
     curvature_operator_trace,
@@ -62,7 +64,7 @@ def _render_json(value, indent: int = 0) -> str:
     if isinstance(value, bool) or value is None:
         return json.dumps(value)
     if isinstance(value, float):
-        return fmt(value)
+        return fmt(value) if math.isfinite(value) else "null"  # JSON has no NaN or inf
     return json.dumps(value)
 
 
@@ -99,7 +101,7 @@ def _csv_cell(v) -> str:
     if isinstance(v, bool):
         return json.dumps(v)
     if isinstance(v, float):
-        return fmt(v)
+        return fmt(v) if math.isfinite(v) else ""
     if isinstance(v, (list, tuple)):
         return ";".join(_csv_cell(x) for x in v)
     return str(v)
@@ -245,78 +247,84 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def cmd_check(args) -> int:
-    kind = args.kind
-    if kind == "index" and args.theta is None:
-        raise ValueError("check index needs --theta")
-    if kind == "beurling":
-        with open(args.input) as fh:
-            sub = subspace_from_json(fh.read())
-        v = beurling_check(sub)
-        payload = {
-            "command": "check",
-            "kind": "beurling",
-            "positive": v.positive,
-            "min_eigenvalue": v.min_eigenvalue,
-            "interior_grades": v.residual_grades,
-        }
-        _emit(payload, None, args)
-        return 0
+def cmd_check_beurling(args) -> int:
+    with open(args.input) as fh:
+        sub = subspace_from_json(fh.read())
+    v = beurling_check(sub)
+    payload = {
+        "command": "check",
+        "kind": "beurling",
+        "positive": v.positive,
+        "min_eigenvalue": v.min_eigenvalue,
+        "interior_grades": v.residual_grades,
+    }
+    _emit(payload, None, args)
+    return 0
+
+
+def _tuple_and_caps(args):
+    """The input tuple and the kernel caps: ``--caps``, else ``qmax + 1`` per factor."""
     with open(args.input) as fh:
         t = tuple_from_json(fh.read())
-    caps = args.caps if args.caps else (args.qmax + 1,) * t.k
-    tol = args.tol if args.tol is not None else 1e-10
-    if kind == "connection":
-        kb = berezin_kernel(t, caps)
-        grades = sorted(iter_grades(tuple(min(args.qmax, c) for c in caps)))
-        resids = [connection_identity(kb, q)[2] for q in grades]
-        rows = [
-            {f"q{i + 1}": q[i] for i in range(t.k)} | {"residual": r}
-            for q, r in zip(grades, resids)
-        ]
-        payload = {
-            "command": "check",
-            "kind": "connection",
-            "caps": list(caps),
-            "max_residual": max(resids),
-            "tail_bound": kb.tail_bound,
-            "tol": tol,
-            "within_tol": max(resids) <= tol,
-        }
-        _emit(payload, rows, args)
-        return 0
-    if kind == "intertwine":
-        kb = berezin_kernel(t, caps)
-        resid = verify_intertwining(kb)
-        payload = {
-            "command": "check",
-            "kind": "intertwine",
-            "caps": list(caps),
-            "max_residual": resid,
-            "tol": tol,
-            "within_tol": resid <= tol,
-        }
-        _emit(payload, None, args)
-        return 0
-    if kind == "index":
-        with open(args.theta) as fh:
-            theta = multiplier_from_json(fh.read())
-        kernel = constrained_berezin if theta.model == "symmetric" else berezin_kernel
-        kb = kernel(t, caps)
-        chk = index_formula_check(kb, theta)
-        payload = {
-            "command": "check",
-            "kind": "index",
-            "model": theta.model,
-            "lhs": chk.lhs,
-            "rhs": chk.rhs,
-            "residual": chk.residual,
-            "completion_residual": chk.completion_residual,
-            "rank": kb.defect.rank,
-        }
-        _emit(payload, None, args)
-        return 0
-    raise ValueError(f"unknown check {kind!r}")
+    return t, args.caps if args.caps else (args.qmax + 1,) * t.k
+
+
+def cmd_check_connection(args) -> int:
+    t, caps = _tuple_and_caps(args)
+    kb = berezin_kernel(t, caps)
+    grades = sorted(iter_grades(tuple(min(args.qmax, c) for c in caps)))
+    resids = [connection_identity(kb, q)[2] for q in grades]
+    rows = [
+        {f"q{i + 1}": q[i] for i in range(t.k)} | {"residual": r}
+        for q, r in zip(grades, resids)
+    ]
+    payload = {
+        "command": "check",
+        "kind": "connection",
+        "caps": list(caps),
+        "max_residual": max(resids),
+        "tail_bound": kb.tail_bound,
+        "tol": args.tol,
+        "within_tol": max(resids) <= args.tol,
+    }
+    _emit(payload, rows, args)
+    return 0
+
+
+def cmd_check_intertwine(args) -> int:
+    t, caps = _tuple_and_caps(args)
+    resid = verify_intertwining(berezin_kernel(t, caps))
+    payload = {
+        "command": "check",
+        "kind": "intertwine",
+        "caps": list(caps),
+        "max_residual": resid,
+        "tol": args.tol,
+        "within_tol": resid <= args.tol,
+    }
+    _emit(payload, None, args)
+    return 0
+
+
+def cmd_check_index(args) -> int:
+    t, caps = _tuple_and_caps(args)
+    with open(args.theta) as fh:
+        theta = multiplier_from_json(fh.read())
+    kernel = constrained_berezin if theta.model == "symmetric" else berezin_kernel
+    kb = kernel(t, caps)
+    chk = index_formula_check(kb, theta)
+    payload = {
+        "command": "check",
+        "kind": "index",
+        "model": theta.model,
+        "lhs": chk.lhs,
+        "rhs": chk.rhs,
+        "residual": chk.residual,
+        "completion_residual": chk.completion_residual,
+        "rank": kb.defect.rank,
+    }
+    _emit(payload, None, args)
+    return 0
 
 
 def cmd_demo(args) -> int:
@@ -358,12 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, caps=False):
+    def common(p, qmax=True):
         p.add_argument("--input", required=True, help="input JSON path")
-        if caps:
-            p.add_argument("--caps", type=_parse_caps, default=None, help="per-factor caps a,b,...")
-        p.add_argument("--qmax", type=int, default=6)
-        p.add_argument("--tol", type=float, default=None, help="tolerance override (reserved)")
+        if qmax:
+            p.add_argument("--qmax", type=int, default=6)
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--out", default=None)
 
@@ -393,10 +399,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.set_defaults(func=cmd_construct)
 
     p_chk = sub.add_parser("check", help="identity and positivity checks")
-    p_chk.add_argument("kind", choices=["beurling", "connection", "index", "intertwine"])
-    common(p_chk, caps=True)
-    p_chk.add_argument("--theta", default=None, help="multiplier JSON (index check)")
-    p_chk.set_defaults(func=cmd_check)
+    checks = p_chk.add_subparsers(dest="kind", required=True)
+    p_beur = checks.add_parser("beurling", help="positivity test of an invariant subspace")
+    common(p_beur, qmax=False)
+    p_beur.set_defaults(func=cmd_check_beurling)
+    for kind, func, text in (
+        ("connection", cmd_check_connection, "Berezin kernel connection identity per grade"),
+        ("intertwine", cmd_check_intertwine, "Berezin kernel intertwining residual"),
+        ("index", cmd_check_index, "index formula of an inner multiplier"),
+    ):
+        p = checks.add_parser(kind, help=text)
+        common(p)
+        p.add_argument("--caps", type=_parse_caps, default=None, help="kernel caps a,b,... (default qmax+1)")
+        if kind == "index":
+            p.add_argument("--theta", required=True, help="multiplier JSON")
+        else:
+            p.add_argument("--tol", type=float, default=INTERTWINE_TOL, help="residual tolerance")
+        p.set_defaults(func=func)
 
     p_demo = sub.add_parser("demo", help="small showcase run")
     p_demo.add_argument("--out", default=None)

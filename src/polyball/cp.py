@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -55,6 +56,24 @@ def herm(a: np.ndarray) -> np.ndarray:
 
 def min_eig(a: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(herm(a))[0]) if a.size else 0.0
+
+
+@dataclass(frozen=True)
+class PsdVerdict:
+    positive: bool
+    min_eigenvalue: float
+    bound: float  # the smallest eigenvalue still read as nonnegative
+
+
+def psd_verdict(spectrum: np.ndarray) -> PsdVerdict:
+    """PSD verdict from the ascending eigenvalues of a Hermitian matrix: the one use of ``PSD_TOL``.
+
+    The scale is the spectral norm (at least 1), which for a Hermitian matrix
+    is the largest absolute eigenvalue, so no SVD is needed.
+    """
+    lo, hi = (float(spectrum[0]), float(spectrum[-1])) if len(spectrum) else (0.0, 0.0)
+    bound = -PSD_TOL * max(-lo, hi, 1.0)
+    return PsdVerdict(lo >= bound, lo, bound)
 
 
 @dataclass(frozen=True)
@@ -184,25 +203,13 @@ class PolyballVerdict:
 
 
 def check_polyball(t: OperatorTuple) -> PolyballVerdict:
-    """PSD test of every defect map value at exponents p in {0,1}^k."""
-    resid = max_cross_commutator(t)
-    if resid > t._commutation_bound():
-        raise ValueError(f"cross-factor entries do not commute (residual {resid:.3e})")
+    """PSD test of the defect map at every p in {0,1}^k; the worst p has the least margin."""
     eye = np.eye(t.dimH, dtype=complex)
-    eigs: dict[tuple[int, ...], float] = {}
-    worst_p, worst_margin, worst_eig = (0,) * t.k, np.inf, 0.0
-    member = True
-    for p in itertools.product((0, 1), repeat=t.k):
-        d = defect_map(t, p, eye)
-        lo = min_eig(d)
-        eigs[p] = lo
-        bound = -PSD_TOL * max(np.linalg.norm(d, 2), 1.0)
-        margin = lo - bound
-        if lo < bound:
-            member = False
-        if margin < worst_margin:
-            worst_p, worst_margin, worst_eig = p, margin, lo
-    return PolyballVerdict(member, worst_p, worst_eig, eigs)
+    verdicts = {p: psd_verdict(np.linalg.eigvalsh(herm(defect_map(t, p, eye))))
+                for p in itertools.product((0, 1), repeat=t.k)}
+    worst = min(verdicts, key=lambda p: verdicts[p].min_eigenvalue - verdicts[p].bound)
+    eigs = {p: v.min_eigenvalue for p, v in verdicts.items()}
+    return PolyballVerdict(all(v.positive for v in verdicts.values()), worst, eigs[worst], eigs)
 
 
 def require_membership(t: OperatorTuple) -> PolyballVerdict:
@@ -265,16 +272,14 @@ def defect_data(t: OperatorTuple) -> DefectData:
     """Hermitian eigendecomposition of the defect, with clipped spectrum and numerical rank."""
     d = herm(defect_map(t, (1,) * t.k, np.eye(t.dimH, dtype=complex)))
     vals, vecs = np.linalg.eigh(d)
-    lo = float(vals[0])
-    scale = max(float(vals[-1]), 0.0) if len(vals) else 0.0
-    if lo < -PSD_TOL * max(np.linalg.norm(d, 2), 1.0):
-        raise DefectNotPositiveError(lo)
+    verdict = psd_verdict(vals)
+    if not verdict.positive:
+        raise DefectNotPositiveError(verdict.min_eigenvalue)
     clipped = np.clip(vals, 0.0, None)
     sqrt = (vecs * np.sqrt(clipped)) @ vecs.conj().T
-    keep = clipped > RANK_TOL * max(scale, 0.0) if scale > 0 else np.zeros_like(clipped, dtype=bool)
+    keep = clipped > RANK_TOL * clipped.max(initial=0.0)
     rank = int(np.count_nonzero(keep))
-    order = np.argsort(clipped)[::-1]
-    cols = [vecs[:, j] for j in order if keep[j]]
+    cols = [vecs[:, j] for j in np.argsort(clipped)[::-1] if keep[j]]
     basis = np.stack(cols, axis=1) if cols else np.zeros((t.dimH, 0), dtype=complex)
     return DefectData(d, sqrt, rank, basis)
 
@@ -318,10 +323,7 @@ def ampliation(tuples: list[OperatorTuple]) -> OperatorTuple:
             for a in t.factors[i]:
                 pieces = [np.eye(d, dtype=complex) for d in dims]
                 pieces[b] = a
-                m = pieces[0]
-                for piece in pieces[1:]:
-                    m = np.kron(m, piece)
-                row.append(m)
+                row.append(reduce(np.kron, pieces))
             factors.append(tuple(row))
     out = OperatorTuple(Shape(n), total, tuple(factors))
     expected = np.array([[1.0 + 0j]])
@@ -350,9 +352,7 @@ def tuple_from_json(text: str) -> OperatorTuple:
     dim = int(data["dimH"])
     if dim < 1:
         raise ValueError(f"dimH must be >= 1, got {dim}")
-    factors = tuple(
-        tuple(_matrix_from_pairs(m, dim) for m in row) for row in data["factors"]
-    )
+    factors = tuple(tuple(_matrix_from_pairs(m, dim) for m in row) for row in data["factors"])
     return OperatorTuple(Shape(n), dim, factors)
 
 

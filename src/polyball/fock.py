@@ -21,6 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .basis import Shape, grade_dim, iter_grades, leq
+from .cp import PsdVerdict, herm, psd_verdict
 
 
 @dataclass(frozen=True)
@@ -197,13 +198,9 @@ class GradedOperator:
         b = self.blocks.get((q, q))
         return complex(np.trace(b)) if b is not None else 0.0
 
-    def interior_grades(self, extra: int = 0):
+    def interior_grades(self):
         caps = self.trunc.shape.caps
-        return [
-            q
-            for q in self.trunc.grades
-            if all(qi <= c - m - extra for qi, c, m in zip(q, caps, self.margin))
-        ]
+        return [q for q in self.trunc.grades if all(qi <= c - m for qi, c, m in zip(q, caps, self.margin))]
 
     def to_dense(self, grades=None) -> np.ndarray:
         ft = self.trunc
@@ -220,15 +217,20 @@ class GradedOperator:
                 out[offs[dst] : offs[dst] + ft.dim(dst), offs[src] : offs[src] + ft.dim(src)] = b
         return out
 
-    def min_eig_interior(self, extra: int = 0) -> float:
-        """Smallest eigenvalue of the Hermitian part restricted to interior grades."""
-        dense = self.to_dense(self.interior_grades(extra))
+    def interior_verdict(self, interior) -> PsdVerdict:
+        """PSD verdict of the Hermitian part on ``interior_grades()``: one ``to_dense``, one ``eigvalsh``."""
+        return psd_verdict(np.linalg.eigvalsh(herm(self.to_dense(interior))))
+
+    def min_eig_interior(self) -> float:
+        """Smallest eigenvalue of the Hermitian part on the interior grades (test oracle)."""
+        dense = self.to_dense(self.interior_grades())
         if dense.size == 0:
             return 0.0
         return float(np.linalg.eigvalsh((dense + dense.conj().T) / 2)[0])
 
-    def norm_interior(self, extra: int = 0) -> float:
-        dense = self.to_dense(self.interior_grades(extra))
+    def norm_interior(self) -> float:
+        """Spectral norm on the interior grades by SVD (test oracle)."""
+        dense = self.to_dense(self.interior_grades())
         return float(np.linalg.norm(dense, 2)) if dense.size else 0.0
 
 

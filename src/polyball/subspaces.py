@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .basis import Shape, iter_grades, word_rank
-from .cp import DENSE_GUARD, PSD_TOL, OperatorTuple
+from .cp import DENSE_GUARD, OperatorTuple
 from .curvature import CurvEstimate, _summary, subspace_curvature
 from .fock import (
     FockTruncation,
@@ -428,7 +428,7 @@ def tensor_subspace(parts: list[GradedSubspace]) -> GradedSubspace:
 
         return GradedSubspace(ft, "tensor", index_set_fn=index_set, limit=limit,
                               count_fn=count,
-                              params={"parts": [p.params | {"kind": p.kind} for p in parts]})
+                              params={"parts": [_part_params(p) for p in parts]})
 
     def bases(q):
         pieces = split(q)
@@ -448,6 +448,14 @@ def tensor_subspace(parts: list[GradedSubspace]) -> GradedSubspace:
     if all(p.limit is not None for p in parts):
         limit = math.prod((p.limit for p in parts), start=Fraction(1))
     return GradedSubspace(ft, "tensor", grade_bases=grade_bases, limit=limit)
+
+
+def _part_params(part: GradedSubspace) -> dict:
+    """Params of a tensor part; a multi-factor part records its ``n``, which fixes its arity on load."""
+    out = part.params | {"kind": part.kind}
+    if part.truncation.shape.k > 1:
+        out["n"] = list(part.truncation.shape.n)
+    return out
 
 
 def uncountable_family(t: float, omega: float, caps, n=(2, 2), n_terms: int = 20) -> GradedSubspace:
@@ -591,9 +599,8 @@ def beurling_check(sub: GradedSubspace) -> BeurlingVerdict:
     interior = d.interior_grades()
     if not interior:
         raise ValueError("caps too small for the one-grade interior margin")
-    lo = d.min_eig_interior()
-    bound = -PSD_TOL * max(d.norm_interior(), 1.0)
-    return BeurlingVerdict(lo >= bound, lo, len(interior))
+    v = d.interior_verdict(interior)
+    return BeurlingVerdict(v.positive, v.min_eigenvalue, len(interior))
 
 
 @dataclass(frozen=True)
@@ -694,7 +701,7 @@ def subspace_to_json(sub: GradedSubspace) -> str:
         "dimE": ft.coeff_dim,
     }
     if sub.mode == "structured":
-        return json.dumps(head | {"mode": "structured", "kind": sub.kind, "params": _encode_params(sub.params)})
+        return json.dumps(head | {"mode": "structured", "kind": sub.kind, "params": sub.params})
     if sub.mode == "basis":
         grades = [
             {"q": list(q), "basis": [[float(v.real), float(v.imag)] for v in b.reshape(-1)],
@@ -705,17 +712,6 @@ def subspace_to_json(sub: GradedSubspace) -> str:
         return json.dumps(head | {"mode": "basis", "grades": grades})
     vecs = [[[float(v.real), float(v.imag)] for v in col] for col in sub.columns.T]
     return json.dumps(head | {"mode": "span", "vectors": vecs})
-
-
-def _encode_params(params: dict) -> dict:
-    def enc(v):
-        if isinstance(v, dict):
-            return {k: enc(x) for k, x in v.items()}
-        if isinstance(v, (list, tuple)):
-            return [enc(x) for x in v]
-        return v
-
-    return enc(params)
 
 
 def subspace_from_json(text: str) -> GradedSubspace:
@@ -783,11 +779,9 @@ def _structured_from_params(kind: str, params: dict, n, caps, dim_e, ft=None) ->
         parts = []
         pos = 0
         for part in params["parts"]:
-            pk = part["kind"]
-            arity = 1 if pk in ("mt", "cur0", "full", "zero") else len(part.get("n", [n[pos]]))
-            sub_n = n[pos : pos + arity]
-            sub_caps = caps[pos : pos + arity]
-            parts.append(_structured_from_params(pk, part, sub_n, sub_caps, 1))
+            arity = len(part["n"]) if isinstance(part.get("n"), list) else 1
+            parts.append(_structured_from_params(part["kind"], part, n[pos : pos + arity],
+                                                 caps[pos : pos + arity], 1))
             pos += arity
         return tensor_subspace(parts)
     if kind == "uncountable":

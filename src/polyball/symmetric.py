@@ -25,8 +25,8 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .basis import Shape
-from .berezin import BerezinKernel, InnerMultiplier, PsdVerdict, berezin_kernel, has_characteristic_function
-from .cp import COMMUTATION_TOL, OperatorTuple, require_membership
+from .berezin import BerezinKernel, InnerMultiplier, berezin_kernel, has_characteristic_function
+from .cp import COMMUTATION_TOL, OperatorTuple, PsdVerdict, require_membership
 from .curvature import CurvEstimate, _check_monotone, _defect_product_traces, _summary, grade_trace_table
 from .fock import FockTruncation, GradedOperator, creation_op
 from .subspaces import BeurlingVerdict, GradedSubspace, MultiplicityEstimate, beurling_check, multiplicity_estimate

@@ -220,6 +220,15 @@ def test_degenerate_tuple_is_invalid_input(payload, reason, tmp_path, capsys):
         (["curv", "--input", "tuple.json", "--caps", "3"], "--caps"),
         (["check", "index", "--input", "tuple.json"], "--theta"),
         (["construct", "tensor"], "--input"),
+        # a flag that a command would not read is refused
+        (["check", "beurling", "--input", "sub.json", "--caps", "2"], "--caps"),
+        (["check", "beurling", "--input", "sub.json", "--qmax", "1"], "--qmax"),
+        (["check", "beurling", "--input", "sub.json", "--tol", "5"], "--tol"),
+        (["check", "index", "--input", "tuple.json", "--theta", "theta.json", "--tol", "1"], "--tol"),
+        (["curv", "--input", "tuple.json", "--tol", "1e-3"], "--tol"),
+        (["curv-c", "--input", "tuple.json", "--tol", "1e-3"], "--tol"),
+        (["mult", "--input", "sub.json", "--tol", "1e-3"], "--tol"),
+        (["check", "connection", "--input", "tuple.json", "--theta", "theta.json"], "--theta"),
     ],
 )
 def test_usage_errors_are_invalid_input(argv, flag, capsys):
@@ -228,6 +237,26 @@ def test_usage_errors_are_invalid_input(argv, flag, capsys):
     payload = json.loads(err)
     assert payload["error"] == "invalid-input"
     assert flag in payload["reason"]
+
+
+@pytest.mark.parametrize("command", ["curv", "curv-c", "mult"])
+def test_qmax_zero_writes_valid_json(command, scalar_file, tmp_path, capsys):
+    path = scalar_file
+    if command == "mult":
+        path = tmp_path / "mt.json"
+        path.write_text(subspace_to_json(construct_mt(construct_nadic(2, 0.5), 4)))
+    code, out, _ = run([command, "--input", str(path), "--qmax", "0"], capsys)
+    assert code == 0
+    payload = json.loads(out)  # rejects a bare nan
+    assert payload["qmax"] == 0 and payload["error_proxy"] is None
+
+
+def test_non_finite_floats_are_null_or_empty():
+    from polyball.cli import _render_json, _rows_to_csv
+
+    rendered = _render_json({"a": float("nan"), "b": [float("inf"), 0.5]})
+    assert json.loads(rendered) == {"a": None, "b": [None, 0.5]}
+    assert _rows_to_csv([{"a": float("nan"), "b": float("-inf"), "c": 0.5}]) == "a,b,c\n,,0.5\n"
 
 
 def test_demo_runs(capsys):
@@ -252,6 +281,25 @@ def test_construct_tensor_via_cli(tmp_path, capsys):
     payload = json.loads(out)
     # occupation multiplies: 1/2 from the suffix factor, -> 1 from the ladder factor
     assert payload["exact_limit"] == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("order", ["uncountable-first", "mt-first"])
+def test_tensor_with_a_multi_factor_part_round_trips(order, tmp_path, capsys):
+    from fractions import Fraction
+
+    unc, mt, prod = tmp_path / "unc.json", tmp_path / "mt.json", tmp_path / "prod.json"
+    assert run(["construct", "uncountable", "--caps", "3,3", "--out", str(unc)], capsys)[0] == 0
+    assert run(["construct", "mt", "--caps", "3", "--out", str(mt)], capsys)[0] == 0
+    parts = [unc, mt] if order == "uncountable-first" else [mt, unc]
+    code, _, _ = run(["construct", "tensor", "--input", ",".join(map(str, parts)), "--out", str(prod)], capsys)
+    assert code == 0
+    code, out, err = run(["mult", "--input", str(prod), "--qmax", "3"], capsys)
+    assert code == 0, err
+    limit = Fraction(1)
+    for part in parts:
+        limit *= subspace_from_json(part.read_text()).limit
+    assert json.loads(out)["exact_limit"] == float(limit)
+    assert subspace_from_json(prod.read_text()).truncation.shape.n == (2, 2, 2)
 
 
 def test_mult_symmetric_model_via_cli(tmp_path, capsys):

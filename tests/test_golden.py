@@ -49,6 +49,9 @@ def write_inputs(work: Path) -> dict[str, list[str]]:
         "mult_mt.json": ["mult", "--input", str(mt), "--qmax", "6"],
         "mult_uncountable.json": ["mult", "--input", str(unc), "--qmax", "4"],
         "mult_coordinate_multiple.json": ["mult", "--input", str(cm), "--qmax", "4"],
+        "beurling_mt.json": ["check", "beurling", "--input", str(mt)],
+        "beurling_uncountable.json": ["check", "beurling", "--input", str(unc)],
+        "beurling_coordinate_multiple.json": ["check", "beurling", "--input", str(cm)],
     }
 
 

@@ -1,0 +1,112 @@
+"""The one PSD verdict: against the dense oracles, the SVD-scaled formula, and its cost."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from polyball import fock
+from polyball.berezin import has_characteristic_function
+from polyball.basis import Shape
+from polyball.cp import PSD_TOL, herm, psd_verdict
+from polyball.fock import GradedOperator, defect_shift
+from polyball.subspaces import beurling_check, bidisc_difference_subspace, compression_tuple, uncountable_family
+from polyball.symmetric import SymFockTruncation, constrained_berezin, coordinate_multiple_subspace
+
+
+def constrained_kernel():
+    """Symmetric kernel of a Beurling compression; its smallest eigenvalue is -2.2e-16."""
+    sub = coordinate_multiple_subspace(SymFockTruncation(Shape((2, 2), caps=(3, 3))), 0, 1)
+    return constrained_berezin(compression_tuple(sub), (3, 3))
+
+
+def oracle_cases():
+    kb = constrained_kernel()
+    return {
+        "uncountable": defect_shift(uncountable_family(0.3, 0.75, (4, 4)).projection()),
+        "bidisc-difference": defect_shift(bidisc_difference_subspace((5, 5)).projection()),
+        "constrained-char": defect_shift(GradedOperator.identity(kb.truncation) - kb.kk_star_full()),
+    }
+
+
+@pytest.mark.parametrize("name", ["uncountable", "bidisc-difference", "constrained-char"])
+def test_verdict_matches_dense_oracles(name):
+    d = oracle_cases()[name]
+    v = d.interior_verdict(d.interior_grades())
+    assert v.min_eigenvalue == d.min_eig_interior()  # same eigvalsh call, to the bit
+    spectrum = np.linalg.eigvalsh(herm(d.to_dense(d.interior_grades())))
+    scale = max(abs(spectrum[0]), abs(spectrum[-1]))
+    norm = d.norm_interior()
+    assert scale == pytest.approx(norm, rel=1e-12)
+    assert v.bound == pytest.approx(-PSD_TOL * max(norm, 1.0), rel=1e-12)
+    assert v.positive == (d.min_eig_interior() >= -PSD_TOL * max(norm, 1.0))
+    assert v.positive == (name != "bidisc-difference")
+
+
+def svd_scaled_verdict(a):
+    """The rule before the one verdict: SVD norm of the matrix itself."""
+    lo = float(np.linalg.eigvalsh(herm(a))[0])
+    return lo >= -PSD_TOL * max(np.linalg.norm(a, 2), 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1e-3, 0.5, 1.0, 7.0, 1e3]),
+    margin=st.sampled_from([-3.0, -1.5, -0.5, 0.0, 0.5, 2.0]),
+)
+def test_verdict_equals_svd_scaled_rule(dim, seed, scale, margin):
+    # Hermitian with spectral norm ``scale`` and smallest eigenvalue ``margin`` bounds
+    # away from zero, plus a roundoff-size skew part; margins stay clear of the bound.
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    vals = rng.uniform(0.0, scale, dim)
+    vals[-1] = scale
+    vals[0] = margin * PSD_TOL * max(scale, 1.0)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    a = (u * vals) @ u.conj().T + 1e-16 * scale * (g - g.conj().T)
+    v = psd_verdict(np.linalg.eigvalsh(herm(a)))
+    assert v.positive == svd_scaled_verdict(a)
+    assert v.positive == (margin >= -1.0)
+
+
+def test_empty_spectrum_is_positive():
+    v = psd_verdict(np.zeros(0))
+    assert v.positive and v.min_eigenvalue == 0.0 and v.bound == -PSD_TOL
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Call counts of ``to_dense``, the SVD-norm oracle and every SVD entry point."""
+    counts = {"to_dense": 0, "norm_interior": 0, "svd": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(fock.GradedOperator, "to_dense", counting("to_dense", fock.GradedOperator.to_dense))
+    monkeypatch.setattr(fock.GradedOperator, "norm_interior",
+                        counting("norm_interior", fock.GradedOperator.norm_interior))
+    # ``np.linalg.norm(., 2)`` reaches the SVD through the implementation module
+    impl = np.linalg._linalg if hasattr(np.linalg, "_linalg") else np.linalg.linalg
+    monkeypatch.setattr(impl, "svd", counting("svd", impl.svd))
+    monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+    return counts
+
+
+def test_beurling_check_densifies_once_without_svd(counted):
+    sub = uncountable_family(0.3, 0.75, (4, 4))
+    counted.update(dict.fromkeys(counted, 0))
+    assert beurling_check(sub).positive
+    assert counted == {"to_dense": 1, "norm_interior": 0, "svd": 0}
+
+
+def test_char_function_densifies_once_without_svd(counted):
+    kb = constrained_kernel()
+    counted.update(dict.fromkeys(counted, 0))
+    assert has_characteristic_function(kb).positive
+    assert counted == {"to_dense": 1, "norm_interior": 0, "svd": 0}

@@ -28,6 +28,7 @@ from .cp import (
     check_polyball,
     check_pure,
     cp_apply,
+    cp_apply_adjoint,
     defect_data,
     defect_map,
     direct_sum,

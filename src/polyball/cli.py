@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from functools import lru_cache
 
 from .basis import iter_grades
 from .berezin import (
@@ -45,26 +46,33 @@ def fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+@lru_cache(maxsize=1024, typed=True)
+def _json_key(key) -> str:
+    return json.dumps(str(key)) + ": "
+
+
 def _render_json(value, indent: int = 0) -> str:
     """Deterministic JSON rendering with 17-significant-digit floats."""
+    if isinstance(value, float):
+        # fmt, inlined: a table renders thousands of floats
+        return f"{value:.17g}" if math.isfinite(value) else "null"  # JSON has no NaN or inf
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if value is None:
+        return "null"
     pad = "  " * indent
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = [
-            f'{pad}  {json.dumps(str(k))}: {_render_json(v, indent + 1)}'
-            for k, v in value.items()
-        ]
+        items = [f"{pad}  {_json_key(k)}{_render_json(v, indent + 1)}" for k, v in value.items()]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         items = [f"{pad}  {_render_json(v, indent + 1)}" for v in value]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if isinstance(value, bool) or value is None:
-        return json.dumps(value)
-    if isinstance(value, float):
-        return fmt(value) if math.isfinite(value) else "null"  # JSON has no NaN or inf
     return json.dumps(value)
 
 

@@ -151,6 +151,17 @@ def cp_apply(t: OperatorTuple, i: int, y: np.ndarray) -> np.ndarray:
     return out
 
 
+def cp_apply_adjoint(t: OperatorTuple, i: int, y: np.ndarray) -> np.ndarray:
+    """Hilbert-Schmidt adjoint of the factor-``i`` transfer map: ``sum_j T_{i,j}^* Y T_{i,j}``."""
+    y = np.asarray(y, dtype=complex)
+    if y.shape != (t.dimH, t.dimH):
+        raise ValueError(f"argument has shape {y.shape}, expected ({t.dimH}, {t.dimH})")
+    out = np.zeros_like(y)
+    for a in t.factors[i]:
+        out += a.conj().T @ y @ a
+    return out
+
+
 def cp_apply_power(t: OperatorTuple, i: int, y: np.ndarray, q: int) -> np.ndarray:
     for _ in range(q):
         y = cp_apply(t, i, y)

@@ -19,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from .basis import grade_dim, iter_grades, simplex_cumulative_count
-from .cp import OperatorTuple, cp_apply, cp_apply_power, defect_data, require_membership
+from .cp import OperatorTuple, cp_apply, cp_apply_adjoint, cp_apply_power, defect_data, require_membership
 
 MONOTONE_SLACK = 1e-12
 MONOTONE_ERROR = 1e-10
@@ -49,11 +49,13 @@ class CurvEstimate:
     caveats: tuple[str, ...] = ()
 
 
-def _real_trace(y: np.ndarray) -> float:
-    tr = complex(np.trace(y))
-    if abs(tr.imag) > IMAG_TOL * max(abs(tr.real), 1.0):
-        raise NumericalInstabilityError(f"grade trace has imaginary part {tr.imag:.3e}")
-    return tr.real
+def _real(traces) -> np.ndarray:
+    """Real parts of grade traces, refusing imaginary parts beyond roundoff."""
+    traces = np.asarray(traces)
+    bad = np.abs(traces.imag) > IMAG_TOL * np.maximum(np.abs(traces.real), 1.0)
+    if bad.any():
+        raise NumericalInstabilityError(f"grade trace has imaginary part {traces.imag[bad][0]:.3e}")
+    return traces.real
 
 
 def grade_trace(t: OperatorTuple, q: tuple[int, ...]) -> float:
@@ -62,85 +64,130 @@ def grade_trace(t: OperatorTuple, q: tuple[int, ...]) -> float:
     y = dd.defect
     for i in range(t.k):
         y = cp_apply_power(t, i, y, q[i])
-    return _real_trace(y) / grade_dim(t.shape, q)
+    return float(_real(np.trace(y))) / grade_dim(t.shape, q)
 
 
-def grade_trace_table(t: OperatorTuple, qmax: tuple[int, ...], word_dim=None) -> dict[tuple[int, ...], float]:
-    """All normalized grade traces on the box ``q <= qmax``, reusing partial iterates.
+class GradeTable(dict):
+    """Normalized grade traces keyed by multi-degree, in lexicographic order.
 
-    ``word_dim(q)`` is the grade dimension dividing each trace: ``prod n_i**q_i``
-    by default (word model), binomial for the symmetric model.
+    ``array`` holds the same values and ``traces`` the unnormalized
+    ``trace[Phi^q(defect)]``, as arrays over the box ``q <= qmax``.
     """
-    if word_dim is None:
-        word_dim = partial(grade_dim, t.shape)
-    dd = defect_data(t)
-    table: dict[tuple[int, ...], float] = {}
 
-    def walk(i: int, y: np.ndarray, prefix: tuple[int, ...]) -> None:
-        if i == t.k:
-            table[prefix] = _real_trace(y) / word_dim(prefix)
-            return
-        cur = y
-        for qi in range(qmax[i] + 1):
-            walk(i + 1, cur, prefix + (qi,))
-            if qi < qmax[i]:
-                cur = cp_apply(t, i, cur)
+    array: np.ndarray
+    traces: np.ndarray | None
 
-    walk(0, dd.defect, ())
+
+def _grade_table(values: np.ndarray, traces: np.ndarray | None = None) -> GradeTable:
+    table = GradeTable(zip(iter_grades(tuple(s - 1 for s in values.shape)), values.ravel().tolist()))
+    table.array, table.traces = values, traces
     return table
 
 
-def _check_monotone(values: dict[tuple[int, ...], float], k: int) -> bool:
+def grade_trace_table(t: OperatorTuple, qmax: tuple[int, ...], factor_dim=pow) -> GradeTable:
+    """All normalized grade traces on the box ``q <= qmax``, by trace duality.
+
+    ``trace[Phi_B^b Phi_A^a(D)] = <Phi_B^{*b}(I), Phi_A^a(D)>_HS`` splits each
+    trace into two short chains: the defect is walked depth first through the
+    first ``ceil(k/2)`` transfer maps, and each leaf fills the slab of the
+    remaining factors with one product against the stack of adjoint iterates
+    of the identity.  That is ``O(Q^ceil(k/2))`` map applications, not one
+    per lattice point.  ``factor_dim(n_i, q_i)`` is the per-factor grade
+    dimension the traces are divided by: ``n_i**q_i`` by default (word
+    model), binomial for the symmetric model.
+    """
+    qmax = tuple(qmax)
+    if len(qmax) != t.k:
+        raise ValueError(f"qmax {qmax} does not match k={t.k}")
+    if min(qmax) < 0:
+        raise ValueError(f"q_max must be >= 0, got {qmax}")
+    split = (t.k + 1) // 2
+    stack = [np.eye(t.dimH, dtype=complex)]
+    for i in range(split, t.k):
+        stack = [y for x in stack for y in _chain(partial(cp_apply_adjoint, t, i), x, qmax[i])]
+    # trace[X Y] = sum_rs X_sr Y_rs: a row of the transposed stack against vec(Y)
+    rows = np.stack([x.T for x in stack]).reshape(len(stack), -1)
+    traces = np.empty((*(q + 1 for q in qmax[:split]), len(stack)), dtype=complex)
+
+    def walk(i: int, y: np.ndarray, prefix: tuple[int, ...]) -> None:
+        if i == split:
+            traces[prefix] = rows @ y.reshape(-1)
+            return
+        for qi, z in enumerate(_chain(partial(cp_apply, t, i), y, qmax[i])):
+            walk(i + 1, z, prefix + (qi,))
+
+    walk(0, defect_data(t).defect, ())
+    traces = _real(traces).reshape(tuple(q + 1 for q in qmax))
+    dims = np.ones((), dtype=object)
+    for ni, qi in zip(t.shape.n, qmax):
+        dims = np.multiply.outer(dims, np.array([factor_dim(ni, q) for q in range(qi + 1)], dtype=object))
+    # the grade dimensions are exact integers, rounded once
+    return _grade_table(traces / dims.astype(float), traces)
+
+
+def _chain(step, y: np.ndarray, steps: int):
+    """``y, step(y), ..., step^steps(y)``, one application at a time."""
+    yield y
+    for _ in range(steps):
+        y = step(y)
+        yield y
+
+
+def _check_monotone(values: np.ndarray) -> bool:
+    """Non-increase of the grade values along every axis, within ``MONOTONE_SLACK``."""
     ok = True
-    for q, x in values.items():
-        for i in range(k):
-            up = tuple(qi + (1 if j == i else 0) for j, qi in enumerate(q))
-            if up in values:
-                gap = values[up] - x
-                if gap > MONOTONE_ERROR:
-                    raise NumericalInstabilityError(
-                        f"grade value increased from {q} to {up} by {gap:.3e}"
-                    )
-                if gap > MONOTONE_SLACK:
-                    ok = False
+    for i in range(values.ndim):
+        gaps = np.diff(values, axis=i)
+        if not gaps.size:
+            continue
+        worst = gaps.max()
+        if worst > MONOTONE_ERROR:
+            q = np.unravel_index(int(gaps.argmax()), gaps.shape)
+            up = tuple(int(v) + (j == i) for j, v in enumerate(q))
+            raise NumericalInstabilityError(
+                f"grade value increased from {tuple(map(int, q))} to {up} by {worst:.3e}"
+            )
+        if worst > MONOTONE_SLACK:
+            ok = False
     return ok
 
 
-def _cesaro_means(values: dict[tuple[int, ...], float], k: int, mmax: int) -> list[float]:
-    out = []
-    for m in range(mmax + 1):
-        total = sum(x for q, x in values.items() if sum(q) <= m)
-        out.append(total / simplex_cumulative_count(m, k))
-    return out
+def _cesaro_means(values: np.ndarray) -> list[float]:
+    """Means of the grade values over the simplices ``|q| <= m``, ``m = 0..q_max``."""
+    k, q_max = values.ndim, values.shape[0] - 1
+    flat, degree = values.ravel(), sum(np.indices(values.shape)).ravel()
+    # one running sum per simplex in lexicographic order: summing by layers
+    # would round differently and move the exact-count estimators' last bits
+    return [sum(flat[degree <= m].tolist()) / simplex_cumulative_count(m, k) for m in range(q_max + 1)]
 
 
-def _summary(n: tuple[int, ...], values: dict[tuple[int, ...], float], q_max: int) -> dict:
+def _summary(n: tuple[int, ...], table: GradeTable) -> dict:
     """Estimate fields shared by every estimator: the corner sequence, its Cesaro
     means, the corner value and its last decrement as the error proxy."""
+    values = table.array
+    q_max = values.shape[0] - 1
     if q_max < 0:
         raise ValueError(f"q_max must be >= 0, got {q_max}")
-    k = len(n)
-    corner = [values[(qq,) * k] for qq in range(q_max + 1)]
+    corner = values[(np.arange(q_max + 1),) * values.ndim].tolist()
     return {
         "n": n,
-        "grade_values": values,
+        "grade_values": table,
         "corner_seq": corner,
-        "cesaro_seq": _cesaro_means(values, k, q_max),
+        "cesaro_seq": _cesaro_means(values),
         "estimate": corner[-1],
         "error_proxy": corner[-2] - corner[-1] if q_max >= 1 else float("nan"),
     }
 
 
-def _defect_product_traces(t: OperatorTuple, q_max: int) -> list[float]:
-    """``trace[(id - Phi_1^{q+1}) ... (id - Phi_k^{q+1})(I)]`` for ``q = 0..q_max``."""
-    out = []
-    eye = np.eye(t.dimH, dtype=complex)
-    for qq in range(q_max + 1):
-        y = eye
-        for i in range(t.k):
-            y = y - cp_apply_power(t, i, y, qq + 1)
-        out.append(float(np.trace(y).real))
-    return out
+def _box_sums(traces: np.ndarray) -> np.ndarray:
+    """``sum_{s <= (q,...,q)} traces[s]`` for ``q = 0..q_max``: the diagonal of the cumulative sums.
+
+    With ``traces[s] = trace[Phi^s(defect)]`` this is, by telescoping,
+    ``trace[(id - Phi_1^{q+1}) ... (id - Phi_k^{q+1})(I)]``, the defect-product trace.
+    """
+    for axis in range(traces.ndim):
+        traces = np.cumsum(traces, axis=axis)
+    return traces[(np.arange(traces.shape[0]),) * traces.ndim]
 
 
 def curvature_estimate(t: OperatorTuple, q_max: int, extrapolate: bool = False) -> CurvEstimate:
@@ -149,14 +196,14 @@ def curvature_estimate(t: OperatorTuple, q_max: int, extrapolate: bool = False) 
     The defect-product route divides by ``prod_i sum_{s<=q} n_i**s``.
     """
     require_membership(t)
-    values = grade_trace_table(t, (q_max,) * t.k)
-    fields = _summary(t.shape.n, values, q_max)
-    monotone_ok = _check_monotone(values, t.k)
+    table = grade_trace_table(t, (q_max,) * t.k)
+    fields = _summary(t.shape.n, table)
+    monotone_ok = _check_monotone(table.array)
     # a float product: sums such as 2**61 - 1 are not exact doubles, and an
     # integer product would round them differently
     defect_product = [
         tr / math.prod((sum(ni**s for s in range(qq + 1)) for ni in t.shape.n), start=1.0)
-        for qq, tr in enumerate(_defect_product_traces(t, q_max))
+        for qq, tr in enumerate(_box_sums(table.traces).tolist())
     ]
     routes = (fields["estimate"], fields["cesaro_seq"][-1], defect_product[-1])
     return CurvEstimate(
@@ -193,23 +240,23 @@ def subspace_curvature(sub, q_max: int) -> CurvEstimate:
     dim_e = ft.coeff_dim
     k = ft.shape.k
     exact: dict[tuple[int, ...], Fraction] | None = {}
-    values: dict[tuple[int, ...], float] = {}
+    values: list[float] = []
     for q in iter_grades((q_max,) * k):
         gd = ft.word_dim(q)
         t_exact = sub.grade_trace_exact(q)
         if t_exact is None or exact is None:
             exact = None
-            values[q] = dim_e - sub.grade_trace(q) / gd
+            values.append(dim_e - sub.grade_trace(q) / gd)
         else:
             frac = dim_e - Fraction(t_exact, gd)
             exact[q] = frac
-            values[q] = float(frac)
-    fields = _summary(ft.shape.n, values, q_max)
+            values.append(float(frac))
+    table = _grade_table(np.reshape(values, (q_max + 1,) * k))
     frac_limit = sub.fraction_limit()
     return CurvEstimate(
-        **fields,
+        **_summary(ft.shape.n, table),
         defect_product_seq=[],
-        monotone_ok=_check_monotone(values, k),
+        monotone_ok=_check_monotone(table.array),
         exact_values=exact,
         exact_limit=None if frac_limit is None else dim_e - frac_limit,
     )

@@ -28,7 +28,7 @@ import numpy as np
 
 from .basis import Shape, iter_grades, word_rank
 from .cp import DENSE_GUARD, OperatorTuple
-from .curvature import CurvEstimate, _summary, subspace_curvature
+from .curvature import CurvEstimate, _grade_table, _summary, subspace_curvature
 from .fock import (
     FockTruncation,
     GradedOperator,
@@ -562,23 +562,23 @@ def multiplicity_estimate(sub: GradedSubspace, q_max: int) -> MultiplicityEstima
         raise ValueError(f"q_max={q_max} exceeds caps {caps}")
     dim_e = ft.coeff_dim
     curv = subspace_curvature(sub, q_max)
-    values: dict = {}
+    values: list[float] = []
     exact: dict | None = {}
     for q in iter_grades((q_max,) * k):
         gd = ft.word_dim(q)
         te = sub.grade_trace_exact(q)
         if te is None or exact is None:
             exact = None
-            values[q] = sub.grade_trace(q) / gd
+            values.append(sub.grade_trace(q) / gd)
         else:
             frac = Fraction(te, gd)
             exact[q] = frac
-            values[q] = float(frac)
+            values.append(float(frac))
         if curv.exact_values is not None and exact is not None:
             if dim_e - exact[q] != curv.exact_values[q]:
                 raise RuntimeError(f"complement route mismatch at grade {q}")
     return MultiplicityEstimate(
-        **_summary(ft.shape.n, values, q_max),
+        **_summary(ft.shape.n, _grade_table(np.reshape(values, (q_max + 1,) * k))),
         exact_values=exact,
         exact_limit=sub.fraction_limit(),
         curvature=curv,
@@ -783,9 +783,8 @@ def _structured_from_params(kind: str, params: dict, n, caps, dim_e, ft=None) ->
             parts.append(_structured_from_params(part["kind"], part, n[pos : pos + arity],
                                                  caps[pos : pos + arity], 1))
             pos += arity
-        return tensor_subspace(parts)
-    if kind == "uncountable":
-        fam = params["family"]
-        return uncountable_family(float(fam["t"]), float(fam["omega"]), caps, n=n,
-                                  n_terms=int(fam.get("n_terms", 20)))
+        sub = tensor_subspace(parts)
+        if "family" in params:  # written by uncountable_family
+            sub.params["family"] = params["family"]
+        return sub
     raise ValueError(f"unknown structured kind {kind!r}")

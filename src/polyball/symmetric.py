@@ -20,14 +20,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
 from .basis import Shape
 from .berezin import BerezinKernel, InnerMultiplier, berezin_kernel, has_characteristic_function
 from .cp import COMMUTATION_TOL, OperatorTuple, PsdVerdict, require_membership
-from .curvature import CurvEstimate, _check_monotone, _defect_product_traces, _summary, grade_trace_table
+from .curvature import CurvEstimate, _box_sums, _check_monotone, _summary, grade_trace_table
 from .fock import FockTruncation, GradedOperator, creation_op
 from .subspaces import BeurlingVerdict, GradedSubspace, MultiplicityEstimate, beurling_check, multiplicity_estimate
 
@@ -150,14 +150,13 @@ def curv_c_estimate(t: OperatorTuple, q_max: int, check_char_function: bool = Tr
     """
     require_commutative(t)
     require_membership(t)
-    values = grade_trace_table(t, (q_max,) * t.k, partial(sym_word_dim, t.shape.n))
-    fields = _summary(t.shape.n, values, q_max)
-    monotone_ok = _check_monotone(values, t.k)
+    table = grade_trace_table(t, (q_max,) * t.k, sym_grade_dim)
+    fields = _summary(t.shape.n, table)
+    monotone_ok = _check_monotone(table.array)
     fact = math.prod(math.factorial(ni) for ni in t.shape.n)
-    traces = _defect_product_traces(t, q_max)
     factorial_form = [float("nan")] + [
         fact * tr / math.prod(float(qq) ** ni for ni in t.shape.n)
-        for qq, tr in enumerate(traces[1:], start=1)
+        for qq, tr in enumerate(_box_sums(table.traces).tolist()[1:], start=1)
     ]
     routes = [fields["estimate"], fields["cesaro_seq"][-1]]
     if q_max >= 1:

@@ -1,0 +1,50 @@
+"""Reference routes the library no longer runs, kept for the tests to compare against.
+
+* ``grade_trace_table_walk``: one transfer-map application per lattice point,
+  the depth-first walk over every factor that the trace-duality table replaced.
+* ``defect_product_traces``: ``trace[(id - Phi_1^{q+1}) ... (id - Phi_k^{q+1})(I)]``
+  recomputed from the identity for every ``q``; the library reads these traces
+  off the cumulative sums of the grade table instead.
+"""
+
+from __future__ import annotations
+
+from functools import partial
+
+import numpy as np
+
+from polyball.basis import grade_dim
+from polyball.cp import OperatorTuple, cp_apply, cp_apply_power, defect_data
+from polyball.curvature import _real
+
+
+def grade_trace_table_walk(t: OperatorTuple, qmax: tuple[int, ...], word_dim=None) -> dict[tuple[int, ...], float]:
+    """Normalized grade traces on the box ``q <= qmax``: ``trace[Phi^q(defect)] / word_dim(q)``."""
+    if word_dim is None:
+        word_dim = partial(grade_dim, t.shape)
+    table: dict[tuple[int, ...], float] = {}
+
+    def walk(i: int, y: np.ndarray, prefix: tuple[int, ...]) -> None:
+        if i == t.k:
+            table[prefix] = float(_real(np.trace(y))) / word_dim(prefix)
+            return
+        cur = y
+        for qi in range(qmax[i] + 1):
+            walk(i + 1, cur, prefix + (qi,))
+            if qi < qmax[i]:
+                cur = cp_apply(t, i, cur)
+
+    walk(0, defect_data(t).defect, ())
+    return table
+
+
+def defect_product_traces(t: OperatorTuple, q_max: int) -> list[float]:
+    """``trace[(id - Phi_1^{q+1}) ... (id - Phi_k^{q+1})(I)]`` for ``q = 0..q_max``."""
+    out = []
+    eye = np.eye(t.dimH, dtype=complex)
+    for qq in range(q_max + 1):
+        y = eye
+        for i in range(t.k):
+            y = y - cp_apply_power(t, i, y, qq + 1)
+        out.append(float(np.trace(y).real))
+    return out

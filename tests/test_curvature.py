@@ -1,15 +1,23 @@
+from functools import partial
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_polyball_tuple, random_row_tuple
+from oracle import defect_product_traces, grade_trace_table_walk
+from polyball import curvature
 from polyball.basis import Shape
 from polyball.cp import OperatorTuple, ampliation, cp_apply_power, defect_data, defect_map
 from polyball.curvature import (
+    _box_sums,
     bounds_report,
     curvature_estimate,
     grade_trace,
     grade_trace_table,
 )
+from polyball.symmetric import sym_grade_dim, sym_word_dim
 
 
 def scalar_tuple(r):
@@ -58,6 +66,65 @@ def test_grade_trace_matches_partial_sum_identity():
     for i, qi in enumerate(q):
         z = z - cp_apply_power(t, i, z, qi + 1)
     assert np.linalg.norm(total - z, 2) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    qmax=st.lists(st.integers(0, 5), min_size=3, max_size=3),
+    norm=st.floats(0.3, 0.95),
+    symmetric=st.booleans(),
+)
+def test_duality_table_matches_the_walk(seed, n, qmax, norm, symmetric):
+    rng = np.random.default_rng(seed)
+    dims = tuple(int(d) for d in rng.integers(1, 4, len(n)))
+    t = random_polyball_tuple(rng, tuple(n), dims, norm)
+    box = tuple(qmax[: t.k])
+    if symmetric:
+        table = grade_trace_table(t, box, sym_grade_dim)
+        walk = grade_trace_table_walk(t, box, partial(sym_word_dim, t.shape.n))
+    else:
+        table = grade_trace_table(t, box)
+        walk = grade_trace_table_walk(t, box)
+    assert list(table) == list(walk)  # same grades, lexicographic
+    for q, v in walk.items():
+        assert table[q] == pytest.approx(v, rel=1e-12, abs=0.0)
+        assert table.array[q] == table[q]
+
+
+def test_duality_table_on_a_non_cubic_box():
+    rng = np.random.default_rng(97)
+    t = random_polyball_tuple(rng, (2, 1, 3), (2, 3, 2), 0.8)
+    table = grade_trace_table(t, (3, 5, 2))
+    assert table.array.shape == table.traces.shape == (4, 6, 3)
+    for q, v in grade_trace_table_walk(t, (3, 5, 2)).items():
+        assert table[q] == pytest.approx(v, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n, dims, q_max", [((2,), (3,), 8), ((2, 2), (2, 2), 6), ((1, 2, 1), (2, 2, 2), 4)])
+def test_box_sums_are_the_defect_product_traces(n, dims, q_max):
+    t = random_polyball_tuple(np.random.default_rng(101), n, dims, 0.7)
+    sums = _box_sums(grade_trace_table(t, (q_max,) * t.k).traces)
+    assert sums == pytest.approx(defect_product_traces(t, q_max), rel=1e-12, abs=0.0)
+
+
+def test_grade_table_makes_order_q_to_the_half_k_map_applications(monkeypatch):
+    # n (1,1,1), qmax 20: the per-lattice-point walk makes 9260 applications
+    rng = np.random.default_rng(103)
+    t = random_polyball_tuple(rng, (1, 1, 1), (2, 2, 1), 0.8)
+    calls = {"forward": 0, "adjoint": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(curvature, "cp_apply", counted("forward", curvature.cp_apply))
+    monkeypatch.setattr(curvature, "cp_apply_adjoint", counted("adjoint", curvature.cp_apply_adjoint))
+    grade_trace_table(t, (20, 20, 20))
+    assert calls["forward"] + calls["adjoint"] <= 21**2 + 21
 
 
 def test_curvature_estimate_zero_tuple():

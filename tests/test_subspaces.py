@@ -365,6 +365,13 @@ def test_tensor_json_roundtrip():
         assert back.grade_trace_exact(q) == sub.grade_trace_exact(q)
 
 
+def test_uncountable_json_roundtrip():
+    text = subspace_to_json(uncountable_family(0.3, 0.75, (3, 3)))
+    back = subspace_from_json(text)
+    assert back.params["family"] == {"t": 0.3, "omega": 0.75}
+    assert subspace_to_json(back) == text
+
+
 def test_span_json_roundtrip():
     sub = difference_subspace((4, 4))
     back = subspace_from_json(subspace_to_json(sub))

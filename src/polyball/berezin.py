@@ -22,7 +22,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import Shape, grade_dim, iter_grades, word_rank
-from .cp import DENSE_GUARD, DefectData, OperatorTuple, PsdVerdict, cp_apply_power, defect_data, require_membership
+from .cp import (
+    DENSE_GUARD,
+    DefectData,
+    OperatorTuple,
+    PsdVerdict,
+    cp_apply_power,
+    defect_data,
+    max_spectral_norm,
+    require_membership,
+    spectral_norms,
+)
 from .fock import (
     FockTruncation,
     GradedOperator,
@@ -58,7 +68,7 @@ class BerezinKernel:
     def isometry_defect(self) -> float:
         """``|| I - K^* K ||``; bounded by the tail for pure tuples."""
         gram = sum(self.grade_gram(q) for q in self.truncation.grades)
-        return float(np.linalg.norm(np.eye(self.op.dimH) - gram, 2))
+        return float(spectral_norms(np.eye(self.op.dimH) - gram))
 
     def kk_star_diag(self, grades=None) -> GradedOperator:
         """Dense grade-diagonal blocks of ``K K^*``; the oracle of ``curvature_operator_trace``."""
@@ -112,17 +122,23 @@ def berezin_kernel(t: OperatorTuple, caps: tuple[int, ...]) -> BerezinKernel:
     # I - K*K = I - prod_i (id - Phi_i^{D_i+1})(I) is dominated by the sum of
     # the per-factor tails, not their max
     eye = np.eye(t.dimH, dtype=complex)
-    tail = sum(
-        float(np.linalg.norm(cp_apply_power(t, i, eye, caps[i] + 1), 2)) for i in range(t.k)
-    )
+    tail = sum(spectral_norms(np.stack([cp_apply_power(t, i, eye, caps[i] + 1) for i in range(t.k)])).tolist())
     return BerezinKernel(t, ft, blocks, dd, tail)
 
 
 def verify_intertwining(kb: BerezinKernel) -> float:
-    """Max residual of ``K T_{i,j}^* = (S_{i,j}^* (x) I) K`` over interior grades."""
+    """Max residual of ``K T_{i,j}^* = (S_{i,j}^* (x) I) K`` over grades ``q`` with ``q + e_i`` inside the caps.
+
+    A factor with cap 0 has no such grade, so its identity would go untested:
+    that is refused.  Each residual block is formed in place and takes one
+    Gram spectrum.
+    """
     ft = kb.truncation
     t = kb.op
     cd = ft.coeff_dim
+    if 0 in ft.shape.caps:
+        raise ValueError(f"caps {ft.shape.caps} leave a factor with no grade pair to test; "
+                         "every cap must be >= 1")
     worst = 0.0
     for i in range(t.k):
         for j in range(1, t.shape.n[i] + 1):
@@ -130,11 +146,13 @@ def verify_intertwining(kb: BerezinKernel) -> float:
                 up = bump(q, i)
                 if not ft.has_grade(up):
                     continue
-                lhs = kb.blocks[q] @ t.entry(i, j).conj().T
+                resid = kb.blocks[q] @ t.entry(i, j).conj().T
                 tgt, w = ft.shift_data(i, j, q)
-                rows = _expand_indices(tgt, cd)
-                rhs = _expand_weights(w, cd)[:, None] * kb.blocks[up][rows, :]
-                worst = max(worst, float(np.linalg.norm(lhs - rhs, 2)))
+                rhs = kb.blocks[up][_expand_indices(tgt, cd)]
+                rhs *= _expand_weights(w, cd)[:, None]
+                resid -= rhs
+                del rhs  # one residual-sized temporary at a time
+                worst = max(worst, float(spectral_norms(resid)))
     return worst
 
 
@@ -146,7 +164,7 @@ def connection_identity(kb: BerezinKernel, q: tuple[int, ...]):
     rhs = kb.defect.defect
     for i in range(kb.op.k):
         rhs = cp_apply_power(kb.op, i, rhs, q[i])
-    residual = float(np.linalg.norm(lhs - rhs, 2))
+    residual = float(spectral_norms(lhs - rhs))
     return lhs, rhs, residual
 
 
@@ -313,14 +331,14 @@ def _validate_blocks(theta: InnerMultiplier, blocks: dict, caps: tuple[int, ...]
             up_block = blocks.get((s_up, t_up))
             if up_block is None:
                 up_block = np.zeros((dst_ft.dim(t_up), src_ft.dim(s_up)), dtype=complex)
+            resid = np.empty((shape.n[i], dst_ft.dim(t_up), src_ft.dim(s)), dtype=complex)
             for j in range(1, shape.n[i] + 1):
-                # Theta S_{i,j} and S_{i,j} Theta on source grade s, as shifted index maps
+                # Theta S_{i,j} minus S_{i,j} Theta on source grade s, as shifted index maps
                 tgt_s, w_s = src_ft.shift_data(i, j, s)
-                lhs = up_block[:, _expand_indices(tgt_s, ds)] * _expand_weights(w_s, ds)
+                resid[j - 1] = up_block[:, _expand_indices(tgt_s, ds)] * _expand_weights(w_s, ds)
                 tgt_t, w_t = dst_ft.shift_data(i, j, tgrade)
-                rhs = np.zeros_like(lhs)
-                rhs[_expand_indices(tgt_t, dt)] = _expand_weights(w_t, dt)[:, None] * b
-                worst = max(worst, float(np.linalg.norm(lhs - rhs, 2)))
+                resid[j - 1][_expand_indices(tgt_t, dt)] -= _expand_weights(w_t, dt)[:, None] * b
+            worst = max(worst, float(spectral_norms(resid).max()))
     if worst > MULTIPLIER_TOL:
         raise ValueError(f"multiplier does not intertwine the shifts (residual {worst:.3e})")
     if theta.isometric:
@@ -331,18 +349,25 @@ def _validate_blocks(theta: InnerMultiplier, blocks: dict, caps: tuple[int, ...]
 
 
 def _isometry_residual(theta, blocks, src_ft) -> float:
-    worst = 0.0
+    """Largest block norm of ``Theta^* Theta - I`` on interior source grades, one column at a time."""
     interior = theta.interior_grades(src_ft)
+    out_of: dict = {s: {} for s in interior}  # source grade -> {target grade: block}
+    for (src, tgrade), b in blocks.items():
+        if src in out_of:
+            out_of[src][tgrade] = b
+    worst = 0.0
     for s in interior:
+        column = []
         for s2 in interior:
             gram = np.zeros((src_ft.dim(s2), src_ft.dim(s)), dtype=complex)
-            for (src, tgrade), b in blocks.items():
-                if src == s:
-                    b2 = blocks.get((s2, tgrade))
-                    if b2 is not None:
-                        gram += b2.conj().T @ b
-            expected = np.eye(src_ft.dim(s)) if s == s2 else 0.0
-            worst = max(worst, float(np.linalg.norm(gram - expected, 2)))
+            for tgrade, b in out_of[s].items():
+                b2 = out_of[s2].get(tgrade)
+                if b2 is not None:
+                    gram += b2.conj().T @ b
+            if s == s2:
+                gram -= np.eye(src_ft.dim(s))
+            column.append(gram)
+        worst = max(worst, max_spectral_norm(column))
     return worst
 
 
@@ -392,29 +417,46 @@ def index_check_from_blocks(kb, theta, blocks, q=None) -> IndexCheck:
 
 
 def _completion_residual(kb: BerezinKernel, theta: InnerMultiplier, blocks) -> float:
+    """Largest block norm of ``K K^* + Theta Theta^* - I`` on interior grades, by column slabs.
+
+    The slab of column grade ``p`` holds every interior row: one product of the
+    stacked interior kernel rows, plus, for each source grade ``s`` of ``Theta``
+    feeding ``p``, its blocks into interior grades times ``B[s->p]^*`` (one
+    product per symbol degree).
+    Interior grades are ordered by dimension, so the blocks of one row
+    dimension are one contiguous stack and take one ``spectral_norms`` call.
+    No interior-square matrix is formed.
+    """
     ft = kb.truncation
-    interior = theta.interior_grades(ft)
-    # target grade -> {source grade: block}, sources in ``ft.grades`` order
-    into: dict = {t: {} for t in ft.grades}
+    interior = sorted(theta.interior_grades(ft), key=ft.dim)
+    if not interior:
+        return 0.0
+    offset = dict(zip(interior, np.cumsum([0] + [ft.dim(q) for q in interior]).tolist()))
+    runs: dict = {}  # row dimension -> (first row, block count)
+    for q in interior:
+        start, count = runs.get(ft.dim(q), (offset[q], 0))
+        runs[ft.dim(q)] = (start, count + 1)
+    # source grade -> its blocks into interior grades, in ``ft.grades`` order
+    out_of: dict = {}
     for s in ft.grades:
-        for t in ft.grades:
-            b = blocks.get((s, t))
+        for q in interior:
+            b = blocks.get((s, q))
             if b is not None:
-                into[t][s] = b
+                out_of.setdefault(s, {})[q] = b
+    k_rows = np.concatenate([kb.blocks[q] for q in interior])
     worst = 0.0
     for p in interior:
-        kp_h = kb.blocks[p].conj().T
-        into_p = into[p]
-        for qq in interior:
-            val = kb.blocks[qq] @ kp_h
-            # Theta Theta* block (p -> qq): sum over source grades s of B[s->qq] B[s->p]^*
-            tt = np.zeros_like(val)
-            for s, bq in into[qq].items():
-                bp = into_p.get(s)
-                if bp is not None:
-                    tt += bq @ bp.conj().T
-            expected = np.eye(ft.dim(qq)) if p == qq else np.zeros((ft.dim(qq), ft.dim(p)))
-            worst = max(worst, float(np.linalg.norm(val + tt - expected, 2)))
+        slab = k_rows @ kb.blocks[p].conj().T
+        for outs in out_of.values():
+            bp = outs.get(p)
+            if bp is not None:
+                bp_h = bp.conj().T
+                for q, bq in outs.items():
+                    slab[offset[q] : offset[q] + ft.dim(q)] += bq @ bp_h
+        slab[offset[p] : offset[p] + ft.dim(p)] -= np.eye(ft.dim(p))
+        for dim, (start, count) in runs.items():
+            stack = slab[start : start + count * dim].reshape(count, dim, ft.dim(p))
+            worst = max(worst, float(spectral_norms(stack).max()))
     return worst
 
 

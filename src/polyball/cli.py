@@ -16,6 +16,8 @@ import math
 import sys
 from functools import lru_cache
 
+import numpy as np
+
 from .basis import iter_grades
 from .berezin import (
     INTERTWINE_TOL,
@@ -51,8 +53,14 @@ def _json_key(key) -> str:
     return json.dumps(str(key)) + ": "
 
 
+class _Rendered(str):
+    """JSON text written verbatim by ``_render_json``."""
+
+
 def _render_json(value, indent: int = 0) -> str:
     """Deterministic JSON rendering with 17-significant-digit floats."""
+    if isinstance(value, _Rendered):
+        return value
     if isinstance(value, float):
         # fmt, inlined: a table renders thousands of floats
         return f"{value:.17g}" if math.isfinite(value) else "null"  # JSON has no NaN or inf
@@ -88,19 +96,46 @@ def _parse_caps(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(","))
 
 
-def _grade_rows(values, k, cesaro, defect_product, qmax, value_key):
-    rows = []
-    for q in sorted(values):
-        row = {f"q{i + 1}": q[i] for i in range(k)}
-        row[value_key] = values[q]
-        m = sum(q)
-        row["cesaro"] = cesaro[m] if m < len(cesaro) else None
-        if defect_product is not None and len(set(q)) == 1:
-            row["defect_product"] = defect_product[q[0]]
-        else:
-            row["defect_product"] = None
-        rows.append(row)
-    return rows
+def _grade_columns(table, cesaro, defect_product, value_key, empty):
+    """Header and formatted columns of a grade table; ``empty`` fills cells without a value.
+
+    Rows follow the lexicographic order of the multi-degrees, the C order of
+    ``table.array``.  A Cesaro mean depends only on ``|q|`` and a defect product
+    only on the diagonal index, so each of those values is formatted once.
+    """
+    def cells(seq):
+        return [f"{v:.17g}" if math.isfinite(v) else empty for v in seq]
+
+    values = table.array
+    index = np.indices(values.shape).reshape(values.ndim, -1)
+    ints = [str(v) for v in range(max(values.shape))]
+    columns = [[ints[v] for v in axis] for axis in index.tolist()]
+    columns.append(cells(values.ravel().tolist()))
+    degree = index.sum(axis=0).tolist()
+    ces = cells(cesaro) + [empty] * (max(degree) + 1 - len(cesaro))
+    columns.append([ces[m] for m in degree])
+    if defect_product is None:
+        columns.append([empty] * values.size)
+    else:
+        diag = cells(defect_product)
+        on_diag = (index == index[0]).all(axis=0).tolist()
+        columns.append([diag[q] if d else empty for q, d in zip(index[0].tolist(), on_diag)])
+    header = [f"q{i + 1}" for i in range(values.ndim)] + [value_key, "cesaro", "defect_product"]
+    return header, columns
+
+
+def _emit_grade_table(payload: dict, table, cesaro, defect_product, value_key, args) -> None:
+    """The payload with its grade table, written straight from the table's columns."""
+    if args.format == "csv":
+        header, columns = _grade_columns(table, cesaro, defect_product, value_key, "")
+        lines = [",".join(header)] + [",".join(row) for row in zip(*columns)]
+        _write("\n".join(lines) + "\n", args.out)
+        return
+    header, columns = _grade_columns(table, cesaro, defect_product, value_key, "null")
+    # one table row at indent 2 of the payload: keys at 6 spaces, braces at 4
+    row = "    {{\n" + ",\n".join(f"      {_json_key(h)}{{}}" for h in header) + "\n    }}"
+    rows = ",\n".join(row.format(*cells) for cells in zip(*columns))
+    _write(_render_json(payload | {"table": _Rendered(f"[\n{rows}\n  ]")}) + "\n", args.out)
 
 
 def _csv_cell(v) -> str:
@@ -171,9 +206,7 @@ def cmd_curv(args) -> int:
         "cesaro_seq": list(est.cesaro_seq),
         "defect_product_seq": list(est.defect_product_seq),
     }
-    rows = _grade_rows(est.grade_values, t.k, est.cesaro_seq, est.defect_product_seq,
-                       args.qmax, "x_q")
-    _emit(payload, rows, args)
+    _emit_grade_table(payload, est.grade_values, est.cesaro_seq, est.defect_product_seq, "x_q", args)
     return 0
 
 
@@ -195,8 +228,7 @@ def cmd_curv_c(args) -> int:
         "cesaro_seq": list(est.cesaro_seq),
         "factorial_form_seq": [None] + [float(v) for v in est.defect_product_seq[1:]],
     }
-    rows = _grade_rows(est.grade_values, t.k, est.cesaro_seq, None, args.qmax, "x_q")
-    _emit(payload, rows, args)
+    _emit_grade_table(payload, est.grade_values, est.cesaro_seq, None, "x_q", args)
     return 0
 
 
@@ -226,9 +258,7 @@ def cmd_mult(args) -> int:
         "exact_limit": None if est.exact_limit is None else float(est.exact_limit),
         "compression_curvature_estimate": est.curvature.estimate,
     } | extra
-    rows = _grade_rows(est.grade_values, sub.truncation.shape.k, est.cesaro_seq, None,
-                       qmax, "y_q")
-    _emit(payload, rows, args)
+    _emit_grade_table(payload, est.grade_values, est.cesaro_seq, None, "y_q", args)
     return 0
 
 
@@ -271,7 +301,14 @@ def cmd_check_beurling(args) -> int:
 
 
 def _tuple_and_caps(args):
-    """The input tuple and the kernel caps: ``--caps``, else ``qmax + 1`` per factor."""
+    """The input tuple and the kernel caps: ``--caps``, else ``qmax + 1`` per factor.
+
+    A negative ``--qmax`` or cap is refused before the input is read.
+    """
+    if args.qmax < 0:
+        raise ValueError(f"q_max must be >= 0, got {args.qmax}")
+    if args.caps is not None and min(args.caps) < 0:
+        raise ValueError(f"caps must be >= 0, got {args.caps}")
     with open(args.input) as fh:
         t = tuple_from_json(fh.read())
     return t, args.caps if args.caps else (args.qmax + 1,) * t.k

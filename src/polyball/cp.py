@@ -76,6 +76,48 @@ def psd_verdict(spectrum: np.ndarray) -> PsdVerdict:
     return PsdVerdict(lo >= bound, lo, bound)
 
 
+def spectral_norms(stack) -> np.ndarray:
+    """Spectral norm of each matrix of a ``(..., r, c)`` stack: the one residual norm.
+
+    Each matrix is scaled by its largest absolute entry, so residuals near
+    1e-200 or 1e150 neither underflow nor overflow; the norm is then the square
+    root of the top eigenvalue of the Gram matrix of the smaller side, all in one
+    batched ``eigvalsh``.  Only the conjugate factor of the Gram product is
+    copied and scaled; the scale of the other factor is divided out of the
+    small Gram matrix.  All-zero matrices (exact identities) skip the Gram
+    product.  A 2-D input gives a 0-d array; an empty matrix has norm 0, and
+    one with a NaN or infinite entry has norm NaN.
+    """
+    x = np.asarray(stack)
+    if not np.issubdtype(x.dtype, np.inexact):
+        x = x.astype(float)
+    r, c = x.shape[-2:]
+    if min(r, c) == 0 or x.size == 0:
+        return np.zeros(x.shape[:-2])
+    scale = np.abs(x).max(axis=(-2, -1))
+    out = np.where(scale == 0, 0.0, np.nan)
+    live = np.isfinite(scale) & (scale > 0)
+    if not live.any():
+        return out
+    # a full stack is used in place: a residual is never copied whole
+    y, s = (x, scale[..., None, None]) if live.all() else (x[live], scale[live][:, None, None])
+    yc = np.conj(y)
+    yc /= s
+    gram = np.swapaxes(yc, -2, -1) @ y if c <= r else y @ np.swapaxes(yc, -2, -1)
+    del yc
+    gram /= s
+    out[live] = np.sqrt(np.clip(np.linalg.eigvalsh(gram)[..., -1], 0.0, None)) * s[..., 0, 0]
+    return out
+
+
+def max_spectral_norm(mats) -> float:
+    """Largest spectral norm among matrices of any shapes: one ``spectral_norms`` call per shape."""
+    by_shape: dict = {}
+    for m in mats:
+        by_shape.setdefault(m.shape, []).append(m)
+    return max((float(spectral_norms(np.stack(group)).max()) for group in by_shape.values()), default=0.0)
+
+
 @dataclass(frozen=True)
 class OperatorTuple:
     """A k-tuple of row tuples of dimH x dimH complex matrices."""
@@ -102,16 +144,13 @@ class OperatorTuple:
             frozen.append(tuple(row))
         object.__setattr__(self, "factors", tuple(frozen))
         resid = max_cross_commutator(self)
-        if resid > self._commutation_bound():
+        # the bound is at least COMMUTATION_TOL: the norms are needed only above it
+        if resid > COMMUTATION_TOL and resid > self._commutation_bound():
             raise ValueError(f"cross-factor entries do not commute (residual {resid:.3e})")
 
     def _commutation_bound(self) -> float:
-        scale = max(
-            (np.linalg.norm(a, 2) * np.linalg.norm(b, 2))
-            for s, t in itertools.combinations(range(self.shape.k), 2)
-            for a in self.factors[s]
-            for b in self.factors[t]
-        ) if self.shape.k > 1 else 0.0
+        tops = [float(spectral_norms(np.stack(mats)).max()) for mats in self.factors]
+        scale = max((a * b for a, b in itertools.combinations(tops, 2)), default=0.0)
         return COMMUTATION_TOL * max(scale, 1.0)
 
     @property
@@ -132,12 +171,12 @@ class OperatorTuple:
 
 def max_cross_commutator(t: OperatorTuple) -> float:
     """Largest norm of a commutator between entries of distinct factors."""
-    worst = 0.0
-    for s, u in itertools.combinations(range(t.shape.k), 2):
-        for a in t.factors[s]:
-            for b in t.factors[u]:
-                worst = max(worst, np.linalg.norm(a @ b - b @ a, 2))
-    return worst
+    return max_spectral_norm(
+        a @ b - b @ a
+        for s, u in itertools.combinations(range(t.shape.k), 2)
+        for a in t.factors[s]
+        for b in t.factors[u]
+    )
 
 
 def cp_apply(t: OperatorTuple, i: int, y: np.ndarray) -> np.ndarray:
@@ -255,7 +294,7 @@ def check_pure(t: OperatorTuple, purity_tol: float = PURITY_TOL, max_iter: int =
         it = 0
         for it in range(1, max_iter + 1):
             y = cp_apply(t, i, y)
-            new_norm = float(np.linalg.norm(y, 2))
+            new_norm = float(spectral_norms(y))
             if new_norm < purity_tol:
                 verdict = "pure"
                 norm = new_norm
@@ -341,7 +380,8 @@ def ampliation(tuples: list[OperatorTuple]) -> OperatorTuple:
     for t in tuples:
         expected = np.kron(expected, defect_map(t, (1,) * t.k, np.eye(t.dimH, dtype=complex)))
     got = defect_map(out, (1,) * out.k, np.eye(total, dtype=complex))
-    if np.linalg.norm(got - expected, 2) > PSD_TOL * max(np.linalg.norm(expected, 2), 1.0):
+    resid, scale = spectral_norms(np.stack([got - expected, expected]))
+    if resid > PSD_TOL * max(scale, 1.0):
         raise ValueError("ampliation defect does not factor as the tensor product of factor defects")
     return out
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .basis import Shape, iter_grades, word_rank
-from .cp import DENSE_GUARD, OperatorTuple
+from .cp import DENSE_GUARD, OperatorTuple, max_spectral_norm
 from .curvature import CurvEstimate, _grade_table, _summary, subspace_curvature
 from .fock import (
     FockTruncation,
@@ -155,15 +155,10 @@ class GradedSubspace:
 
     def gram_residual(self) -> float:
         """How far the stored bases are from orthonormal."""
-        worst = 0.0
-        if self.grade_bases is not None:
-            for q, b in self.grade_bases.items():
-                g = b.conj().T @ b
-                worst = max(worst, float(np.linalg.norm(g - np.eye(b.shape[1]), 2)))
+        bases = list((self.grade_bases or {}).values())
         if self.columns is not None:
-            g = self.columns.conj().T @ self.columns
-            worst = max(worst, float(np.linalg.norm(g - np.eye(self.columns.shape[1]), 2)))
-        return worst
+            bases.append(self.columns)
+        return max_spectral_norm(b.conj().T @ b - np.eye(b.shape[1]) for b in bases)
 
     def certify_invariance(self) -> float:
         """Max residual of shift invariance; boundary components are excluded."""
@@ -193,10 +188,8 @@ class GradedSubspace:
                 if not ft.has_grade(up):
                     continue
                 b_up = self.grade_basis(up)
-                for j in range(1, ft.shape.n[i] + 1):
-                    v = _apply_shift_block(ft, i, j, q, b)
-                    resid = v - b_up @ (b_up.conj().T @ v)
-                    worst = max(worst, float(np.linalg.norm(resid, 2)))
+                shifted = (_apply_shift_block(ft, i, j, q, b) for j in range(1, ft.shape.n[i] + 1))
+                worst = max(worst, max_spectral_norm(v - b_up @ (b_up.conj().T @ v) for v in shifted))
         return worst
 
 
@@ -627,6 +620,7 @@ def inner_sequence_check(sub: GradedSubspace, psis, q_max: int) -> InnerSequence
     worst = 0.0
     sums = {}
     for qq in ft.grades:
+        row = []
         for p in ft.grades:
             total = np.zeros((ft.dim(qq), ft.dim(p)), dtype=complex)
             for blocks in all_blocks:
@@ -635,7 +629,8 @@ def inner_sequence_check(sub: GradedSubspace, psis, q_max: int) -> InnerSequence
                     bp = blocks.get((s, p))
                     if bq is not None and bp is not None:
                         total += bq @ bp.conj().T
-            worst = max(worst, float(np.linalg.norm(total - p_m.block(p, qq), 2)))
+            row.append(total - p_m.block(p, qq))
+        worst = max(worst, max_spectral_norm(row))
         diag = sum(
             float(np.linalg.norm(blocks.get((s, qq))) ** 2)
             for blocks in all_blocks

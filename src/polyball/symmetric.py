@@ -26,7 +26,7 @@ import numpy as np
 
 from .basis import Shape
 from .berezin import BerezinKernel, InnerMultiplier, berezin_kernel, has_characteristic_function
-from .cp import COMMUTATION_TOL, OperatorTuple, PsdVerdict, require_membership
+from .cp import COMMUTATION_TOL, OperatorTuple, PsdVerdict, max_spectral_norm, require_membership, spectral_norms
 from .curvature import CurvEstimate, _box_sums, _check_monotone, _summary, grade_trace_table
 from .fock import FockTruncation, GradedOperator, creation_op
 from .subspaces import BeurlingVerdict, GradedSubspace, MultiplicityEstimate, beurling_check, multiplicity_estimate
@@ -121,20 +121,16 @@ def embedding_matrix(n: int, q: int) -> np.ndarray:
 
 
 def max_intra_commutator(t: OperatorTuple) -> float:
-    worst = 0.0
-    for mats in t.factors:
-        for a, b in itertools.combinations(mats, 2):
-            worst = max(worst, float(np.linalg.norm(a @ b - b @ a, 2)))
-    return worst
+    return max_spectral_norm(a @ b - b @ a for mats in t.factors for a, b in itertools.combinations(mats, 2))
 
 
 def require_commutative(t: OperatorTuple) -> None:
     """A commutative-polyball element has commuting entries within each factor too."""
     resid = max_intra_commutator(t)
-    scale = max(
-        (float(np.linalg.norm(a, 2) * np.linalg.norm(b, 2)) for mats in t.factors for a in mats for b in mats),
-        default=1.0,
-    )
+    if resid <= COMMUTATION_TOL:
+        return  # within the bound whatever the scale
+    tops = [float(spectral_norms(np.stack(mats)).max()) for mats in t.factors]
+    scale = max(top * top for top in tops)
     if resid > COMMUTATION_TOL * max(scale, 1.0):
         raise ValueError(f"entries within a factor do not commute (residual {resid:.3e})")
 

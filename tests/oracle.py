@@ -5,6 +5,9 @@
 * ``defect_product_traces``: ``trace[(id - Phi_1^{q+1}) ... (id - Phi_k^{q+1})(I)]``
   recomputed from the identity for every ``q``; the library reads these traces
   off the cumulative sums of the grade table instead.
+* ``completion_residual_pairs``: the block norms of ``K K^* + Theta Theta^* - I``
+  one grade pair at a time, each by SVD; the library builds whole column slabs
+  and takes their block norms from batched Gram spectra.
 """
 
 from __future__ import annotations
@@ -48,3 +51,29 @@ def defect_product_traces(t: OperatorTuple, q_max: int) -> list[float]:
             y = y - cp_apply_power(t, i, y, qq + 1)
         out.append(float(np.trace(y).real))
     return out
+
+
+def completion_residual_pairs(kb, theta, blocks) -> float:
+    """``max || (K K^* + Theta Theta^* - I)[qq, p] ||_2`` over interior grade pairs, pair by pair."""
+    ft = kb.truncation
+    interior = theta.interior_grades(ft)
+    # target grade -> {source grade: block}, sources in ``ft.grades`` order
+    into: dict = {t: {} for t in ft.grades}
+    for s in ft.grades:
+        for t in ft.grades:
+            b = blocks.get((s, t))
+            if b is not None:
+                into[t][s] = b
+    worst = 0.0
+    for p in interior:
+        kp_h = kb.blocks[p].conj().T
+        for qq in interior:
+            val = kb.blocks[qq] @ kp_h
+            tt = np.zeros_like(val)
+            for s, bq in into[qq].items():
+                bp = into[p].get(s)
+                if bp is not None:
+                    tt += bq @ bp.conj().T
+            expected = np.eye(ft.dim(qq)) if p == qq else np.zeros((ft.dim(qq), ft.dim(p)))
+            worst = max(worst, float(np.linalg.norm(val + tt - expected, 2)))
+    return worst

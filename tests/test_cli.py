@@ -195,6 +195,45 @@ def test_negative_qmax_is_invalid_input(command, scalar_file, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["check", "connection", "--qmax", "-1"], "q_max"),
+        (["check", "connection", "--caps", "-1"], "caps"),
+        (["check", "intertwine", "--qmax", "-1"], "q_max"),
+        (["check", "intertwine", "--caps", "-1"], "caps"),
+        (["check", "index", "--theta", "missing.json", "--qmax", "-1"], "q_max"),
+        (["check", "index", "--theta", "missing.json", "--caps", "-2"], "caps"),
+    ],
+)
+def test_check_negative_qmax_or_cap_is_refused_before_reading(argv, reason, tmp_path, capsys):
+    # the input file does not exist: the refusal must come before it is read
+    code, out, err = run(argv + ["--input", str(tmp_path / "missing.json")], capsys)
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "invalid-input"
+    assert reason in payload["reason"]
+
+
+def test_check_intertwine_without_grade_pairs_is_invalid_input(scalar_file, capsys):
+    code, out, err = run(["check", "intertwine", "--input", scalar_file, "--caps", "0"], capsys)
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "invalid-input"
+    assert "caps" in payload["reason"]
+
+
+def test_check_intertwine_with_one_cap_zero_is_invalid_input(tmp_path, capsys):
+    # two commuting factors; factor 0 has cap 0 and would go untested
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"n": [1, 1], "dimH": 1, "factors": [[[[0.5, 0.0]]], [[[0.5, 0.0]]]]}))
+    code, _, err = run(["check", "intertwine", "--input", str(path), "--caps", "0,3"], capsys)
+    assert code == 1
+    assert json.loads(err)["error"] == "invalid-input"
+    code, out, _ = run(["check", "intertwine", "--input", str(path), "--caps", "1,3"], capsys)
+    assert code == 0 and json.loads(out)["within_tol"] is True
+
+
+@pytest.mark.parametrize(
     "payload, reason",
     [
         ({"n": [1], "dimH": 0, "factors": [[[]]]}, "dimH"),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_normal_contraction, random_polyball_tuple, random_row_tuple
 from polyball.basis import Shape
@@ -16,6 +18,7 @@ from polyball.cp import (
     defect_map_expanded,
     direct_sum,
     min_eig,
+    spectral_norms,
     tuple_from_json,
     tuple_to_json,
 )
@@ -242,3 +245,37 @@ def test_word_product_adjoint_matches_explicit():
     for letter in word:
         explicit = explicit @ t.entry(0, letter)
     assert np.allclose(t.word_product_adjoint(0, word), explicit.conj().T, atol=1e-14)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 4),
+    rows=st.integers(1, 9),
+    cols=st.integers(1, 9),
+    complex_entries=st.booleans(),
+    scale=st.sampled_from([1e-200, 1e-8, 1.0, 1e6, 1e150]),
+    zero=st.booleans(),
+)
+def test_spectral_norms_match_svd(seed, count, rows, cols, complex_entries, scale, zero):
+    # tall, wide and square stacks, real and complex, tiny and huge entries, all-zero members
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((count, rows, cols))
+    if complex_entries:
+        x = x + 1j * rng.standard_normal((count, rows, cols))
+    x *= scale
+    if zero:
+        x[0] = 0.0
+    got = spectral_norms(x)
+    want = np.array([np.linalg.norm(m, 2) for m in x])
+    assert got.shape == (count,)
+    assert np.all(np.abs(got - want) <= 1e-12 * want)
+    assert float(spectral_norms(x[-1])) == got[-1]
+
+
+def test_spectral_norms_of_empty_and_non_finite_matrices():
+    assert spectral_norms(np.zeros((3, 0, 4))).tolist() == [0.0, 0.0, 0.0]
+    x = np.ones((3, 2, 2))
+    x[1, 0, 0], x[2, 1, 1] = np.nan, np.inf
+    got = spectral_norms(x)
+    assert got[0] == pytest.approx(2.0, rel=1e-15) and np.isnan(got[1:]).all()

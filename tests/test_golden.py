@@ -12,9 +12,17 @@ from pathlib import Path
 import pytest
 
 from polyball.basis import Shape
+from polyball.berezin import monomial_multiplier, multiplier_to_json
 from polyball.cli import main
-from polyball.subspaces import construct_mt, construct_nadic, subspace_to_json, uncountable_family
-from polyball.symmetric import SymFockTruncation, coordinate_multiple_subspace
+from polyball.cp import tuple_to_json
+from polyball.subspaces import (
+    compression_tuple,
+    construct_mt,
+    construct_nadic,
+    subspace_to_json,
+    uncountable_family,
+)
+from polyball.symmetric import SymFockTruncation, coordinate_multiple_subspace, sym_monomial_multiplier
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -42,6 +50,16 @@ def write_inputs(work: Path) -> dict[str, list[str]]:
     cm = work / "coordinate_multiple.json"
     cm.write_text(subspace_to_json(
         coordinate_multiple_subspace(SymFockTruncation(Shape((2, 1), caps=(4, 4))), 0, 2)))
+    # index fixtures: the compressions of a suffix subspace and of a coordinate multiple
+    mt_tuple = work / "mt_tuple.json"
+    mt_tuple.write_text(tuple_to_json(compression_tuple(construct_mt(construct_nadic(2, 0.5), 4))))
+    mt_theta = work / "mt_theta.json"
+    mt_theta.write_text(multiplier_to_json(monomial_multiplier(Shape((2,)), 0, (1,))))
+    cm_tuple = work / "cm_tuple.json"
+    cm_tuple.write_text(tuple_to_json(compression_tuple(
+        coordinate_multiple_subspace(SymFockTruncation(Shape((1, 1), caps=(4, 4))), 0, 1))))
+    cm_theta = work / "cm_theta.json"
+    cm_theta.write_text(multiplier_to_json(sym_monomial_multiplier(Shape((1, 1)), ((1,), (0,)))))
     return {
         "curv_scalar.json": ["curv", "--input", str(scalar), "--qmax", "6"],
         "curv_scalar.csv": ["curv", "--input", str(scalar), "--qmax", "4", "--format", "csv"],
@@ -52,6 +70,10 @@ def write_inputs(work: Path) -> dict[str, list[str]]:
         "beurling_mt.json": ["check", "beurling", "--input", str(mt)],
         "beurling_uncountable.json": ["check", "beurling", "--input", str(unc)],
         "beurling_coordinate_multiple.json": ["check", "beurling", "--input", str(cm)],
+        "index_full.json": ["check", "index", "--input", str(mt_tuple), "--theta", str(mt_theta),
+                            "--caps", "4"],
+        "index_symmetric.json": ["check", "index", "--input", str(cm_tuple), "--theta", str(cm_theta),
+                                 "--caps", "4,4"],
     }
 
 

@@ -78,7 +78,7 @@ def test_empty_spectrum_is_positive():
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Call counts of ``to_dense``, the SVD-norm oracle and every SVD entry point."""
+    """Call counts of ``to_dense``, the dense norm oracle and every SVD entry point."""
     counts = {"to_dense": 0, "norm_interior": 0, "svd": 0}
 
     def counting(name, fn):

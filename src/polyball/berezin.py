@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -58,7 +59,17 @@ class BerezinKernel:
     truncation: FockTruncation
     blocks: dict[tuple[int, ...], np.ndarray]
     defect: DefectData
-    tail_bound: float
+
+    @cached_property
+    def tail_bound(self) -> float:
+        """``sum_i ||Phi_i^{D_i+1}(I)||``, computed on first use: only ``check connection`` reports it.
+
+        ``I - K*K = I - prod_i (id - Phi_i^{D_i+1})(I)`` is dominated by the sum of
+        the per-factor tails, not their max, for pure tuples.
+        """
+        t, caps = self.op, self.truncation.shape.caps
+        eye = np.eye(t.dimH, dtype=complex)
+        return sum(spectral_norms(np.stack([cp_apply_power(t, i, eye, caps[i] + 1) for i in range(t.k)])).tolist())
 
     def grade_gram(self, q: tuple[int, ...]) -> np.ndarray:
         """``K^* (P_q (x) I) K`` as a dimH x dimH matrix."""
@@ -118,12 +129,7 @@ def berezin_kernel(t: OperatorTuple, caps: tuple[int, ...]) -> BerezinKernel:
             block[_expand_indices(tgt, dd.rank)] = rows
             del rows  # one product alive at a time
         blocks[q] = block
-
-    # I - K*K = I - prod_i (id - Phi_i^{D_i+1})(I) is dominated by the sum of
-    # the per-factor tails, not their max
-    eye = np.eye(t.dimH, dtype=complex)
-    tail = sum(spectral_norms(np.stack([cp_apply_power(t, i, eye, caps[i] + 1) for i in range(t.k)])).tolist())
-    return BerezinKernel(t, ft, blocks, dd, tail)
+    return BerezinKernel(t, ft, blocks, dd)
 
 
 def verify_intertwining(kb: BerezinKernel) -> float:

@@ -408,13 +408,19 @@ def tuple_from_json(text: str) -> OperatorTuple:
 
 
 def _matrix_to_pairs(a: np.ndarray) -> list[list[float]]:
-    return [[float(v.real), float(v.imag)] for v in a.reshape(-1)]
+    return np.stack([a.real, a.imag], -1).reshape(-1, 2).tolist()
 
 
 def _matrix_from_pairs(pairs, dim: int) -> np.ndarray:
-    if len(pairs) != dim * dim:
-        raise ValueError(f"matrix payload has {len(pairs)} entries, expected {dim * dim}")
-    flat = np.array([complex(re, im) for re, im in pairs], dtype=complex)
-    if not np.isfinite(flat).all():
-        raise ValueError("matrix entries must be finite; got NaN or inf")
-    return flat.reshape(dim, dim)
+    try:
+        flat = np.asarray(pairs, dtype=float)
+    except (TypeError, ValueError):  # a string, an object or ragged nesting
+        raise ValueError("matrix entries must be [re, im] pairs of numbers") from None
+    count = len(flat) if flat.ndim else 0
+    if count != dim * dim:
+        raise ValueError(f"matrix payload has {count} entries, expected {dim * dim}")
+    if flat.shape[1:] != (2,):
+        raise ValueError("matrix entries must be [re, im] pairs of numbers")
+    if not np.isfinite(flat).all():  # null parses as NaN
+        raise ValueError("matrix entries must be finite; got NaN, inf or null")
+    return flat.view(complex).reshape(dim, dim)

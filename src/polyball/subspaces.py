@@ -586,7 +586,12 @@ class BeurlingVerdict:
 
 
 def beurling_check(sub: GradedSubspace) -> BeurlingVerdict:
-    """PSD test of the defect of the range projection under the universal shifts."""
+    """PSD test of the defect of the range projection under the universal shifts.
+
+    A graded subspace gives a grade-diagonal defect, read one grade spectrum at a
+    time (its diagonal, for a structured subspace); a span-mode one couples
+    grades and takes one spectrum of the whole interior.
+    """
     p_m = sub.projection()
     d = defect_shift(p_m)
     interior = d.interior_grades()

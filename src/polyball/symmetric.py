@@ -189,7 +189,7 @@ def constrained_berezin(t: OperatorTuple, caps: tuple[int, ...]) -> BerezinKerne
         blocks[q] = np.einsum("wm,wrh->mrh", v.conj(), folded).reshape(
             sf.word_dim(q) * r, t.dimH
         )
-    return BerezinKernel(t, sf, blocks, kb.defect, kb.tail_bound)
+    return BerezinKernel(t, sf, blocks, kb.defect)
 
 
 def constrained_char_function(t: OperatorTuple, caps: tuple[int, ...]) -> PsdVerdict:

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import commuting_tuple, random_polyball_tuple, random_row_tuple
+from polyball import berezin
 from polyball.basis import Shape, enumerate_words, iter_grades, leq
 from polyball.berezin import (
     InnerMultiplier,
@@ -22,7 +24,8 @@ from polyball.berezin import (
     validate_multiplier,
     verify_intertwining,
 )
-from polyball.cp import OperatorTuple, ampliation
+from polyball.cli import main
+from polyball.cp import OperatorTuple, ampliation, tuple_to_json
 from polyball.fock import FockTruncation, defect_shift
 from polyball.subspaces import (
     GradedSubspace,
@@ -59,6 +62,43 @@ def test_kernel_isometry_defect_below_tail_bound():
     t = random_polyball_tuple(rng, (2, 2), (2, 2), 0.6)
     kb = berezin_kernel(t, (6, 6))
     assert kb.isometry_defect() <= kb.tail_bound + 1e-12
+
+
+@pytest.fixture
+def power_calls(monkeypatch):
+    """Number of ``cp_apply_power`` calls made by the kernel code."""
+    calls = [0]
+    power = berezin.cp_apply_power
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return power(*args, **kwargs)
+
+    monkeypatch.setattr(berezin, "cp_apply_power", counting)
+    return calls
+
+
+def test_tail_bound_is_computed_only_where_reported(power_calls, tmp_path):
+    t = compression_tuple(construct_mt(construct_nadic(2, 0.5), 4))
+    t_path, theta_path, out = tmp_path / "t.json", tmp_path / "theta.json", tmp_path / "out.json"
+    t_path.write_text(tuple_to_json(t))
+    theta_path.write_text(multiplier_to_json(monomial_multiplier(Shape((2,)), 0, (1,))))
+    for argv in (
+        ["check", "intertwine", "--input", str(t_path), "--caps", "4"],
+        ["check", "index", "--input", str(t_path), "--theta", str(theta_path), "--caps", "4"],
+    ):
+        assert main(argv + ["--out", str(out)]) == 0, argv
+    assert power_calls[0] == 0
+    assert main(["check", "connection", "--input", str(t_path), "--caps", "4", "--qmax", "3", "--out", str(out)]) == 0
+    assert power_calls[0] > 0
+    assert json.loads(out.read_text())["tail_bound"] == berezin_kernel(t, (4,)).tail_bound
+
+
+def test_constrained_kernel_shares_the_word_tail_bound(power_calls):
+    t = commuting_tuple(np.random.default_rng(41), 2, 3, 0.7)
+    kb = constrained_berezin(t, (4,))
+    assert power_calls[0] == 0
+    assert kb.tail_bound == berezin_kernel(t, (4,)).tail_bound > 0
 
 
 def test_intertwining_scalar_exact():

@@ -239,6 +239,11 @@ def test_check_intertwine_with_one_cap_zero_is_invalid_input(tmp_path, capsys):
         ({"n": [1], "dimH": 0, "factors": [[[]]]}, "dimH"),
         ({"n": [1], "dimH": 1, "factors": [[[[float("nan"), 0.0]]]]}, "finite"),
         ({"n": [1], "dimH": 1, "factors": [[[[0.5, float("inf")]]]]}, "finite"),
+        ({"n": [1], "dimH": 1, "factors": [[[["a", 0.0]]]]}, "pairs of numbers"),
+        ({"n": [1], "dimH": 1, "factors": [[[None]]]}, "pairs of numbers"),
+        ({"n": [1], "dimH": 1, "factors": [[[[None, 0.0]]]]}, "null"),
+        ({"n": [1], "dimH": 1, "factors": [[[[0.5, 0.0, 0.0]]]]}, "pairs of numbers"),
+        ({"n": [1], "dimH": 1, "factors": [[[[0.5]]]]}, "pairs of numbers"),
     ],
 )
 def test_degenerate_tuple_is_invalid_input(payload, reason, tmp_path, capsys):

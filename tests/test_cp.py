@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -235,6 +237,21 @@ def test_json_roundtrip_bit_exact():
         for a, b in zip(t.factors[i], u.factors[i]):
             assert np.array_equal(a, b)
     assert tuple_to_json(u) == tuple_to_json(t)
+
+
+def test_json_writer_matches_per_entry_floats():
+    # -0.0 and subnormals must survive: the writer reads the float parts, never rounds them
+    rng = np.random.default_rng(71)
+    entries = rng.standard_normal((2, 3, 3, 2))
+    entries[0, 0, 0] = (-0.0, -0.0)
+    entries[0, 1, 2] = (5e-324, -0.0)
+    entries[1, 2, 1] = (-2.5e-310, 1e-320)
+    factors = [[[[float(re), float(im)] for re, im in m.reshape(-1, 2)] for m in entries]]
+    text = json.dumps({"n": [2], "dimH": 3, "factors": factors})
+    t = tuple_from_json(text)
+    assert tuple_to_json(t) == text
+    assert np.signbit(t.factors[0][0][0, 0].real) and np.signbit(t.factors[0][0][0, 0].imag)
+    assert t.factors[0][0][1, 2] == complex(5e-324, 0.0)
 
 
 def test_word_product_adjoint_matches_explicit():

@@ -9,8 +9,21 @@ from polyball import fock
 from polyball.berezin import has_characteristic_function
 from polyball.basis import Shape
 from polyball.cp import PSD_TOL, herm, psd_verdict
-from polyball.fock import GradedOperator, defect_shift
-from polyball.subspaces import beurling_check, bidisc_difference_subspace, compression_tuple, uncountable_family
+from polyball.fock import FockTruncation, GradedOperator, bump, creation_op, defect_shift
+from polyball.subspaces import (
+    GradedSubspace,
+    beurling_check,
+    bidisc_difference_subspace,
+    compression_tuple,
+    construct_mt,
+    construct_nadic,
+    cur0_subspace,
+    finite_codim_subspace,
+    subspace_from_json,
+    subspace_to_json,
+    tensor_subspace,
+    uncountable_family,
+)
 from polyball.symmetric import SymFockTruncation, constrained_berezin, coordinate_multiple_subspace
 
 
@@ -110,3 +123,126 @@ def test_char_function_densifies_once_without_svd(counted):
     counted.update(dict.fromkeys(counted, 0))
     assert has_characteristic_function(kb).positive
     assert counted == {"to_dense": 1, "norm_interior": 0, "svd": 0}
+
+
+# -- grade by grade: a grade-diagonal defect reads one spectrum per grade ------------
+
+
+def as_basis_mode(sub):
+    """``sub`` written and loaded back as a basis-mode subspace with the same grade bases."""
+    ft = sub.truncation
+    bases = {q: sub.grade_basis(q) for q in ft.grades}
+    return subspace_from_json(subspace_to_json(GradedSubspace(ft, "basis", grade_bases=bases)))
+
+
+def graded_cases():
+    mt = construct_mt(construct_nadic(2, 0.37), 4)
+    return {
+        "mt": construct_mt(construct_nadic(2, 0.37), 8),
+        "coordinate-multiple": coordinate_multiple_subspace(SymFockTruncation(Shape((2, 2), caps=(5, 5))), 0, 1),
+        "basis-tensor": tensor_subspace([as_basis_mode(mt), cur0_subspace(2, 4)]),
+        "finite-codim": finite_codim_subspace((2, 2), (4, 4), 1),  # every grade but the vacuum: not Beurling
+    }
+
+
+@pytest.mark.parametrize("name", ["mt", "coordinate-multiple", "basis-tensor", "finite-codim"])
+def test_grade_spectra_match_dense_oracles(name):
+    sub = graded_cases()[name]
+    d = defect_shift(sub.projection())
+    v = d.interior_verdict(d.interior_grades())
+    assert v.min_eigenvalue == d.min_eig_interior()
+    assert v.bound == pytest.approx(-PSD_TOL * max(d.norm_interior(), 1.0), rel=1e-12)
+    assert v.positive == (name != "finite-codim")
+    assert beurling_check(sub).positive == v.positive
+    if name == "finite-codim":
+        assert v.min_eigenvalue == -1.0
+
+
+def random_basis_subspace(ft, rng, invariant, fill):
+    """Random orthonormal grade bases; with ``invariant``, each grade also spans the shifts of those below."""
+    shifts = [[creation_op(ft, i, j) for j in range(1, ft.shape.n[i] + 1)] for i in range(ft.shape.k)]
+    bases = {}
+    for q in sorted(ft.grades, key=sum):
+        dim = ft.dim(q)
+        extra = int(rng.binomial(dim, fill))
+        cols = [rng.standard_normal((dim, extra)) + 1j * rng.standard_normal((dim, extra))]
+        if invariant:
+            for i, row in enumerate(shifts):
+                src = bump(q, i, -1)
+                if q[i] and src in bases:
+                    cols += [s.block(src, q) @ bases[src] for s in row]
+        m = np.hstack(cols)
+        if m.shape[1]:
+            u, s, _ = np.linalg.svd(m, full_matrices=False)
+            m = u[:, s > 1e-9 * s[0]]
+        if m.shape[1]:
+            bases[q] = m
+    return GradedSubspace(ft, "basis", grade_bases=bases)
+
+
+BASIS_SHAPES = [((2,), (4,), 1), ((1, 1), (3, 3), 1), ((2, 1), (2, 3), 1), ((1, 2), (2, 2), 2)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.sampled_from(BASIS_SHAPES),
+    seed=st.integers(0, 2**32 - 1),
+    invariant=st.booleans(),
+    fill=st.sampled_from([0.0, 0.2, 0.5, 1.0]),
+)
+def test_grade_spectra_match_whole_interior_on_random_basis_subspaces(shape, seed, invariant, fill):
+    n, caps, cd = shape
+    ft = FockTruncation(Shape(n, caps=caps), coeff_dim=cd)
+    sub = random_basis_subspace(ft, np.random.default_rng(seed), invariant, fill)
+    d = defect_shift(sub.projection())
+    interior = d.interior_grades()
+    v = d.interior_verdict(interior)
+    whole = psd_verdict(np.linalg.eigvalsh(herm(d.to_dense(interior))))
+    assert v.positive == whole.positive
+    assert abs(v.min_eigenvalue - whole.min_eigenvalue) <= 1e-12 * max(1.0, abs(whole.min_eigenvalue))
+    assert v.bound == pytest.approx(whole.bound, rel=1e-12)
+
+
+@pytest.fixture
+def eigvalsh_sizes(monkeypatch):
+    """Order of every matrix handed to ``np.linalg.eigvalsh``."""
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        sizes.append(np.shape(a)[-1])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return sizes
+
+
+def interior_dims(sub):
+    d = defect_shift(sub.projection())
+    return [d.trunc.dim(q) for q in d.interior_grades()]
+
+
+def test_graded_beurling_test_takes_no_whole_interior_spectrum(eigvalsh_sizes):
+    sub = uncountable_family(0.3, 0.75, (4, 4))
+    largest = max(interior_dims(sub))
+    eigvalsh_sizes.clear()
+    assert beurling_check(sub).positive
+    assert max(eigvalsh_sizes, default=0) <= largest
+
+
+def test_rotated_basis_beurling_test_takes_one_spectrum_per_grade(eigvalsh_sizes):
+    sub = tensor_subspace([random_basis_subspace(FockTruncation(Shape((2,), caps=(4,))),
+                                                 np.random.default_rng(5), True, 0.3),
+                           cur0_subspace(2, 4)])
+    dims = interior_dims(sub)
+    eigvalsh_sizes.clear()
+    beurling_check(sub)
+    assert eigvalsh_sizes and max(eigvalsh_sizes) <= max(dims) < sum(dims)
+
+
+def test_span_beurling_test_takes_one_whole_interior_spectrum(eigvalsh_sizes):
+    sub = bidisc_difference_subspace((5, 5))
+    dims = interior_dims(sub)
+    eigvalsh_sizes.clear()
+    assert not beurling_check(sub).positive
+    assert eigvalsh_sizes == [sum(dims)]

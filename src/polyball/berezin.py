@@ -30,6 +30,8 @@ from .cp import (
     PsdVerdict,
     cp_apply_power,
     defect_data,
+    matrix_from_pairs,
+    matrix_to_pairs,
     max_spectral_norm,
     require_membership,
     spectral_norms,
@@ -477,10 +479,7 @@ def multiplier_to_json(theta: InnerMultiplier) -> str:
             "blocks": [
                 {
                     "degree": list(d),
-                    "coeffs": [
-                        [[float(v.real), float(v.imag)] for v in mat.reshape(-1)]
-                        for mat in coeff
-                    ],
+                    "coeffs": [matrix_to_pairs(mat) for mat in coeff],
                 }
                 for d, coeff in sorted(theta.coeffs.items())
             ],
@@ -495,11 +494,7 @@ def multiplier_from_json(text: str) -> InnerMultiplier:
     coeffs = {}
     for entry in data["blocks"]:
         d = tuple(int(v) for v in entry["degree"])
-        mats = []
-        for flat in entry["coeffs"]:
-            arr = np.array([complex(re, im) for re, im in flat]).reshape(dt, ds)
-            mats.append(arr)
-        coeffs[d] = np.stack(mats, axis=0)
+        coeffs[d] = np.stack([matrix_from_pairs(flat, dt, ds) for flat in entry["coeffs"]], axis=0)
     return InnerMultiplier(
         Shape(n), ds, dt, coeffs, model=require_model(data.get("model", "full")),
         isometric=bool(data.get("isometric", False)),

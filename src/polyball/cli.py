@@ -485,7 +485,7 @@ def main(argv=None) -> int:
         payload = {"error": "parse", "reason": exc.msg, "line": exc.lineno, "column": exc.colno}
         sys.stderr.write(_render_json(payload) + "\n")
         return 1
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, OverflowError) as exc:
         sys.stderr.write(_render_json({"error": "invalid-input", "reason": str(exc)}) + "\n")
         return 1
 

@@ -392,7 +392,7 @@ def tuple_to_json(t: OperatorTuple) -> str:
         {
             "n": list(t.shape.n),
             "dimH": t.dimH,
-            "factors": [[_matrix_to_pairs(a) for a in row] for row in t.factors],
+            "factors": [[matrix_to_pairs(a) for a in row] for row in t.factors],
         }
     )
 
@@ -403,24 +403,51 @@ def tuple_from_json(text: str) -> OperatorTuple:
     dim = int(data["dimH"])
     if dim < 1:
         raise ValueError(f"dimH must be >= 1, got {dim}")
-    factors = tuple(tuple(_matrix_from_pairs(m, dim) for m in row) for row in data["factors"])
+    factors = tuple(tuple(matrix_from_pairs(m, dim, dim) for m in row) for row in data["factors"])
     return OperatorTuple(Shape(n), dim, factors)
 
 
-def _matrix_to_pairs(a: np.ndarray) -> list[list[float]]:
+def matrix_to_pairs(a: np.ndarray) -> list[list[float]]:
+    """The entries of ``a`` in row-major order as ``[re, im]`` pairs, the wire format of every matrix."""
     return np.stack([a.real, a.imag], -1).reshape(-1, 2).tolist()
 
 
-def _matrix_from_pairs(pairs, dim: int) -> np.ndarray:
+_PAIRS_ERROR = "matrix entries must be [re, im] pairs of numbers"
+
+
+def matrix_from_pairs(pairs, rows: int, cols: int) -> np.ndarray:
+    """A ``rows x cols`` complex matrix from ``rows * cols`` row-major ``[re, im]`` pairs.
+
+    Entries must be JSON numbers: a string is refused even when it spells one,
+    and a null or an integer beyond float range is not finite.  Any bad payload
+    is a ``ValueError``.
+    """
     try:
-        flat = np.asarray(pairs, dtype=float)
-    except (TypeError, ValueError):  # a string, an object or ragged nesting
-        raise ValueError("matrix entries must be [re, im] pairs of numbers") from None
+        flat = np.asarray(pairs)
+    except ValueError:  # ragged nesting
+        raise ValueError(_PAIRS_ERROR) from None
     count = len(flat) if flat.ndim else 0
-    if count != dim * dim:
-        raise ValueError(f"matrix payload has {count} entries, expected {dim * dim}")
-    if flat.shape[1:] != (2,):
-        raise ValueError("matrix entries must be [re, im] pairs of numbers")
-    if not np.isfinite(flat).all():  # null parses as NaN
+    if count != rows * cols:
+        raise ValueError(f"matrix payload has {count} entries, expected {rows * cols}")
+    if count and flat.shape[1:] != (2,):
+        raise ValueError(_PAIRS_ERROR)
+    if flat.dtype.kind == "O":  # a null, or an integer beyond 64 bits
+        flat = np.array([_json_number(v) for v in flat.flat]).reshape(flat.shape)
+    elif flat.dtype.kind not in "biuf":
+        raise ValueError(_PAIRS_ERROR)
+    flat = flat.astype(float, copy=False)
+    if not np.isfinite(flat).all():
         raise ValueError("matrix entries must be finite; got NaN, inf or null")
-    return flat.view(complex).reshape(dim, dim)
+    return flat.view(complex).reshape(rows, cols)
+
+
+def _json_number(v) -> float:
+    """A decoded JSON entry as a float: null reads as NaN, an integer beyond float range as inf."""
+    if v is None:
+        return math.nan
+    if not isinstance(v, (int, float)):
+        raise ValueError(_PAIRS_ERROR)
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf

@@ -218,25 +218,14 @@ class GradedOperator:
         return out
 
     def interior_verdict(self, interior) -> PsdVerdict:
-        """PSD verdict of the Hermitian part on ``interior_grades()``, from one ``to_dense``.
+        """PSD verdict of the Hermitian part on ``interior_grades()``: one ``to_dense``, one spectrum.
 
-        A grade-coupling operator takes one ``eigvalsh`` of the whole interior.
-        A grade-diagonal one is block-diagonal, so its spectrum is the union of
-        the grade spectra: a diagonal grade block gives its real diagonal, any
-        other grade block its own ``eigvalsh``.
+        A diagonal interior (the Beurling defect of every structured subspace)
+        is its own spectrum; anything else takes one ``eigvalsh``.
         """
-        dense = self.to_dense(interior)
-        gset = set(interior)
-        if any(src != dst and src in gset and dst in gset for src, dst in self.blocks):
-            return psd_verdict(np.linalg.eigvalsh(herm(dense)))
-        parts, pos = [], 0
-        for q in interior:
-            end = pos + self.trunc.dim(q)
-            b = herm(dense[pos:end, pos:end])
-            diag = b.diagonal()
-            parts.append(diag.real if np.count_nonzero(b) == np.count_nonzero(diag) else np.linalg.eigvalsh(b))
-            pos = end
-        return psd_verdict(np.sort(np.concatenate(parts or [np.zeros(0)])))
+        h = herm(self.to_dense(interior))
+        d = h.diagonal()
+        return psd_verdict(np.sort(d.real) if np.count_nonzero(h) == np.count_nonzero(d) else np.linalg.eigvalsh(h))
 
     def min_eig_interior(self) -> float:
         """Smallest eigenvalue of the Hermitian part on the interior grades (test oracle)."""

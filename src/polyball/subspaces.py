@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .basis import Shape, iter_grades, word_rank
-from .cp import DENSE_GUARD, OperatorTuple, max_spectral_norm
+from .cp import DENSE_GUARD, OperatorTuple, matrix_from_pairs, matrix_to_pairs, max_spectral_norm
 from .curvature import CurvEstimate, _grade_table, _summary, subspace_curvature
 from .fock import (
     FockTruncation,
@@ -588,9 +588,8 @@ class BeurlingVerdict:
 def beurling_check(sub: GradedSubspace) -> BeurlingVerdict:
     """PSD test of the defect of the range projection under the universal shifts.
 
-    A graded subspace gives a grade-diagonal defect, read one grade spectrum at a
-    time (its diagonal, for a structured subspace); a span-mode one couples
-    grades and takes one spectrum of the whole interior.
+    A structured subspace gives a diagonal defect, whose diagonal is its
+    spectrum; basis and span mode take one ``eigvalsh`` of the whole interior.
     """
     p_m = sub.projection()
     d = defect_shift(p_m)
@@ -704,13 +703,12 @@ def subspace_to_json(sub: GradedSubspace) -> str:
         return json.dumps(head | {"mode": "structured", "kind": sub.kind, "params": sub.params})
     if sub.mode == "basis":
         grades = [
-            {"q": list(q), "basis": [[float(v.real), float(v.imag)] for v in b.reshape(-1)],
-             "cols": b.shape[1]}
+            {"q": list(q), "basis": matrix_to_pairs(b), "cols": b.shape[1]}
             for q, b in sorted(sub.grade_bases.items())
             if b.shape[1]
         ]
         return json.dumps(head | {"mode": "basis", "grades": grades})
-    vecs = [[[float(v.real), float(v.imag)] for v in col] for col in sub.columns.T]
+    vecs = [matrix_to_pairs(col) for col in sub.columns.T]
     return json.dumps(head | {"mode": "span", "vectors": vecs})
 
 
@@ -727,15 +725,10 @@ def subspace_from_json(text: str) -> GradedSubspace:
         bases = {}
         for entry in data["grades"]:
             q = tuple(int(v) for v in entry["q"])
-            cols = int(entry["cols"])
-            flat = np.array([complex(re, im) for re, im in entry["basis"]])
-            bases[q] = flat.reshape(ft.dim(q), cols)
+            bases[q] = matrix_from_pairs(entry["basis"], ft.dim(q), int(entry["cols"]))
         sub = GradedSubspace(ft, "basis", grade_bases=bases)
     else:
-        cols = np.stack(
-            [np.array([complex(re, im) for re, im in col]) for col in data["vectors"]], axis=1
-        )
-        sub = span_subspace(ft, cols)
+        sub = span_subspace(ft, np.hstack([matrix_from_pairs(col, ft.total_dim, 1) for col in data["vectors"]]))
     if sub.gram_residual() > GRAM_TOL:
         raise ValueError("loaded basis is not orthonormal")
     resid = sub.certify_invariance()

@@ -65,20 +65,21 @@ def test_kernel_isometry_defect_below_tail_bound():
 
 
 @pytest.fixture
-def power_calls(monkeypatch):
-    """Number of ``cp_apply_power`` calls made by the kernel code."""
-    calls = [0]
+def powers(monkeypatch):
+    """The power of every ``cp_apply_power`` call made by the kernel code."""
+    seen = []
     power = berezin.cp_apply_power
 
-    def counting(*args, **kwargs):
-        calls[0] += 1
-        return power(*args, **kwargs)
+    def recording(t, i, y, q):
+        seen.append(q)
+        return power(t, i, y, q)
 
-    monkeypatch.setattr(berezin, "cp_apply_power", counting)
-    return calls
+    monkeypatch.setattr(berezin, "cp_apply_power", recording)
+    return seen
 
 
-def test_tail_bound_is_computed_only_where_reported(power_calls, tmp_path):
+def test_tail_bound_is_computed_only_where_reported(powers, tmp_path):
+    # the tail bound is the only caller of power cap + 1 = 5; the identities stop at qmax 3
     t = compression_tuple(construct_mt(construct_nadic(2, 0.5), 4))
     t_path, theta_path, out = tmp_path / "t.json", tmp_path / "theta.json", tmp_path / "out.json"
     t_path.write_text(tuple_to_json(t))
@@ -88,16 +89,16 @@ def test_tail_bound_is_computed_only_where_reported(power_calls, tmp_path):
         ["check", "index", "--input", str(t_path), "--theta", str(theta_path), "--caps", "4"],
     ):
         assert main(argv + ["--out", str(out)]) == 0, argv
-    assert power_calls[0] == 0
+    assert powers == []
     assert main(["check", "connection", "--input", str(t_path), "--caps", "4", "--qmax", "3", "--out", str(out)]) == 0
-    assert power_calls[0] > 0
+    assert powers.count(5) == 1 and max(powers) == 5
     assert json.loads(out.read_text())["tail_bound"] == berezin_kernel(t, (4,)).tail_bound
 
 
-def test_constrained_kernel_shares_the_word_tail_bound(power_calls):
+def test_constrained_kernel_shares_the_word_tail_bound(powers):
     t = commuting_tuple(np.random.default_rng(41), 2, 3, 0.7)
     kb = constrained_berezin(t, (4,))
-    assert power_calls[0] == 0
+    assert powers == []
     assert kb.tail_bound == berezin_kernel(t, (4,)).tail_bound > 0
 
 

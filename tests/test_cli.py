@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from polyball.berezin import multiplier_from_json
 from polyball.cli import main
 from polyball.cp import tuple_to_json
 from polyball.subspaces import (
@@ -244,12 +245,47 @@ def test_check_intertwine_with_one_cap_zero_is_invalid_input(tmp_path, capsys):
         ({"n": [1], "dimH": 1, "factors": [[[[None, 0.0]]]]}, "null"),
         ({"n": [1], "dimH": 1, "factors": [[[[0.5, 0.0, 0.0]]]]}, "pairs of numbers"),
         ({"n": [1], "dimH": 1, "factors": [[[[0.5]]]]}, "pairs of numbers"),
+        ({"n": [1], "dimH": 1, "factors": [[[["1.5", 0.0]]]]}, "pairs of numbers"),
+        ({"n": [1], "dimH": 1, "factors": [[[[10**400, 0.0]]]]}, "finite"),
     ],
 )
 def test_degenerate_tuple_is_invalid_input(payload, reason, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
     code, out, err = run(["curv", "--input", str(path), "--qmax", "3"], capsys)
+    assert code == 1 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "invalid-input"
+    assert reason in report["reason"]
+
+
+def basis_payload(entry):
+    grades = [{"q": [q], "basis": [entry], "cols": 1} for q in (1, 2)]
+    return {"model": "full", "n": [1], "caps": [2], "dimE": 1, "mode": "basis", "grades": grades}
+
+
+def span_payload(entry):
+    return {"model": "full", "n": [1], "caps": [2], "dimE": 1, "mode": "span",
+            "vectors": [[[0.0, 0.0], entry, [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]]}
+
+
+def multiplier_payload(entry):
+    return {"model": "full", "n": [1], "dim_source": 1, "dim_target": 1, "isometric": True,
+            "blocks": [{"degree": [1], "coeffs": [[entry]]}]}
+
+
+@pytest.mark.parametrize("payload", [basis_payload, span_payload, multiplier_payload])
+@pytest.mark.parametrize("entry, reason", [(["1.0", 0.0], "pairs of numbers"), ([None, 0.0], "finite")])
+def test_every_matrix_loader_refuses_what_the_tuple_loader_refuses(payload, entry, reason, scalar_file,
+                                                                   tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    if payload is multiplier_payload:
+        argv = ["check", "index", "--input", scalar_file, "--theta", str(path), "--caps", "3"]
+    else:
+        argv = ["mult", "--input", str(path), "--qmax", "1"]
+    (multiplier_from_json if payload is multiplier_payload else subspace_from_json)(json.dumps(payload([1.0, 0.0])))
+    path.write_text(json.dumps(payload(entry)))
+    code, out, err = run(argv, capsys)
     assert code == 1 and out == ""
     report = json.loads(err)
     assert report["error"] == "invalid-input"

@@ -125,7 +125,7 @@ def test_char_function_densifies_once_without_svd(counted):
     assert counted == {"to_dense": 1, "norm_interior": 0, "svd": 0}
 
 
-# -- grade by grade: a grade-diagonal defect reads one spectrum per grade ------------
+# -- a diagonal interior is its own spectrum ------------------------------------------
 
 
 def as_basis_mode(sub):
@@ -146,7 +146,7 @@ def graded_cases():
 
 
 @pytest.mark.parametrize("name", ["mt", "coordinate-multiple", "basis-tensor", "finite-codim"])
-def test_grade_spectra_match_dense_oracles(name):
+def test_interior_verdict_matches_dense_oracles(name):
     sub = graded_cases()[name]
     d = defect_shift(sub.projection())
     v = d.interior_verdict(d.interior_grades())
@@ -190,7 +190,7 @@ BASIS_SHAPES = [((2,), (4,), 1), ((1, 1), (3, 3), 1), ((2, 1), (2, 3), 1), ((1, 
     invariant=st.booleans(),
     fill=st.sampled_from([0.0, 0.2, 0.5, 1.0]),
 )
-def test_grade_spectra_match_whole_interior_on_random_basis_subspaces(shape, seed, invariant, fill):
+def test_interior_verdict_matches_whole_interior_on_random_basis_subspaces(shape, seed, invariant, fill):
     n, caps, cd = shape
     ft = FockTruncation(Shape(n, caps=caps), coeff_dim=cd)
     sub = random_basis_subspace(ft, np.random.default_rng(seed), invariant, fill)
@@ -222,22 +222,12 @@ def interior_dims(sub):
     return [d.trunc.dim(q) for q in d.interior_grades()]
 
 
-def test_graded_beurling_test_takes_no_whole_interior_spectrum(eigvalsh_sizes):
+def test_structured_beurling_test_takes_no_eigvalsh(eigvalsh_sizes):
     sub = uncountable_family(0.3, 0.75, (4, 4))
-    largest = max(interior_dims(sub))
+    assert max(interior_dims(sub)) > 1
     eigvalsh_sizes.clear()
     assert beurling_check(sub).positive
-    assert max(eigvalsh_sizes, default=0) <= largest
-
-
-def test_rotated_basis_beurling_test_takes_one_spectrum_per_grade(eigvalsh_sizes):
-    sub = tensor_subspace([random_basis_subspace(FockTruncation(Shape((2,), caps=(4,))),
-                                                 np.random.default_rng(5), True, 0.3),
-                           cur0_subspace(2, 4)])
-    dims = interior_dims(sub)
-    eigvalsh_sizes.clear()
-    beurling_check(sub)
-    assert eigvalsh_sizes and max(eigvalsh_sizes) <= max(dims) < sum(dims)
+    assert eigvalsh_sizes == []
 
 
 def test_span_beurling_test_takes_one_whole_interior_spectrum(eigvalsh_sizes):

@@ -39,8 +39,6 @@ from .cp import (
 from .fock import (
     FockTruncation,
     GradedOperator,
-    _expand_indices,
-    _expand_weights,
     bump,
     defect_shift,
     last_step,
@@ -105,17 +103,21 @@ class BerezinKernel:
         return GradedOperator(ft, blocks)
 
 
-def berezin_kernel(t: OperatorTuple, caps: tuple[int, ...]) -> BerezinKernel:
+def berezin_kernel(t: OperatorTuple, caps: tuple[int, ...], model: str = "full") -> BerezinKernel:
     """Assemble the kernel grade by grade from its vacuum row through the shift intertwining.
 
     The vacuum block is ``D^{1/2}`` on the defect range.  Grade ``q`` follows
     from grade ``q - e_i`` (``i`` the last factor with ``q_i > 0``) by
     ``K T_{i,j}^* = (S_{i,j}^* (x) I) K``: the ``S_{i,j}`` target rows of grade
     ``q`` are ``(K_{q - e_i} T_{i,j}^*) / w`` with the shift weights ``w``.
+    The same recursion serves both models on the truncation of ``model``; in
+    the symmetric model (a commutative tuple, see
+    ``symmetric.constrained_berezin``) a monomial reached by several letters
+    takes the rows of the last one.
     """
     require_membership(t)
     dd = defect_data(t)
-    ft = FockTruncation(t.shape.with_caps(caps), coeff_dim=dd.rank)
+    ft = truncation_for(model, t.shape.with_caps(caps), dd.rank)
     blocks: dict[tuple[int, ...], np.ndarray] = {}
     for q in ft.grades:
         if not any(q):
@@ -124,11 +126,11 @@ def berezin_kernel(t: OperatorTuple, caps: tuple[int, ...]) -> BerezinKernel:
         i, src = last_step(q)
         block = np.zeros((ft.dim(q), t.dimH), dtype=complex)
         for j in range(1, t.shape.n[i] + 1):
-            tgt, w = ft.shift_data(i, j, src)
+            targets, w, _ = ft.shift(i, j, src)
             # product first, then the division: exact rows stay exact
             rows = blocks[src] @ t.entry(i, j).conj().T
-            rows /= _expand_weights(w, dd.rank)[:, None]
-            block[_expand_indices(tgt, dd.rank)] = rows
+            rows /= w[:, None]
+            block[targets] = rows
             del rows  # one product alive at a time
         blocks[q] = block
     return BerezinKernel(t, ft, blocks, dd)
@@ -143,7 +145,6 @@ def verify_intertwining(kb: BerezinKernel) -> float:
     """
     ft = kb.truncation
     t = kb.op
-    cd = ft.coeff_dim
     if 0 in ft.shape.caps:
         raise ValueError(f"caps {ft.shape.caps} leave a factor with no grade pair to test; "
                          "every cap must be >= 1")
@@ -155,9 +156,9 @@ def verify_intertwining(kb: BerezinKernel) -> float:
                 if not ft.has_grade(up):
                     continue
                 resid = kb.blocks[q] @ t.entry(i, j).conj().T
-                tgt, w = ft.shift_data(i, j, q)
-                rhs = kb.blocks[up][_expand_indices(tgt, cd)]
-                rhs *= _expand_weights(w, cd)[:, None]
+                targets, w, _ = ft.shift(i, j, q)
+                rhs = kb.blocks[up][targets]
+                rhs *= w[:, None]
                 resid -= rhs
                 del rhs  # one residual-sized temporary at a time
                 worst = max(worst, float(spectral_norms(resid)))
@@ -197,7 +198,8 @@ def curvature_operator_trace(kb: BerezinKernel, q: tuple[int, ...]) -> TraceChec
     product.  The creation operators map basis vectors to weighted basis
     vectors, injectively for each letter, so ``id - Phi_i`` acts on those
     diagonals by scattering squared shift weights; both models differ only in
-    the ``shift_data`` weights.
+    the ``shift_data`` weights.  The squares are the exact ratios, never a
+    rounded square root squared.
     """
     ft = kb.truncation
     caps = ft.shape.caps
@@ -206,7 +208,6 @@ def curvature_operator_trace(kb: BerezinKernel, q: tuple[int, ...]) -> TraceChec
     if any(qi > c - 1 for qi, c in zip(q, caps)):
         raise ValueError(f"grade {q} needs one interior grade of margin below caps {caps}")
     lattice = list(iter_grades(q))
-    cd = ft.coeff_dim
     diag = {s: np.einsum("rh,rh->r", kb.blocks[s], kb.blocks[s].conj()).real for s in lattice}
     for i in range(ft.shape.k):
         nxt = {}
@@ -218,9 +219,8 @@ def curvature_operator_trace(kb: BerezinKernel, q: tuple[int, ...]) -> TraceChec
             # sum every letter first, subtract once: keeps exact values such as 1.0 exact
             shifted = np.zeros(ft.dim(s))
             for j in range(1, ft.shape.n[i] + 1):
-                tgt, w = ft.shift_data(i, j, src)
-                w = _expand_weights(w, cd)
-                shifted[_expand_indices(tgt, cd)] += (w * diag[src]) * w
+                targets, _, squares = ft.shift(i, j, src)
+                shifted[targets] += squares * diag[src]
             nxt[s] = diag[s] - shifted
         diag = nxt
     value = 0.0
@@ -278,10 +278,9 @@ class InnerMultiplier:
                 prev = blocks[(s0, t0)]
                 block = np.zeros((dst.dim(tgrade), src.dim(s)), dtype=complex)
                 for j in range(1, shape.n[i] + 1):
-                    tgt_s, w_s = src.shift_data(i, j, s0)
-                    tgt_t, w_t = dst.shift_data(i, j, t0)
-                    rows, cols = np.ix_(_expand_indices(tgt_t, dt), _expand_indices(tgt_s, ds))
-                    block[rows, cols] = (_expand_weights(w_t, dt)[:, None] * prev) / _expand_weights(w_s, ds)
+                    cols, w_s, _ = src.shift(i, j, s0)
+                    rows, w_t, _ = dst.shift(i, j, t0)
+                    block[np.ix_(rows, cols)] = (w_t[:, None] * prev) / w_s
                 blocks[(s, tgrade)] = block
         return blocks
 
@@ -304,7 +303,7 @@ def _basis_norms(ft: FockTruncation, q: tuple[int, ...]) -> np.ndarray:
         i, p0 = last_step(p)
         v = np.empty(ft.word_dim(p))
         for j in range(1, ft.shape.n[i] + 1):
-            tgt, w = ft.shift_data(i, j, p0)
+            tgt, w, _ = ft.shift_data(i, j, p0)
             v[tgt] = norms[p0] * w
         norms[p] = v
     return norms[q]
@@ -342,10 +341,10 @@ def _validate_blocks(theta: InnerMultiplier, blocks: dict, caps: tuple[int, ...]
             resid = np.empty((shape.n[i], dst_ft.dim(t_up), src_ft.dim(s)), dtype=complex)
             for j in range(1, shape.n[i] + 1):
                 # Theta S_{i,j} minus S_{i,j} Theta on source grade s, as shifted index maps
-                tgt_s, w_s = src_ft.shift_data(i, j, s)
-                resid[j - 1] = up_block[:, _expand_indices(tgt_s, ds)] * _expand_weights(w_s, ds)
-                tgt_t, w_t = dst_ft.shift_data(i, j, tgrade)
-                resid[j - 1][_expand_indices(tgt_t, dt)] -= _expand_weights(w_t, dt)[:, None] * b
+                cols, w_s, _ = src_ft.shift(i, j, s)
+                resid[j - 1] = up_block[:, cols] * w_s
+                rows, w_t, _ = dst_ft.shift(i, j, tgrade)
+                resid[j - 1][rows] -= w_t[:, None] * b
             worst = max(worst, float(spectral_norms(resid).max()))
     if worst > MULTIPLIER_TOL:
         raise ValueError(f"multiplier does not intertwine the shifts (residual {worst:.3e})")

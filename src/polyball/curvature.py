@@ -225,6 +225,48 @@ def _aitken(seq: list[float]) -> float | None:
     return x2 - (x2 - x1) ** 2 / denom
 
 
+def _occupation(sub, q_max: int) -> dict:
+    """``y_q = trace[P_M (P_q (x) I)] / trace[P_q]`` on the box ``q <= (q_max,...,q_max)``.
+
+    Exact ``Fraction``s while every grade so far has an exact count, floats
+    from the first grade that has none.
+    """
+    ft = sub.truncation
+    caps = ft.shape.require_caps()
+    if q_max < 0:
+        raise ValueError(f"q_max must be >= 0, got {q_max}")
+    if any(q_max > c for c in caps):
+        raise ValueError(f"q_max={q_max} exceeds caps {caps}")
+    out: dict = {}
+    countable = True
+    for q in iter_grades((q_max,) * ft.shape.k):
+        te = sub.grade_trace_exact(q) if countable else None
+        countable = te is not None
+        out[q] = Fraction(te, ft.word_dim(q)) if countable else sub.grade_trace(q) / ft.word_dim(q)
+    return out
+
+
+def _ratio_table(values: dict) -> tuple[GradeTable, dict | None]:
+    """The grade table of per-grade ratios on a box, and the ratios themselves when all are exact."""
+    corner = next(reversed(values))
+    table = _grade_table(np.reshape([float(v) for v in values.values()], tuple(c + 1 for c in corner)))
+    return table, (values if all(isinstance(v, Fraction) for v in values.values()) else None)
+
+
+def _complement_curvature(sub, occupation: dict) -> CurvEstimate:
+    """``x_q = dim E - y_q`` from the occupation ratios ``y_q`` of ``_occupation``."""
+    dim_e = sub.truncation.coeff_dim
+    table, exact = _ratio_table({q: dim_e - y for q, y in occupation.items()})
+    frac_limit = sub.fraction_limit()
+    return CurvEstimate(
+        **_summary(sub.truncation.shape.n, table),
+        defect_product_seq=[],
+        monotone_ok=_check_monotone(table.array),
+        exact_values=exact,
+        exact_limit=None if frac_limit is None else dim_e - frac_limit,
+    )
+
+
 def subspace_curvature(sub, q_max: int) -> CurvEstimate:
     """Curvature of the compression to the orthocomplement, from per-grade counts.
 
@@ -233,33 +275,7 @@ def subspace_curvature(sub, q_max: int) -> CurvEstimate:
     Exact rational values are carried alongside floats when the subspace
     supports exact counting.
     """
-    ft = sub.truncation
-    caps = ft.shape.require_caps()
-    if any(q_max > c for c in caps):
-        raise ValueError(f"q_max={q_max} exceeds caps {caps}")
-    dim_e = ft.coeff_dim
-    k = ft.shape.k
-    exact: dict[tuple[int, ...], Fraction] | None = {}
-    values: list[float] = []
-    for q in iter_grades((q_max,) * k):
-        gd = ft.word_dim(q)
-        t_exact = sub.grade_trace_exact(q)
-        if t_exact is None or exact is None:
-            exact = None
-            values.append(dim_e - sub.grade_trace(q) / gd)
-        else:
-            frac = dim_e - Fraction(t_exact, gd)
-            exact[q] = frac
-            values.append(float(frac))
-    table = _grade_table(np.reshape(values, (q_max + 1,) * k))
-    frac_limit = sub.fraction_limit()
-    return CurvEstimate(
-        **_summary(ft.shape.n, table),
-        defect_product_seq=[],
-        monotone_ok=_check_monotone(table.array),
-        exact_values=exact,
-        exact_limit=None if frac_limit is None else dim_e - frac_limit,
-    )
+    return _complement_curvature(sub, _occupation(sub, q_max))
 
 
 @dataclass(frozen=True)

@@ -70,8 +70,10 @@ class FockTruncation:
     def shift_data(self, i: int, j: int, q: tuple[int, ...]):
         """Word-level action of the factor-``i`` letter-``j`` creation operator on grade ``q``.
 
-        Returns ``(targets, weights)``: source word ``s`` of grade ``q`` maps to
-        ``weights[s]`` times target word ``targets[s]`` of grade ``q + e_i``.
+        Returns ``(targets, weights, squares)``: source word ``s`` of grade ``q``
+        maps to ``weights[s]`` times target word ``targets[s]`` of grade
+        ``q + e_i``, and ``squares[s]`` is ``weights[s]**2`` without rounding a
+        square root.  Word-model weights are all 1.
         """
         dims = tuple(self.shape.n[l] ** q[l] for l in range(self.shape.k))
         ranks = np.unravel_index(np.arange(self.word_dim(q)), dims)
@@ -79,7 +81,26 @@ class FockTruncation:
         new_ranks = list(ranks)
         new_ranks[i] = (j - 1) * dims[i] + ranks[i]
         targets = np.ravel_multi_index(tuple(new_ranks), new_dims)
-        return targets, np.ones(self.word_dim(q))
+        ones = np.ones(self.word_dim(q))
+        return targets, ones, ones
+
+    def coeff_rows(self, words: np.ndarray) -> np.ndarray:
+        """Rows of a grade holding the given word (or monomial) indices, in the same order.
+
+        Word ``w`` with coefficient ``c`` sits at row ``w * coeff_dim + c``.
+        """
+        return (words[:, None] * self.coeff_dim + np.arange(self.coeff_dim)).reshape(-1)
+
+    def shift(self, i: int, j: int, q: tuple[int, ...]):
+        """``shift_data`` expanded over the coefficient space: ``(rows, weights, squares)``.
+
+        Row ``r`` of grade ``q`` maps to ``weights[r]`` times row ``rows[r]`` of
+        grade ``q + e_i``; every scatter of a shift goes through here.
+        """
+        targets, weights, squares = self.shift_data(i, j, q)
+        w = np.repeat(weights, self.coeff_dim)
+        # word-model weights are their own squares: one expanded array serves both
+        return self.coeff_rows(targets), w, (w if squares is weights else np.repeat(squares, self.coeff_dim))
 
 
 def require_model(model: str) -> str:
@@ -102,14 +123,6 @@ def last_step(q: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """``(i, q - e_i)``, ``i`` the last factor with ``q_i > 0``: the grade recursions build ``q`` from."""
     i = max(l for l, v in enumerate(q) if v)
     return i, bump(q, i, -1)
-
-
-def _expand_indices(idx: np.ndarray, cd: int) -> np.ndarray:
-    return (idx[:, None] * cd + np.arange(cd)[None, :]).reshape(-1)
-
-
-def _expand_weights(w: np.ndarray, cd: int) -> np.ndarray:
-    return np.repeat(w, cd)
 
 
 def bump(q: tuple[int, ...], i: int, by: int = 1) -> tuple[int, ...]:
@@ -243,17 +256,14 @@ def creation_op(ft: FockTruncation, i: int, j: int) -> GradedOperator:
     """Creation operator of factor ``i``, letter ``j``, tensored with the coefficient identity."""
     if not 1 <= j <= ft.shape.n[i]:
         raise ValueError(f"letter {j} out of range for factor {i}")
-    cd = ft.coeff_dim
     blocks = {}
     for q in ft.grades:
         up = bump(q, i)
         if not ft.has_grade(up):
             continue
-        tgt, w = ft.shift_data(i, j, q)
+        rows, w, _ = ft.shift(i, j, q)
         b = np.zeros((ft.dim(up), ft.dim(q)), dtype=complex)
-        rows = _expand_indices(tgt, cd)
-        cols = np.arange(ft.dim(q))
-        b[rows, cols] = _expand_weights(w, cd)
+        b[rows, np.arange(ft.dim(q))] = w
         blocks[(q, up)] = b
     return GradedOperator(ft, blocks)
 
@@ -296,26 +306,25 @@ def apply_cp_shift(y: GradedOperator, i: int) -> GradedOperator:
 
     Block support moves up by one grade in factor ``i``; blocks that would
     cross the caps are dropped, so the interior margin grows by one there.
+    Each letter's shift map is fetched once per grade, not once per block.
     """
     ft = y.trunc
-    cd = ft.coeff_dim
-    n_i = ft.shape.n[i]
+    letters = range(1, ft.shape.n[i] + 1)
+    pairs = [key for key in y.blocks if all(ft.has_grade(bump(q, i)) for q in key)]
+    grades = dict.fromkeys(q for key in pairs for q in key)
+    maps = {(j, q): ft.shift(i, j, q) for q in grades for j in letters}
     blocks: dict = {}
-    for (src, dst), b in y.blocks.items():
+    for src, dst in pairs:
+        b = y.blocks[(src, dst)]
         up_s, up_d = bump(src, i), bump(dst, i)
-        if not (ft.has_grade(up_s) and ft.has_grade(up_d)):
-            continue
         out = blocks.get((up_s, up_d))
         if out is None:
             out = np.zeros((ft.dim(up_d), ft.dim(up_s)), dtype=complex)
             blocks[(up_s, up_d)] = out
-        for j in range(1, n_i + 1):
-            tgt_c, w_c = ft.shift_data(i, j, src)
-            tgt_r, w_r = ft.shift_data(i, j, dst)
-            rows = _expand_indices(tgt_r, cd)
-            cols = _expand_indices(tgt_c, cd)
-            scaled = (_expand_weights(w_r, cd)[:, None] * b) * _expand_weights(w_c, cd)[None, :]
-            out[np.ix_(rows, cols)] += scaled
+        for j in letters:
+            cols, w_c, _ = maps[(j, src)]
+            rows, w_r, _ = maps[(j, dst)]
+            out[np.ix_(rows, cols)] += (w_r[:, None] * b) * w_c[None, :]
     margin = tuple(m + (1 if l == i else 0) for l, m in enumerate(y.margin))
     return GradedOperator(ft, blocks, margin)
 

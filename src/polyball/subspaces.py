@@ -26,14 +26,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .basis import Shape, iter_grades, word_rank
+from .basis import Shape, word_rank
 from .cp import DENSE_GUARD, OperatorTuple, matrix_from_pairs, matrix_to_pairs, max_spectral_norm
-from .curvature import CurvEstimate, _grade_table, _summary, subspace_curvature
+from .curvature import CurvEstimate, _complement_curvature, _occupation, _ratio_table, _summary
 from .fock import (
     FockTruncation,
     GradedOperator,
-    _expand_indices,
-    _expand_weights,
     bump,
     defect_shift,
     truncation_for,
@@ -97,10 +95,7 @@ class GradedSubspace:
         """Orthonormal basis of the grade-``q`` slice (graded modes only)."""
         ft = self.truncation
         if self.index_set_fn is not None:
-            idx = np.asarray(self.index_set_fn(q), dtype=int)
-            b = np.zeros((ft.dim(q), len(idx)), dtype=complex)
-            b[idx, np.arange(len(idx))] = 1.0
-            return b
+            return _coordinate_basis(ft.dim(q), np.asarray(self.index_set_fn(q), dtype=int))
         if self.grade_bases is not None:
             b = self.grade_bases.get(q)
             return b if b is not None else np.zeros((ft.dim(q), 0), dtype=complex)
@@ -109,11 +104,9 @@ class GradedSubspace:
     def complement_grade_basis(self, q) -> np.ndarray:
         ft = self.truncation
         if self.index_set_fn is not None:
-            inside = set(int(v) for v in self.index_set_fn(q))
-            idx = np.array([v for v in range(ft.dim(q)) if v not in inside], dtype=int)
-            b = np.zeros((ft.dim(q), len(idx)), dtype=complex)
-            b[idx, np.arange(len(idx))] = 1.0
-            return b
+            outside = np.ones(ft.dim(q), dtype=bool)
+            outside[np.asarray(self.index_set_fn(q), dtype=int)] = False
+            return _coordinate_basis(ft.dim(q), np.flatnonzero(outside))
         if self.grade_bases is not None:
             return _orthogonal_complement(self.grade_basis(q))
         raise ValueError("a span-mode subspace has no per-grade complement")
@@ -188,9 +181,21 @@ class GradedSubspace:
                 if not ft.has_grade(up):
                     continue
                 b_up = self.grade_basis(up)
-                shifted = (_apply_shift_block(ft, i, j, q, b) for j in range(1, ft.shape.n[i] + 1))
-                worst = max(worst, max_spectral_norm(v - b_up @ (b_up.conj().T @ v) for v in shifted))
+                resids = []
+                for j in range(1, ft.shape.n[i] + 1):
+                    rows, w, _ = ft.shift(i, j, q)
+                    v = np.zeros((ft.dim(up), b.shape[1]), dtype=complex)
+                    v[rows] = w[:, None] * b
+                    resids.append(v - b_up @ (b_up.conj().T @ v))
+                worst = max(worst, max_spectral_norm(resids))
         return worst
+
+
+def _coordinate_basis(dim: int, idx: np.ndarray) -> np.ndarray:
+    """The columns ``idx`` of the ``dim x dim`` identity."""
+    b = np.zeros((dim, len(idx)), dtype=complex)
+    b[idx, np.arange(len(idx))] = 1.0
+    return b
 
 
 def _orthogonal_complement(b: np.ndarray) -> np.ndarray:
@@ -202,16 +207,6 @@ def _orthogonal_complement(b: np.ndarray) -> np.ndarray:
     return u[:, rank:]
 
 
-def _apply_shift_block(ft, i, j, q, block):
-    """Dense action of the factor-``i`` letter-``j`` shift on a grade-``q`` column block."""
-    up = bump(q, i)
-    tgt, w = ft.shift_data(i, j, q)
-    out = np.zeros((ft.dim(up), block.shape[1]), dtype=complex)
-    rows = _expand_indices(tgt, ft.coeff_dim)
-    out[rows, :] = _expand_weights(w, ft.coeff_dim)[:, None] * block
-    return out
-
-
 def _apply_shift_columns(ft, i, j, columns):
     """Shift acting on full-height column stacks, dropping cap-grade sources."""
     out = np.zeros_like(columns)
@@ -220,9 +215,8 @@ def _apply_shift_columns(ft, i, j, columns):
         if not ft.has_grade(up):
             continue
         src = columns[ft.offset(q) : ft.offset(q) + ft.dim(q), :]
-        tgt, w = ft.shift_data(i, j, q)
-        rows = ft.offset(up) + _expand_indices(tgt, ft.coeff_dim)
-        out[rows, :] += _expand_weights(w, ft.coeff_dim)[:, None] * src
+        rows, w, _ = ft.shift(i, j, q)
+        out[ft.offset(up) + rows, :] += w[:, None] * src
     return out
 
 
@@ -542,39 +536,19 @@ class MultiplicityEstimate:
 
 
 def multiplicity_estimate(sub: GradedSubspace, q_max: int) -> MultiplicityEstimate:
-    """Per-grade ratios ``trace[P_M (P_q (x) I)] / trace[P_q]`` and their limits.
+    """Per-grade ratios ``y_q = trace[P_M (P_q (x) I)] / trace[P_q]`` and their limits.
 
-    The complement route ``dim E - curvature per grade`` is computed alongside
-    and must agree exactly (same counts); the complement identity
-    ``y_q(M) + y_q(M perp) = dim E`` is then automatic.
+    Every grade is counted once; the compression curvature is read off the
+    same counts as ``x_q = dim E - y_q``, so the complement identity
+    ``y_q(M) + y_q(M perp) = dim E`` holds by construction.
     """
-    ft = sub.truncation
-    k = ft.shape.k
-    caps = ft.shape.require_caps()
-    if any(q_max > c for c in caps):
-        raise ValueError(f"q_max={q_max} exceeds caps {caps}")
-    dim_e = ft.coeff_dim
-    curv = subspace_curvature(sub, q_max)
-    values: list[float] = []
-    exact: dict | None = {}
-    for q in iter_grades((q_max,) * k):
-        gd = ft.word_dim(q)
-        te = sub.grade_trace_exact(q)
-        if te is None or exact is None:
-            exact = None
-            values.append(sub.grade_trace(q) / gd)
-        else:
-            frac = Fraction(te, gd)
-            exact[q] = frac
-            values.append(float(frac))
-        if curv.exact_values is not None and exact is not None:
-            if dim_e - exact[q] != curv.exact_values[q]:
-                raise RuntimeError(f"complement route mismatch at grade {q}")
+    occupation = _occupation(sub, q_max)
+    table, exact = _ratio_table(occupation)
     return MultiplicityEstimate(
-        **_summary(ft.shape.n, _grade_table(np.reshape(values, (q_max + 1,) * k))),
+        **_summary(sub.truncation.shape.n, table),
         exact_values=exact,
         exact_limit=sub.fraction_limit(),
-        curvature=curv,
+        curvature=_complement_curvature(sub, occupation),
     )
 
 

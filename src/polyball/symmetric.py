@@ -11,7 +11,10 @@ cross-check at small caps.
 ``SymFockTruncation`` is a ``FockTruncation`` that changes only the grade
 dimensions (binomial instead of ``n^q``) and the shift weights, so
 block-graded operators, kernels, subspaces and the estimator pipeline are
-shared with the word model.
+shared with the word model.  The constrained kernel of a commutative tuple is
+the word-model vacuum recursion run on this truncation; no word-model kernel
+is built.  ``shift_data`` also returns the squared weights as the exact ratios
+``(a_j + 1)/(q + 1)``, so the diagonal routes never square a rounded root.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .basis import Shape
 from .berezin import BerezinKernel, InnerMultiplier, berezin_kernel, has_characteristic_function
 from .cp import COMMUTATION_TOL, OperatorTuple, PsdVerdict, max_spectral_norm, require_membership, spectral_norms
 from .curvature import CurvEstimate, _box_sums, _check_monotone, _summary, grade_trace_table
-from .fock import FockTruncation, GradedOperator, creation_op
+from .fock import FockTruncation, GradedOperator, bump, creation_op
 from .subspaces import BeurlingVerdict, GradedSubspace, MultiplicityEstimate, beurling_check, multiplicity_estimate
 
 
@@ -82,42 +85,24 @@ class SymFockTruncation(FockTruncation):
         up = monomials(self.shape.n[i], q[i] + 1)
         up_index = {m: r for r, m in enumerate(up)}
         fac_tgt = np.empty(dims[i], dtype=int)
-        fac_w = np.empty(dims[i])
+        fac_ratio = np.empty(dims[i])
         for r, alpha in enumerate(per_factor[i]):
             bumped = tuple(a + (1 if l == j - 1 else 0) for l, a in enumerate(alpha))
             fac_tgt[r] = up_index[bumped]
-            fac_w[r] = math.sqrt((alpha[j - 1] + 1) / (q[i] + 1))
+            fac_ratio[r] = (alpha[j - 1] + 1) / (q[i] + 1)
+        # the weight is the square root of the ratio; squares read the ratio itself
+        fac_w = np.sqrt(fac_ratio)
         ranks = np.unravel_index(np.arange(self.word_dim(q)), dims)
         new_dims = tuple(len(up) if l == i else d for l, d in enumerate(dims))
         new_ranks = list(ranks)
         new_ranks[i] = fac_tgt[ranks[i]]
         targets = np.ravel_multi_index(tuple(new_ranks), new_dims)
-        return targets, fac_w[ranks[i]]
+        return targets, fac_w[ranks[i]], fac_ratio[ranks[i]]
 
 
 def b_operator(sf: SymFockTruncation, i: int, j: int) -> GradedOperator:
     """Compressed shift of factor ``i``, coordinate ``j``, as a block-graded operator."""
     return creation_op(sf, i, j)
-
-
-def embedding_matrix(n: int, q: int) -> np.ndarray:
-    """Isometry from the degree-``q`` monomial slice into the degree-``q`` word slice.
-
-    Column ``alpha`` is the normalized sum of the word vectors with content
-    ``alpha``.
-    """
-    mons = monomials(n, q)
-    index = {m: c for c, m in enumerate(mons)}
-    v = np.zeros((n**q, len(mons)), dtype=complex)
-    counts = np.zeros(len(mons))
-    for widx, word in enumerate(itertools.product(range(1, n + 1), repeat=q)):
-        content = tuple(word.count(letter) for letter in range(1, n + 1))
-        counts[index[content]] += 1
-    for widx, word in enumerate(itertools.product(range(1, n + 1), repeat=q)):
-        content = tuple(word.count(letter) for letter in range(1, n + 1))
-        c = index[content]
-        v[widx, c] = 1.0 / math.sqrt(counts[c])
-    return v
 
 
 def max_intra_commutator(t: OperatorTuple) -> float:
@@ -173,23 +158,9 @@ def curv_c_estimate(t: OperatorTuple, q_max: int, check_char_function: bool = Tr
 
 
 def constrained_berezin(t: OperatorTuple, caps: tuple[int, ...]) -> BerezinKernel:
-    """Kernel of a commutative tuple compressed grade-wise to the symmetric components."""
+    """Kernel of a commutative tuple on the symmetric truncation, built from its vacuum row."""
     require_commutative(t)
-    kb = berezin_kernel(t, caps)
-    sf = SymFockTruncation(t.shape.with_caps(caps), coeff_dim=kb.truncation.coeff_dim)
-    blocks = {}
-    for q in sf.grades:
-        v = np.array([[1.0]], dtype=complex)
-        for i in range(t.k):
-            v = np.kron(v, embedding_matrix(t.shape.n[i], q[i]))
-        full = kb.blocks[q]
-        wd = kb.truncation.word_dim(q)
-        r = kb.truncation.coeff_dim
-        folded = full.reshape(wd, r, t.dimH) if r else full.reshape(wd, 0, t.dimH)
-        blocks[q] = np.einsum("wm,wrh->mrh", v.conj(), folded).reshape(
-            sf.word_dim(q) * r, t.dimH
-        )
-    return BerezinKernel(t, sf, blocks, kb.defect)
+    return berezin_kernel(t, caps, "symmetric")
 
 
 def constrained_char_function(t: OperatorTuple, caps: tuple[int, ...]) -> PsdVerdict:
@@ -215,23 +186,15 @@ def coordinate_multiple_subspace(sf: SymFockTruncation, factor: int, var: int) -
         raise ValueError(f"variable {var} out of range for factor {factor}")
 
     def index_set(q):
-        per = [monomials(sf.shape.n[l], q[l]) for l in range(sf.shape.k)]
-        dims = tuple(len(m) for m in per)
-        keep = []
-        for a in range(sf.word_dim(q)):
-            parts = np.unravel_index(a, dims)
-            if per[factor][parts[factor]][var - 1] >= 1:
-                keep.extend(a * sf.coeff_dim + c for c in range(sf.coeff_dim))
-        return np.asarray(keep, dtype=int)
+        dims = [sym_grade_dim(sf.shape.n[l], q[l]) for l in range(sf.shape.k)]
+        divisible = np.array([alpha[var - 1] >= 1 for alpha in monomials(sf.shape.n[factor], q[factor])])
+        axis = [1] * sf.shape.k
+        axis[factor] = dims[factor]
+        return sf.coeff_rows(np.flatnonzero(np.broadcast_to(divisible.reshape(axis), dims)))
 
     def count(q):
-        if q[factor] == 0:
-            return 0
-        total = sf.coeff_dim
-        for l in range(sf.shape.k):
-            deg = q[l] - 1 if l == factor else q[l]
-            total *= sym_grade_dim(sf.shape.n[l], deg)
-        return total
+        # z_var times the monomials of degree q - e_factor
+        return sf.dim(bump(q, factor, -1)) if q[factor] else 0
 
     return GradedSubspace(
         sf,

@@ -8,17 +8,25 @@
 * ``completion_residual_pairs``: the block norms of ``K K^* + Theta Theta^* - I``
   one grade pair at a time, each by SVD; the library builds whole column slabs
   and takes their block norms from batched Gram spectra.
+* ``embedding_matrix`` and ``folded_berezin``: the symmetrization isometry
+  from monomials into words, and the symmetric kernel obtained by folding the
+  word-model kernel through it; the library builds the symmetric kernel on its
+  own truncation instead.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from functools import partial
 
 import numpy as np
 
 from polyball.basis import grade_dim
+from polyball.berezin import BerezinKernel, berezin_kernel
 from polyball.cp import OperatorTuple, cp_apply, cp_apply_power, defect_data
 from polyball.curvature import _real
+from polyball.symmetric import SymFockTruncation, monomials
 
 
 def grade_trace_table_walk(t: OperatorTuple, qmax: tuple[int, ...], word_dim=None) -> dict[tuple[int, ...], float]:
@@ -77,3 +85,39 @@ def completion_residual_pairs(kb, theta, blocks) -> float:
             expected = np.eye(ft.dim(qq)) if p == qq else np.zeros((ft.dim(qq), ft.dim(p)))
             worst = max(worst, float(np.linalg.norm(val + tt - expected, 2)))
     return worst
+
+
+def embedding_matrix(n: int, q: int) -> np.ndarray:
+    """Isometry from the degree-``q`` monomial slice into the degree-``q`` word slice.
+
+    Column ``alpha`` is the normalized sum of the word vectors with content
+    ``alpha``.
+    """
+    mons = monomials(n, q)
+    index = {m: c for c, m in enumerate(mons)}
+    contents = [index[tuple(word.count(letter) for letter in range(1, n + 1))]
+                for word in itertools.product(range(1, n + 1), repeat=q)]
+    counts = np.bincount(contents, minlength=len(mons))
+    v = np.zeros((n**q, len(mons)), dtype=complex)
+    for widx, c in enumerate(contents):
+        v[widx, c] = 1.0 / math.sqrt(counts[c])
+    return v
+
+
+def folded_berezin(t: OperatorTuple, caps: tuple[int, ...]) -> BerezinKernel:
+    """Symmetric kernel of a commutative tuple as ``V^*`` applied to the word kernel, grade by grade.
+
+    ``V`` is the tensor product of the ``embedding_matrix`` isometries of the
+    factors, acting on the word index with the coefficient index untouched.
+    """
+    kb = berezin_kernel(t, caps)
+    r = kb.truncation.coeff_dim
+    sf = SymFockTruncation(kb.truncation.shape, coeff_dim=r)
+    blocks = {}
+    for q in sf.grades:
+        v = np.array([[1.0]], dtype=complex)
+        for i in range(t.k):
+            v = np.kron(v, embedding_matrix(t.shape.n[i], q[i]))
+        folded = kb.blocks[q].reshape(kb.truncation.word_dim(q), r, t.dimH)
+        blocks[q] = np.einsum("wm,wrh->mrh", v.conj(), folded).reshape(sf.dim(q), t.dimH)
+    return BerezinKernel(t, sf, blocks, kb.defect)

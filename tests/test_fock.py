@@ -1,8 +1,11 @@
+import ast
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from polyball import fock
 from polyball.basis import Shape, grade_dim, iter_grades
 from polyball.fock import (
     FockTruncation,
@@ -16,6 +19,9 @@ from polyball.fock import (
     total_degree_projection,
     vacuum_projection,
 )
+from polyball.symmetric import SymFockTruncation
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "polyball"
 
 
 def ft_small(n=(2, 2), caps=(3, 3), cd=1):
@@ -174,3 +180,47 @@ def test_margin_tracking():
     assert y2.margin == (1, 1)
     assert (y1 + y2).margin == (1, 1)
     assert set(y2.interior_grades()) == {q for q in ft.grades if q[0] <= 2 and q[1] <= 2}
+
+
+def test_apply_cp_shift_fetches_each_shift_map_once(monkeypatch):
+    sf = SymFockTruncation(Shape((2, 3), caps=(2, 2)), coeff_dim=2)
+    rng = np.random.default_rng(5)
+    y = GradedOperator(sf, {(p, q): rng.standard_normal((sf.dim(q), sf.dim(p))) + 0j
+                            for p in sf.grades for q in sf.grades})
+    keys = []
+    shift_data = SymFockTruncation.shift_data
+    monkeypatch.setattr(SymFockTruncation, "shift_data",
+                        lambda self, i, j, q: keys.append((i, j, q)) or shift_data(self, i, j, q))
+    repeats = []
+
+    def recorded(y, i):
+        keys.clear()
+        out = apply_cp_shift(y, i)
+        repeats.append(len(keys) - len(set(keys)))
+        return out
+
+    monkeypatch.setattr(fock, "apply_cp_shift", recorded)
+    fock.defect_shift(y)
+    assert repeats == [0, 0]
+
+
+def _private_fock_imports(tree):
+    """Underscore names a parsed module imports from ``fock``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "fock":
+            yield from (alias.name for alias in node.names if alias.name.startswith("_"))
+
+
+def test_no_module_imports_a_private_fock_name():
+    # the coefficient layout lives behind ``FockTruncation.shift`` and ``coeff_rows``
+    found = {
+        path.name: names
+        for path in sorted(SRC.glob("*.py"))
+        if (names := list(_private_fock_imports(ast.parse(path.read_text()))))
+    }
+    assert found == {}
+
+
+def test_private_import_scan_sees_both_spellings():
+    tree = ast.parse("from .fock import _a, b\nfrom polyball.fock import _c\nfrom .cp import _d\n")
+    assert list(_private_fock_imports(tree)) == ["_a", "_c"]

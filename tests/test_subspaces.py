@@ -162,6 +162,18 @@ def test_multiplicity_full_space():
     assert est.exact_limit == 3
 
 
+@pytest.mark.parametrize("sub", [cur0_subspace(2, cap=5), bidisc_difference_subspace((4, 4))])
+def test_multiplicity_counts_each_grade_once(sub, monkeypatch):
+    counted = []
+    exact = GradedSubspace.grade_trace_exact
+    monkeypatch.setattr(GradedSubspace, "grade_trace_exact", lambda self, q: counted.append(q) or exact(self, q))
+    est = multiplicity_estimate(sub, 4)
+    if sub.mode == "structured":
+        assert sorted(counted) == sorted(est.grade_values)
+    dim_e = sub.truncation.coeff_dim
+    assert est.curvature.grade_values == {q: dim_e - y for q, y in est.grade_values.items()}
+
+
 def test_multiplicity_polydisc_monomial():
     # z1 H^2(D^2): occupied iff q1 >= 1
     ft = bidisc_truncation((6, 6))

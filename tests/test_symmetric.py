@@ -1,12 +1,16 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import commuting_tuple
-from polyball.basis import Shape
+from oracle import embedding_matrix, folded_berezin
+from polyball.basis import Shape, grade_dim
 from polyball.berezin import (
     InnerMultiplier,
     connection_identity,
@@ -14,7 +18,7 @@ from polyball.berezin import (
     validate_multiplier,
     verify_intertwining,
 )
-from polyball.cp import OperatorTuple
+from polyball.cp import OperatorTuple, ampliation
 from polyball.curvature import subspace_curvature
 from polyball.fock import FockTruncation, GradedOperator, creation_op
 from polyball.subspaces import (
@@ -32,7 +36,6 @@ from polyball.symmetric import (
     constrained_char_function,
     coordinate_multiple_subspace,
     curv_c_estimate,
-    embedding_matrix,
     m_c_estimate,
     monomial_weight,
     monomials,
@@ -371,3 +374,67 @@ def test_symmetric_multiplier_json_roundtrip():
     for d, c in theta.coeffs.items():
         assert np.array_equal(back.coeffs[d], c)
     assert validate_multiplier(back, (4,)) < 1e-12
+
+
+# -- the symmetric kernel on its own truncation -------------------------------
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+    norm=st.floats(0.2, 0.9),
+    data=st.data(),
+)
+def test_direct_kernel_matches_the_fold_of_the_word_kernel(seed, n, norm, data):
+    rng = np.random.default_rng(seed)
+    parts = [commuting_tuple(rng, ni, 2, norm) for ni in n]
+    t = parts[0] if len(parts) == 1 else ampliation(parts)
+    caps = tuple(data.draw(st.integers(1, 4)) for _ in n)
+    direct = constrained_berezin(t, caps)
+    folded = folded_berezin(t, caps)
+    assert direct.truncation == folded.truncation
+    for q, b in folded.blocks.items():
+        assert np.all(np.abs(direct.blocks[q] - b) <= 1e-13 * np.maximum(1.0, np.abs(b)))
+
+
+def test_constrained_kernel_peaks_below_the_word_kernel():
+    rng = np.random.default_rng(41)
+    t = ampliation([commuting_tuple(rng, 2, 3, 0.8), commuting_tuple(rng, 2, 3, 0.8)])
+    caps = (6, 6)
+    word_shape = t.shape.with_caps(caps)
+    word_rows = sum(grade_dim(word_shape, q) for q in itertools.product(range(7), repeat=2))
+    assert word_rows == 16129  # 145161 rows at defect rank 9
+    tracemalloc.start()
+    try:
+        kb = constrained_berezin(t, caps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < word_rows * kb.defect.rank * t.dimH * 16
+
+
+def _coordinate_multiple_rows(sf, factor, var, q):
+    """Rows of grade ``q`` whose monomial is divisible by ``z_var`` of ``factor``, one index at a time."""
+    per = [monomials(sf.shape.n[l], q[l]) for l in range(sf.shape.k)]
+    dims = tuple(len(m) for m in per)
+    keep = []
+    for a in range(sf.word_dim(q)):
+        if per[factor][np.unravel_index(a, dims)[factor]][var - 1] >= 1:
+            keep.extend(a * sf.coeff_dim + c for c in range(sf.coeff_dim))
+    return np.asarray(keep, dtype=int)
+
+
+@pytest.mark.parametrize("n, factor, var, cd", [((2, 3), 1, 2, 2), ((3,), 0, 3, 1), ((1, 2, 2), 2, 1, 3)])
+def test_coordinate_multiple_index_sets_match_the_per_index_reference(n, factor, var, cd):
+    sf = SymFockTruncation(Shape(n, caps=(3,) * len(n)), coeff_dim=cd)
+    sub = coordinate_multiple_subspace(sf, factor, var)
+    for q in sf.grades:
+        got = sub.index_set_fn(q)
+        ref = _coordinate_multiple_rows(sf, factor, var, q)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        assert len(got) == sub.count_fn(q)
+        inside = set(ref.tolist())
+        outside = np.array([v for v in range(sf.dim(q)) if v not in inside], dtype=int)
+        comp = sub.complement_grade_basis(q)
+        assert np.array_equal(comp, np.eye(sf.dim(q), dtype=complex)[:, outside])

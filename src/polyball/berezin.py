@@ -25,6 +25,7 @@ import numpy as np
 from .basis import Shape, grade_dim, iter_grades, word_rank
 from .cp import (
     DENSE_GUARD,
+    KERNEL_BUDGET,
     DefectData,
     OperatorTuple,
     PsdVerdict,
@@ -113,11 +114,19 @@ def berezin_kernel(t: OperatorTuple, caps: tuple[int, ...], model: str = "full")
     The same recursion serves both models on the truncation of ``model``; in
     the symmetric model (a commutative tuple, see
     ``symmetric.constrained_berezin``) a monomial reached by several letters
-    takes the rows of the last one.
+    takes the rows of the last one, so the letters run last to first and each
+    forms only the rows of targets not yet written.
+
+    A kernel of more than ``KERNEL_BUDGET`` bytes is refused before any block
+    is allocated.
     """
     require_membership(t)
     dd = defect_data(t)
     ft = truncation_for(model, t.shape.with_caps(caps), dd.rank)
+    size = ft.total_dim * t.dimH * np.dtype(complex).itemsize
+    if size > KERNEL_BUDGET:
+        raise ValueError(f"Berezin kernel at caps {tuple(caps)} needs {size} bytes "
+                         f"(budget {KERNEL_BUDGET}; use smaller caps)")
     blocks: dict[tuple[int, ...], np.ndarray] = {}
     for q in ft.grades:
         if not any(q):
@@ -125,15 +134,27 @@ def berezin_kernel(t: OperatorTuple, caps: tuple[int, ...], model: str = "full")
             continue
         i, src = last_step(q)
         block = np.zeros((ft.dim(q), t.dimH), dtype=complex)
-        for j in range(1, t.shape.n[i] + 1):
+        written = np.zeros(ft.dim(q), dtype=bool)
+        for j in range(t.shape.n[i], 0, -1):
             targets, w, _ = ft.shift(i, j, src)
-            # product first, then the division: exact rows stay exact
-            rows = blocks[src] @ t.entry(i, j).conj().T
-            rows /= w[:, None]
-            block[targets] = rows
-            del rows  # one product alive at a time
+            src_rows = blocks[src]
+            fresh = ~written[targets]
+            if not fresh.all():  # monomials a later letter reached keep its rows
+                targets, w, src_rows = targets[fresh], w[fresh], src_rows[fresh]
+            block[targets] = _letter_rows(src_rows, t.entry(i, j), w)
+            written[targets] = True
         blocks[q] = block
     return BerezinKernel(t, ft, blocks, dd)
+
+
+def _letter_rows(src_rows: np.ndarray, entry: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``(src_rows T^*) / w``: the kernel rows one letter ``T`` sends to its targets.
+
+    The product comes first, then the division, so exact rows stay exact.
+    """
+    rows = src_rows @ entry.conj().T
+    rows /= w[:, None]
+    return rows
 
 
 def verify_intertwining(kb: BerezinKernel) -> float:
@@ -178,8 +199,19 @@ def connection_identity(kb: BerezinKernel, q: tuple[int, ...]):
 
 
 def has_characteristic_function(kb: BerezinKernel) -> PsdVerdict:
-    """PSD test of ``Delta_{S (x) I}(I - K K^*)`` on interior grades (margin 1 per factor)."""
-    d = defect_shift(GradedOperator.identity(kb.truncation) - kb.kk_star_full())
+    """PSD test of ``Delta_{S (x) I}(I - K K^*)`` on interior grades (margin 1 per factor).
+
+    ``I - K K^*`` is formed in place on the ``kk_star_full`` blocks, with the
+    bits of ``identity - kk``, and ``defect_shift`` consumes it: one operator
+    is alive, plus one block temporary.
+    """
+    d = kb.kk_star_full()
+    for (src, dst), b in d.blocks.items():
+        if src == dst:
+            np.subtract(np.eye(len(b), dtype=complex), b, out=b)
+        else:
+            b *= -1.0
+    d = defect_shift(d)
     return d.interior_verdict(d.interior_grades())
 
 

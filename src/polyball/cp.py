@@ -26,6 +26,7 @@ STALL_TOL = 1e-12
 MAX_PURITY_ITER = 200
 RANK_TOL = 1e-9
 DENSE_GUARD = 6000  # largest total dimension a dense projection or window may take
+KERNEL_BUDGET = 2**30  # largest Berezin kernel, in bytes, checked before it is allocated
 
 DENSE_CP_MAX_DIM = 16
 

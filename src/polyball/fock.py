@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .basis import Shape, grade_dim, iter_grades, leq
-from .cp import PsdVerdict, herm, psd_verdict, spectral_norms
+from .cp import PsdVerdict, psd_verdict, spectral_norms
 
 
 @dataclass(frozen=True)
@@ -236,7 +236,9 @@ class GradedOperator:
         A diagonal interior (the Beurling defect of every structured subspace)
         is its own spectrum; anything else takes one ``eigvalsh``.
         """
-        h = herm(self.to_dense(interior))
+        h = self.to_dense(interior)
+        h += h.conj().T  # the Hermitian part in place, the bits of ``herm``
+        h /= 2
         d = h.diagonal()
         return psd_verdict(np.sort(d.real) if np.count_nonzero(h) == np.count_nonzero(d) else np.linalg.eigvalsh(h))
 
@@ -301,39 +303,57 @@ def n_weight(ft: FockTruncation, q: tuple[int, ...]) -> GradedOperator:
     return GradedOperator.diagonal(ft, lambda s: 1.0 / ft.word_dim(s) if leq(s, q) else 0.0)
 
 
+def _cp_shift_blocks(y: GradedOperator, i: int):
+    """``((up_src, up_dst), block)`` of ``Phi_i(y)``, one per block of ``y`` whose image stays inside the caps.
+
+    Grade pairs are walked top-down in ``src[i]`` and a source block is read
+    only when its image is yielded, so a caller may overwrite each yielded
+    target in place: no block is read after it was written.  Every letter is
+    summed into one fresh block.  Each letter's shift map is fetched once per
+    grade, not once per block.
+    """
+    ft = y.trunc
+    letters = range(1, ft.shape.n[i] + 1)
+    pairs = sorted((key for key in y.blocks if all(ft.has_grade(bump(q, i)) for q in key)),
+                   key=lambda key: key[0][i], reverse=True)
+    grades = dict.fromkeys(q for key in pairs for q in key)
+    maps = {(j, q): ft.shift(i, j, q) for q in grades for j in letters}
+    for src, dst in pairs:
+        b = y.blocks[(src, dst)]
+        up_s, up_d = bump(src, i), bump(dst, i)
+        phi = np.zeros((ft.dim(up_d), ft.dim(up_s)), dtype=complex)
+        for j in letters:
+            cols, w_c, _ = maps[(j, src)]
+            rows, w_r, _ = maps[(j, dst)]
+            phi[np.ix_(rows, cols)] += (w_r[:, None] * b) * w_c[None, :]
+        yield (up_s, up_d), phi
+
+
 def apply_cp_shift(y: GradedOperator, i: int) -> GradedOperator:
     """Transfer map of the universal shift of factor ``i`` applied blockwise.
 
     Block support moves up by one grade in factor ``i``; blocks that would
     cross the caps are dropped, so the interior margin grows by one there.
-    Each letter's shift map is fetched once per grade, not once per block.
     """
-    ft = y.trunc
-    letters = range(1, ft.shape.n[i] + 1)
-    pairs = [key for key in y.blocks if all(ft.has_grade(bump(q, i)) for q in key)]
-    grades = dict.fromkeys(q for key in pairs for q in key)
-    maps = {(j, q): ft.shift(i, j, q) for q in grades for j in letters}
-    blocks: dict = {}
-    for src, dst in pairs:
-        b = y.blocks[(src, dst)]
-        up_s, up_d = bump(src, i), bump(dst, i)
-        out = blocks.get((up_s, up_d))
-        if out is None:
-            out = np.zeros((ft.dim(up_d), ft.dim(up_s)), dtype=complex)
-            blocks[(up_s, up_d)] = out
-        for j in letters:
-            cols, w_c, _ = maps[(j, src)]
-            rows, w_r, _ = maps[(j, dst)]
-            out[np.ix_(rows, cols)] += (w_r[:, None] * b) * w_c[None, :]
-    margin = tuple(m + (1 if l == i else 0) for l, m in enumerate(y.margin))
-    return GradedOperator(ft, blocks, margin)
+    return GradedOperator(y.trunc, dict(_cp_shift_blocks(y, i)), bump(y.margin, i))
 
 
 def defect_shift(y: GradedOperator, factors=None) -> GradedOperator:
-    """``(id - Phi_1) o ... o (id - Phi_k)`` of the universal shifts, applied to ``y``."""
-    out = y
-    rng = range(y.trunc.shape.k) if factors is None else factors
-    for i in rng:
-        out = out - apply_cp_shift(out, i)
-    return out
+    """``(id - Phi_1) o ... o (id - Phi_k)`` of the universal shifts, applied to ``y`` in place.
 
+    ``y`` is consumed: its blocks are overwritten and ``y`` itself is returned,
+    so pass an operator whose blocks nothing else holds.  The only temporary
+    is one ``Phi_i`` block.  Each target becomes ``cur + (-1.0) * phi``, the
+    bits of ``y - apply_cp_shift(y, i)``: for complex blocks ``(-1.0) * phi``
+    and ``-phi`` differ in the signs of zeros.
+    """
+    for i in range(y.trunc.shape.k) if factors is None else factors:
+        for key, phi in _cp_shift_blocks(y, i):
+            phi *= -1.0
+            cur = y.blocks.get(key)
+            if cur is not None and cur.dtype == phi.dtype:
+                cur += phi
+            else:  # a new block, or a real one that the sum makes complex
+                y.blocks[key] = phi if cur is None else cur + phi
+        y.margin = bump(y.margin, i)
+    return y

@@ -136,10 +136,10 @@ class GradedSubspace:
         for q in ft.grades:
             if self.index_set_fn is not None:
                 idx = np.asarray(self.index_set_fn(q), dtype=int)
-                d = np.zeros(ft.dim(q))
-                d[idx] = 1.0
-                if d.any():
-                    blocks[(q, q)] = np.diag(d).astype(complex)
+                if idx.size:
+                    b = np.zeros((ft.dim(q), ft.dim(q)), dtype=complex)
+                    b[idx, idx] = 1.0
+                    blocks[(q, q)] = b
             else:
                 b = self.grade_basis(q)
                 if b.shape[1]:

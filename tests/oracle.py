@@ -12,6 +12,9 @@
   from monomials into words, and the symmetric kernel obtained by folding the
   word-model kernel through it; the library builds the symmetric kernel on its
   own truncation instead.
+* ``defect_shift_composed``: ``(id - Phi_1) ... (id - Phi_k)(y)`` as one new
+  operator per factor, ``out - apply_cp_shift(out, i)``; the library applies
+  each ``id - Phi_i`` in place on ``y``'s blocks.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from polyball.basis import grade_dim
 from polyball.berezin import BerezinKernel, berezin_kernel
 from polyball.cp import OperatorTuple, cp_apply, cp_apply_power, defect_data
 from polyball.curvature import _real
+from polyball.fock import GradedOperator, apply_cp_shift
 from polyball.symmetric import SymFockTruncation, monomials
 
 
@@ -121,3 +125,11 @@ def folded_berezin(t: OperatorTuple, caps: tuple[int, ...]) -> BerezinKernel:
         folded = kb.blocks[q].reshape(kb.truncation.word_dim(q), r, t.dimH)
         blocks[q] = np.einsum("wm,wrh->mrh", v.conj(), folded).reshape(sf.dim(q), t.dimH)
     return BerezinKernel(t, sf, blocks, kb.defect)
+
+
+def defect_shift_composed(y: GradedOperator, factors=None) -> GradedOperator:
+    """``(id - Phi_1) o ... o (id - Phi_k)`` applied to ``y`` without touching it, one new operator per factor."""
+    out = y
+    for i in range(y.trunc.shape.k) if factors is None else factors:
+        out = out - apply_cp_shift(out, i)
+    return out

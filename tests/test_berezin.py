@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import commuting_tuple, random_polyball_tuple, random_row_tuple
+from oracle import defect_shift_composed
 from polyball import berezin
 from polyball.basis import Shape, enumerate_words, iter_grades, leq
 from polyball.berezin import (
@@ -25,8 +26,8 @@ from polyball.berezin import (
     verify_intertwining,
 )
 from polyball.cli import main
-from polyball.cp import OperatorTuple, ampliation, tuple_to_json
-from polyball.fock import FockTruncation, defect_shift
+from polyball.cp import KERNEL_BUDGET, OperatorTuple, ampliation, tuple_to_json
+from polyball.fock import FockTruncation, GradedOperator, defect_shift
 from polyball.subspaces import (
     GradedSubspace,
     bidisc_difference_subspace,
@@ -177,6 +178,38 @@ def test_char_function_false_for_difference_compression():
     verdict = has_characteristic_function(kb)
     assert not verdict.positive
     assert verdict.min_eigenvalue < -1e-3
+
+
+def commuting_pair_kernel(caps):
+    """Symmetric kernel of a commuting dimH-9 tuple with n (2,2)."""
+    rng = np.random.default_rng(41)
+    t = ampliation([commuting_tuple(rng, 2, 3, 0.8), commuting_tuple(rng, 2, 3, 0.8)])
+    return constrained_berezin(t, caps)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: commuting_pair_kernel((3, 3)),
+    lambda: berezin_kernel(compression_tuple(bidisc_difference_subspace((4, 4))), (4, 4)),
+])
+def test_char_function_is_bit_equal_to_the_composed_route(make):
+    kb = make()
+    d = defect_shift_composed(GradedOperator.identity(kb.truncation) - kb.kk_star_full())
+    assert has_characteristic_function(kb).min_eigenvalue == d.min_eig_interior()
+
+
+def test_char_function_holds_one_operator():
+    # ``I - K K^*`` in place, ``defect_shift`` in place: the peak is the one
+    # operator plus its dense interior, not the four operators of the composed route
+    kb = commuting_pair_kernel((4, 4))
+    kk_bytes = sum(b.nbytes for b in kb.kk_star_full().blocks.values())
+    assert kb.truncation.total_dim == 2025
+    tracemalloc.start()
+    try:
+        has_characteristic_function(kb)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * kk_bytes
 
 
 def test_curvature_operator_trace_two_routes():
@@ -398,6 +431,39 @@ def test_kernel_memory_stays_below_word_tables():
     # one dimH x dimH complex matrix per word of length <= 6
     word_tables = 127 * 64**2 * 16
     assert peak < word_tables / 4
+
+
+@pytest.mark.parametrize("model, n", [("symmetric", (2, 2)), ("symmetric", (3, 3)), ("full", (2, 2))])
+def test_kernel_forms_each_kept_row_once(monkeypatch, model, n):
+    rng = np.random.default_rng(43)
+    t = ampliation([commuting_tuple(rng, ni, 2, 0.8) for ni in n])
+    formed = []
+    letter_rows = berezin._letter_rows
+    monkeypatch.setattr(berezin, "_letter_rows",
+                        lambda src_rows, entry, w: formed.append(len(src_rows)) or letter_rows(src_rows, entry, w))
+    caps = (6, 6) if model == "symmetric" else (3, 3)
+    kb = berezin_kernel(t, caps, model)
+    ft = kb.truncation
+    assert sum(formed) == sum(ft.dim(q) for q in ft.grades if any(q))
+    if n == (3, 3):
+        assert ft.total_dim == 7056 * ft.coeff_dim
+
+
+def test_kernel_over_the_size_budget_is_refused_before_allocation():
+    t = OperatorTuple(Shape((2, 2)), 1, ((np.full((1, 1), 0.5 + 0j),) * 2,) * 2)
+    # rank-1 defect, dimH 1: one 16-byte row per word of length <= 40 in each factor
+    size = (2**41 - 1) ** 2 * 16
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"caps \(40, 40\) needs {size} bytes \(budget {KERNEL_BUDGET};"):
+            berezin_kernel(t, (40, 40))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # caps (13, 13) is the first square cap over the budget: (2**14 - 1)**2 rows of 16 bytes
+    with pytest.raises(ValueError, match="needs 4294443024 bytes"):
+        berezin_kernel(t, (13, 13))
 
 
 def closed_form_blocks(theta, caps):

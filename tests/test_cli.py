@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -232,6 +233,23 @@ def test_check_intertwine_with_one_cap_zero_is_invalid_input(tmp_path, capsys):
     assert json.loads(err)["error"] == "invalid-input"
     code, out, _ = run(["check", "intertwine", "--input", str(path), "--caps", "1,3"], capsys)
     assert code == 0 and json.loads(out)["within_tol"] is True
+
+
+def test_check_intertwine_over_the_kernel_budget_is_invalid_input(tmp_path, capsys):
+    # caps (40, 40) on n (2, 2) would need about 2**85 bytes; refused before any allocation
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"n": [2, 2], "dimH": 1, "factors": [[[[0.5, 0.0]], [[0.5, 0.0]]]] * 2}))
+    tracemalloc.start()
+    try:
+        code, out, err = run(["check", "intertwine", "--input", str(path), "--caps", "40,40"], capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "invalid-input"
+    assert "bytes" in payload["reason"] and "budget" in payload["reason"]
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize(

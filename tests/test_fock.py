@@ -4,7 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracle import defect_shift_composed
 from polyball import fock
 from polyball.basis import Shape, grade_dim, iter_grades
 from polyball.fock import (
@@ -185,23 +188,61 @@ def test_margin_tracking():
 def test_apply_cp_shift_fetches_each_shift_map_once(monkeypatch):
     sf = SymFockTruncation(Shape((2, 3), caps=(2, 2)), coeff_dim=2)
     rng = np.random.default_rng(5)
-    y = GradedOperator(sf, {(p, q): rng.standard_normal((sf.dim(q), sf.dim(p))) + 0j
-                            for p in sf.grades for q in sf.grades})
+
+    def dense_y():
+        return GradedOperator(sf, {(p, q): rng.standard_normal((sf.dim(q), sf.dim(p))) + 0j
+                                   for p in sf.grades for q in sf.grades})
+
     keys = []
     shift_data = SymFockTruncation.shift_data
     monkeypatch.setattr(SymFockTruncation, "shift_data",
                         lambda self, i, j, q: keys.append((i, j, q)) or shift_data(self, i, j, q))
-    repeats = []
-
-    def recorded(y, i):
+    fock.defect_shift(dense_y())
+    assert keys and len(keys) == len(set(keys))
+    for i in range(sf.shape.k):
         keys.clear()
-        out = apply_cp_shift(y, i)
-        repeats.append(len(keys) - len(set(keys)))
-        return out
+        apply_cp_shift(dense_y(), i)
+        assert keys and len(keys) == len(set(keys))
 
-    monkeypatch.setattr(fock, "apply_cp_shift", recorded)
-    fock.defect_shift(y)
-    assert repeats == [0, 0]
+
+def _sparse_entries(rng, shape):
+    """Complex entries with many exact zeros of either sign, where ``-x`` and ``(-1.0) * x`` differ."""
+    def part():
+        vals = rng.standard_normal(shape) * (rng.uniform(size=shape) < 0.5)
+        return np.where(rng.uniform(size=shape) < 0.5, -vals, vals)
+
+    return part() + 1j * part()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    model=st.sampled_from(["full", "symmetric"]),
+    k=st.integers(1, 3),
+    cd=st.integers(1, 2),
+    density=st.sampled_from([0.2, 0.6, 1.0]),
+    data=st.data(),
+)
+def test_defect_shift_in_place_is_bit_equal_to_the_composed_route(seed, model, k, cd, density, data):
+    rng = np.random.default_rng(seed)
+    n = tuple(data.draw(st.integers(1, 3 if model == "symmetric" else 2)) for _ in range(k))
+    caps = tuple(data.draw(st.integers(0, 3 if k < 3 else 2)) for _ in range(k))
+    ft = fock.truncation_for(model, Shape(n, caps=caps), cd)
+    factors = data.draw(st.none() | st.permutations(range(k)).flatmap(
+        lambda order: st.integers(0, k).map(lambda m: order[:m])))
+    blocks = {(p, q): _sparse_entries(rng, (ft.dim(q), ft.dim(p)))
+              for p in ft.grades for q in ft.grades if rng.uniform() < density}
+    for key in list(blocks)[::3]:  # real blocks become complex where a shift lands on them
+        blocks[key] = blocks[key].real.copy()
+    margin = tuple(data.draw(st.integers(0, 1)) for _ in range(k))
+    want = defect_shift_composed(GradedOperator(ft, {key: b.copy() for key, b in blocks.items()}, margin), factors)
+    y = GradedOperator(ft, blocks, margin)
+    got = defect_shift(y, factors)
+    assert got is y
+    assert got.margin == want.margin
+    assert got.blocks.keys() == want.blocks.keys()
+    for key, b in want.blocks.items():
+        assert got.blocks[key].dtype == b.dtype and got.blocks[key].tobytes() == b.tobytes(), key
 
 
 def _private_fock_imports(tree):

@@ -1,8 +1,10 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from oracle import defect_shift_composed
 from polyball.basis import Shape, iter_grades, word_unrank
 from polyball.cp import check_polyball, defect_map
 from polyball.curvature import subspace_curvature
@@ -274,6 +276,32 @@ def test_beurling_false_for_difference_subspace():
     v = beurling_check(sub)
     assert not v.positive
     assert v.min_eigenvalue < -1e-3
+
+
+@pytest.mark.parametrize("make", [
+    lambda: difference_subspace((5, 5)),
+    lambda: uncountable_family(0.3, 0.75, (4, 4)),
+    lambda: tensor_subspace([construct_mt(construct_nadic(2, 0.5), 3), cur0_subspace(2, 3)]),
+])
+def test_beurling_is_bit_equal_to_the_composed_route(make):
+    sub = make()
+    d = defect_shift_composed(sub.projection())
+    v = d.interior_verdict(d.interior_grades())
+    assert beurling_check(sub).min_eigenvalue == v.min_eigenvalue
+
+
+def test_beurling_holds_one_operator():
+    # the projection, its dense interior and one block temporary; the composed
+    # route held about five projections' worth at once
+    sub = uncountable_family(0.3, 0.75, (5, 5))
+    proj_bytes = sum(b.nbytes for b in sub.projection().blocks.values())
+    tracemalloc.start()
+    try:
+        assert beurling_check(sub).positive
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * proj_bytes
 
 
 def test_difference_subspace_certificate():

@@ -63,14 +63,8 @@ class BerezinKernel:
 
     @cached_property
     def tail_bound(self) -> float:
-        """``sum_i ||Phi_i^{D_i+1}(I)||``, computed on first use: only ``check connection`` reports it.
-
-        ``I - K*K = I - prod_i (id - Phi_i^{D_i+1})(I)`` is dominated by the sum of
-        the per-factor tails, not their max, for pure tuples.
-        """
-        t, caps = self.op, self.truncation.shape.caps
-        eye = np.eye(t.dimH, dtype=complex)
-        return sum(spectral_norms(np.stack([cp_apply_power(t, i, eye, caps[i] + 1) for i in range(t.k)])).tolist())
+        """``kernel_tail_bound`` at this kernel's caps, computed on first use."""
+        return kernel_tail_bound(self.op, self.truncation.shape.caps)
 
     def grade_gram(self, q: tuple[int, ...]) -> np.ndarray:
         """``K^* (P_q (x) I) K`` as a dimH x dimH matrix."""
@@ -104,7 +98,19 @@ class BerezinKernel:
         return GradedOperator(ft, blocks)
 
 
-def berezin_kernel(t: OperatorTuple, caps: tuple[int, ...], model: str = "full") -> BerezinKernel:
+def kernel_tail_bound(t: OperatorTuple, caps: tuple[int, ...]) -> float:
+    """``sum_i ||Phi_i^{D_i+1}(I)||`` for the kernel at caps ``D``: only ``check connection`` reports it.
+
+    ``I - K*K = I - prod_i (id - Phi_i^{D_i+1})(I)`` is dominated by the sum of
+    the per-factor tails, not their max, for pure tuples.  It needs the tuple
+    and the caps, not the kernel's blocks.
+    """
+    eye = np.eye(t.dimH, dtype=complex)
+    return sum(spectral_norms(np.stack([cp_apply_power(t, i, eye, caps[i] + 1) for i in range(t.k)])).tolist())
+
+
+def berezin_kernel(t: OperatorTuple, caps: tuple[int, ...], model: str = "full",
+                   budget_caps: tuple[int, ...] | None = None) -> BerezinKernel:
     """Assemble the kernel grade by grade from its vacuum row through the shift intertwining.
 
     The vacuum block is ``D^{1/2}`` on the defect range.  Grade ``q`` follows
@@ -117,15 +123,19 @@ def berezin_kernel(t: OperatorTuple, caps: tuple[int, ...], model: str = "full")
     takes the rows of the last one, so the letters run last to first and each
     forms only the rows of targets not yet written.
 
-    A kernel of more than ``KERNEL_BUDGET`` bytes is refused before any block
-    is allocated.
+    A kernel of more than ``KERNEL_BUDGET`` bytes at ``budget_caps`` (default
+    ``caps``) is refused before any block is allocated, from the closed-form
+    ``total_dim``.  A caller that reads only the grades below larger caps passes
+    those as ``budget_caps``: the kernel is built on the smaller box, and every
+    input the larger one would refuse is still refused.
     """
     require_membership(t)
     dd = defect_data(t)
     ft = truncation_for(model, t.shape.with_caps(caps), dd.rank)
-    size = ft.total_dim * t.dimH * np.dtype(complex).itemsize
+    budget = ft if budget_caps is None else truncation_for(model, t.shape.with_caps(budget_caps), dd.rank)
+    size = budget.total_dim * t.dimH * np.dtype(complex).itemsize
     if size > KERNEL_BUDGET:
-        raise ValueError(f"Berezin kernel at caps {tuple(caps)} needs {size} bytes "
+        raise ValueError(f"Berezin kernel at caps {budget.shape.caps} needs {size} bytes "
                          f"(budget {KERNEL_BUDGET}; use smaller caps)")
     blocks: dict[tuple[int, ...], np.ndarray] = {}
     for q in ft.grades:
@@ -160,7 +170,9 @@ def _letter_rows(src_rows: np.ndarray, entry: np.ndarray, w: np.ndarray) -> np.n
 def verify_intertwining(kb: BerezinKernel) -> float:
     """Max residual of ``K T_{i,j}^* = (S_{i,j}^* (x) I) K`` over grades ``q`` with ``q + e_i`` inside the caps.
 
-    A factor with cap 0 has no such grade, so its identity would go untested:
+    ``kb`` is a kernel ``berezin_kernel`` built; the pairs its recursion wrote
+    are left out (see ``_tested_pairs``), since their residuals are exactly 0.0.
+    A factor with cap 0 has no grade pair, so its identity would go untested:
     that is refused.  Each residual block is formed in place and takes one
     Gram spectrum.
     """
@@ -170,20 +182,39 @@ def verify_intertwining(kb: BerezinKernel) -> float:
         raise ValueError(f"caps {ft.shape.caps} leave a factor with no grade pair to test; "
                          "every cap must be >= 1")
     worst = 0.0
-    for i in range(t.k):
-        for j in range(1, t.shape.n[i] + 1):
+    for i, j, q, targets, w in _tested_pairs(ft):
+        resid = kb.blocks[q] @ t.entry(i, j).conj().T
+        rhs = kb.blocks[bump(q, i)][targets]
+        rhs *= w[:, None]
+        resid -= rhs
+        del rhs  # one residual-sized temporary at a time
+        worst = max(worst, float(spectral_norms(resid)))
+    return worst
+
+
+def _tested_pairs(ft: FockTruncation):
+    """``(i, j, q, targets, weights)`` of each pair whose intertwining residual can be nonzero.
+
+    Pairs with ``q + e_i`` beyond the caps have no identity.  A pair is also
+    left out when ``last_step(q + e_i) == (i, q)`` and every weight of
+    ``ft.shift(i, j, q)`` is exactly 1.0: ``berezin_kernel`` built grade
+    ``q + e_i`` from ``q`` through factor ``i``, and a target of weight 1 is
+    reached by no other letter (the squared weights into a target sum to 1),
+    so it wrote those rows as ``K_q T_{i,j}^*`` itself and the residual is
+    exactly 0.0.  Word-model weights are all 1, so there that is every pair
+    whose ``q`` is 0 past factor ``i``; symmetric weights are all 1 only for
+    ``n_i = 1`` or ``q_i = 0``.
+    """
+    for i in range(ft.shape.k):
+        for j in range(1, ft.shape.n[i] + 1):
             for q in ft.grades:
                 up = bump(q, i)
                 if not ft.has_grade(up):
                     continue
-                resid = kb.blocks[q] @ t.entry(i, j).conj().T
                 targets, w, _ = ft.shift(i, j, q)
-                rhs = kb.blocks[up][targets]
-                rhs *= w[:, None]
-                resid -= rhs
-                del rhs  # one residual-sized temporary at a time
-                worst = max(worst, float(spectral_norms(resid)))
-    return worst
+                if last_step(up) == (i, q) and (w == 1.0).all():
+                    continue
+                yield i, j, q, targets, w
 
 
 def connection_identity(kb: BerezinKernel, q: tuple[int, ...]):

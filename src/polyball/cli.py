@@ -25,6 +25,7 @@ from .berezin import (
     connection_identity,
     curvature_operator_trace,
     index_formula_check,
+    kernel_tail_bound,
     multiplier_from_json,
     verify_intertwining,
 )
@@ -315,9 +316,16 @@ def _tuple_and_caps(args):
 
 
 def cmd_check_connection(args) -> int:
+    """Residuals on the grades ``q <= min(qmax, caps)``, from a kernel built on that box only.
+
+    Kernel rows of a grade depend only on lower grades, so the residuals are
+    those of the kernel at ``--caps``; the size budget and the tail bound are
+    taken at ``--caps``.
+    """
     t, caps = _tuple_and_caps(args)
-    kb = berezin_kernel(t, caps)
-    grades = sorted(iter_grades(tuple(min(args.qmax, c) for c in caps)))
+    box = tuple(min(args.qmax, c) for c in caps)
+    kb = berezin_kernel(t, box, budget_caps=caps)
+    grades = sorted(iter_grades(box))
     resids = [connection_identity(kb, q)[2] for q in grades]
     rows = [
         {f"q{i + 1}": q[i] for i in range(t.k)} | {"residual": r}
@@ -328,7 +336,7 @@ def cmd_check_connection(args) -> int:
         "kind": "connection",
         "caps": list(caps),
         "max_residual": max(resids),
-        "tail_bound": kb.tail_bound,
+        "tail_bound": kernel_tail_bound(t, caps),
         "tol": args.tol,
         "within_tol": max(resids) <= args.tol,
     }

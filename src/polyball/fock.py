@@ -15,6 +15,7 @@ it contains; identities are asserted only on grades ``q_i <= D_i - margin_i``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -52,8 +53,16 @@ class FockTruncation:
 
     @property
     def total_dim(self) -> int:
-        last = self.grades[-1]
-        return self._offsets[last] + self.dim(last)
+        """``coeff_dim * prod_i sum_{c <= caps_i} word_dim(c e_i)``: grade dimensions factor over the factors.
+
+        No grade of the box is enumerated, so a size budget is checked in
+        ``sum(caps)`` steps, not ``prod(caps)``.
+        """
+        k = self.shape.k
+        return self.coeff_dim * math.prod(
+            sum(self.word_dim((0,) * i + (c,) + (0,) * (k - 1 - i)) for c in range(cap + 1))
+            for i, cap in enumerate(self.shape.caps)
+        )
 
     def word_dim(self, q: tuple[int, ...]) -> int:
         return grade_dim(self.shape, q)

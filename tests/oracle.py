@@ -15,6 +15,12 @@
 * ``defect_shift_composed``: ``(id - Phi_1) ... (id - Phi_k)(y)`` as one new
   operator per factor, ``out - apply_cp_shift(out, i)``; the library applies
   each ``id - Phi_i`` in place on ``y``'s blocks.
+* ``intertwining_residuals``: the residual of ``K T_{i,j}^* = (S_{i,j}^* (x) I) K``
+  for every letter and grade pair; the library leaves out the pairs the
+  kernel recursion wrote, whose residuals are exactly 0.0.
+* ``connection_payload_full``: the ``check connection`` payload read off a
+  kernel at the full ``--caps``; the command builds only the box
+  ``min(qmax, caps)`` that it reads.
 """
 
 from __future__ import annotations
@@ -25,11 +31,11 @@ from functools import partial
 
 import numpy as np
 
-from polyball.basis import grade_dim
-from polyball.berezin import BerezinKernel, berezin_kernel
-from polyball.cp import OperatorTuple, cp_apply, cp_apply_power, defect_data
+from polyball.basis import grade_dim, iter_grades
+from polyball.berezin import BerezinKernel, berezin_kernel, connection_identity
+from polyball.cp import OperatorTuple, cp_apply, cp_apply_power, defect_data, spectral_norms
 from polyball.curvature import _real
-from polyball.fock import GradedOperator, apply_cp_shift
+from polyball.fock import GradedOperator, apply_cp_shift, bump
 from polyball.symmetric import SymFockTruncation, monomials
 
 
@@ -133,3 +139,39 @@ def defect_shift_composed(y: GradedOperator, factors=None) -> GradedOperator:
     for i in range(y.trunc.shape.k) if factors is None else factors:
         out = out - apply_cp_shift(out, i)
     return out
+
+
+def intertwining_residuals(kb: BerezinKernel) -> dict[tuple, float]:
+    """``(i, j, q) -> ||K_q T_{i,j}^* - (S_{i,j}^* (x) I) K_{q + e_i}||`` for every ``q + e_i`` inside the caps."""
+    ft, t = kb.truncation, kb.op
+    out = {}
+    for i in range(t.k):
+        for j in range(1, t.shape.n[i] + 1):
+            for q in ft.grades:
+                up = bump(q, i)
+                if not ft.has_grade(up):
+                    continue
+                resid = kb.blocks[q] @ t.entry(i, j).conj().T
+                targets, w, _ = ft.shift(i, j, q)
+                rhs = kb.blocks[up][targets]
+                rhs *= w[:, None]
+                resid -= rhs
+                out[(i, j, q)] = float(spectral_norms(resid))
+    return out
+
+
+def connection_payload_full(t: OperatorTuple, caps: tuple[int, ...], qmax: int, tol: float) -> dict:
+    """The ``check connection`` JSON payload, table included, from a kernel built at ``caps``."""
+    kb = berezin_kernel(t, caps)
+    grades = sorted(iter_grades(tuple(min(qmax, c) for c in caps)))
+    resids = [connection_identity(kb, q)[2] for q in grades]
+    return {
+        "command": "check",
+        "kind": "connection",
+        "caps": list(caps),
+        "max_residual": max(resids),
+        "tail_bound": kb.tail_bound,
+        "tol": tol,
+        "within_tol": max(resids) <= tol,
+        "table": [{f"q{i + 1}": q[i] for i in range(t.k)} | {"residual": r} for q, r in zip(grades, resids)],
+    }

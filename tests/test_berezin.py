@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import commuting_tuple, random_polyball_tuple, random_row_tuple
-from oracle import defect_shift_composed
+from oracle import defect_shift_composed, intertwining_residuals
 from polyball import berezin
 from polyball.basis import Shape, enumerate_words, iter_grades, leq
 from polyball.berezin import (
@@ -119,6 +119,36 @@ def test_intertwining_random_pure():
     t = random_polyball_tuple(rng, (2, 2), (2, 2), 0.6)
     kb = berezin_kernel(t, (5, 5))
     assert verify_intertwining(kb) < 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    case=st.sampled_from([
+        ("full", (2, 2), 3), ("full", (1, 1, 1), 2), ("full", (3,), 4),
+        ("symmetric", (2, 2), 4), ("symmetric", (2, 1), 4), ("symmetric", (3,), 4),
+    ]),
+    norm=st.floats(0.2, 0.9),
+    data=st.data(),
+)
+def test_intertwining_skips_only_pairs_the_recursion_wrote(seed, case, norm, data):
+    model, n, top = case
+    rng = np.random.default_rng(seed)
+    caps = tuple(data.draw(st.integers(1, top)) for _ in n)
+    if model == "full":
+        kb = berezin_kernel(random_polyball_tuple(rng, n, tuple(data.draw(st.integers(1, 3)) for _ in n), norm), caps)
+    else:
+        parts = [commuting_tuple(rng, ni, 2, norm) for ni in n]
+        kb = constrained_berezin(parts[0] if len(parts) == 1 else ampliation(parts), caps)
+    full = intertwining_residuals(kb)
+    skipped = set(full) - {(i, j, q) for i, j, q, _, _ in berezin._tested_pairs(kb.truncation)}
+    assert verify_intertwining(kb) == max(full.values())
+    assert all(full[p] == 0.0 for p in skipped)
+    # the pairs whose grade q is 0 past factor i, less the symmetric ones with weights other than 1
+    assert skipped == {(i, j, q) for i, j, q in full
+                       if not any(q[i + 1:]) and (model == "full" or n[i] == 1 or q[i] == 0)}
+    if model == "symmetric":
+        assert not any(n[i] >= 2 and q[i] >= 1 for i, _, q in skipped)
 
 
 def test_connection_identity_grade_zero():

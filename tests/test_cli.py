@@ -1,12 +1,18 @@
 import json
 import os
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polyball.berezin import multiplier_from_json
-from polyball.cli import main
+from conftest import random_polyball_tuple
+from oracle import connection_payload_full
+from polyball import berezin
+from polyball.berezin import INTERTWINE_TOL, multiplier_from_json
+from polyball.cli import _render_json, main
 from polyball.cp import tuple_to_json
 from polyball.subspaces import (
     bidisc_difference_subspace,
@@ -250,6 +256,51 @@ def test_check_intertwine_over_the_kernel_budget_is_invalid_input(tmp_path, caps
     assert payload["error"] == "invalid-input"
     assert "bytes" in payload["reason"] and "budget" in payload["reason"]
     assert peak < 2**20
+
+
+def test_check_connection_over_the_kernel_budget_is_invalid_input(tmp_path, capsys, monkeypatch):
+    # the kernel is built only on the qmax box (2, 2), but --caps 40, 40 is refused as before,
+    # before any allocation and before the tail bound's transfer-map powers
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"n": [2, 2], "dimH": 1, "factors": [[[[0.5, 0.0]], [[0.5, 0.0]]]] * 2}))
+    powers = []
+    power = berezin.cp_apply_power
+    monkeypatch.setattr(berezin, "cp_apply_power", lambda t, i, y, q: powers.append(q) or power(t, i, y, q))
+    tracemalloc.start()
+    try:
+        code, out, err = run(["check", "connection", "--input", str(path), "--caps", "40,40", "--qmax", "2"], capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "invalid-input"
+    assert "caps (40, 40) needs" in payload["reason"] and "budget" in payload["reason"]
+    assert peak < 2**20
+    assert powers == []
+
+
+@pytest.mark.parametrize("n, caps, qmax", [
+    ((2, 2), (3, 2), 5),  # qmax above every cap
+    ((2, 2), (3, 3), 3),  # qmax at the caps
+    ((2, 2), (3, 3), 0),
+    ((1, 2), (0, 3), 2),  # one cap 0
+    ((1, 1, 1), (2, 0, 1), 1),
+    ((2,), (4,), 2),
+])
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_check_connection_matches_the_full_caps_kernel(n, caps, qmax, seed):
+    t = random_polyball_tuple(np.random.default_rng(seed), n, (2,) * len(n), 0.7)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "t.json"), os.path.join(tmp, "out.json")
+        with open(path, "w") as fh:
+            fh.write(tuple_to_json(t))
+        argv = ["check", "connection", "--input", path, "--caps", ",".join(map(str, caps)), "--qmax", str(qmax)]
+        assert main(argv + ["--out", out]) == 0
+        with open(out) as fh:
+            text = fh.read()
+    assert text == _render_json(connection_payload_full(t, caps, qmax, INTERTWINE_TOL)) + "\n"
 
 
 @pytest.mark.parametrize(

@@ -31,6 +31,15 @@ def ft_small(n=(2, 2), caps=(3, 3), cd=1):
     return FockTruncation(Shape(n, caps=caps), coeff_dim=cd)
 
 
+@pytest.mark.parametrize("cls", [FockTruncation, SymFockTruncation])
+@pytest.mark.parametrize("n, caps, cd", [
+    ((2, 2), (3, 2), 2), ((1, 3), (4, 0), 1), ((3,), (5,), 3), ((2, 1, 2), (2, 3, 1), 0),
+])
+def test_total_dim_closed_form_sums_the_grade_dims(cls, n, caps, cd):
+    ft = cls(Shape(n, caps=caps), cd)
+    assert ft.total_dim == sum(ft.dim(q) for q in ft.grades)
+
+
 def test_creation_on_vacuum():
     ft = ft_small()
     s = creation_op(ft, 0, 1)

@@ -34,6 +34,7 @@ from .cp import (
     matrix_from_pairs,
     matrix_to_pairs,
     max_spectral_norm,
+    psd_verdict,
     require_membership,
     spectral_norms,
 )
@@ -42,6 +43,7 @@ from .fock import (
     GradedOperator,
     bump,
     defect_shift,
+    interior_box,
     last_step,
     require_model,
     truncation_for,
@@ -84,18 +86,31 @@ class BerezinKernel:
             {(q, q): self.blocks[q] @ self.blocks[q].conj().T for q in grades},
         )
 
-    def kk_star_full(self) -> GradedOperator:
+    def kk_star_full(self, box: FockTruncation | None = None) -> GradedOperator:
+        """Every grade block of ``K K^*`` on ``box`` (default: the kernel's truncation).
+
+        ``box`` is a smaller truncation of the same model and coefficient
+        space, such as ``interior_box``: its blocks are the kernel's own, so
+        the operator is the restriction of the full one, entry for entry.
+        ``DENSE_GUARD`` is checked against the kernel's truncation either way,
+        so a box refuses every kernel the full operator refuses.
+        """
         ft = self.truncation
-        if ft.total_dim > DENSE_GUARD:
-            raise ValueError(
-                f"full kernel range projection needs total dimension <= {DENSE_GUARD}; "
-                f"got {ft.total_dim} (use smaller caps)"
-            )
+        _require_dense(ft)
+        box = ft if box is None else box
         blocks = {}
-        for src in ft.grades:
-            for dst in ft.grades:
+        for src in box.grades:
+            for dst in box.grades:
                 blocks[(src, dst)] = self.blocks[dst] @ self.blocks[src].conj().T
-        return GradedOperator(ft, blocks)
+        return GradedOperator(box, blocks)
+
+
+def _require_dense(ft: FockTruncation) -> None:
+    if ft.total_dim > DENSE_GUARD:
+        raise ValueError(
+            f"full kernel range projection needs total dimension <= {DENSE_GUARD}; "
+            f"got {ft.total_dim} (use smaller caps)"
+        )
 
 
 def kernel_tail_bound(t: OperatorTuple, caps: tuple[int, ...]) -> float:
@@ -135,7 +150,9 @@ def berezin_kernel(t: OperatorTuple, caps: tuple[int, ...], model: str = "full",
     budget = ft if budget_caps is None else truncation_for(model, t.shape.with_caps(budget_caps), dd.rank)
     size = budget.total_dim * t.dimH * np.dtype(complex).itemsize
     if size > KERNEL_BUDGET:
-        raise ValueError(f"Berezin kernel at caps {budget.shape.caps} needs {size} bytes "
+        # a cap in the thousands makes ``size`` too long to print in decimal: name its power of 2
+        need = size if size.bit_length() <= 1024 else f"at least 2**{size.bit_length() - 1}"
+        raise ValueError(f"Berezin kernel at caps {budget.shape.caps} needs {need} bytes "
                          f"(budget {KERNEL_BUDGET}; use smaller caps)")
     blocks: dict[tuple[int, ...], np.ndarray] = {}
     for q in ft.grades:
@@ -232,18 +249,25 @@ def connection_identity(kb: BerezinKernel, q: tuple[int, ...]):
 def has_characteristic_function(kb: BerezinKernel) -> PsdVerdict:
     """PSD test of ``Delta_{S (x) I}(I - K K^*)`` on interior grades (margin 1 per factor).
 
-    ``I - K K^*`` is formed in place on the ``kk_star_full`` blocks, with the
-    bits of ``identity - kk``, and ``defect_shift`` consumes it: one operator
-    is alive, plus one block temporary.
+    Only the ``interior_box`` is formed: a ``Phi_i`` block reads the blocks
+    one grade down, and the interior grades are closed under that step, so
+    the defect there is the full-box defect to the bit.  ``I - K K^*`` is
+    formed in place on the ``kk_star_full`` blocks, with the bits of
+    ``identity - kk``, and ``defect_shift`` consumes it: one operator is
+    alive, plus one block temporary.  A zero cap leaves no interior, which
+    reads as positive with minimum 0.0 once the size check has passed.
     """
-    d = kb.kk_star_full()
+    box = interior_box(kb.truncation)
+    if box is None:
+        _require_dense(kb.truncation)
+        return psd_verdict(np.zeros(0))
+    d = kb.kk_star_full(box)
     for (src, dst), b in d.blocks.items():
         if src == dst:
             np.subtract(np.eye(len(b), dtype=complex), b, out=b)
         else:
             b *= -1.0
-    d = defect_shift(d)
-    return d.interior_verdict(d.interior_grades())
+    return defect_shift(d).interior_verdict(box.grades)
 
 
 @dataclass(frozen=True)

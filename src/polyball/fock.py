@@ -128,6 +128,18 @@ def truncation_for(model: str, shape: Shape, coeff_dim: int = 1) -> FockTruncati
     return FockTruncation(shape, coeff_dim)
 
 
+def interior_box(ft: FockTruncation) -> FockTruncation | None:
+    """The truncation of ``ft``'s model and ``coeff_dim`` at caps ``c - 1``: the grades a defect test reads.
+
+    Grade dimensions and shift maps do not depend on the caps, so the blocks
+    of an operator on these grades are those it has on ``ft``.  A zero cap
+    leaves no interior grade: ``None``.
+    """
+    if 0 in ft.shape.caps:
+        return None
+    return truncation_for(ft.model, ft.shape.with_caps(c - 1 for c in ft.shape.caps), ft.coeff_dim)
+
+
 def last_step(q: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """``(i, q - e_i)``, ``i`` the last factor with ``q_i > 0``: the grade recursions build ``q`` from."""
     i = max(l for l, v in enumerate(q) if v)

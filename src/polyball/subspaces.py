@@ -34,6 +34,7 @@ from .fock import (
     GradedOperator,
     bump,
     defect_shift,
+    interior_box,
     truncation_for,
 )
 
@@ -118,22 +119,29 @@ class GradedSubspace:
 
     # -- projections and certificates ---------------------------------------
 
-    def projection(self) -> GradedOperator:
-        """The range projection as a block-graded operator."""
+    def projection(self, box: FockTruncation | None = None) -> GradedOperator:
+        """The range projection as a block-graded operator on ``box`` (default: the whole truncation).
+
+        ``box`` is a smaller truncation of the same model and coefficient
+        space, such as ``interior_box``; index sets, grade bases and column
+        rows of a grade do not depend on the caps, so the blocks formed are
+        those of the whole projection.
+        """
         ft = self.truncation
+        box = ft if box is None else box
         if self.mode == "span":
             blocks = {}
-            off = {q: ft.offset(q) for q in ft.grades}
-            for p in ft.grades:
+            off = {q: ft.offset(q) for q in box.grades}
+            for p in box.grades:
                 rows_p = self.columns[off[p] : off[p] + ft.dim(p), :]
-                for q in ft.grades:
+                for q in box.grades:
                     rows_q = self.columns[off[q] : off[q] + ft.dim(q), :]
                     b = rows_q @ rows_p.conj().T
                     if np.linalg.norm(b) > 0:
                         blocks[(p, q)] = b
-            return GradedOperator(ft, blocks)
+            return GradedOperator(box, blocks)
         blocks = {}
-        for q in ft.grades:
+        for q in box.grades:
             if self.index_set_fn is not None:
                 idx = np.asarray(self.index_set_fn(q), dtype=int)
                 if idx.size:
@@ -144,7 +152,7 @@ class GradedSubspace:
                 b = self.grade_basis(q)
                 if b.shape[1]:
                     blocks[(q, q)] = b @ b.conj().T
-        return GradedOperator(ft, blocks)
+        return GradedOperator(box, blocks)
 
     def gram_residual(self) -> float:
         """How far the stored bases are from orthonormal."""
@@ -562,16 +570,17 @@ class BeurlingVerdict:
 def beurling_check(sub: GradedSubspace) -> BeurlingVerdict:
     """PSD test of the defect of the range projection under the universal shifts.
 
+    Only the ``interior_box`` (grades ``q <= caps - 1``) is formed: a ``Phi_i``
+    block reads the blocks one grade down, and those grades are closed under
+    that step, so the defect there is the full-box defect to the bit.
     A structured subspace gives a diagonal defect, whose diagonal is its
     spectrum; basis and span mode take one ``eigvalsh`` of the whole interior.
     """
-    p_m = sub.projection()
-    d = defect_shift(p_m)
-    interior = d.interior_grades()
-    if not interior:
+    box = interior_box(sub.truncation)
+    if box is None:
         raise ValueError("caps too small for the one-grade interior margin")
-    v = d.interior_verdict(interior)
-    return BeurlingVerdict(v.positive, v.min_eigenvalue, len(interior))
+    v = defect_shift(sub.projection(box)).interior_verdict(box.grades)
+    return BeurlingVerdict(v.positive, v.min_eigenvalue, len(box.grades))
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ alike.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -24,8 +25,6 @@ import numpy as np
 
 from .basis import Shape, grade_dim, iter_grades, word_rank
 from .cp import (
-    DENSE_GUARD,
-    KERNEL_BUDGET,
     DefectData,
     OperatorTuple,
     PsdVerdict,
@@ -35,6 +34,7 @@ from .cp import (
     matrix_to_pairs,
     max_spectral_norm,
     psd_verdict,
+    require_budget,
     require_membership,
     spectral_norms,
 )
@@ -92,25 +92,13 @@ class BerezinKernel:
         ``box`` is a smaller truncation of the same model and coefficient
         space, such as ``interior_box``: its blocks are the kernel's own, so
         the operator is the restriction of the full one, entry for entry.
-        ``DENSE_GUARD`` is checked against the kernel's truncation either way,
-        so a box refuses every kernel the full operator refuses.
         """
-        ft = self.truncation
-        _require_dense(ft)
-        box = ft if box is None else box
+        box = self.truncation if box is None else box
         blocks = {}
         for src in box.grades:
             for dst in box.grades:
                 blocks[(src, dst)] = self.blocks[dst] @ self.blocks[src].conj().T
         return GradedOperator(box, blocks)
-
-
-def _require_dense(ft: FockTruncation) -> None:
-    if ft.total_dim > DENSE_GUARD:
-        raise ValueError(
-            f"full kernel range projection needs total dimension <= {DENSE_GUARD}; "
-            f"got {ft.total_dim} (use smaller caps)"
-        )
 
 
 def kernel_tail_bound(t: OperatorTuple, caps: tuple[int, ...]) -> float:
@@ -138,7 +126,7 @@ def berezin_kernel(t: OperatorTuple, caps: tuple[int, ...], model: str = "full",
     takes the rows of the last one, so the letters run last to first and each
     forms only the rows of targets not yet written.
 
-    A kernel of more than ``KERNEL_BUDGET`` bytes at ``budget_caps`` (default
+    A kernel of more than ``SIZE_BUDGET`` bytes at ``budget_caps`` (default
     ``caps``) is refused before any block is allocated, from the closed-form
     ``total_dim``.  A caller that reads only the grades below larger caps passes
     those as ``budget_caps``: the kernel is built on the smaller box, and every
@@ -148,12 +136,7 @@ def berezin_kernel(t: OperatorTuple, caps: tuple[int, ...], model: str = "full",
     dd = defect_data(t)
     ft = truncation_for(model, t.shape.with_caps(caps), dd.rank)
     budget = ft if budget_caps is None else truncation_for(model, t.shape.with_caps(budget_caps), dd.rank)
-    size = budget.total_dim * t.dimH * np.dtype(complex).itemsize
-    if size > KERNEL_BUDGET:
-        # a cap in the thousands makes ``size`` too long to print in decimal: name its power of 2
-        need = size if size.bit_length() <= 1024 else f"at least 2**{size.bit_length() - 1}"
-        raise ValueError(f"Berezin kernel at caps {budget.shape.caps} needs {need} bytes "
-                         f"(budget {KERNEL_BUDGET}; use smaller caps)")
+    require_budget(f"Berezin kernel at caps {budget.shape.caps}", 16 * budget.total_dim * t.dimH)
     blocks: dict[tuple[int, ...], np.ndarray] = {}
     for q in ft.grades:
         if not any(q):
@@ -255,12 +238,12 @@ def has_characteristic_function(kb: BerezinKernel) -> PsdVerdict:
     formed in place on the ``kk_star_full`` blocks, with the bits of
     ``identity - kk``, and ``defect_shift`` consumes it: one operator is
     alive, plus one block temporary.  A zero cap leaves no interior, which
-    reads as positive with minimum 0.0 once the size check has passed.
+    reads as positive with minimum 0.0.
     """
     box = interior_box(kb.truncation)
     if box is None:
-        _require_dense(kb.truncation)
         return psd_verdict(np.zeros(0))
+    require_budget(f"characteristic-function test on the interior caps {box.shape.caps}", 16 * box.total_dim**2)
     d = kb.kk_star_full(box)
     for (src, dst), b in d.blocks.items():
         if src == dst:
@@ -342,12 +325,18 @@ class InnerMultiplier:
         symbol basis vectors.  Every other block follows one grade down by
         ``Theta S_{i,j} = S_{i,j} Theta``, with ``i`` the last factor where
         ``s_i > 0``: ``B[s -> t] = (w_t B[s - e_i -> t - e_i]) / w_s`` on the
-        ``S_{i,j}`` targets.
+        ``S_{i,j}`` targets.  Their bytes, ``16 ds dt`` times the sum over
+        degrees ``d`` of ``prod_i sum_{c <= caps_i - d_i} f_i(c + d_i) f_i(c)``
+        (``f_i`` the grade dimensions of factor ``i``), are checked first.
         """
         shape = Shape(self.shape.n, caps)
         ds, dt = self.dim_source, self.dim_target
         src = truncation_for(self.model, shape, ds)
         dst = truncation_for(self.model, shape, dt)
+        f = src.factor_dim
+        entries = sum(math.prod(sum(f(i, c + di) * f(i, c) for c in range(cap - di + 1))
+                                for i, (cap, di) in enumerate(zip(shape.caps, d))) for d in self.coeffs)
+        require_budget(f"multiplier blocks at caps {shape.caps}", 16 * ds * dt * entries)
         blocks: dict = {}
         for d, coeff in self.coeffs.items():
             for s in src.grades:
@@ -474,18 +463,19 @@ class IndexCheck:
 
 
 def index_formula_check(
-    kb: BerezinKernel, theta: InnerMultiplier, q: tuple[int, ...] | None = None
+    kb: BerezinKernel, theta: InnerMultiplier, q: tuple[int, ...] | None = None, blocks: dict | None = None
 ) -> IndexCheck:
     """``curv = rank - trace[Theta (P_C (x) I) Theta^* (N_{<=q} (x) I)]`` at finite depth.
 
     Serves both models: the multiplier must be of the kernel's model and must
     complete the kernel range projection to the identity on interior grades;
-    otherwise it is rejected.
+    otherwise it is rejected.  ``blocks`` are ``theta``'s, materialized at the
+    kernel's caps, when the caller has them.
     """
     ft = kb.truncation
     if theta.model != ft.model:
         raise ValueError(f"a {theta.model!r}-model multiplier on a {ft.model!r}-model kernel")
-    blocks = theta.materialize_blocks(ft.shape.caps)
+    blocks = theta.materialize_blocks(ft.shape.caps) if blocks is None else blocks
     _validate_blocks(theta, blocks, ft.shape.caps)
     return index_check_from_blocks(kb, theta, blocks, q)
 

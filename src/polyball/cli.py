@@ -363,9 +363,10 @@ def cmd_check_index(args) -> int:
     t, caps = _tuple_and_caps(args)
     with open(args.theta) as fh:
         theta = multiplier_from_json(fh.read())
+    blocks = theta.materialize_blocks(caps)  # first: at large caps these, not the kernel, exceed the size budget
     kernel = constrained_berezin if theta.model == "symmetric" else berezin_kernel
     kb = kernel(t, caps)
-    chk = index_formula_check(kb, theta)
+    chk = index_formula_check(kb, theta, blocks=blocks)
     payload = {
         "command": "check",
         "kind": "index",

@@ -25,10 +25,7 @@ PURITY_TOL = 1e-9
 STALL_TOL = 1e-12
 MAX_PURITY_ITER = 200
 RANK_TOL = 1e-9
-DENSE_GUARD = 6000  # largest total dimension a dense projection or window may take
-KERNEL_BUDGET = 2**30  # largest Berezin kernel, in bytes, checked before it is allocated
-
-DENSE_CP_MAX_DIM = 16
+SIZE_BUDGET = 2**30  # largest array a dense route may form, in bytes, checked before it is allocated
 
 
 class DefectNotPositiveError(ValueError):
@@ -48,6 +45,17 @@ class MembershipError(ValueError):
         )
         self.p = p
         self.eigenvalue = eigenvalue
+
+
+def require_budget(what: str, nbytes: int) -> None:
+    """Refuse ``what`` when its closed-form size ``nbytes`` exceeds ``SIZE_BUDGET``: the one size check.
+
+    Callers count the 16-byte complex entries they are about to form.
+    """
+    if nbytes > SIZE_BUDGET:
+        # a cap in the thousands makes ``nbytes`` too long to print in decimal: name its power of 2
+        need = nbytes if nbytes.bit_length() <= 1024 else f"at least 2**{nbytes.bit_length() - 1}"
+        raise ValueError(f"{what} needs {need} bytes (budget {SIZE_BUDGET}; use smaller caps)")
 
 
 def herm(a: np.ndarray) -> np.ndarray:
@@ -210,8 +218,7 @@ def cp_apply_power(t: OperatorTuple, i: int, y: np.ndarray, q: int) -> np.ndarra
 
 def cp_matrix(t: OperatorTuple, i: int) -> np.ndarray:
     """Dense dimH^2 x dimH^2 matrix of the factor-``i`` transfer map (test oracle path)."""
-    if t.dimH > DENSE_CP_MAX_DIM:
-        raise ValueError(f"dense transfer matrix limited to dimH <= {DENSE_CP_MAX_DIM}")
+    require_budget(f"dense transfer matrix of dimH {t.dimH}", 16 * t.dimH**4)
     out = np.zeros((t.dimH**2, t.dimH**2), dtype=complex)
     for a in t.factors[i]:
         out += np.kron(a, a.conj())

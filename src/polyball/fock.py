@@ -53,16 +53,18 @@ class FockTruncation:
 
     @property
     def total_dim(self) -> int:
-        """``coeff_dim * prod_i sum_{c <= caps_i} word_dim(c e_i)``: grade dimensions factor over the factors.
+        """``coeff_dim * prod_i sum_{c <= caps_i} factor_dim(i, c)``: grade dimensions factor over the factors.
 
         No grade of the box is enumerated, so a size budget is checked in
         ``sum(caps)`` steps, not ``prod(caps)``.
         """
-        k = self.shape.k
         return self.coeff_dim * math.prod(
-            sum(self.word_dim((0,) * i + (c,) + (0,) * (k - 1 - i)) for c in range(cap + 1))
-            for i, cap in enumerate(self.shape.caps)
+            sum(self.factor_dim(i, c) for c in range(cap + 1)) for i, cap in enumerate(self.shape.caps)
         )
+
+    def factor_dim(self, i: int, c: int) -> int:
+        """``word_dim(c e_i)``: ``word_dim(q)`` is the product of ``factor_dim(i, q_i)``."""
+        return self.word_dim((0,) * i + (c,) + (0,) * (self.shape.k - 1 - i))
 
     def word_dim(self, q: tuple[int, ...]) -> int:
         return grade_dim(self.shape, q)
@@ -236,7 +238,8 @@ class GradedOperator:
         caps = self.trunc.shape.caps
         return [q for q in self.trunc.grades if all(qi <= c - m for qi, c, m in zip(q, caps, self.margin))]
 
-    def to_dense(self, grades=None) -> np.ndarray:
+    def to_dense(self, grades=None, hermitian: bool = False) -> np.ndarray:
+        """The blocks on ``grades`` as one matrix; with ``hermitian``, its Hermitian part, the bits of ``herm``."""
         ft = self.trunc
         if grades is None:
             grades = list(ft.grades)
@@ -246,9 +249,15 @@ class GradedOperator:
             pos += ft.dim(q)
         out = np.zeros((pos, pos), dtype=complex)
         gset = set(grades)
-        for (src, dst), b in self.blocks.items():
+        keys = self.blocks.keys() | {(dst, src) for src, dst in self.blocks} if hermitian else self.blocks
+        for src, dst in keys:
             if src in gset and dst in gset:
-                out[offs[dst] : offs[dst] + ft.dim(dst), offs[src] : offs[src] + ft.dim(src)] = b
+                view = out[offs[dst] : offs[dst] + ft.dim(dst), offs[src] : offs[src] + ft.dim(src)]
+                view[...] = np.transpose(self.blocks.get((dst, src), 0)) if hermitian else self.blocks[(src, dst)]
+                if hermitian:  # (b^* + a) / 2 in place, one grade pair at a time: no temporary
+                    np.conjugate(view, out=view)
+                    view += self.blocks.get((src, dst), 0)
+                    view /= 2
         return out
 
     def interior_verdict(self, interior) -> PsdVerdict:
@@ -257,9 +266,7 @@ class GradedOperator:
         A diagonal interior (the Beurling defect of every structured subspace)
         is its own spectrum; anything else takes one ``eigvalsh``.
         """
-        h = self.to_dense(interior)
-        h += h.conj().T  # the Hermitian part in place, the bits of ``herm``
-        h /= 2
+        h = self.to_dense(interior, hermitian=True)
         d = h.diagonal()
         return psd_verdict(np.sort(d.real) if np.count_nonzero(h) == np.count_nonzero(d) else np.linalg.eigvalsh(h))
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .basis import Shape, word_rank
-from .cp import DENSE_GUARD, OperatorTuple, matrix_from_pairs, matrix_to_pairs, max_spectral_norm
+from .cp import OperatorTuple, matrix_from_pairs, matrix_to_pairs, max_spectral_norm, require_budget
 from .curvature import CurvEstimate, _complement_curvature, _occupation, _ratio_table, _summary
 from .fock import (
     FockTruncation,
@@ -446,10 +446,12 @@ def tensor_subspace(parts: list[GradedSubspace]) -> GradedSubspace:
 
 
 def _part_params(part: GradedSubspace) -> dict:
-    """Params of a tensor part; a multi-factor part records its ``n``, which fixes its arity on load."""
+    """Params of a tensor part: its ``n`` if multi-factor (its arity on load), its ``dimE`` if above 1."""
     out = part.params | {"kind": part.kind}
     if part.truncation.shape.k > 1:
         out["n"] = list(part.truncation.shape.n)
+    if part.truncation.coeff_dim > 1:
+        out["dimE"] = part.truncation.coeff_dim
     return out
 
 
@@ -478,8 +480,7 @@ def uncountable_family(t: float, omega: float, caps, n=(2, 2), n_terms: int = 20
 
 def span_subspace(ft: FockTruncation, vectors: np.ndarray) -> GradedSubspace:
     """Subspace spanned by explicit full-height vectors; orthonormalized on entry."""
-    if ft.total_dim > DENSE_GUARD:
-        raise ValueError("span mode is for small truncations")
+    require_budget(f"span subspace at caps {ft.shape.caps}", 16 * ft.total_dim**2)
     v = np.asarray(vectors, dtype=complex)
     if v.ndim != 2 or v.shape[0] != ft.total_dim:
         raise ValueError(f"vectors must be columns of height {ft.total_dim}")
@@ -579,6 +580,7 @@ def beurling_check(sub: GradedSubspace) -> BeurlingVerdict:
     box = interior_box(sub.truncation)
     if box is None:
         raise ValueError("caps too small for the one-grade interior margin")
+    require_budget(f"Beurling test on the interior caps {box.shape.caps}", 16 * box.total_dim**2)
     v = defect_shift(sub.projection(box)).interior_verdict(box.grades)
     return BeurlingVerdict(v.positive, v.min_eigenvalue, len(box.grades))
 
@@ -646,8 +648,7 @@ def compression_tuple(sub: GradedSubspace, window: tuple[int, ...] | None = None
         raise ValueError(f"window {window} exceeds caps {caps}")
     win_shape = Shape(ft.shape.n, caps=tuple(window))
     win = type(ft)(win_shape, coeff_dim=ft.coeff_dim)
-    if win.total_dim > DENSE_GUARD:
-        raise ValueError("window too large to materialize")
+    require_budget(f"compression window at caps {win.shape.caps}", 16 * win.total_dim**2)
     if sub.mode == "span":
         if tuple(window) != tuple(caps):
             raise ValueError("span-mode subspaces compress on the full truncation only")
@@ -757,7 +758,7 @@ def _structured_from_params(kind: str, params: dict, n, caps, dim_e, ft=None) ->
         for part in params["parts"]:
             arity = len(part["n"]) if isinstance(part.get("n"), list) else 1
             parts.append(_structured_from_params(part["kind"], part, n[pos : pos + arity],
-                                                 caps[pos : pos + arity], 1))
+                                                 caps[pos : pos + arity], int(part.get("dimE", 1))))
             pos += arity
         sub = tensor_subspace(parts)
         if "family" in params:  # written by uncountable_family

@@ -120,7 +120,7 @@ def require_commutative(t: OperatorTuple) -> None:
         raise ValueError(f"entries within a factor do not commute (residual {resid:.3e})")
 
 
-def curv_c_estimate(t: OperatorTuple, q_max: int, check_char_function: bool = True) -> CurvEstimate:
+def curv_c_estimate(t: OperatorTuple, q_max: int) -> CurvEstimate:
     """Commutative curvature: grade traces normalized by binomial grade dimensions.
 
     The third route stored in ``defect_product_seq`` is the factorial-weighted
@@ -143,7 +143,7 @@ def curv_c_estimate(t: OperatorTuple, q_max: int, check_char_function: bool = Tr
     if q_max >= 1:
         routes.append(factorial_form[-1])
     caveats: tuple[str, ...] = ()
-    if check_char_function and any(ni >= 2 for ni in t.shape.n):
+    if any(ni >= 2 for ni in t.shape.n):
         caps = (min(q_max, 3) + 1,) * t.k
         verdict = constrained_char_function(t, caps)
         if not verdict.positive:

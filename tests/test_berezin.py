@@ -26,7 +26,7 @@ from polyball.berezin import (
     verify_intertwining,
 )
 from polyball.cli import main
-from polyball.cp import KERNEL_BUDGET, OperatorTuple, ampliation, tuple_to_json
+from polyball.cp import SIZE_BUDGET, OperatorTuple, ampliation, tuple_to_json
 from polyball.fock import FockTruncation, GradedOperator, defect_shift
 from polyball.subspaces import (
     GradedSubspace,
@@ -485,7 +485,7 @@ def test_kernel_over_the_size_budget_is_refused_before_allocation():
     size = (2**41 - 1) ** 2 * 16
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=rf"caps \(40, 40\) needs {size} bytes \(budget {KERNEL_BUDGET};"):
+        with pytest.raises(ValueError, match=rf"caps \(40, 40\) needs {size} bytes \(budget {SIZE_BUDGET};"):
             berezin_kernel(t, (40, 40))
         _, peak = tracemalloc.get_traced_memory()
     finally:

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from conftest import commuting_tuple, random_polyball_tuple
 from oracle import defect_shift_composed
 from polyball.basis import Shape
-from polyball.berezin import berezin_kernel, has_characteristic_function
+from polyball.berezin import BerezinKernel, berezin_kernel, has_characteristic_function
 from polyball.cli import main
-from polyball.cp import DENSE_GUARD, KERNEL_BUDGET, OperatorTuple, ampliation
+from polyball.cp import SIZE_BUDGET, OperatorTuple, ampliation
 from polyball.fock import GradedOperator, interior_box, truncation_for
 from polyball.subspaces import (
     GradedSubspace,
@@ -156,13 +156,16 @@ def test_beurling_peaks_near_one_full_box_projection():
 # -- refusals ----------------------------------------------------------------------------
 
 
-def test_char_function_refuses_what_the_full_box_refuses():
-    # caps (6, 6): 7056 rows; the interior box alone (3969 rows) would pass the guard
+def test_char_function_refuses_an_interior_over_the_budget(monkeypatch):
+    # caps (8, 8): the kernel is 2.6 MB, but the interior box (7, 7) has 11664 rows, 16 * 11664**2 bytes dense
     rng = np.random.default_rng(41)
-    kb = constrained_berezin(ampliation([commuting_tuple(rng, 2, 3, 0.8), commuting_tuple(rng, 2, 3, 0.8)]), (6, 6))
-    assert interior_box(kb.truncation).total_dim <= DENSE_GUARD < kb.truncation.total_dim == 7056
-    with pytest.raises(ValueError, match=rf"total dimension <= {DENSE_GUARD}; got 7056"):
+    kb = constrained_berezin(ampliation([commuting_tuple(rng, 2, 3, 0.8), commuting_tuple(rng, 2, 3, 0.8)]), (8, 8))
+    assert interior_box(kb.truncation).total_dim == 11664
+    formed = []
+    monkeypatch.setattr(BerezinKernel, "kk_star_full", lambda self, box=None: formed.append(box))
+    with pytest.raises(ValueError, match=rf"interior caps \(7, 7\) needs {16 * 11664**2} bytes \(budget {SIZE_BUDGET};"):
         has_characteristic_function(kb)
+    assert formed == []
 
 
 ONE_FACTOR = OperatorTuple(Shape((2,)), 1, ((np.full((1, 1), 0.5 + 0j),) * 2,))
@@ -172,7 +175,7 @@ def test_huge_caps_refusal_names_the_caps_and_the_budget():
     # (2**20001 - 1) rows of 16 bytes: a size of more than 6000 decimal digits
     size = (2**20001 - 1) * 16
     with pytest.raises(ValueError, match=rf"caps \(20000,\) needs at least 2\*\*{size.bit_length() - 1} bytes "
-                                         rf"\(budget {KERNEL_BUDGET};"):
+                                         rf"\(budget {SIZE_BUDGET};"):
         berezin_kernel(ONE_FACTOR, (20000,))
 
 
@@ -185,4 +188,4 @@ def test_huge_caps_is_invalid_input_with_the_budget(kind, tmp_path, capsys):
     assert code == 1 and captured.out == ""
     payload = json.loads(captured.err)
     assert payload["error"] == "invalid-input"
-    assert "caps (20000,)" in payload["reason"] and f"budget {KERNEL_BUDGET}" in payload["reason"]
+    assert "caps (20000,)" in payload["reason"] and f"budget {SIZE_BUDGET}" in payload["reason"]

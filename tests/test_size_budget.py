@@ -1,0 +1,123 @@
+"""The one size budget: every dense route is sized from what it forms, before it forms it."""
+
+import json
+import re
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from conftest import commuting_tuple, random_polyball_tuple
+from polyball import cp
+from polyball.basis import Shape, grade_dim
+from polyball.berezin import InnerMultiplier, berezin_kernel, has_characteristic_function
+from polyball.cli import main
+from polyball.cp import SIZE_BUDGET, ampliation, cp_matrix
+from polyball.fock import defect_shift, interior_box, truncation_for
+from polyball.subspaces import beurling_check, bidisc_difference_subspace, uncountable_family
+from polyball.symmetric import curv_c_estimate, sym_word_dim
+
+
+def predicted_bytes(monkeypatch, route):
+    """The byte count ``route`` names when every size is over the budget."""
+    with monkeypatch.context() as m:
+        m.setattr(cp, "SIZE_BUDGET", 0)
+        with pytest.raises(ValueError, match=r"needs \d+ bytes \(budget 0;") as info:
+            route()
+    return int(re.search(r"needs (\d+) bytes", str(info.value)).group(1))
+
+
+def nbytes(blocks):
+    return sum(b.nbytes for b in blocks.values())
+
+
+@pytest.mark.parametrize("model", ["full", "symmetric"])
+def test_kernel_and_char_function_sizes_are_what_they_form(model, monkeypatch):
+    rng = np.random.default_rng(3)
+    if model == "symmetric":
+        t = ampliation([commuting_tuple(rng, 2, 2, 0.8), commuting_tuple(rng, 2, 2, 0.8)])
+    else:
+        t = random_polyball_tuple(rng, (2, 1), (2, 2), 0.8)
+    caps = (3, 2)
+    kb = berezin_kernel(t, caps, model)
+    assert predicted_bytes(monkeypatch, lambda: berezin_kernel(t, caps, model)) == nbytes(kb.blocks)
+    box = interior_box(kb.truncation)
+    dense = defect_shift(kb.kk_star_full(box)).to_dense(box.grades, hermitian=True)
+    predicted = predicted_bytes(monkeypatch, lambda: has_characteristic_function(kb))
+    assert predicted == nbytes(kb.kk_star_full(box).blocks) == dense.nbytes
+
+
+@pytest.mark.parametrize("make", [lambda: uncountable_family(0.3, 0.75, (3, 3)), lambda: bidisc_difference_subspace((3, 3))],
+                         ids=["uncountable", "bidisc"])
+def test_beurling_size_is_its_dense_interior(make, monkeypatch):
+    sub = make()
+    box = interior_box(sub.truncation)
+    dense = defect_shift(sub.projection(box)).to_dense(box.grades, hermitian=True)
+    assert predicted_bytes(monkeypatch, lambda: beurling_check(sub)) == dense.nbytes
+
+
+@pytest.mark.parametrize("model", ["full", "symmetric"])
+def test_multiplier_size_is_its_blocks(model, monkeypatch):
+    # two symbol degrees on two factors, with coefficient spaces of dimension 2 and 3
+    n, ds, dt = (2, 3), 2, 3
+    count = (lambda d: sym_word_dim(n, d)) if model == "symmetric" else (lambda d: grade_dim(Shape(n), d))
+    rng = np.random.default_rng(5)
+    coeffs = {d: rng.standard_normal((count(d), dt, ds)) + 0j for d in [(1, 0), (0, 2)]}
+    theta = InnerMultiplier(Shape(n), ds, dt, coeffs, model=model)
+    caps = (3, 2)
+    assert predicted_bytes(monkeypatch, lambda: theta.materialize_blocks(caps)) == nbytes(theta.materialize_blocks(caps))
+
+
+def test_transfer_matrix_size_is_its_bytes(monkeypatch):
+    t = random_polyball_tuple(np.random.default_rng(9), (2,), (3,), 0.8)
+    assert predicted_bytes(monkeypatch, lambda: cp_matrix(t, 0)) == cp_matrix(t, 0).nbytes == 16 * 3**4
+
+
+def test_curv_c_reads_the_interior_box_size():
+    # dimH 169: the caps-(2, 2) kernel truncation has 6084 rows, its interior box 1521
+    rng = np.random.default_rng(7)
+    t = ampliation([commuting_tuple(rng, 2, 13, 0.8), commuting_tuple(rng, 2, 13, 0.8)])
+    ft = truncation_for("symmetric", Shape((2, 2), caps=(2, 2)), 169)
+    assert (ft.total_dim, interior_box(ft).total_dim) == (6084, 1521)
+    est = curv_c_estimate(t, 1)
+    assert len(est.corner_seq) == 2
+
+
+ONE = {"n": [2], "dimH": 1, "factors": [[[[0.5, 0.0]], [[0.5, 0.0]]]]}
+THETA = {"model": "full", "n": [2], "dim_source": 1, "dim_target": 1, "isometric": True,
+         "blocks": [{"degree": [1], "coeffs": [[[1.0, 0.0]], [[0.0, 0.0]]]}]}
+
+
+def refused(argv, capsys):
+    """Exit code and reason of ``main(argv)``, which must allocate less than 1 MiB."""
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == "" and "Traceback" not in captured.err
+    payload = json.loads(captured.err)
+    assert payload["error"] == "invalid-input"
+    assert peak < 2**20
+    return payload["reason"]
+
+
+def test_beurling_over_the_budget_is_invalid_input(tmp_path, capsys):
+    path = tmp_path / "mt.json"
+    assert main(["construct", "mt", "--caps", "20", "--out", str(path)]) == 0
+    reason = refused(["check", "beurling", "--input", str(path)], capsys)
+    # the interior box (19,) has 2**20 - 1 rows
+    assert reason == (f"Beurling test on the interior caps (19,) needs {16 * (2**20 - 1) ** 2} bytes "
+                      f"(budget {SIZE_BUDGET}; use smaller caps)")
+
+
+def test_index_multiplier_over_the_budget_is_invalid_input(tmp_path, capsys):
+    (tmp_path / "one.json").write_text(json.dumps(ONE))
+    (tmp_path / "theta.json").write_text(json.dumps(THETA))
+    reason = refused(["check", "index", "--input", str(tmp_path / "one.json"),
+                      "--theta", str(tmp_path / "theta.json"), "--caps", "20"], capsys)
+    # blocks (c) -> (c + 1) of 2**(c + 1) x 2**c entries for c < 20; the kernel alone (33.5 MB) would fit
+    size = 16 * sum(2 ** (2 * c + 1) for c in range(20))
+    assert reason == f"multiplier blocks at caps (20,) needs {size} bytes (budget {SIZE_BUDGET}; use smaller caps)"

@@ -1,0 +1,48 @@
+"""Properties of random structured subspaces: exact counts, serialization, and the Beurling verdict."""
+
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import given, settings
+
+from conftest import structured_subspaces
+from oracle import defect_shift_composed
+from polyball.cp import herm, psd_verdict
+from polyball.subspaces import beurling_check, multiplicity_estimate, subspace_from_json, subspace_to_json
+
+
+@settings(max_examples=60, deadline=None)
+@given(sub=structured_subspaces())
+def test_complement_identity_is_exact(sub):
+    # m(M) from the closed-form count, m(M perp) from the rows outside the index set
+    ft = sub.truncation
+    est = multiplicity_estimate(sub, min(ft.shape.caps))
+    for q in ft.grades:
+        outside = np.ones(ft.dim(q), dtype=bool)
+        outside[sub.index_set_fn(q)] = False
+        m = Fraction(sub.grade_trace_exact(q), ft.word_dim(q))
+        assert m + Fraction(int(outside.sum()), ft.word_dim(q)) == ft.coeff_dim
+        if q in est.exact_values:
+            assert est.exact_values[q] == m
+            assert m + est.curvature.exact_values[q] == ft.coeff_dim
+
+
+@settings(max_examples=60, deadline=None)
+@given(sub=structured_subspaces())
+def test_json_round_trip_is_byte_identical(sub):
+    text = subspace_to_json(sub)
+    back = subspace_from_json(text)
+    assert subspace_to_json(back) == text
+    assert all(back.grade_trace_exact(q) == sub.grade_trace_exact(q) for q in sub.truncation.grades)
+
+
+@settings(max_examples=50, deadline=None)
+@given(sub=structured_subspaces(max_cap=3, symmetric=False).filter(lambda s: s.truncation.total_dim <= 1200))
+def test_beurling_verdict_is_the_full_box_oracle(sub):
+    d = defect_shift_composed(sub.projection())
+    interior = d.interior_grades()
+    dense = d.to_dense(interior)
+    oracle = psd_verdict(np.linalg.eigvalsh(herm(dense)))
+    v = beurling_check(sub)
+    assert (v.positive, v.min_eigenvalue, v.residual_grades) == (oracle.positive, d.min_eig_interior(), len(interior))
+    assert v.min_eigenvalue == oracle.min_eigenvalue

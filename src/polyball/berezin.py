@@ -42,8 +42,7 @@ from .fock import (
     FockTruncation,
     GradedOperator,
     bump,
-    defect_shift,
-    interior_box,
+    defect_verdict,
     last_step,
     require_model,
     truncation_for,
@@ -230,27 +229,23 @@ def connection_identity(kb: BerezinKernel, q: tuple[int, ...]):
 
 
 def has_characteristic_function(kb: BerezinKernel) -> PsdVerdict:
-    """PSD test of ``Delta_{S (x) I}(I - K K^*)`` on interior grades (margin 1 per factor).
+    """PSD test of ``Delta_{S (x) I}(I - K K^*)`` on interior grades, by ``fock.defect_verdict``.
 
-    Only the ``interior_box`` is formed: a ``Phi_i`` block reads the blocks
-    one grade down, and the interior grades are closed under that step, so
-    the defect there is the full-box defect to the bit.  ``I - K K^*`` is
-    formed in place on the ``kk_star_full`` blocks, with the bits of
-    ``identity - kk``, and ``defect_shift`` consumes it: one operator is
-    alive, plus one block temporary.  A zero cap leaves no interior, which
-    reads as positive with minimum 0.0.
+    ``I - K K^*`` is formed in place on the ``kk_star_full`` blocks, with the
+    bits of ``identity - kk``.  A zero cap reads as positive with minimum 0.0.
     """
-    box = interior_box(kb.truncation)
-    if box is None:
-        return psd_verdict(np.zeros(0))
-    require_budget(f"characteristic-function test on the interior caps {box.shape.caps}", 16 * box.total_dim**2)
-    d = kb.kk_star_full(box)
-    for (src, dst), b in d.blocks.items():
-        if src == dst:
-            np.subtract(np.eye(len(b), dtype=complex), b, out=b)
-        else:
-            b *= -1.0
-    return defect_shift(d).interior_verdict(box.grades)
+
+    def defect(box):
+        d = kb.kk_star_full(box)
+        for (src, dst), b in d.blocks.items():
+            if src == dst:
+                np.subtract(np.eye(len(b), dtype=complex), b, out=b)
+            else:
+                b *= -1.0
+        return d
+
+    v = defect_verdict("characteristic-function test", kb.truncation, defect)
+    return psd_verdict(np.zeros(0)) if v is None else v
 
 
 @dataclass(frozen=True)

@@ -265,6 +265,8 @@ def cmd_mult(args) -> int:
 
 def cmd_construct(args) -> int:
     kind = args.kind
+    if kind in ("mt", "cur0") and len(args.caps) != 1:
+        raise ValueError(f"construct {kind} has one factor: --caps takes one cap, got {list(args.caps)}")
     if kind == "mt":
         exp = construct_nadic(args.n, args.t, args.terms)
         sub = construct_mt(exp, args.caps[0])

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .basis import Shape, grade_dim, iter_grades, leq
-from .cp import PsdVerdict, psd_verdict, spectral_norms
+from .cp import PsdVerdict, psd_verdict, require_budget, spectral_norms
 
 
 @dataclass(frozen=True)
@@ -53,14 +53,17 @@ class FockTruncation:
 
     @property
     def total_dim(self) -> int:
-        """``coeff_dim * prod_i sum_{c <= caps_i} factor_dim(i, c)``: grade dimensions factor over the factors.
+        """``coeff_dim * prod_i cumulative_dim(i, caps_i)``: grade dimensions factor over the factors.
 
-        No grade of the box is enumerated, so a size budget is checked in
-        ``sum(caps)`` steps, not ``prod(caps)``.
+        No grade of the box is enumerated and no grade dimension computed, so a
+        size budget is checked in ``k`` closed-form steps.
         """
-        return self.coeff_dim * math.prod(
-            sum(self.factor_dim(i, c) for c in range(cap + 1)) for i, cap in enumerate(self.shape.caps)
-        )
+        return self.coeff_dim * math.prod(self.cumulative_dim(i, cap) for i, cap in enumerate(self.shape.caps))
+
+    def cumulative_dim(self, i: int, cap: int) -> int:
+        """``sum_{c <= cap} factor_dim(i, c)`` in closed form: the geometric sum of ``n_i**c``."""
+        n = self.shape.n[i]
+        return cap + 1 if n == 1 else (n ** (cap + 1) - 1) // (n - 1)
 
     def factor_dim(self, i: int, c: int) -> int:
         """``word_dim(c e_i)``: ``word_dim(q)`` is the product of ``factor_dim(i, q_i)``."""
@@ -260,16 +263,6 @@ class GradedOperator:
                     view /= 2
         return out
 
-    def interior_verdict(self, interior) -> PsdVerdict:
-        """PSD verdict of the Hermitian part on ``interior_grades()``: one ``to_dense``, one spectrum.
-
-        A diagonal interior (the Beurling defect of every structured subspace)
-        is its own spectrum; anything else takes one ``eigvalsh``.
-        """
-        h = self.to_dense(interior, hermitian=True)
-        d = h.diagonal()
-        return psd_verdict(np.sort(d.real) if np.count_nonzero(h) == np.count_nonzero(d) else np.linalg.eigvalsh(h))
-
     def min_eig_interior(self) -> float:
         """Smallest eigenvalue of the Hermitian part on the interior grades (test oracle)."""
         dense = self.to_dense(self.interior_grades())
@@ -385,3 +378,21 @@ def defect_shift(y: GradedOperator, factors=None) -> GradedOperator:
                 y.blocks[key] = phi if cur is None else cur + phi
         y.margin = bump(y.margin, i)
     return y
+
+
+def defect_verdict(what: str, ft: FockTruncation, build) -> PsdVerdict | None:
+    """PSD verdict of ``Delta_{S (x) I}(build(box))`` on ``box = interior_box(ft)``: the one dense positivity route.
+
+    ``None`` when a cap is 0.  The dense interior's ``16 * N**2`` bytes are refused as ``what`` before
+    ``build`` runs.  ``defect_shift`` consumes the built operator, whose blocks are cleared once ``to_dense``
+    returns; the spectrum is then the sorted diagonal when nothing lies off it, else one ``eigvalsh``.
+    """
+    box = interior_box(ft)
+    if box is None:
+        return None
+    require_budget(f"{what} on the interior caps {box.shape.caps}", 16 * box.total_dim**2)
+    y = defect_shift(build(box))
+    h = y.to_dense(box.grades, hermitian=True)
+    y.blocks.clear()
+    d = h.diagonal()
+    return psd_verdict(np.sort(d.real) if np.count_nonzero(h) == np.count_nonzero(d) else np.linalg.eigvalsh(h))

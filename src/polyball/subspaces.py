@@ -33,8 +33,7 @@ from .fock import (
     FockTruncation,
     GradedOperator,
     bump,
-    defect_shift,
-    interior_box,
+    defect_verdict,
     truncation_for,
 )
 
@@ -266,6 +265,8 @@ def construct_nadic(n_i: int, t: float, n_terms: int = 20) -> NAdicExpansion:
         raise ValueError("digit expansions need at least 2 generators")
     if not 0 <= t < 1:
         raise ValueError(f"target must lie in [0, 1), got {t}")
+    if n_terms < 1:
+        raise ValueError(f"a digit expansion needs at least 1 term, got {n_terms}")
     remainder = 1 - Fraction(t)
     exponents: list[int] = []
     digits: list[int] = []
@@ -372,6 +373,8 @@ def tensor_subspace(parts: list[GradedSubspace]) -> GradedSubspace:
         raise ValueError("need at least one part")
     if any(p.mode == "span" for p in parts):
         raise ValueError("tensor parts must be graded (structured or basis mode)")
+    if any(p.truncation.model != "full" for p in parts):
+        raise ValueError("tensor parts must be of the word model ('full')")
     n: tuple[int, ...] = ()
     caps: tuple[int, ...] = ()
     dim_e = 1
@@ -467,6 +470,8 @@ def uncountable_family(t: float, omega: float, caps, n=(2, 2), n_terms: int = 20
         raise ValueError(f"omega must lie in ({1 - t}, 1), got {omega}")
     if len(n) < 2 or n[0] < 2 or n[1] < 2:
         raise ValueError("needs two factors with at least 2 generators each")
+    if len(caps) != len(n):
+        raise ValueError(f"caps {tuple(caps)} must carry one entry per factor of n {tuple(n)}")
     exp1 = construct_nadic(n[0], 1 - omega, n_terms)
     target2 = 1 - (1 - Fraction(t)) / Fraction(omega)
     exp2 = construct_nadic(n[1], float(target2), n_terms)
@@ -569,20 +574,15 @@ class BeurlingVerdict:
 
 
 def beurling_check(sub: GradedSubspace) -> BeurlingVerdict:
-    """PSD test of the defect of the range projection under the universal shifts.
+    """PSD test of the defect of the range projection under the universal shifts, by ``fock.defect_verdict``.
 
-    Only the ``interior_box`` (grades ``q <= caps - 1``) is formed: a ``Phi_i``
-    block reads the blocks one grade down, and those grades are closed under
-    that step, so the defect there is the full-box defect to the bit.
     A structured subspace gives a diagonal defect, whose diagonal is its
-    spectrum; basis and span mode take one ``eigvalsh`` of the whole interior.
+    spectrum; basis and span mode take one ``eigvalsh``.
     """
-    box = interior_box(sub.truncation)
-    if box is None:
+    v = defect_verdict("Beurling test", sub.truncation, sub.projection)
+    if v is None:
         raise ValueError("caps too small for the one-grade interior margin")
-    require_budget(f"Beurling test on the interior caps {box.shape.caps}", 16 * box.total_dim**2)
-    v = defect_shift(sub.projection(box)).interior_verdict(box.grades)
-    return BeurlingVerdict(v.positive, v.min_eigenvalue, len(box.grades))
+    return BeurlingVerdict(v.positive, v.min_eigenvalue, math.prod(sub.truncation.shape.caps))
 
 
 @dataclass(frozen=True)
@@ -704,7 +704,11 @@ def subspace_from_json(text: str) -> GradedSubspace:
     ft = truncation_for(data.get("model", "full"), Shape(n, caps=caps), dim_e)
     mode = data["mode"]
     if mode == "structured":
-        return _structured_from_params(data["kind"], data.get("params", {}), n, caps, dim_e, ft)
+        sub = _structured_from_params(data["kind"], data.get("params", {}), n, caps, dim_e, ft)
+        if sub.truncation != ft:  # the class too: a model is a truncation class
+            raise ValueError(f"structured {data['kind']!r} subspace lives on {_describe(sub.truncation)}, "
+                             f"but the head says {_describe(ft)}")
+        return sub
     if mode == "basis":
         bases = {}
         for entry in data["grades"]:
@@ -719,6 +723,10 @@ def subspace_from_json(text: str) -> GradedSubspace:
     if resid > INVARIANCE_TOL:
         raise InvarianceError(f"loaded subspace is not shift invariant (residual {resid:.3e})")
     return sub
+
+
+def _describe(ft: FockTruncation) -> str:
+    return f"model {ft.model!r}, n {list(ft.shape.n)}, caps {list(ft.shape.caps)}, dimE {ft.coeff_dim}"
 
 
 def _structured_from_params(kind: str, params: dict, n, caps, dim_e, ft=None) -> GradedSubspace:

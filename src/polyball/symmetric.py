@@ -78,6 +78,10 @@ class SymFockTruncation(FockTruncation):
     def word_dim(self, q: tuple[int, ...]) -> int:
         return sym_word_dim(self.shape.n, q)
 
+    def cumulative_dim(self, i: int, cap: int) -> int:
+        """``sum_{c <= cap} factor_dim(i, c)`` in closed form: ``C(cap + n_i, n_i)``."""
+        return sym_cumulative_trace(self.shape.n[i], cap)
+
     def shift_data(self, i: int, j: int, q: tuple[int, ...]):
         """Multiplication by coordinate ``j`` of factor ``i`` on the grade-``q`` monomials."""
         per_factor = [monomials(self.shape.n[l], q[l]) for l in range(self.shape.k)]
@@ -182,6 +186,8 @@ def sym_monomial_multiplier(shape: Shape, exponents: tuple[tuple[int, ...], ...]
 
 def coordinate_multiple_subspace(sf: SymFockTruncation, factor: int, var: int) -> GradedSubspace:
     """Monomials divisible by one coordinate of one factor; graded and shift invariant."""
+    if sf.model != "symmetric":
+        raise ValueError(f"coordinate_multiple is symmetric-model only, got model {sf.model!r}")
     if not 1 <= var <= sf.shape.n[factor]:
         raise ValueError(f"variable {var} out of range for factor {factor}")
 

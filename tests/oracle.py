@@ -15,6 +15,9 @@
 * ``defect_shift_composed``: ``(id - Phi_1) ... (id - Phi_k)(y)`` as one new
   operator per factor, ``out - apply_cp_shift(out, i)``; the library applies
   each ``id - Phi_i`` in place on ``y``'s blocks.
+* ``interior_verdict``: the PSD verdict of an operator already shifted on the
+  whole truncation, read on the grades it is given; the library forms and
+  shifts only the interior box, in ``fock.defect_verdict``.
 * ``intertwining_residuals``: the residual of ``K T_{i,j}^* = (S_{i,j}^* (x) I) K``
   for every letter and grade pair; the library leaves out the pairs the
   kernel recursion wrote, whose residuals are exactly 0.0.
@@ -33,7 +36,7 @@ import numpy as np
 
 from polyball.basis import grade_dim, iter_grades
 from polyball.berezin import BerezinKernel, berezin_kernel, connection_identity
-from polyball.cp import OperatorTuple, cp_apply, cp_apply_power, defect_data, spectral_norms
+from polyball.cp import OperatorTuple, PsdVerdict, cp_apply, cp_apply_power, defect_data, psd_verdict, spectral_norms
 from polyball.curvature import _real
 from polyball.fock import GradedOperator, apply_cp_shift, bump
 from polyball.symmetric import SymFockTruncation, monomials
@@ -139,6 +142,16 @@ def defect_shift_composed(y: GradedOperator, factors=None) -> GradedOperator:
     for i in range(y.trunc.shape.k) if factors is None else factors:
         out = out - apply_cp_shift(out, i)
     return out
+
+
+def interior_verdict(d: GradedOperator, interior) -> PsdVerdict:
+    """PSD verdict of the Hermitian part of ``d`` on ``interior``: one ``to_dense``, one spectrum.
+
+    A diagonal interior is its own spectrum; anything else takes one ``eigvalsh``.
+    """
+    h = d.to_dense(interior, hermitian=True)
+    diag = h.diagonal()
+    return psd_verdict(np.sort(diag.real) if np.count_nonzero(h) == np.count_nonzero(diag) else np.linalg.eigvalsh(h))
 
 
 def intertwining_residuals(kb: BerezinKernel) -> dict[tuple, float]:

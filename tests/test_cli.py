@@ -518,3 +518,56 @@ def test_unknown_subspace_model_is_invalid_input(tmp_path, capsys):
     report = json.loads(err)
     assert report["error"] == "invalid-input"
     assert "unknown model 'sym'" in report["reason"]
+
+
+def structured_head(kind, params, **head):
+    """A structured subspace JSON with the given head fields over a one-factor word-model default."""
+    return {"model": "full", "n": [2], "caps": [3], "dimE": 1} | head | {
+        "mode": "structured", "kind": kind, "params": params}
+
+
+MISMATCHED_HEADS = {
+    "one-part-for-two-factors": structured_head("cur0", {"n": 2}, n=[2, 2], caps=[3, 3]),
+    "mt-digits-in-another-base": structured_head("mt", construct_mt(construct_nadic(3, 0.5), 3).params),
+    "coefficients-the-part-lacks": structured_head("cur0", {"n": 2}, dimE=4),
+    "coordinate-multiple-on-words": structured_head("coordinate_multiple", {"factor": 0, "var": 1},
+                                                    n=[2, 2], caps=[3, 3]),
+}
+
+
+def assert_invalid_input(code, out, err):
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert json.loads(err)["error"] == "invalid-input"
+
+
+@pytest.mark.parametrize("command", [["mult", "--qmax", "2"], ["check", "beurling"]])
+@pytest.mark.parametrize("name", list(MISMATCHED_HEADS))
+def test_structured_subspace_must_live_on_its_head(name, command, tmp_path, capsys):
+    path = tmp_path / "sub.json"
+    path.write_text(json.dumps(MISMATCHED_HEADS[name]))
+    assert_invalid_input(*run([*command, "--input", str(path)], capsys))
+
+
+def test_tensor_of_a_symmetric_part_is_invalid_input(tmp_path, capsys):
+    from polyball.basis import Shape
+    from polyball.symmetric import SymFockTruncation, coordinate_multiple_subspace
+
+    sym, mt, prod = tmp_path / "sym.json", tmp_path / "mt.json", tmp_path / "prod.json"
+    sym.write_text(subspace_to_json(coordinate_multiple_subspace(SymFockTruncation(Shape((2,), caps=(3,))), 0, 1)))
+    mt.write_text(subspace_to_json(construct_mt(construct_nadic(2, 0.5), 3)))
+    assert_invalid_input(*run(["construct", "tensor", "--input", f"{sym},{mt}", "--out", str(prod)], capsys))
+    assert not prod.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["uncountable", "--caps", "3"],
+    ["uncountable", "--caps", "3,3,3"],
+    ["mt", "--caps", "3,4"],
+    ["cur0", "--caps", "3,4"],
+    ["mt", "--terms", "0"],
+    ["uncountable", "--caps", "3,3", "--terms", "0"],
+])
+def test_construct_refuses_caps_and_terms_it_cannot_use(argv, tmp_path, capsys):
+    out = tmp_path / "sub.json"
+    assert_invalid_input(*run(["construct", *argv, "--out", str(out)], capsys))
+    assert not out.exists()

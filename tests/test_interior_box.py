@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import commuting_tuple, random_polyball_tuple
-from oracle import defect_shift_composed
+from oracle import defect_shift_composed, interior_verdict
 from polyball.basis import Shape
 from polyball.berezin import BerezinKernel, berezin_kernel, has_characteristic_function
 from polyball.cli import main
@@ -35,7 +35,7 @@ CAPS = st.lists(st.integers(0, 3), min_size=1, max_size=2)
 def full_box_oracle(d: GradedOperator):
     """``(positive, min_eigenvalue, interior grade count)`` of a full-box defect, by the composed route."""
     interior = d.interior_grades()
-    v = d.interior_verdict(interior)
+    v = interior_verdict(d, interior)
     assert v.min_eigenvalue == d.min_eig_interior()
     return v.positive, v.min_eigenvalue, len(interior)
 

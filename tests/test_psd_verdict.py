@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import commuting_tuple
 from polyball import fock
-from polyball.berezin import has_characteristic_function
+from polyball.berezin import BerezinKernel, has_characteristic_function
 from polyball.basis import Shape
-from polyball.cp import PSD_TOL, herm, psd_verdict
-from polyball.fock import FockTruncation, GradedOperator, bump, creation_op, defect_shift
+from polyball.cp import PSD_TOL, ampliation, herm, psd_verdict
+from polyball.fock import FockTruncation, GradedOperator, bump, creation_op, defect_shift, defect_verdict
 from polyball.subspaces import (
     GradedSubspace,
     beurling_check,
@@ -34,18 +35,22 @@ def constrained_kernel():
 
 
 def oracle_cases():
+    """``(truncation, build)``: ``build(box)`` forms the operator whose defect is tested on ``box``."""
     kb = constrained_kernel()
+    uncountable = uncountable_family(0.3, 0.75, (4, 4))
+    bidisc = bidisc_difference_subspace((5, 5))
     return {
-        "uncountable": defect_shift(uncountable_family(0.3, 0.75, (4, 4)).projection()),
-        "bidisc-difference": defect_shift(bidisc_difference_subspace((5, 5)).projection()),
-        "constrained-char": defect_shift(GradedOperator.identity(kb.truncation) - kb.kk_star_full()),
+        "uncountable": (uncountable.truncation, uncountable.projection),
+        "bidisc-difference": (bidisc.truncation, bidisc.projection),
+        "constrained-char": (kb.truncation, lambda box: GradedOperator.identity(box) - kb.kk_star_full(box)),
     }
 
 
 @pytest.mark.parametrize("name", ["uncountable", "bidisc-difference", "constrained-char"])
 def test_verdict_matches_dense_oracles(name):
-    d = oracle_cases()[name]
-    v = d.interior_verdict(d.interior_grades())
+    ft, build = oracle_cases()[name]
+    d = defect_shift(build(ft))
+    v = defect_verdict("test", ft, build)
     assert v.min_eigenvalue == d.min_eig_interior()  # same eigvalsh call, to the bit
     spectrum = np.linalg.eigvalsh(herm(d.to_dense(d.interior_grades())))
     scale = max(abs(spectrum[0]), abs(spectrum[-1]))
@@ -149,7 +154,7 @@ def graded_cases():
 def test_interior_verdict_matches_dense_oracles(name):
     sub = graded_cases()[name]
     d = defect_shift(sub.projection())
-    v = d.interior_verdict(d.interior_grades())
+    v = defect_verdict("Beurling test", sub.truncation, sub.projection)
     assert v.min_eigenvalue == d.min_eig_interior()
     assert v.bound == pytest.approx(-PSD_TOL * max(d.norm_interior(), 1.0), rel=1e-12)
     assert v.positive == (name != "finite-codim")
@@ -196,7 +201,7 @@ def test_interior_verdict_matches_whole_interior_on_random_basis_subspaces(shape
     sub = random_basis_subspace(ft, np.random.default_rng(seed), invariant, fill)
     d = defect_shift(sub.projection())
     interior = d.interior_grades()
-    v = d.interior_verdict(interior)
+    v = defect_verdict("Beurling test", ft, sub.projection)
     whole = psd_verdict(np.linalg.eigvalsh(herm(d.to_dense(interior))))
     assert v.positive == whole.positive
     assert abs(v.min_eigenvalue - whole.min_eigenvalue) <= 1e-12 * max(1.0, abs(whole.min_eigenvalue))
@@ -236,3 +241,33 @@ def test_span_beurling_test_takes_one_whole_interior_spectrum(eigvalsh_sizes):
     eigvalsh_sizes.clear()
     assert not beurling_check(sub).positive
     assert eigvalsh_sizes == [sum(dims)]
+
+
+def curv_c_kernel():
+    """The caps-(4, 4) symmetric kernel of the ``curv-c`` tuple: two ``commuting_tuple`` draws from seed 1."""
+    rng = np.random.default_rng(1)
+    return constrained_berezin(ampliation([commuting_tuple(rng, 2, 3, 0.8), commuting_tuple(rng, 2, 3, 0.8)]), (4, 4))
+
+
+@pytest.mark.parametrize("verdict, make", [
+    (has_characteristic_function, curv_c_kernel),
+    (beurling_check, lambda: bidisc_difference_subspace((5, 5))),
+], ids=["char-function", "bidisc-difference"])
+def test_the_operator_is_released_before_the_spectrum(verdict, make, monkeypatch):
+    arg = make()  # before the patches: building a kernel takes spectra of its own
+    built, seen = [], []
+    for cls, name in ((BerezinKernel, "kk_star_full"), (GradedSubspace, "projection")):
+        def capturing(self, *args, _build=getattr(cls, name), **kwargs):
+            built.append(_build(self, *args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(cls, name, capturing)
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        seen.append([len(op.blocks) for op in built])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    verdict(arg)
+    assert seen == [[0]]  # one spectrum, taken after the one built operator gave up its blocks

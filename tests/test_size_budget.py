@@ -12,8 +12,8 @@ from polyball import cp
 from polyball.basis import Shape, grade_dim
 from polyball.berezin import InnerMultiplier, berezin_kernel, has_characteristic_function
 from polyball.cli import main
-from polyball.cp import SIZE_BUDGET, ampliation, cp_matrix
-from polyball.fock import defect_shift, interior_box, truncation_for
+from polyball.cp import SIZE_BUDGET, OperatorTuple, ampliation, cp_matrix
+from polyball.fock import FockTruncation, defect_shift, interior_box, truncation_for
 from polyball.subspaces import beurling_check, bidisc_difference_subspace, uncountable_family
 from polyball.symmetric import curv_c_estimate, sym_word_dim
 
@@ -121,3 +121,26 @@ def test_index_multiplier_over_the_budget_is_invalid_input(tmp_path, capsys):
     # blocks (c) -> (c + 1) of 2**(c + 1) x 2**c entries for c < 20; the kernel alone (33.5 MB) would fit
     size = 16 * sum(2 ** (2 * c + 1) for c in range(20))
     assert reason == f"multiplier blocks at caps (20,) needs {size} bytes (budget {SIZE_BUDGET}; use smaller caps)"
+
+
+@pytest.mark.parametrize("model", ["full", "symmetric"])
+def test_cumulative_dim_is_the_sum_of_the_grade_dimensions(model):
+    for n in (1, 2, 3):
+        for cap in range(9):
+            ft = truncation_for(model, Shape((n,), caps=(cap,)))
+            assert ft.cumulative_dim(0, cap) == sum(ft.factor_dim(0, c) for c in range(cap + 1))
+        ft = truncation_for(model, Shape((n, 2), caps=(3, 2)), 2)
+        assert ft.total_dim == sum(ft.dim(q) for q in ft.grades)
+
+
+@pytest.mark.parametrize("model", ["full", "symmetric"])
+def test_sizing_a_huge_cap_computes_no_grade_dimension(model, monkeypatch):
+    calls = []
+    factor_dim = FockTruncation.factor_dim
+    monkeypatch.setattr(FockTruncation, "factor_dim", lambda self, i, c: calls.append(c) or factor_dim(self, i, c))
+    ft = truncation_for(model, Shape((2,), caps=(20000,)))
+    assert ft.total_dim == (2**20001 - 1 if model == "full" else 20001 * 20002 // 2)
+    one_factor = OperatorTuple(Shape((2,)), 1, ((np.full((1, 1), 0.5 + 0j),) * 2,))
+    with pytest.raises(ValueError, match=r"Berezin kernel at caps \(20000,\) needs"):
+        berezin_kernel(one_factor, (20000,), model)
+    assert calls == []

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracle import defect_shift_composed
+from oracle import defect_shift_composed, interior_verdict
 from polyball.basis import Shape, iter_grades, word_unrank
 from polyball.cp import check_polyball, defect_map
 from polyball.curvature import subspace_curvature
@@ -286,7 +286,7 @@ def test_beurling_false_for_difference_subspace():
 def test_beurling_is_bit_equal_to_the_composed_route(make):
     sub = make()
     d = defect_shift_composed(sub.projection())
-    v = d.interior_verdict(d.interior_grades())
+    v = interior_verdict(d, d.interior_grades())
     assert beurling_check(sub).min_eigenvalue == v.min_eigenvalue
 
 

@@ -7,7 +7,7 @@ curvature and multiplicity estimators, together with the commutative
 (symmetric Fock) variants.
 """
 
-from .basis import Shape, TensorWord, enumerate_words, grade_dim, simplex_count, tensor_index
+from .basis import Shape, grade_dim
 from .berezin import (
     BerezinKernel,
     InnerMultiplier,
@@ -40,10 +40,9 @@ from .curvature import (
     CurvEstimate,
     bounds_report,
     curvature_estimate,
-    grade_trace,
     subspace_curvature,
 )
-from .fock import FockTruncation, GradedOperator, apply_cp_shift, creation_op, graded_projection, n_weight
+from .fock import FockTruncation, GradedOperator, apply_cp_shift, creation_op
 from .subspaces import (
     GradedSubspace,
     NAdicExpansion,
@@ -65,7 +64,6 @@ from .subspaces import (
 )
 from .symmetric import (
     SymFockTruncation,
-    b_operator,
     constrained_berezin,
     coordinate_multiple_subspace,
     curv_c_estimate,

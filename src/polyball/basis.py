@@ -54,24 +54,6 @@ class Shape:
         return self.caps
 
 
-@dataclass(frozen=True)
-class TensorWord:
-    """One word per factor; the multi-degree is the tuple of word lengths."""
-
-    words: tuple[Word, ...]
-
-    @property
-    def multidegree(self) -> MultiDegree:
-        return tuple(len(w) for w in self.words)
-
-
-def enumerate_words(n_i: int, q: int) -> list[Word]:
-    """All ``n_i**q`` words of length ``q``, lexicographically ordered; ``q=0`` gives the identity."""
-    if n_i < 1 or q < 0:
-        raise ValueError(f"need n_i >= 1 and q >= 0, got n_i={n_i}, q={q}")
-    return list(itertools.product(range(1, n_i + 1), repeat=q))
-
-
 def word_rank(n_i: int, word: Word) -> int:
     """Lexicographic rank of ``word`` among all words of its length."""
     r = 0
@@ -80,17 +62,6 @@ def word_rank(n_i: int, word: Word) -> int:
             raise ValueError(f"letter {letter} out of range 1..{n_i}")
         r = r * n_i + (letter - 1)
     return r
-
-
-def word_unrank(n_i: int, q: int, rank: int) -> Word:
-    """Inverse of :func:`word_rank` at length ``q``."""
-    if not 0 <= rank < n_i**q:
-        raise ValueError(f"rank {rank} out of range for n_i={n_i}, q={q}")
-    letters = []
-    for _ in range(q):
-        rank, digit = divmod(rank, n_i)
-        letters.append(digit + 1)
-    return tuple(reversed(letters))
 
 
 def grade_dim(shape: Shape, q: MultiDegree) -> int:
@@ -105,13 +76,6 @@ def grade_dim(shape: Shape, q: MultiDegree) -> int:
     return d
 
 
-def simplex_layer_count(m: int, k: int) -> int:
-    """Number of q in Z_+^k with q_1 + ... + q_k = m, i.e. C(m+k-1, k-1)."""
-    if m < 0 or k < 1:
-        raise ValueError(f"need m >= 0 and k >= 1, got m={m}, k={k}")
-    return math.comb(m + k - 1, k - 1)
-
-
 def simplex_cumulative_count(m: int, k: int) -> int:
     """Number of q in Z_+^k with q_1 + ... + q_k <= m, i.e. C(m+k, k)."""
     if m < 0 or k < 1:
@@ -119,59 +83,6 @@ def simplex_cumulative_count(m: int, k: int) -> int:
     return math.comb(m + k, k)
 
 
-def simplex_count(m: int, k: int) -> tuple[int, int]:
-    """(layer, cumulative) lattice-point counts of the degree-``m`` simplex slice."""
-    return simplex_layer_count(m, k), simplex_cumulative_count(m, k)
-
-
-def tensor_index(shape: Shape, tw: TensorWord) -> int:
-    """Mixed-radix index of a tensor word within its grade; factor 0 is most significant."""
-    if len(tw.words) != shape.k:
-        raise ValueError(f"tensor word has {len(tw.words)} factors, shape has {shape.k}")
-    if shape.caps is not None:
-        for qi, cap in zip(tw.multidegree, shape.caps):
-            if qi > cap:
-                raise ValueError(f"tensor word degree {tw.multidegree} exceeds caps {shape.caps}")
-    idx = 0
-    for i, w in enumerate(tw.words):
-        idx = idx * shape.n[i] ** len(w) + word_rank(shape.n[i], w)
-    return idx
-
-
-def tensor_unindex(shape: Shape, q: MultiDegree, index: int) -> TensorWord:
-    """Inverse of :func:`tensor_index` on the grade-``q`` slice."""
-    if not 0 <= index < grade_dim(shape, q):
-        raise ValueError(f"index {index} out of range for grade {q}")
-    ranks = []
-    for i in reversed(range(shape.k)):
-        size = shape.n[i] ** q[i]
-        index, r = divmod(index, size)
-        ranks.append(r)
-    ranks.reverse()
-    return TensorWord(tuple(word_unrank(shape.n[i], q[i], r) for i, r in enumerate(ranks)))
-
-
-def enumerate_tensor_words(shape: Shape, q: MultiDegree) -> list[TensorWord]:
-    """All tensor words of multi-degree ``q`` in :func:`tensor_index` order."""
-    factor_words = [enumerate_words(shape.n[i], q[i]) for i in range(shape.k)]
-    return [TensorWord(ws) for ws in itertools.product(*factor_words)]
-
-
-def leq(q: MultiDegree, p: MultiDegree) -> bool:
-    """Componentwise partial order on multi-degrees."""
-    return all(a <= b for a, b in zip(q, p))
-
-
 def iter_grades(caps: tuple[int, ...]):
     """All multi-degrees q <= caps, in lexicographic order."""
     return itertools.product(*(range(c + 1) for c in caps))
-
-
-def iter_layer(m: int, k: int):
-    """All q in Z_+^k with q_1 + ... + q_k = m, in lexicographic order."""
-    if k == 1:
-        yield (m,)
-        return
-    for q1 in range(m + 1):
-        for rest in iter_layer(m - q1, k - 1):
-            yield (q1,) + rest

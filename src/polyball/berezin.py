@@ -72,11 +72,6 @@ class BerezinKernel:
         b = self.blocks[q]
         return b.conj().T @ b
 
-    def isometry_defect(self) -> float:
-        """``|| I - K^* K ||``; bounded by the tail for pure tuples."""
-        gram = sum(self.grade_gram(q) for q in self.truncation.grades)
-        return float(spectral_norms(np.eye(self.op.dimH) - gram))
-
     def kk_star_diag(self, grades=None) -> GradedOperator:
         """Dense grade-diagonal blocks of ``K K^*``; the oracle of ``curvature_operator_trace``."""
         grades = self.truncation.grades if grades is None else grades

@@ -63,10 +63,6 @@ def herm(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
-def min_eig(a: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(herm(a))[0]) if a.size else 0.0
-
-
 @dataclass(frozen=True)
 class PsdVerdict:
     positive: bool
@@ -127,6 +123,20 @@ def max_spectral_norm(mats) -> float:
     return max((float(spectral_norms(np.stack(group)).max()) for group in by_shape.values()), default=0.0)
 
 
+def require_commuting(resid: float, factors, scale, what: str) -> None:
+    """Refuse a commutator residual above ``COMMUTATION_TOL * max(scale(tops), 1)``: the one commutation rule.
+
+    ``tops`` are the largest entry norms of the ``factors``, and ``scale`` maps
+    them to the norm scale of the commutators tested.  The bound is at least
+    ``COMMUTATION_TOL``, so the norms are computed only above it.
+    """
+    if resid <= COMMUTATION_TOL:
+        return
+    tops = [float(spectral_norms(np.stack(mats)).max()) for mats in factors]
+    if resid > COMMUTATION_TOL * max(scale(tops), 1.0):
+        raise ValueError(f"{what} do not commute (residual {resid:.3e})")
+
+
 @dataclass(frozen=True)
 class OperatorTuple:
     """A k-tuple of row tuples of dimH x dimH complex matrices."""
@@ -152,15 +162,9 @@ class OperatorTuple:
                 row.append(a)
             frozen.append(tuple(row))
         object.__setattr__(self, "factors", tuple(frozen))
-        resid = max_cross_commutator(self)
-        # the bound is at least COMMUTATION_TOL: the norms are needed only above it
-        if resid > COMMUTATION_TOL and resid > self._commutation_bound():
-            raise ValueError(f"cross-factor entries do not commute (residual {resid:.3e})")
-
-    def _commutation_bound(self) -> float:
-        tops = [float(spectral_norms(np.stack(mats)).max()) for mats in self.factors]
-        scale = max((a * b for a, b in itertools.combinations(tops, 2)), default=0.0)
-        return COMMUTATION_TOL * max(scale, 1.0)
+        require_commuting(max_cross_commutator(self), self.factors,
+                          lambda tops: max((a * b for a, b in itertools.combinations(tops, 2)), default=0.0),
+                          "cross-factor entries")
 
     @property
     def k(self) -> int:
@@ -169,13 +173,6 @@ class OperatorTuple:
     def entry(self, i: int, j: int) -> np.ndarray:
         """Matrix of generator ``j`` (1-based letter) in factor ``i`` (0-based)."""
         return self.factors[i][j - 1]
-
-    def word_product_adjoint(self, i: int, word: tuple[int, ...]) -> np.ndarray:
-        """``T_{i,word}^* = T_{j_p}^* ... T_{j_1}^*`` for a letter word; the oracle of the kernel rows."""
-        out = np.eye(self.dimH, dtype=complex)
-        for letter in word:
-            out = self.entry(i, letter).conj().T @ out
-        return out
 
 
 def max_cross_commutator(t: OperatorTuple) -> float:
@@ -216,15 +213,6 @@ def cp_apply_power(t: OperatorTuple, i: int, y: np.ndarray, q: int) -> np.ndarra
     return y
 
 
-def cp_matrix(t: OperatorTuple, i: int) -> np.ndarray:
-    """Dense dimH^2 x dimH^2 matrix of the factor-``i`` transfer map (test oracle path)."""
-    require_budget(f"dense transfer matrix of dimH {t.dimH}", 16 * t.dimH**4)
-    out = np.zeros((t.dimH**2, t.dimH**2), dtype=complex)
-    for a in t.factors[i]:
-        out += np.kron(a, a.conj())
-    return out
-
-
 def defect_map(t: OperatorTuple, p: tuple[int, ...], y: np.ndarray) -> np.ndarray:
     """``(id - Phi_1)^{p_1} o ... o (id - Phi_k)^{p_k}`` applied to ``y``."""
     if len(p) != t.k or any(v < 0 for v in p):
@@ -235,20 +223,6 @@ def defect_map(t: OperatorTuple, p: tuple[int, ...], y: np.ndarray) -> np.ndarra
     for i in range(t.k):
         for _ in range(p[i]):
             out = out - cp_apply(t, i, out)
-    return out
-
-
-def defect_map_expanded(t: OperatorTuple, p: tuple[int, ...], y: np.ndarray) -> np.ndarray:
-    """Binomial expansion ``sum_{0<=s<=p} (-1)^{|s|} C(p,s) Phi^s(y)``; cross-check route."""
-    out = np.zeros((t.dimH, t.dimH), dtype=complex)
-    for s in itertools.product(*(range(v + 1) for v in p)):
-        term = np.asarray(y, dtype=complex)
-        for i in range(t.k):
-            term = cp_apply_power(t, i, term, s[i])
-        coeff = (-1) ** sum(s)
-        for pi, si in zip(p, s):
-            coeff *= math.comb(pi, si)
-        out += coeff * term
     return out
 
 

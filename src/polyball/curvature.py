@@ -18,8 +18,8 @@ from functools import partial
 
 import numpy as np
 
-from .basis import grade_dim, iter_grades, simplex_cumulative_count
-from .cp import OperatorTuple, cp_apply, cp_apply_adjoint, cp_apply_power, defect_data, require_membership
+from .basis import iter_grades, simplex_cumulative_count
+from .cp import OperatorTuple, cp_apply, cp_apply_adjoint, defect_data, require_membership
 
 MONOTONE_SLACK = 1e-12
 MONOTONE_ERROR = 1e-10
@@ -43,7 +43,6 @@ class CurvEstimate:
     error_proxy: float
     monotone_ok: bool
     formula_spread: float = float("nan")  # max pairwise gap of the routes at full depth
-    extrapolated: float | None = None
     exact_values: dict[tuple[int, ...], Fraction] | None = field(default=None, repr=False)
     exact_limit: Fraction | None = None
     caveats: tuple[str, ...] = ()
@@ -56,15 +55,6 @@ def _real(traces) -> np.ndarray:
     if bad.any():
         raise NumericalInstabilityError(f"grade trace has imaginary part {traces.imag[bad][0]:.3e}")
     return traces.real
-
-
-def grade_trace(t: OperatorTuple, q: tuple[int, ...]) -> float:
-    """Normalized trace ``trace[Phi^q(defect)] / prod n_i**q_i`` at one grade."""
-    dd = defect_data(t)
-    y = dd.defect
-    for i in range(t.k):
-        y = cp_apply_power(t, i, y, q[i])
-    return float(_real(np.trace(y))) / grade_dim(t.shape, q)
 
 
 class GradeTable(dict):
@@ -190,7 +180,7 @@ def _box_sums(traces: np.ndarray) -> np.ndarray:
     return traces[(np.arange(traces.shape[0]),) * traces.ndim]
 
 
-def curvature_estimate(t: OperatorTuple, q_max: int, extrapolate: bool = False) -> CurvEstimate:
+def curvature_estimate(t: OperatorTuple, q_max: int) -> CurvEstimate:
     """Fill all sequences up to the corner ``(q_max,...,q_max)`` and report the corner value.
 
     The defect-product route divides by ``prod_i sum_{s<=q} n_i**s``.
@@ -211,18 +201,7 @@ def curvature_estimate(t: OperatorTuple, q_max: int, extrapolate: bool = False) 
         defect_product_seq=defect_product,
         monotone_ok=monotone_ok,
         formula_spread=max(routes) - min(routes),
-        extrapolated=_aitken(fields["corner_seq"]) if extrapolate else None,
     )
-
-
-def _aitken(seq: list[float]) -> float | None:
-    if len(seq) < 3:
-        return None
-    x0, x1, x2 = seq[-3], seq[-2], seq[-1]
-    denom = (x2 - x1) - (x1 - x0)
-    if abs(denom) < 1e-15:
-        return x2
-    return x2 - (x2 - x1) ** 2 / denom
 
 
 def _occupation(sub, q_max: int) -> dict:

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import Shape, grade_dim, iter_grades, leq
+from .basis import Shape, grade_dim, iter_grades
 from .cp import PsdVerdict, psd_verdict, require_budget, spectral_norms
 
 
@@ -178,16 +178,6 @@ class GradedOperator:
     def zero(cls, ft: FockTruncation) -> "GradedOperator":
         return cls(ft, {})
 
-    @classmethod
-    def diagonal(cls, ft: FockTruncation, weight) -> "GradedOperator":
-        """Diagonal operator with scalar ``weight(q)`` on each grade; zero weights dropped."""
-        blocks = {}
-        for q in ft.grades:
-            w = weight(q)
-            if w:
-                blocks[(q, q)] = float(w) * np.eye(ft.dim(q), dtype=complex)
-        return cls(ft, blocks)
-
     def block(self, src, dst) -> np.ndarray:
         b = self.blocks.get((src, dst))
         if b is None:
@@ -289,39 +279,6 @@ def creation_op(ft: FockTruncation, i: int, j: int) -> GradedOperator:
         b[rows, np.arange(ft.dim(q))] = w
         blocks[(q, up)] = b
     return GradedOperator(ft, blocks)
-
-
-def graded_projection(ft: FockTruncation, q: tuple[int, ...]) -> GradedOperator:
-    """Orthogonal projection onto the grade-``q`` slice."""
-    if not ft.has_grade(q):
-        raise ValueError(f"grade {q} beyond caps {ft.shape.caps}")
-    return GradedOperator(ft, {(q, q): np.eye(ft.dim(q), dtype=complex)})
-
-
-def cumulative_projection(ft: FockTruncation, q: tuple[int, ...]) -> GradedOperator:
-    """Projection onto the union of grades ``s <= q`` componentwise."""
-    if not ft.has_grade(q):
-        raise ValueError(f"grade {q} beyond caps {ft.shape.caps}")
-    return GradedOperator.diagonal(ft, lambda s: 1.0 if leq(s, q) else 0.0)
-
-
-def total_degree_projection(ft: FockTruncation, m: int) -> GradedOperator:
-    """Projection onto grades of total degree at most ``m``."""
-    return GradedOperator.diagonal(ft, lambda s: 1.0 if sum(s) <= m else 0.0)
-
-
-def vacuum_projection(ft: FockTruncation, i: int | None = None) -> GradedOperator:
-    """Projection onto the vacuum slice of factor ``i`` (all factors when ``i`` is None)."""
-    if i is None:
-        return GradedOperator.diagonal(ft, lambda s: 1.0 if all(v == 0 for v in s) else 0.0)
-    return GradedOperator.diagonal(ft, lambda s: 1.0 if s[i] == 0 else 0.0)
-
-
-def n_weight(ft: FockTruncation, q: tuple[int, ...]) -> GradedOperator:
-    """Diagonal weight ``1 / word_dim(s)`` on every grade ``s <= q``."""
-    if not ft.has_grade(q):
-        raise ValueError(f"grade {q} beyond caps {ft.shape.caps}")
-    return GradedOperator.diagonal(ft, lambda s: 1.0 / ft.word_dim(s) if leq(s, q) else 0.0)
 
 
 def _cp_shift_blocks(y: GradedOperator, i: int):

@@ -384,6 +384,9 @@ def tensor_subspace(parts: list[GradedSubspace]) -> GradedSubspace:
         dim_e *= p.truncation.coeff_dim
     ft = FockTruncation(Shape(n, caps=caps), coeff_dim=dim_e)
     arities = [p.truncation.shape.k for p in parts]
+    limit = None
+    if all(p.limit is not None for p in parts):
+        limit = math.prod((p.limit for p in parts), start=Fraction(1))
 
     def split(q):
         out, pos = [], 0
@@ -414,10 +417,6 @@ def tensor_subspace(parts: list[GradedSubspace]) -> GradedSubspace:
                 return np.arange(0)
             return np.sort(combine_indices(pieces, sets))
 
-        limit = None
-        if all(p.limit is not None for p in parts):
-            limit = math.prod((p.limit for p in parts), start=Fraction(1))
-
         def count(q):
             total = 1
             for p, piece in zip(parts, split(q)):
@@ -442,9 +441,6 @@ def tensor_subspace(parts: list[GradedSubspace]) -> GradedSubspace:
         return reordered
 
     grade_bases = {q: bases(q) for q in ft.grades}
-    limit = None
-    if all(p.limit is not None for p in parts):
-        limit = math.prod((p.limit for p in parts), start=Fraction(1))
     return GradedSubspace(ft, "tensor", grade_bases=grade_bases, limit=limit)
 
 
@@ -703,6 +699,8 @@ def subspace_from_json(text: str) -> GradedSubspace:
     dim_e = int(data.get("dimE", 1))
     ft = truncation_for(data.get("model", "full"), Shape(n, caps=caps), dim_e)
     mode = data["mode"]
+    if mode not in ("structured", "basis", "span"):
+        raise ValueError(f"unknown subspace mode {mode!r}; expected structured, basis or span")
     if mode == "structured":
         sub = _structured_from_params(data["kind"], data.get("params", {}), n, caps, dim_e, ft)
         if sub.truncation != ft:  # the class too: a model is a truncation class

@@ -29,9 +29,9 @@ import numpy as np
 
 from .basis import Shape
 from .berezin import BerezinKernel, InnerMultiplier, berezin_kernel, has_characteristic_function
-from .cp import COMMUTATION_TOL, OperatorTuple, PsdVerdict, max_spectral_norm, require_membership, spectral_norms
+from .cp import OperatorTuple, PsdVerdict, max_spectral_norm, require_commuting, require_membership
 from .curvature import CurvEstimate, _box_sums, _check_monotone, _summary, grade_trace_table
-from .fock import FockTruncation, GradedOperator, bump, creation_op
+from .fock import FockTruncation, bump
 from .subspaces import BeurlingVerdict, GradedSubspace, MultiplicityEstimate, beurling_check, multiplicity_estimate
 
 
@@ -60,14 +60,6 @@ def monomials(n: int, q: int) -> tuple[tuple[int, ...], ...]:
         for rest in monomials(n - 1, q - a):
             out.append((a,) + rest)
     return tuple(out)
-
-
-def monomial_weight(alpha: tuple[int, ...]) -> Fraction:
-    """Squared monomial norm ``alpha! / |alpha|!``, exact."""
-    num = 1
-    for a in alpha:
-        num *= math.factorial(a)
-    return Fraction(num, math.factorial(sum(alpha)))
 
 
 class SymFockTruncation(FockTruncation):
@@ -104,24 +96,14 @@ class SymFockTruncation(FockTruncation):
         return targets, fac_w[ranks[i]], fac_ratio[ranks[i]]
 
 
-def b_operator(sf: SymFockTruncation, i: int, j: int) -> GradedOperator:
-    """Compressed shift of factor ``i``, coordinate ``j``, as a block-graded operator."""
-    return creation_op(sf, i, j)
-
-
 def max_intra_commutator(t: OperatorTuple) -> float:
     return max_spectral_norm(a @ b - b @ a for mats in t.factors for a, b in itertools.combinations(mats, 2))
 
 
 def require_commutative(t: OperatorTuple) -> None:
     """A commutative-polyball element has commuting entries within each factor too."""
-    resid = max_intra_commutator(t)
-    if resid <= COMMUTATION_TOL:
-        return  # within the bound whatever the scale
-    tops = [float(spectral_norms(np.stack(mats)).max()) for mats in t.factors]
-    scale = max(top * top for top in tops)
-    if resid > COMMUTATION_TOL * max(scale, 1.0):
-        raise ValueError(f"entries within a factor do not commute (residual {resid:.3e})")
+    require_commuting(max_intra_commutator(t), t.factors, lambda tops: max(top * top for top in tops),
+                      "entries within a factor")
 
 
 def curv_c_estimate(t: OperatorTuple, q_max: int) -> CurvEstimate:
@@ -215,15 +197,6 @@ def coordinate_multiple_subspace(sf: SymFockTruncation, factor: int, var: int) -
 def sym_cumulative_trace(n_i: int, q: int) -> int:
     """Sum of the degree-slice traces up to ``q``: ``C(q + n_i, n_i)``, exact."""
     return math.comb(q + n_i, n_i)
-
-
-def universal_factorial_form_value(n: tuple[int, ...], q: int) -> float:
-    """Factorial-form sequence of the universal commutative tuple, from exact counts."""
-    if q < 1:
-        raise ValueError("the factorial form needs q >= 1")
-    total = math.prod(sym_cumulative_trace(ni, q) for ni in n)
-    fact = math.prod(math.factorial(ni) for ni in n)
-    return fact * total / math.prod(float(q) ** ni for ni in n)
 
 
 @dataclass

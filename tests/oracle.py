@@ -24,22 +24,49 @@
 * ``connection_payload_full``: the ``check connection`` payload read off a
   kernel at the full ``--caps``; the command builds only the box
   ``min(qmax, caps)`` that it reads.
+* ``enumerate_words``, ``word_unrank`` and ``leq``: the words of one length in
+  rank order, the inverse of ``basis.word_rank``, and the componentwise order
+  of multi-degrees; the library addresses words by rank arithmetic alone.
+* ``graded_projection`` and ``vacuum_projection``: grade-diagonal projections
+  as block-graded operators.
+* ``min_eig``, ``cp_matrix`` and ``defect_map_expanded``: the smallest
+  eigenvalue of the Hermitian part, the transfer map as a dense
+  ``dimH**2 x dimH**2`` matrix, and the defect map by binomial expansion.
+* ``word_product_adjoint``: ``T_{i,word}^*`` as one product of adjoints; the
+  kernel recursion writes those rows one letter at a time.
+* ``grade_trace``: one normalized grade trace by iterating the transfer maps;
+  the library fills the whole box by trace duality.
+* ``isometry_defect``: ``||I - K^* K||`` of a kernel, summed over its grades.
+* ``monomial_weight`` and ``universal_factorial_form_value``: exact monomial
+  norms, and the factorial form of the universal commutative tuple from exact
+  counts.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
 
 from polyball.basis import grade_dim, iter_grades
 from polyball.berezin import BerezinKernel, berezin_kernel, connection_identity
-from polyball.cp import OperatorTuple, PsdVerdict, cp_apply, cp_apply_power, defect_data, psd_verdict, spectral_norms
+from polyball.cp import (
+    OperatorTuple,
+    PsdVerdict,
+    cp_apply,
+    cp_apply_power,
+    defect_data,
+    herm,
+    psd_verdict,
+    require_budget,
+    spectral_norms,
+)
 from polyball.curvature import _real
-from polyball.fock import GradedOperator, apply_cp_shift, bump
-from polyball.symmetric import SymFockTruncation, monomials
+from polyball.fock import FockTruncation, GradedOperator, apply_cp_shift, bump
+from polyball.symmetric import SymFockTruncation, monomials, sym_cumulative_trace
 
 
 def grade_trace_table_walk(t: OperatorTuple, qmax: tuple[int, ...], word_dim=None) -> dict[tuple[int, ...], float]:
@@ -188,3 +215,106 @@ def connection_payload_full(t: OperatorTuple, caps: tuple[int, ...], qmax: int, 
         "within_tol": max(resids) <= tol,
         "table": [{f"q{i + 1}": q[i] for i in range(t.k)} | {"residual": r} for q, r in zip(grades, resids)],
     }
+
+
+def enumerate_words(n_i: int, q: int) -> list[tuple[int, ...]]:
+    """All ``n_i**q`` words of length ``q``, lexicographically ordered; ``q=0`` gives the identity."""
+    if n_i < 1 or q < 0:
+        raise ValueError(f"need n_i >= 1 and q >= 0, got n_i={n_i}, q={q}")
+    return list(itertools.product(range(1, n_i + 1), repeat=q))
+
+
+def word_unrank(n_i: int, q: int, rank: int) -> tuple[int, ...]:
+    """Inverse of ``basis.word_rank`` at length ``q``."""
+    if not 0 <= rank < n_i**q:
+        raise ValueError(f"rank {rank} out of range for n_i={n_i}, q={q}")
+    letters = []
+    for _ in range(q):
+        rank, digit = divmod(rank, n_i)
+        letters.append(digit + 1)
+    return tuple(reversed(letters))
+
+
+def leq(q: tuple[int, ...], p: tuple[int, ...]) -> bool:
+    """Componentwise partial order on multi-degrees."""
+    return all(a <= b for a, b in zip(q, p))
+
+
+def graded_projection(ft: FockTruncation, q: tuple[int, ...]) -> GradedOperator:
+    """Orthogonal projection onto the grade-``q`` slice."""
+    if not ft.has_grade(q):
+        raise ValueError(f"grade {q} beyond caps {ft.shape.caps}")
+    return GradedOperator(ft, {(q, q): np.eye(ft.dim(q), dtype=complex)})
+
+
+def vacuum_projection(ft: FockTruncation, i: int | None = None) -> GradedOperator:
+    """Projection onto the vacuum slice of factor ``i`` (all factors when ``i`` is None)."""
+    return GradedOperator(ft, {(q, q): np.eye(ft.dim(q), dtype=complex) for q in ft.grades
+                               if not (any(q) if i is None else q[i])})
+
+
+def min_eig(a: np.ndarray) -> float:
+    """Smallest eigenvalue of the Hermitian part of ``a``; 0.0 for an empty matrix."""
+    return float(np.linalg.eigvalsh(herm(a))[0]) if a.size else 0.0
+
+
+def cp_matrix(t: OperatorTuple, i: int) -> np.ndarray:
+    """Dense ``dimH**2 x dimH**2`` matrix of the factor-``i`` transfer map, sized against the budget first."""
+    require_budget(f"dense transfer matrix of dimH {t.dimH}", 16 * t.dimH**4)
+    out = np.zeros((t.dimH**2, t.dimH**2), dtype=complex)
+    for a in t.factors[i]:
+        out += np.kron(a, a.conj())
+    return out
+
+
+def defect_map_expanded(t: OperatorTuple, p: tuple[int, ...], y: np.ndarray) -> np.ndarray:
+    """Binomial expansion ``sum_{0<=s<=p} (-1)^{|s|} C(p,s) Phi^s(y)`` of ``cp.defect_map``."""
+    out = np.zeros((t.dimH, t.dimH), dtype=complex)
+    for s in itertools.product(*(range(v + 1) for v in p)):
+        term = np.asarray(y, dtype=complex)
+        for i in range(t.k):
+            term = cp_apply_power(t, i, term, s[i])
+        coeff = (-1) ** sum(s)
+        for pi, si in zip(p, s):
+            coeff *= math.comb(pi, si)
+        out += coeff * term
+    return out
+
+
+def word_product_adjoint(t: OperatorTuple, i: int, word: tuple[int, ...]) -> np.ndarray:
+    """``T_{i,word}^* = T_{j_p}^* ... T_{j_1}^*`` for a letter word of factor ``i``."""
+    out = np.eye(t.dimH, dtype=complex)
+    for letter in word:
+        out = t.entry(i, letter).conj().T @ out
+    return out
+
+
+def grade_trace(t: OperatorTuple, q: tuple[int, ...]) -> float:
+    """Normalized trace ``trace[Phi^q(defect)] / prod n_i**q_i`` at one grade."""
+    y = defect_data(t).defect
+    for i in range(t.k):
+        y = cp_apply_power(t, i, y, q[i])
+    return float(_real(np.trace(y))) / grade_dim(t.shape, q)
+
+
+def isometry_defect(kb: BerezinKernel) -> float:
+    """``||I - K^* K||``; bounded by the tail for pure tuples."""
+    gram = sum(kb.grade_gram(q) for q in kb.truncation.grades)
+    return float(spectral_norms(np.eye(kb.op.dimH) - gram))
+
+
+def monomial_weight(alpha: tuple[int, ...]) -> Fraction:
+    """Squared monomial norm ``alpha! / |alpha|!``, exact."""
+    num = 1
+    for a in alpha:
+        num *= math.factorial(a)
+    return Fraction(num, math.factorial(sum(alpha)))
+
+
+def universal_factorial_form_value(n: tuple[int, ...], q: int) -> float:
+    """Factorial-form sequence of the universal commutative tuple, from exact counts."""
+    if q < 1:
+        raise ValueError("the factorial form needs q >= 1")
+    total = math.prod(sym_cumulative_trace(ni, q) for ni in n)
+    fact = math.prod(math.factorial(ni) for ni in n)
+    return fact * total / math.prod(float(q) ** ni for ni in n)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import random_polyball_tuple, random_row_tuple
+from oracle import universal_factorial_form_value
 from polyball.basis import Shape, iter_grades
 from polyball.berezin import (
     InnerMultiplier,
@@ -21,9 +22,9 @@ from polyball.berezin import (
     index_formula_check,
     monomial_multiplier,
 )
-from polyball.cp import OperatorTuple, ampliation, cp_apply, direct_sum, min_eig
+from polyball.cp import OperatorTuple, ampliation, cp_apply, direct_sum
 from polyball.curvature import curvature_estimate, grade_trace_table, subspace_curvature
-from polyball.fock import FockTruncation
+from polyball.fock import FockTruncation, creation_op
 from polyball.subspaces import (
     GradedSubspace,
     beurling_check,
@@ -40,12 +41,10 @@ from polyball.subspaces import (
 )
 from polyball.symmetric import (
     SymFockTruncation,
-    b_operator,
     constrained_berezin,
     coordinate_multiple_subspace,
     monomials,
     sym_grade_dim,
-    universal_factorial_form_value,
 )
 
 
@@ -214,7 +213,7 @@ def test_criterion_09_symmetric_model():
     # compressed-shift counting identity, exact to 1e-12
     for n in (2, 3):
         sf = SymFockTruncation(Shape((n,), caps=(4,)))
-        ops = {j: b_operator(sf, 0, j) for j in range(1, n + 1)}
+        ops = {j: creation_op(sf, 0, j) for j in range(1, n + 1)}
         for q in range(1, 5):
             for s in range(1, q + 1):
                 total_blk = None

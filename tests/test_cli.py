@@ -361,6 +361,16 @@ def test_every_matrix_loader_refuses_what_the_tuple_loader_refuses(payload, entr
     assert reason in report["reason"]
 
 
+def test_unknown_subspace_mode_is_refused_by_name(tmp_path, capsys):
+    path = tmp_path / "foo.json"
+    path.write_text(json.dumps({"model": "full", "n": [1], "caps": [2], "dimE": 1, "mode": "foo"}))
+    code, out, err = run(["mult", "--input", str(path), "--qmax", "1"], capsys)
+    assert code == 1 and out == "" and "Traceback" not in err
+    report = json.loads(err)
+    assert report["error"] == "invalid-input"
+    assert report["reason"] == "unknown subspace mode 'foo'; expected structured, basis or span"
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_polyball_tuple, random_row_tuple
-from oracle import defect_product_traces, grade_trace_table_walk
+from oracle import defect_product_traces, grade_trace, grade_trace_table_walk
 from polyball import curvature
 from polyball.basis import Shape
 from polyball.cp import OperatorTuple, ampliation, cp_apply_power, defect_data, defect_map
@@ -14,7 +14,6 @@ from polyball.curvature import (
     _box_sums,
     bounds_report,
     curvature_estimate,
-    grade_trace,
     grade_trace_table,
 )
 from polyball.symmetric import sym_grade_dim, sym_word_dim
@@ -197,16 +196,6 @@ def test_cesaro_distance_to_limit_nonincreasing_scalar():
     est = curvature_estimate(scalar_tuple(r), 8)
     dists = [abs(c - 0.0) for c in est.cesaro_seq]
     assert all(a >= b - 1e-15 for a, b in zip(dists, dists[1:]))
-
-
-def test_geometric_extrapolation_flag():
-    r = 0.6
-    est = curvature_estimate(scalar_tuple(r), 8, extrapolate=True)
-    assert est.extrapolated is not None
-    # geometric corner sequence extrapolates to its true limit
-    assert abs(est.extrapolated - 0.0) < 1e-6
-    plain = curvature_estimate(scalar_tuple(r), 8)
-    assert plain.extrapolated is None
 
 
 def test_formula_spread_reported_and_shrinks():

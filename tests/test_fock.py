@@ -7,20 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import defect_shift_composed
+from oracle import defect_shift_composed, graded_projection, vacuum_projection
 from polyball import fock
-from polyball.basis import Shape, grade_dim, iter_grades
+from polyball.basis import Shape
 from polyball.fock import (
     FockTruncation,
     GradedOperator,
     apply_cp_shift,
     creation_op,
-    cumulative_projection,
     defect_shift,
-    graded_projection,
-    n_weight,
-    total_degree_projection,
-    vacuum_projection,
 )
 from polyball.symmetric import SymFockTruncation
 
@@ -81,45 +76,6 @@ def test_projections_orthogonal():
     p = graded_projection(ft, (1, 0))
     q = graded_projection(ft, (0, 1))
     assert not (p @ q).blocks
-
-
-def test_cumulative_projection_trace_matches_sum():
-    ft = FockTruncation(Shape((2, 3), caps=(3, 3)))
-    p = cumulative_projection(ft, (2, 2))
-    expected = sum(grade_dim(ft.shape, q) for q in iter_grades((2, 2)))
-    assert p.trace().real == pytest.approx(expected)
-
-
-def test_total_degree_projection_matches_simplex_sum():
-    # direct summation oracle over the layer lattice
-    ft = FockTruncation(Shape((2, 2), caps=(4, 4)))
-    for m in range(4):
-        p = total_degree_projection(ft, m)
-        expected = sum(grade_dim(ft.shape, q) for q in ft.grades if sum(q) <= m)
-        assert p.trace().real == pytest.approx(expected)
-
-
-def test_n_weight_values():
-    ft = FockTruncation(Shape((2,), caps=(3,)))
-    w = n_weight(ft, (1,))
-    assert w.block((0,), (0,))[0, 0] == pytest.approx(1.0)
-    assert w.block((1,), (1,))[0, 0] == pytest.approx(0.5)
-    assert ((2,), (2,)) not in w.blocks
-
-
-def test_n_weight_trace():
-    ft = FockTruncation(Shape((2, 3), caps=(3, 3)))
-    for q in [(1, 1), (2, 3), (0, 2)]:
-        w = n_weight(ft, q)
-        assert w.trace().real == pytest.approx(np.prod([v + 1 for v in q]))
-
-
-def test_n_weight_monotone():
-    ft = FockTruncation(Shape((2, 2), caps=(3, 3)))
-    a = n_weight(ft, (1, 1))
-    b = n_weight(ft, (2, 2))
-    diff = b - a
-    assert diff.min_eig_interior() >= -1e-14
 
 
 def test_cp_shift_of_identity_is_off_vacuum_projection():

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from conftest import commuting_tuple, random_polyball_tuple
+from oracle import cp_matrix
 from polyball import cp
 from polyball.basis import Shape, grade_dim
 from polyball.berezin import InnerMultiplier, berezin_kernel, has_characteristic_function
 from polyball.cli import main
-from polyball.cp import SIZE_BUDGET, OperatorTuple, ampliation, cp_matrix
+from polyball.cp import SIZE_BUDGET, OperatorTuple, ampliation
 from polyball.fock import FockTruncation, defect_shift, interior_box, truncation_for
 from polyball.subspaces import beurling_check, bidisc_difference_subspace, uncountable_family
 from polyball.symmetric import curv_c_estimate, sym_word_dim

@@ -1,14 +1,20 @@
-"""Properties of random structured subspaces: exact counts, serialization, and the Beurling verdict."""
+"""Properties of random structured subspaces: exact counts, serialization, the tensor law and the Beurling verdict."""
 
 from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings
 
-from conftest import structured_subspaces
+from conftest import _one_factor_subspace, structured_subspaces
 from oracle import defect_shift_composed
 from polyball.cp import herm, psd_verdict
-from polyball.subspaces import beurling_check, multiplicity_estimate, subspace_from_json, subspace_to_json
+from polyball.subspaces import (
+    beurling_check,
+    multiplicity_estimate,
+    subspace_from_json,
+    subspace_to_json,
+    tensor_subspace,
+)
 
 
 @settings(max_examples=60, deadline=None)
@@ -46,3 +52,21 @@ def test_beurling_verdict_is_the_full_box_oracle(sub):
     v = beurling_check(sub)
     assert (v.positive, v.min_eigenvalue, v.residual_grades) == (oracle.positive, d.min_eig_interior(), len(interior))
     assert v.min_eigenvalue == oracle.min_eigenvalue
+
+
+def _index_ratio(sub, q):
+    """``len(index set) / word_dim(q)``, exact: the per-grade ratio counted from the rows, not from ``count_fn``."""
+    return Fraction(len(sub.index_set_fn(q)), sub.truncation.word_dim(q))
+
+
+@settings(max_examples=40, deadline=None)
+@given(first=_one_factor_subspace(4), second=_one_factor_subspace(4))
+def test_tensor_ratios_and_limits_are_the_products_of_the_parts(first, second):
+    sub = tensor_subspace([first, second])
+    for q in sub.truncation.grades:
+        assert _index_ratio(sub, q) == _index_ratio(first, q[:1]) * _index_ratio(second, q[1:])
+    limit = first.limit * second.limit
+    q_max = min(sub.truncation.shape.caps)
+    for s in (sub, subspace_from_json(subspace_to_json(sub))):
+        assert s.limit == limit
+        assert multiplicity_estimate(s, q_max).exact_limit == limit

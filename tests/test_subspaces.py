@@ -4,8 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracle import defect_shift_composed, interior_verdict
-from polyball.basis import Shape, iter_grades, word_unrank
+from oracle import defect_shift_composed, interior_verdict, word_unrank
+from polyball.basis import Shape, iter_grades
 from polyball.cp import check_polyball, defect_map
 from polyball.curvature import subspace_curvature
 from polyball.fock import FockTruncation, GradedOperator, defect_shift

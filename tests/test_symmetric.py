@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import commuting_tuple
-from oracle import embedding_matrix, folded_berezin
+from oracle import embedding_matrix, folded_berezin, monomial_weight, universal_factorial_form_value
 from polyball.basis import Shape, grade_dim
 from polyball.berezin import (
     InnerMultiplier,
@@ -31,18 +31,16 @@ from polyball.subspaces import (
 )
 from polyball.symmetric import (
     SymFockTruncation,
-    b_operator,
     constrained_berezin,
     constrained_char_function,
     coordinate_multiple_subspace,
     curv_c_estimate,
     m_c_estimate,
-    monomial_weight,
     monomials,
+    require_commutative,
     sym_cumulative_trace,
     sym_grade_dim,
     sym_monomial_multiplier,
-    universal_factorial_form_value,
 )
 
 
@@ -86,7 +84,7 @@ def sf_single(n, cap, cd=1):
 
 def test_b_operator_on_vacuum():
     sf = sf_single(2, 3)
-    b = b_operator(sf, 0, 1)
+    b = creation_op(sf, 0, 1)
     col = b.block((0,), (1,))
     assert col.shape == (2, 1)
     idx = monomials(2, 1).index((1, 0))
@@ -95,12 +93,26 @@ def test_b_operator_on_vacuum():
 
 def test_b_operators_commute_within_factor():
     sf = sf_single(3, 4)
-    b1 = b_operator(sf, 0, 1)
-    b2 = b_operator(sf, 0, 2)
+    b1 = creation_op(sf, 0, 1)
+    b2 = creation_op(sf, 0, 2)
     comm = b1 @ b2 - b2 @ b1
     for key, blk in comm.blocks.items():
         if all(v <= 2 for v in key[0]):
             assert np.linalg.norm(blk, 2) < 1e-14
+
+
+@pytest.mark.parametrize("scale, eps, refused", [(1e3, 1e-9, False), (1e3, 1e-8, True), (1.0, 1e-3, True)])
+def test_within_factor_commutation_bound_scales_with_the_entries(scale, eps, refused):
+    # ||[A, B]|| = scale**2 * eps against COMMUTATION_TOL * max(||B||**2, 1), about 1.6e-9 * scale**2:
+    # the residual 1e-3 passes beside entries of norm 4e3 and is refused beside entries of norm 4
+    a = scale * np.diag([1.0, 2.0])
+    b = scale * np.array([[3.0, eps], [0.0, 4.0]])
+    t = OperatorTuple(Shape((2,)), 2, ((a, b),))
+    if refused:
+        with pytest.raises(ValueError, match=r"^entries within a factor do not commute \(residual "):
+            require_commutative(t)
+    else:
+        require_commutative(t)
 
 
 def test_b_matches_compression_of_word_shift():
@@ -110,7 +122,7 @@ def test_b_matches_compression_of_word_shift():
         sf = sf_single(n, cap)
         ft = FockTruncation(Shape((n,), caps=(cap,)))
         for j in range(1, n + 1):
-            b = b_operator(sf, 0, j)
+            b = creation_op(sf, 0, j)
             s = creation_op(ft, 0, j)
             for q in range(cap):
                 v_q = embedding_matrix(n, q)
@@ -124,7 +136,7 @@ def test_word_to_monomial_counting_oracle():
     for n in (2, 3):
         cap = 6
         sf = sf_single(n, cap)
-        ops = [b_operator(sf, 0, j) for j in range(1, n + 1)]
+        ops = [creation_op(sf, 0, j) for j in range(1, n + 1)]
         for q in range(cap + 1):
             total = Fraction(0)
             for word in itertools.product(range(n), repeat=q):
@@ -147,7 +159,7 @@ def test_counting_identity_compressed_shifts():
     # sum over |alpha|=s of B_alpha* Q_q B_alpha = (trace Q_q / trace Q_{q-s}) Q_{q-s}
     for n in (2, 3):
         sf = sf_single(n, 4)
-        ops = {j: b_operator(sf, 0, j) for j in range(1, n + 1)}
+        ops = {j: creation_op(sf, 0, j) for j in range(1, n + 1)}
         for q in range(1, 5):
             for s in range(1, q + 1):
                 total = GradedOperator.zero(sf)
@@ -167,7 +179,7 @@ def test_counting_identity_compressed_shifts():
 
 def test_counting_identity_two_factors():
     sf = SymFockTruncation(Shape((2, 2), caps=(3, 3)))
-    ops = {(i, j): b_operator(sf, i, j) for i in range(2) for j in (1, 2)}
+    ops = {(i, j): creation_op(sf, i, j) for i in range(2) for j in (1, 2)}
     q, s = (2, 1), (1, 1)
     total = GradedOperator.zero(sf)
     for w1 in itertools.product((1, 2), repeat=s[0]):

@@ -42,7 +42,7 @@ from .curvature import (
     curvature_estimate,
     subspace_curvature,
 )
-from .fock import FockTruncation, GradedOperator, apply_cp_shift, creation_op
+from .fock import FockTruncation, GradedOperator
 from .subspaces import (
     GradedSubspace,
     NAdicExpansion,

@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -32,7 +31,6 @@ from .cp import (
     defect_data,
     matrix_from_pairs,
     matrix_to_pairs,
-    max_spectral_norm,
     psd_verdict,
     require_budget,
     require_membership,
@@ -61,11 +59,6 @@ class BerezinKernel:
     truncation: FockTruncation
     blocks: dict[tuple[int, ...], np.ndarray]
     defect: DefectData
-
-    @cached_property
-    def tail_bound(self) -> float:
-        """``kernel_tail_bound`` at this kernel's caps, computed on first use."""
-        return kernel_tail_bound(self.op, self.truncation.shape.caps)
 
     def grade_gram(self, q: tuple[int, ...]) -> np.ndarray:
         """``K^* (P_q (x) I) K`` as a dimH x dimH matrix."""
@@ -415,32 +408,12 @@ def _validate_blocks(theta: InnerMultiplier, blocks: dict, caps: tuple[int, ...]
     if worst > MULTIPLIER_TOL:
         raise ValueError(f"multiplier does not intertwine the shifts (residual {worst:.3e})")
     if theta.isometric:
-        resid = _isometry_residual(theta, blocks, src_ft)
+        # Theta^* Theta - I on interior source grades: the Gram of the adjoint blocks B[s->t]^*
+        interior = theta.interior_grades(src_ft)
+        adjoints = {(t, s): b.conj().T for (s, t), b in blocks.items()}
+        resid = _slab_residual(src_ft.dim, interior, _sources(adjoints, dst_ft.grades, interior))
         if resid > INTERTWINE_TOL:
             raise ValueError(f"multiplier flagged isometric but Theta*Theta != I (residual {resid:.3e})")
-    return worst
-
-
-def _isometry_residual(theta, blocks, src_ft) -> float:
-    """Largest block norm of ``Theta^* Theta - I`` on interior source grades, one column at a time."""
-    interior = theta.interior_grades(src_ft)
-    out_of: dict = {s: {} for s in interior}  # source grade -> {target grade: block}
-    for (src, tgrade), b in blocks.items():
-        if src in out_of:
-            out_of[src][tgrade] = b
-    worst = 0.0
-    for s in interior:
-        column = []
-        for s2 in interior:
-            gram = np.zeros((src_ft.dim(s2), src_ft.dim(s)), dtype=complex)
-            for tgrade, b in out_of[s].items():
-                b2 = out_of[s2].get(tgrade)
-                if b2 is not None:
-                    gram += b2.conj().T @ b
-            if s == s2:
-                gram -= np.eye(src_ft.dim(s))
-            column.append(gram)
-        worst = max(worst, max_spectral_norm(column))
     return worst
 
 
@@ -452,10 +425,8 @@ class IndexCheck:
     completion_residual: float
 
 
-def index_formula_check(
-    kb: BerezinKernel, theta: InnerMultiplier, q: tuple[int, ...] | None = None, blocks: dict | None = None
-) -> IndexCheck:
-    """``curv = rank - trace[Theta (P_C (x) I) Theta^* (N_{<=q} (x) I)]`` at finite depth.
+def index_formula_check(kb: BerezinKernel, theta: InnerMultiplier, blocks: dict | None = None) -> IndexCheck:
+    """``curv = rank - trace[Theta (P_C (x) I) Theta^* (N_{<=q} (x) I)]`` at the depth ``q = caps - 1``.
 
     Serves both models: the multiplier must be of the kernel's model and must
     complete the kernel range projection to the identity on interior grades;
@@ -467,15 +438,13 @@ def index_formula_check(
         raise ValueError(f"a {theta.model!r}-model multiplier on a {ft.model!r}-model kernel")
     blocks = theta.materialize_blocks(ft.shape.caps) if blocks is None else blocks
     _validate_blocks(theta, blocks, ft.shape.caps)
-    return index_check_from_blocks(kb, theta, blocks, q)
+    return index_check_from_blocks(kb, theta, blocks)
 
 
-def index_check_from_blocks(kb, theta, blocks, q=None) -> IndexCheck:
+def index_check_from_blocks(kb, theta, blocks) -> IndexCheck:
     """Shared finite-depth index evaluation given materialized multiplier blocks."""
     ft = kb.truncation
-    caps = ft.shape.caps
-    if q is None:
-        q = tuple(c - 1 for c in caps)
+    q = tuple(c - 1 for c in ft.shape.caps)
     comp = _completion_residual(kb, theta, blocks)
     if comp > COMPLETION_TOL:
         raise ValueError(f"K K* + Theta Theta* != I on interior grades (residual {comp:.3e})")
@@ -491,45 +460,61 @@ def index_check_from_blocks(kb, theta, blocks, q=None) -> IndexCheck:
 
 
 def _completion_residual(kb: BerezinKernel, theta: InnerMultiplier, blocks) -> float:
-    """Largest block norm of ``K K^* + Theta Theta^* - I`` on interior grades, by column slabs.
-
-    The slab of column grade ``p`` holds every interior row: one product of the
-    stacked interior kernel rows, plus, for each source grade ``s`` of ``Theta``
-    feeding ``p``, its blocks into interior grades times ``B[s->p]^*`` (one
-    product per symbol degree).
-    Interior grades are ordered by dimension, so the blocks of one row
-    dimension are one contiguous stack and take one ``spectral_norms`` call.
-    No interior-square matrix is formed.
-    """
+    """Largest block norm of ``K K^* + Theta Theta^* - I`` on interior grades; sources in ``ft.grades`` order."""
     ft = kb.truncation
-    interior = sorted(theta.interior_grades(ft), key=ft.dim)
-    if not interior:
+    interior = theta.interior_grades(ft)
+    return _slab_residual(ft.dim, interior, _sources(blocks, ft.grades, interior), kb.blocks)
+
+
+def _sources(blocks: dict, sources, grades) -> list[dict]:
+    """``{q: B[s->q]}`` for each grade ``s`` of ``sources``, in that order, with a block into ``grades``."""
+    out = []
+    for s in sources:
+        outs = {q: blocks[(s, q)] for q in grades if (s, q) in blocks}
+        if outs:
+            out.append(outs)
+    return out
+
+
+def _slab_residual(dim, grades, sources, kernel: dict | None = None, minus=None) -> float:
+    """Largest block norm of ``K K^* + sum_s B_s B_s^* - M`` on ``grades``, by column slabs.
+
+    The one routine of the three multiplier Gram identities: the completion
+    ``K K^* + Theta Theta^* = I``, the isometry ``Theta^* Theta = I`` (adjoint
+    blocks as sources) and ``P_M = sum_s Psi_s Psi_s^*``.  ``sources`` holds
+    one ``{q: B_s[q]}`` per source (see ``_sources``); ``kernel`` the blocks
+    ``K_q``, or None for no ``K K^*`` term; ``minus(p)`` column ``p`` of ``M`` as
+    ``{q: M[p->q]}``, or None for the identity.
+
+    The slab of column ``p`` is the stacked kernel rows times ``K_p^*``, plus one
+    product per block of each source feeding ``p`` (sources in their order),
+    minus ``M``'s column last.  Grades are ordered by dimension, so the blocks
+    of one row dimension are one contiguous stack and take one
+    ``spectral_norms`` call.  No grades-square matrix is formed.
+    """
+    order = sorted(grades, key=dim)
+    if not order:
         return 0.0
-    offset = dict(zip(interior, np.cumsum([0] + [ft.dim(q) for q in interior]).tolist()))
+    ends = np.cumsum([0] + [dim(q) for q in order]).tolist()
+    offset = dict(zip(order, ends))
     runs: dict = {}  # row dimension -> (first row, block count)
-    for q in interior:
-        start, count = runs.get(ft.dim(q), (offset[q], 0))
-        runs[ft.dim(q)] = (start, count + 1)
-    # source grade -> its blocks into interior grades, in ``ft.grades`` order
-    out_of: dict = {}
-    for s in ft.grades:
-        for q in interior:
-            b = blocks.get((s, q))
-            if b is not None:
-                out_of.setdefault(s, {})[q] = b
-    k_rows = np.concatenate([kb.blocks[q] for q in interior])
+    for q in order:
+        start, count = runs.get(dim(q), (offset[q], 0))
+        runs[dim(q)] = (start, count + 1)
+    k_rows = None if kernel is None else np.concatenate([kernel[q] for q in order])
     worst = 0.0
-    for p in interior:
-        slab = k_rows @ kb.blocks[p].conj().T
-        for outs in out_of.values():
+    for p in order:
+        slab = np.zeros((ends[-1], dim(p)), dtype=complex) if k_rows is None else k_rows @ kernel[p].conj().T
+        for outs in sources:
             bp = outs.get(p)
             if bp is not None:
                 bp_h = bp.conj().T
                 for q, bq in outs.items():
-                    slab[offset[q] : offset[q] + ft.dim(q)] += bq @ bp_h
-        slab[offset[p] : offset[p] + ft.dim(p)] -= np.eye(ft.dim(p))
-        for dim, (start, count) in runs.items():
-            stack = slab[start : start + count * dim].reshape(count, dim, ft.dim(p))
+                    slab[offset[q] : offset[q] + dim(q)] += bq @ bp_h
+        for q, m in ({p: np.eye(dim(p))} if minus is None else minus(p)).items():
+            slab[offset[q] : offset[q] + dim(q)] -= m
+        for d, (start, count) in runs.items():
+            stack = slab[start : start + count * d].reshape(count, d, dim(p))
             worst = max(worst, float(spectral_norms(stack).max()))
     return worst
 

@@ -266,7 +266,7 @@ class PurityReport:
         return "undetermined"
 
 
-def check_pure(t: OperatorTuple, purity_tol: float = PURITY_TOL, max_iter: int = MAX_PURITY_ITER) -> PurityReport:
+def check_pure(t: OperatorTuple) -> PurityReport:
     """Iterate ``Y <- Phi_i(Y)`` from the identity; heuristic norm-decay purity test."""
     verdicts, iters, norms = [], [], []
     for i in range(t.k):
@@ -274,14 +274,14 @@ def check_pure(t: OperatorTuple, purity_tol: float = PURITY_TOL, max_iter: int =
         verdict = "undetermined"
         norm = 1.0
         it = 0
-        for it in range(1, max_iter + 1):
+        for it in range(1, MAX_PURITY_ITER + 1):
             y = cp_apply(t, i, y)
             new_norm = float(spectral_norms(y))
-            if new_norm < purity_tol:
+            if new_norm < PURITY_TOL:
                 verdict = "pure"
                 norm = new_norm
                 break
-            if abs(new_norm - norm) < STALL_TOL * max(norm, 1.0) and new_norm > 10 * purity_tol:
+            if abs(new_norm - norm) < STALL_TOL * max(norm, 1.0) and new_norm > 10 * PURITY_TOL:
                 verdict = "not_pure"
                 norm = new_norm
                 break

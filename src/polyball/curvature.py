@@ -19,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from .basis import iter_grades, simplex_cumulative_count
-from .cp import OperatorTuple, cp_apply, cp_apply_adjoint, defect_data, require_membership
+from .cp import OperatorTuple, cp_apply, cp_apply_adjoint, defect_data, require_budget, require_membership
 
 MONOTONE_SLACK = 1e-12
 MONOTONE_ERROR = 1e-10
@@ -85,6 +85,9 @@ def grade_trace_table(t: OperatorTuple, qmax: tuple[int, ...], factor_dim=pow) -
     per lattice point.  ``factor_dim(n_i, q_i)`` is the per-factor grade
     dimension the traces are divided by: ``n_i**q_i`` by default (word
     model), binomial for the symmetric model.
+
+    The table and the adjoint stack with its transposed copy are sized
+    against the budget before the first map is applied.
     """
     qmax = tuple(qmax)
     if len(qmax) != t.k:
@@ -92,6 +95,8 @@ def grade_trace_table(t: OperatorTuple, qmax: tuple[int, ...], factor_dim=pow) -
     if min(qmax) < 0:
         raise ValueError(f"q_max must be >= 0, got {qmax}")
     split = (t.k + 1) // 2
+    stacked = math.prod(q + 1 for q in qmax[split:]) * t.dimH**2
+    require_budget(f"grade table at qmax {qmax}", 16 * (math.prod(q + 1 for q in qmax) + 2 * stacked))
     stack = [np.eye(t.dimH, dtype=complex)]
     for i in range(split, t.k):
         stack = [y for x in stack for y in _chain(partial(cp_apply_adjoint, t, i), x, qmax[i])]
@@ -236,13 +241,12 @@ def _complement_curvature(sub, occupation: dict) -> CurvEstimate:
     """``x_q = dim E - y_q`` from the occupation ratios ``y_q`` of ``_occupation``."""
     dim_e = sub.truncation.coeff_dim
     table, exact = _ratio_table({q: dim_e - y for q, y in occupation.items()})
-    frac_limit = sub.fraction_limit()
     return CurvEstimate(
         **_summary(sub.truncation.shape.n, table),
         defect_product_seq=[],
         monotone_ok=_check_monotone(table.array),
         exact_values=exact,
-        exact_limit=None if frac_limit is None else dim_e - frac_limit,
+        exact_limit=None if sub.limit is None else dim_e - sub.limit,
     )
 
 

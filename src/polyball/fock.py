@@ -170,20 +170,6 @@ class GradedOperator:
             if b.shape != (self.trunc.dim(dst), self.trunc.dim(src)):
                 raise ValueError(f"block {(src, dst)} has shape {b.shape}")
 
-    @classmethod
-    def identity(cls, ft: FockTruncation) -> "GradedOperator":
-        return cls(ft, {(q, q): np.eye(ft.dim(q), dtype=complex) for q in ft.grades})
-
-    @classmethod
-    def zero(cls, ft: FockTruncation) -> "GradedOperator":
-        return cls(ft, {})
-
-    def block(self, src, dst) -> np.ndarray:
-        b = self.blocks.get((src, dst))
-        if b is None:
-            return np.zeros((self.trunc.dim(dst), self.trunc.dim(src)), dtype=complex)
-        return b
-
     def _merged_margin(self, other, add=False) -> tuple[int, ...]:
         if add:
             return tuple(a + b for a, b in zip(self.margin, other.margin))
@@ -219,13 +205,6 @@ class GradedOperator:
             {(dst, src): b.conj().T for (src, dst), b in self.blocks.items()},
             self.margin,
         )
-
-    def trace(self) -> complex:
-        return sum(np.trace(b) for (src, dst), b in self.blocks.items() if src == dst)
-
-    def grade_trace(self, q: tuple[int, ...]) -> complex:
-        b = self.blocks.get((q, q))
-        return complex(np.trace(b)) if b is not None else 0.0
 
     def interior_grades(self):
         caps = self.trunc.shape.caps
@@ -265,22 +244,6 @@ class GradedOperator:
         return float(spectral_norms(self.to_dense(self.interior_grades())))
 
 
-def creation_op(ft: FockTruncation, i: int, j: int) -> GradedOperator:
-    """Creation operator of factor ``i``, letter ``j``, tensored with the coefficient identity."""
-    if not 1 <= j <= ft.shape.n[i]:
-        raise ValueError(f"letter {j} out of range for factor {i}")
-    blocks = {}
-    for q in ft.grades:
-        up = bump(q, i)
-        if not ft.has_grade(up):
-            continue
-        rows, w, _ = ft.shift(i, j, q)
-        b = np.zeros((ft.dim(up), ft.dim(q)), dtype=complex)
-        b[rows, np.arange(ft.dim(q))] = w
-        blocks[(q, up)] = b
-    return GradedOperator(ft, blocks)
-
-
 def _cp_shift_blocks(y: GradedOperator, i: int):
     """``((up_src, up_dst), block)`` of ``Phi_i(y)``, one per block of ``y`` whose image stays inside the caps.
 
@@ -307,23 +270,14 @@ def _cp_shift_blocks(y: GradedOperator, i: int):
         yield (up_s, up_d), phi
 
 
-def apply_cp_shift(y: GradedOperator, i: int) -> GradedOperator:
-    """Transfer map of the universal shift of factor ``i`` applied blockwise.
-
-    Block support moves up by one grade in factor ``i``; blocks that would
-    cross the caps are dropped, so the interior margin grows by one there.
-    """
-    return GradedOperator(y.trunc, dict(_cp_shift_blocks(y, i)), bump(y.margin, i))
-
-
 def defect_shift(y: GradedOperator, factors=None) -> GradedOperator:
     """``(id - Phi_1) o ... o (id - Phi_k)`` of the universal shifts, applied to ``y`` in place.
 
     ``y`` is consumed: its blocks are overwritten and ``y`` itself is returned,
     so pass an operator whose blocks nothing else holds.  The only temporary
     is one ``Phi_i`` block.  Each target becomes ``cur + (-1.0) * phi``, the
-    bits of ``y - apply_cp_shift(y, i)``: for complex blocks ``(-1.0) * phi``
-    and ``-phi`` differ in the signs of zeros.
+    bits of ``y - Phi_i(y)`` in the operator arithmetic: for complex blocks
+    ``(-1.0) * phi`` and ``-phi`` differ in the signs of zeros.
     """
     for i in range(y.trunc.shape.k) if factors is None else factors:
         for key, phi in _cp_shift_blocks(y, i):

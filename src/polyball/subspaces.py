@@ -87,10 +87,6 @@ class GradedSubspace:
         rows = self.columns[ft.offset(q) : ft.offset(q) + ft.dim(q), :]
         return float(np.linalg.norm(rows) ** 2)
 
-    def fraction_limit(self) -> Fraction | None:
-        """Exact limit of the per-grade ratios, when the construction knows it."""
-        return self.limit
-
     def grade_basis(self, q) -> np.ndarray:
         """Orthonormal basis of the grade-``q`` slice (graded modes only)."""
         ft = self.truncation
@@ -250,13 +246,6 @@ class NAdicExpansion:
     digits: tuple[int, ...]
     tail: Fraction
     value: Fraction  # sum of d_p / n^{k_p}
-
-    def partial_sum(self, q: int) -> Fraction:
-        """Sum of the stored digits with exponent at most ``q``."""
-        return sum(
-            (Fraction(d, self.base**k) for k, d in zip(self.exponents, self.digits) if k <= q),
-            Fraction(0),
-        )
 
 
 def construct_nadic(n_i: int, t: float, n_terms: int = 20) -> NAdicExpansion:
@@ -557,7 +546,7 @@ def multiplicity_estimate(sub: GradedSubspace, q_max: int) -> MultiplicityEstima
     return MultiplicityEstimate(
         **_summary(sub.truncation.shape.n, table),
         exact_values=exact,
-        exact_limit=sub.fraction_limit(),
+        exact_limit=sub.limit,
         curvature=_complement_curvature(sub, occupation),
     )
 
@@ -590,82 +579,69 @@ class InnerSequenceReport:
 
 
 def inner_sequence_check(sub: GradedSubspace, psis, q_max: int) -> InnerSequenceReport:
-    """Verify ``P_M = sum psi_s psi_s^*`` per grade and the normalized occupation sums."""
-    from .berezin import validate_multiplier
+    """Verify ``P_M = sum psi_s psi_s^*`` and the normalized occupation sums.
+
+    The residual is ``berezin._slab_residual`` over every grade, one column at
+    a time: column ``p`` of ``P_M`` is read from ``grade_basis(p)``, or from the
+    span columns, so ``P_M`` is never formed whole.
+    """
+    from .berezin import _slab_residual, _sources, validate_multiplier
 
     ft = sub.truncation
     caps = ft.shape.caps
-    all_blocks = []
+    sources = []
     for psi in psis:
         validate_multiplier(psi, caps)
         if psi.dim_target != ft.coeff_dim:
             raise ValueError("multiplier target space must match the subspace coefficients")
-        all_blocks.append(psi.materialize_blocks(caps))
-    p_m = sub.projection()
-    worst = 0.0
-    sums = {}
-    for qq in ft.grades:
-        row = []
-        for p in ft.grades:
-            total = np.zeros((ft.dim(qq), ft.dim(p)), dtype=complex)
-            for blocks in all_blocks:
-                for s in ft.grades:
-                    bq = blocks.get((s, qq))
-                    bp = blocks.get((s, p))
-                    if bq is not None and bp is not None:
-                        total += bq @ bp.conj().T
-            row.append(total - p_m.block(p, qq))
-        worst = max(worst, max_spectral_norm(row))
-        diag = sum(
-            float(np.linalg.norm(blocks.get((s, qq))) ** 2)
-            for blocks in all_blocks
-            for s in ft.grades
-            if blocks.get((s, qq)) is not None
-        )
-        sums[qq] = diag / ft.word_dim(qq)
-    ok = worst < DECOMPOSITION_TOL
-    if not ok:
+        sources += _sources(psi.materialize_blocks(caps), ft.grades, ft.grades)
+
+    def rows(q):
+        return sub.columns[ft.offset(q) : ft.offset(q) + ft.dim(q)]
+
+    def column(p):
+        if sub.mode == "span":
+            rows_p_h = rows(p).conj().T
+            return {q: rows(q) @ rows_p_h for q in ft.grades}
+        b = sub.grade_basis(p)
+        return {p: b @ b.conj().T}
+
+    worst = _slab_residual(ft.dim, ft.grades, sources, minus=column)
+    if worst > DECOMPOSITION_TOL:
         raise ValueError(f"inner decomposition residual {worst:.3e} too large")
+    sums = {q: sum(float(np.linalg.norm(outs[q]) ** 2) for outs in sources if q in outs) / ft.word_dim(q)
+            for q in ft.grades}
     corner = sums[tuple(min(q_max, c) for c in caps)]
-    return InnerSequenceReport(ok, worst, sums, corner)
+    return InnerSequenceReport(True, worst, sums, corner)
 
 
-def compression_tuple(sub: GradedSubspace, window: tuple[int, ...] | None = None) -> OperatorTuple:
-    """Explicit matrices of the shift compression to the orthocomplement on a grade window.
+def compression_tuple(sub: GradedSubspace) -> OperatorTuple:
+    """Explicit matrices of the shift compression to the orthocomplement on the whole truncation.
 
-    Meant for spot checks on small windows; large-scale curvature goes through
+    Meant for spot checks at small caps; large-scale curvature goes through
     the per-grade counting route instead.
     """
     ft = sub.truncation
-    caps = ft.shape.caps
-    if window is None:
-        window = caps
-    if not all(w <= c for w, c in zip(window, caps)):
-        raise ValueError(f"window {window} exceeds caps {caps}")
-    win_shape = Shape(ft.shape.n, caps=tuple(window))
-    win = type(ft)(win_shape, coeff_dim=ft.coeff_dim)
-    require_budget(f"compression window at caps {win.shape.caps}", 16 * win.total_dim**2)
+    require_budget(f"compression tuple at caps {ft.shape.caps}", 16 * ft.total_dim**2)
     if sub.mode == "span":
-        if tuple(window) != tuple(caps):
-            raise ValueError("span-mode subspaces compress on the full truncation only")
         comp = sub.complement_columns()
     else:
         cols = []
-        for q in win.grades:
+        for q in ft.grades:
             cb = sub.complement_grade_basis(q)
-            full = np.zeros((win.total_dim, cb.shape[1]), dtype=complex)
-            full[win.offset(q) : win.offset(q) + win.dim(q), :] = cb
+            full = np.zeros((ft.total_dim, cb.shape[1]), dtype=complex)
+            full[ft.offset(q) : ft.offset(q) + ft.dim(q), :] = cb
             cols.append(full)
-        comp = np.concatenate(cols, axis=1) if cols else np.zeros((win.total_dim, 0), dtype=complex)
+        comp = np.concatenate(cols, axis=1) if cols else np.zeros((ft.total_dim, 0), dtype=complex)
     m = comp.shape[1]
     factors = []
-    for i in range(win.shape.k):
+    for i in range(ft.shape.k):
         row = []
-        for j in range(1, win.shape.n[i] + 1):
-            shifted = _apply_shift_columns(win, i, j, comp)
+        for j in range(1, ft.shape.n[i] + 1):
+            shifted = _apply_shift_columns(ft, i, j, comp)
             row.append(comp.conj().T @ shifted)
         factors.append(tuple(row))
-    return OperatorTuple(Shape(win.shape.n), m, tuple(factors))
+    return OperatorTuple(Shape(ft.shape.n), m, tuple(factors))
 
 
 # -- serialization ------------------------------------------------------------

@@ -40,6 +40,18 @@
 * ``monomial_weight`` and ``universal_factorial_form_value``: exact monomial
   norms, and the factorial form of the universal commutative tuple from exact
   counts.
+* ``op_identity``, ``op_block``, ``op_trace`` and ``op_grade_trace``: the
+  identity as a block-graded operator, one block (zeros when it is not
+  stored), and the whole and one-grade traces; an empty operator is
+  ``GradedOperator(ft)``.
+* ``creation_op`` and ``apply_cp_shift``: the creation operator of one letter
+  as a block-graded operator, and the transfer map of the universal shift of
+  one factor as a new operator; the library describes shifts by index maps
+  and applies ``id - Phi_i`` in place, in ``fock.defect_shift``.
+* ``tail_bound``: ``berezin.kernel_tail_bound`` at a kernel's own caps;
+  ``check connection`` calls ``kernel_tail_bound`` with its ``--caps``.
+* ``partial_sum``: the sum of the digits of a digit expansion with exponent at
+  most ``q``; the library counts the suffix subspace's grades in closed form.
 """
 
 from __future__ import annotations
@@ -52,7 +64,7 @@ from functools import partial
 import numpy as np
 
 from polyball.basis import grade_dim, iter_grades
-from polyball.berezin import BerezinKernel, berezin_kernel, connection_identity
+from polyball.berezin import BerezinKernel, berezin_kernel, connection_identity, kernel_tail_bound
 from polyball.cp import (
     OperatorTuple,
     PsdVerdict,
@@ -65,7 +77,8 @@ from polyball.cp import (
     spectral_norms,
 )
 from polyball.curvature import _real
-from polyball.fock import FockTruncation, GradedOperator, apply_cp_shift, bump
+from polyball.fock import FockTruncation, GradedOperator, _cp_shift_blocks, bump
+from polyball.subspaces import NAdicExpansion
 from polyball.symmetric import SymFockTruncation, monomials, sym_cumulative_trace
 
 
@@ -210,7 +223,7 @@ def connection_payload_full(t: OperatorTuple, caps: tuple[int, ...], qmax: int, 
         "kind": "connection",
         "caps": list(caps),
         "max_residual": max(resids),
-        "tail_bound": kb.tail_bound,
+        "tail_bound": tail_bound(kb),
         "tol": tol,
         "within_tol": max(resids) <= tol,
         "table": [{f"q{i + 1}": q[i] for i in range(t.k)} | {"residual": r} for q, r in zip(grades, resids)],
@@ -318,3 +331,60 @@ def universal_factorial_form_value(n: tuple[int, ...], q: int) -> float:
     total = math.prod(sym_cumulative_trace(ni, q) for ni in n)
     fact = math.prod(math.factorial(ni) for ni in n)
     return fact * total / math.prod(float(q) ** ni for ni in n)
+
+
+def op_identity(ft: FockTruncation) -> GradedOperator:
+    return GradedOperator(ft, {(q, q): np.eye(ft.dim(q), dtype=complex) for q in ft.grades})
+
+
+def op_block(op: GradedOperator, src, dst) -> np.ndarray:
+    """The block ``src -> dst`` of ``op``, zeros when it is not stored."""
+    b = op.blocks.get((src, dst))
+    return np.zeros((op.trunc.dim(dst), op.trunc.dim(src)), dtype=complex) if b is None else b
+
+
+def op_trace(op: GradedOperator) -> complex:
+    return sum(np.trace(b) for (src, dst), b in op.blocks.items() if src == dst)
+
+
+def op_grade_trace(op: GradedOperator, q: tuple[int, ...]) -> complex:
+    b = op.blocks.get((q, q))
+    return complex(np.trace(b)) if b is not None else 0.0
+
+
+def creation_op(ft: FockTruncation, i: int, j: int) -> GradedOperator:
+    """Creation operator of factor ``i``, letter ``j``, tensored with the coefficient identity."""
+    if not 1 <= j <= ft.shape.n[i]:
+        raise ValueError(f"letter {j} out of range for factor {i}")
+    blocks = {}
+    for q in ft.grades:
+        up = bump(q, i)
+        if not ft.has_grade(up):
+            continue
+        rows, w, _ = ft.shift(i, j, q)
+        b = np.zeros((ft.dim(up), ft.dim(q)), dtype=complex)
+        b[rows, np.arange(ft.dim(q))] = w
+        blocks[(q, up)] = b
+    return GradedOperator(ft, blocks)
+
+
+def apply_cp_shift(y: GradedOperator, i: int) -> GradedOperator:
+    """Transfer map of the universal shift of factor ``i`` applied blockwise.
+
+    Block support moves up by one grade in factor ``i``; blocks that would
+    cross the caps are dropped, so the interior margin grows by one there.
+    """
+    return GradedOperator(y.trunc, dict(_cp_shift_blocks(y, i)), bump(y.margin, i))
+
+
+def tail_bound(kb: BerezinKernel) -> float:
+    """``kernel_tail_bound`` at the kernel's caps."""
+    return kernel_tail_bound(kb.op, kb.truncation.shape.caps)
+
+
+def partial_sum(exp: NAdicExpansion, q: int) -> Fraction:
+    """Sum of the stored digits with exponent at most ``q``."""
+    return sum(
+        (Fraction(d, exp.base**k) for k, d in zip(exp.exponents, exp.digits) if k <= q),
+        Fraction(0),
+    )

@@ -5,7 +5,6 @@ criterion; every tolerance is pinned here, nothing is calibrated later.
 """
 
 import itertools
-import math
 import time
 from fractions import Fraction
 
@@ -13,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import random_polyball_tuple, random_row_tuple
-from oracle import universal_factorial_form_value
+from oracle import creation_op, op_block, partial_sum, universal_factorial_form_value
 from polyball.basis import Shape, iter_grades
 from polyball.berezin import (
     InnerMultiplier,
@@ -22,9 +21,9 @@ from polyball.berezin import (
     index_formula_check,
     monomial_multiplier,
 )
-from polyball.cp import OperatorTuple, ampliation, cp_apply, direct_sum
+from polyball.cp import ampliation, cp_apply, direct_sum
 from polyball.curvature import curvature_estimate, grade_trace_table, subspace_curvature
-from polyball.fock import FockTruncation, creation_op
+from polyball.fock import FockTruncation
 from polyball.subspaces import (
     GradedSubspace,
     beurling_check,
@@ -43,7 +42,6 @@ from polyball.symmetric import (
     SymFockTruncation,
     constrained_berezin,
     coordinate_multiple_subspace,
-    monomials,
     sym_grade_dim,
 )
 
@@ -80,7 +78,7 @@ def test_criterion_02_prescribed_curvature_family():
         assert abs(float(est.exact_limit) - t) <= 2.0 ** (-k_n)
         # per-grade closed form from the digit data, exact
         for q in iter_grades((12, 12)):
-            closed = 1 - exp1.partial_sum(q[0]) * exp2.partial_sum(q[1])
+            closed = 1 - partial_sum(exp1, q[0]) * partial_sum(exp2, q[1])
             assert est.exact_values[q] == closed
             assert est.grade_values[q] == float(closed)
     elapsed = time.monotonic() - start
@@ -222,7 +220,7 @@ def test_criterion_09_symmetric_model():
                     op = None
                     for letter in reversed(word):
                         op = ops[letter] if op is None else ops[letter] @ op
-                    blk = op.block((q - s,), (q,))
+                    blk = op_block(op, (q - s,), (q,))
                     contrib = blk.conj().T @ proj @ blk
                     total_blk = contrib if total_blk is None else total_blk + contrib
                 ratio = sym_grade_dim(n, q) / sym_grade_dim(n, q - s)

@@ -9,7 +9,7 @@ from conftest import random_polyball_tuple, random_row_tuple
 from oracle import defect_product_traces, grade_trace, grade_trace_table_walk
 from polyball import curvature
 from polyball.basis import Shape
-from polyball.cp import OperatorTuple, ampliation, cp_apply_power, defect_data, defect_map
+from polyball.cp import OperatorTuple, ampliation, cp_apply_power, defect_data
 from polyball.curvature import (
     _box_sums,
     bounds_report,

@@ -9,8 +9,6 @@ import json
 import sys
 from pathlib import Path
 
-import pytest
-
 from polyball.basis import Shape
 from polyball.berezin import monomial_multiplier, multiplier_to_json
 from polyball.cli import main

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import commuting_tuple, random_polyball_tuple
-from oracle import defect_shift_composed, interior_verdict
+from oracle import defect_shift_composed, interior_verdict, op_identity
 from polyball.basis import Shape
 from polyball.berezin import BerezinKernel, berezin_kernel, has_characteristic_function
 from polyball.cli import main
@@ -59,7 +59,7 @@ def random_kernel(model, caps, seed):
 def test_char_function_on_the_interior_box_is_the_full_box_verdict(model, caps, seed):
     kb = random_kernel(model, caps, seed)
     positive, lo, count = full_box_oracle(
-        defect_shift_composed(GradedOperator.identity(kb.truncation) - kb.kk_star_full()))
+        defect_shift_composed(op_identity(kb.truncation) - kb.kk_star_full()))
     v = has_characteristic_function(kb)
     assert (v.positive, v.min_eigenvalue) == (positive, lo)
     box = interior_box(kb.truncation)

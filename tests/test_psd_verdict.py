@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import commuting_tuple
+from oracle import creation_op, op_block, op_identity
 from polyball import fock
 from polyball.berezin import BerezinKernel, has_characteristic_function
 from polyball.basis import Shape
 from polyball.cp import PSD_TOL, ampliation, herm, psd_verdict
-from polyball.fock import FockTruncation, GradedOperator, bump, creation_op, defect_shift, defect_verdict
+from polyball.fock import FockTruncation, bump, defect_shift, defect_verdict
 from polyball.subspaces import (
     GradedSubspace,
     beurling_check,
@@ -42,7 +43,7 @@ def oracle_cases():
     return {
         "uncountable": (uncountable.truncation, uncountable.projection),
         "bidisc-difference": (bidisc.truncation, bidisc.projection),
-        "constrained-char": (kb.truncation, lambda box: GradedOperator.identity(box) - kb.kk_star_full(box)),
+        "constrained-char": (kb.truncation, lambda box: op_identity(box) - kb.kk_star_full(box)),
     }
 
 
@@ -175,7 +176,7 @@ def random_basis_subspace(ft, rng, invariant, fill):
             for i, row in enumerate(shifts):
                 src = bump(q, i, -1)
                 if q[i] and src in bases:
-                    cols += [s.block(src, q) @ bases[src] for s in row]
+                    cols += [op_block(s, src, q) @ bases[src] for s in row]
         m = np.hstack(cols)
         if m.shape[1]:
             u, s, _ = np.linalg.svd(m, full_matrices=False)

@@ -124,6 +124,16 @@ def test_index_multiplier_over_the_budget_is_invalid_input(tmp_path, capsys):
     assert reason == f"multiplier blocks at caps (20,) needs {size} bytes (budget {SIZE_BUDGET}; use smaller caps)"
 
 
+@pytest.mark.parametrize("command", ["curv", "curv-c"])
+def test_grade_table_over_the_budget_is_invalid_input(command, tmp_path, capsys):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"n": [1, 1], "dimH": 1, "factors": [[[[0.5, 0.0]]], [[[0.5, 0.0]]]]}))
+    reason = refused([command, "--input", str(path), "--qmax", "100000"], capsys)
+    # the table of 100001**2 traces and the stack of 100001 adjoint iterates, twice
+    size = 16 * (100001**2 + 2 * 100001)
+    assert reason == f"grade table at qmax (100000, 100000) needs {size} bytes (budget {SIZE_BUDGET}; use smaller caps)"
+
+
 @pytest.mark.parametrize("model", ["full", "symmetric"])
 def test_cumulative_dim_is_the_sum_of_the_grade_dimensions(model):
     for n in (1, 2, 3):

@@ -4,11 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracle import defect_shift_composed, interior_verdict, word_unrank
+from oracle import defect_shift_composed, interior_verdict, op_identity, partial_sum, word_unrank
 from polyball.basis import Shape, iter_grades
 from polyball.cp import check_polyball, defect_map
 from polyball.curvature import subspace_curvature
-from polyball.fock import FockTruncation, GradedOperator, defect_shift
+from polyball.fock import FockTruncation, defect_shift
 from polyball.subspaces import (
     GradedSubspace,
     beurling_check,
@@ -20,7 +20,6 @@ from polyball.subspaces import (
     finite_codim_subspace,
     full_subspace,
     inner_sequence_check,
-    invariant_span,
     multiplicity_estimate,
     span_subspace,
     subspace_from_json,
@@ -83,7 +82,7 @@ def test_mt_half_counts():
     for q in range(1, 9):
         assert sub.grade_trace_exact((q,)) == 2 ** (q - 1)
     assert sub.grade_trace_exact((0,)) == 0
-    assert sub.fraction_limit() == Fraction(1, 2)
+    assert sub.limit == Fraction(1, 2)
 
 
 def test_mt_structured_matches_materialized():
@@ -106,7 +105,7 @@ def test_mt_complement_ratio_closed_form():
     sub = construct_mt(exp, cap=8)
     est = subspace_curvature(sub, 8)
     for q in range(9):
-        expected = 1 - float(exp.partial_sum(q))
+        expected = 1 - float(partial_sum(exp, q))
         assert est.grade_values[(q,)] == pytest.approx(expected)
     assert est.exact_limit == Fraction(1, 4)
 
@@ -210,7 +209,7 @@ def test_tensor_counts_multiply():
     sub = tensor_subspace([m1, m2])
     for q in iter_grades((5, 5)):
         assert sub.grade_trace_exact(q) == m1.grade_trace_exact((q[0],)) * m2.grade_trace_exact((q[1],))
-    assert sub.fraction_limit() == m1.fraction_limit() * m2.fraction_limit()
+    assert sub.limit == m1.limit * m2.limit
 
 
 def test_tensor_for_perp_law_exact_per_grade():
@@ -348,6 +347,63 @@ def test_inner_sequence_empty_zero_subspace():
     assert rep.corner_value == 0.0
 
 
+def letter_line_subspace(mode, c, cap=4):
+    """The words ending in letter 1, tensored with the unit vector ``c`` of ``E = C^2``, in ``mode``.
+
+    Its grade blocks are not diagonal, and it is the range of the letter-1
+    monomial with coefficient ``c``.
+    """
+    ft = FockTruncation(Shape((2,), caps=(cap,)), coeff_dim=2)
+    bases = {}
+    for q in ft.grades:
+        if q[0]:
+            ends_in_1 = np.zeros((2 ** q[0], 2 ** (q[0] - 1)))
+            ends_in_1[2 * np.arange(2 ** (q[0] - 1)), np.arange(2 ** (q[0] - 1))] = 1.0
+            bases[q] = np.kron(ends_in_1, np.asarray(c, dtype=complex)[:, None])
+    if mode == "basis":
+        return GradedSubspace(ft, "basis", grade_bases=bases)
+    cols = [np.zeros((ft.total_dim, b.shape[1]), dtype=complex) for b in bases.values()]
+    for col, (q, b) in zip(cols, bases.items()):
+        col[ft.offset(q) : ft.offset(q) + ft.dim(q)] = b
+    return span_subspace(ft, np.hstack(cols))
+
+
+def letter_line_multiplier(c):
+    from polyball.berezin import InnerMultiplier
+
+    coeff = np.zeros((2, 2, 1), dtype=complex)
+    coeff[0, :, 0] = c
+    return InnerMultiplier(Shape((2,)), 1, 2, {(1,): coeff}, isometric=True)
+
+
+@pytest.mark.parametrize("mode", ["basis", "span"])
+def test_inner_sequence_in_basis_and_span_mode(mode):
+    c = np.array([1.0, 1.0j]) / np.sqrt(2)
+    sub = letter_line_subspace(mode, c)
+    assert sub.mode == mode and sub.certify_invariance() < 1e-12
+    rep = inner_sequence_check(sub, [letter_line_multiplier(c)], q_max=3)
+    assert rep.ok and rep.decomposition_residual < 1e-12
+    # half the words of a grade, one coefficient direction of two
+    assert rep.grade_values[(3,)] == pytest.approx(0.5)
+    with pytest.raises(ValueError, match="inner decomposition residual"):
+        inner_sequence_check(sub, [letter_line_multiplier([1.0, 0.0])], q_max=3)
+
+
+def test_inner_sequence_never_forms_the_projection(monkeypatch):
+    from polyball.berezin import monomial_multiplier
+
+    def projection(self, box=None):
+        raise AssertionError("the whole projection was formed")
+
+    monkeypatch.setattr(GradedSubspace, "projection", projection)
+    cases = [
+        (construct_mt(construct_nadic(2, 0.5), cap=5), monomial_multiplier(Shape((2,)), 0, (1,))),
+        (letter_line_subspace("span", [1.0, 0.0]), letter_line_multiplier([1.0, 0.0])),
+    ]
+    for sub, psi in cases:
+        assert inner_sequence_check(sub, [psi], q_max=4).ok
+
+
 # -- compressions ----------------------------------------------------------------
 
 
@@ -379,7 +435,7 @@ def test_compression_eq_de_both_sides():
     c = np.concatenate(comp_cols, axis=1)
     for p in [(1,), (0,)]:
         lhs = defect_map(t, p, np.eye(t.dimH, dtype=complex))
-        shift_defect = defect_shift(GradedOperator.identity(ft)) if p == (1,) else GradedOperator.identity(ft)
+        shift_defect = defect_shift(op_identity(ft)) if p == (1,) else op_identity(ft)
         rhs = c.conj().T @ shift_defect.to_dense(list(ft.grades)) @ c
         assert np.linalg.norm(lhs - rhs, 2) < 1e-12
 
@@ -393,7 +449,7 @@ def test_structured_json_roundtrip():
     back = subspace_from_json(text)
     for q in iter_grades((6,)):
         assert back.grade_trace_exact(q) == sub.grade_trace_exact(q)
-    assert back.fraction_limit() == sub.fraction_limit()
+    assert back.limit == sub.limit
 
 
 def test_tensor_json_roundtrip():

@@ -9,7 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import commuting_tuple
-from oracle import embedding_matrix, folded_berezin, monomial_weight, universal_factorial_form_value
+from oracle import (
+    creation_op,
+    embedding_matrix,
+    folded_berezin,
+    monomial_weight,
+    op_block,
+    op_identity,
+    universal_factorial_form_value,
+)
 from polyball.basis import Shape, grade_dim
 from polyball.berezin import (
     InnerMultiplier,
@@ -20,11 +28,10 @@ from polyball.berezin import (
 )
 from polyball.cp import OperatorTuple, ampliation
 from polyball.curvature import subspace_curvature
-from polyball.fock import FockTruncation, GradedOperator, creation_op
+from polyball.fock import FockTruncation, GradedOperator
 from polyball.subspaces import (
     compression_tuple,
     full_subspace,
-    multiplicity_estimate,
     subspace_from_json,
     subspace_to_json,
     zero_subspace,
@@ -85,7 +92,7 @@ def sf_single(n, cap, cd=1):
 def test_b_operator_on_vacuum():
     sf = sf_single(2, 3)
     b = creation_op(sf, 0, 1)
-    col = b.block((0,), (1,))
+    col = op_block(b, (0,), (1,))
     assert col.shape == (2, 1)
     idx = monomials(2, 1).index((1, 0))
     assert col[idx, 0] == pytest.approx(1.0)
@@ -127,8 +134,8 @@ def test_b_matches_compression_of_word_shift():
             for q in range(cap):
                 v_q = embedding_matrix(n, q)
                 v_up = embedding_matrix(n, q + 1)
-                compressed = v_up.conj().T @ s.block((q,), (q + 1,)) @ v_q
-                assert np.allclose(compressed, b.block((q,), (q + 1,)), atol=1e-13)
+                compressed = v_up.conj().T @ op_block(s, (q,), (q + 1,)) @ v_q
+                assert np.allclose(compressed, op_block(b, (q,), (q + 1,)), atol=1e-13)
 
 
 def test_word_to_monomial_counting_oracle():
@@ -162,15 +169,15 @@ def test_counting_identity_compressed_shifts():
         ops = {j: creation_op(sf, 0, j) for j in range(1, n + 1)}
         for q in range(1, 5):
             for s in range(1, q + 1):
-                total = GradedOperator.zero(sf)
+                total = GradedOperator(sf)
                 for word in itertools.product(range(1, n + 1), repeat=s):
-                    op = GradedOperator.identity(sf)
+                    op = op_identity(sf)
                     for letter in reversed(word):
                         op = ops[letter] @ op
                     proj = GradedOperator(sf, {((q,), (q,)): np.eye(sf.dim((q,)), dtype=complex)})
                     total = total + (op.adjoint() @ proj @ op)
                 ratio = sym_grade_dim(n, q) / sym_grade_dim(n, q - s)
-                blk = total.block((q - s,), (q - s,))
+                blk = op_block(total, (q - s,), (q - s,))
                 assert np.allclose(blk, ratio * np.eye(sf.dim((q - s,))), atol=1e-12)
                 for key, b in total.blocks.items():
                     if key != ((q - s,), (q - s,)):
@@ -181,10 +188,10 @@ def test_counting_identity_two_factors():
     sf = SymFockTruncation(Shape((2, 2), caps=(3, 3)))
     ops = {(i, j): creation_op(sf, i, j) for i in range(2) for j in (1, 2)}
     q, s = (2, 1), (1, 1)
-    total = GradedOperator.zero(sf)
+    total = GradedOperator(sf)
     for w1 in itertools.product((1, 2), repeat=s[0]):
         for w2 in itertools.product((1, 2), repeat=s[1]):
-            op = GradedOperator.identity(sf)
+            op = op_identity(sf)
             for letter in reversed(w1):
                 op = ops[(0, letter)] @ op
             for letter in reversed(w2):
@@ -193,7 +200,7 @@ def test_counting_identity_two_factors():
             total = total + (op.adjoint() @ proj @ op)
     target = (1, 0)
     ratio = (sym_grade_dim(2, 2) / sym_grade_dim(2, 1)) * (sym_grade_dim(2, 1) / sym_grade_dim(2, 0))
-    assert np.allclose(total.block(target, target), ratio * np.eye(sf.dim(target)), atol=1e-12)
+    assert np.allclose(op_block(total, target, target), ratio * np.eye(sf.dim(target)), atol=1e-12)
 
 
 # -- commutative curvature --------------------------------------------------------

@@ -1,11 +1,11 @@
 """Berezin kernels, the connection identity, and index-formula machinery.
 
-The kernel of a tuple is built grade by grade from its vacuum row, the
-defect square root, through the intertwining ``K T_{i,j}^* = (S_{i,j}^* (x) I) K``;
-rows live on the truncated Fock tensor product with the defect range as
-coefficient space.  Grade blocks of the kernel are exact (truncation only
-discards rows beyond the caps), so the connection identity is a genuine
-two-route consistency check.
+The kernel of a tuple is built one total degree at a time from its vacuum
+row, the defect square root, through the intertwining
+``K T_{i,j}^* = (S_{i,j}^* (x) I) K``; rows live on the truncated Fock tensor
+product with the defect range as coefficient space.  Grade blocks of the
+kernel are exact (truncation only discards rows beyond the caps), so the
+connection identity is a genuine two-route consistency check.
 
 Multipliers that intertwine the universal shifts are accepted as input data
 (coefficient blocks of their symbols); they are validated, never synthesized
@@ -29,6 +29,7 @@ from .cp import (
     PsdVerdict,
     cp_apply_power,
     defect_data,
+    json_field,
     matrix_from_pairs,
     matrix_to_pairs,
     psd_verdict,
@@ -101,17 +102,7 @@ def kernel_tail_bound(t: OperatorTuple, caps: tuple[int, ...]) -> float:
 
 def berezin_kernel(t: OperatorTuple, caps: tuple[int, ...], model: str = "full",
                    budget_caps: tuple[int, ...] | None = None) -> BerezinKernel:
-    """Assemble the kernel grade by grade from its vacuum row through the shift intertwining.
-
-    The vacuum block is ``D^{1/2}`` on the defect range.  Grade ``q`` follows
-    from grade ``q - e_i`` (``i`` the last factor with ``q_i > 0``) by
-    ``K T_{i,j}^* = (S_{i,j}^* (x) I) K``: the ``S_{i,j}`` target rows of grade
-    ``q`` are ``(K_{q - e_i} T_{i,j}^*) / w`` with the shift weights ``w``.
-    The same recursion serves both models on the truncation of ``model``; in
-    the symmetric model (a commutative tuple, see
-    ``symmetric.constrained_berezin``) a monomial reached by several letters
-    takes the rows of the last one, so the letters run last to first and each
-    forms only the rows of targets not yet written.
+    """The whole kernel: every layer of ``_kernel_layers``, with ``blocks`` in ``ft.grades`` order.
 
     A kernel of more than ``SIZE_BUDGET`` bytes at ``budget_caps`` (default
     ``caps``) is refused before any block is allocated, from the closed-form
@@ -119,29 +110,64 @@ def berezin_kernel(t: OperatorTuple, caps: tuple[int, ...], model: str = "full",
     those as ``budget_caps``: the kernel is built on the smaller box, and every
     input the larger one would refuse is still refused.
     """
+    dd, ft = _kernel_truncation(t, caps, model, budget_caps)
+    blocks: dict[tuple[int, ...], np.ndarray] = {}
+    for layer in _kernel_layers(t, ft, dd):
+        blocks |= layer
+    return BerezinKernel(t, ft, {q: blocks[q] for q in ft.grades}, dd)
+
+
+def _kernel_truncation(t: OperatorTuple, caps: tuple[int, ...], model: str,
+                       budget_caps: tuple[int, ...] | None = None) -> tuple[DefectData, FockTruncation]:
+    """The defect and the kernel's truncation, after the membership test and the size budget, in that order."""
     require_membership(t)
     dd = defect_data(t)
     ft = truncation_for(model, t.shape.with_caps(caps), dd.rank)
     budget = ft if budget_caps is None else truncation_for(model, t.shape.with_caps(budget_caps), dd.rank)
     require_budget(f"Berezin kernel at caps {budget.shape.caps}", 16 * budget.total_dim * t.dimH)
-    blocks: dict[tuple[int, ...], np.ndarray] = {}
+    return dd, ft
+
+
+def _kernel_layers(t: OperatorTuple, ft: FockTruncation, dd: DefectData):
+    """The kernel's grade blocks one total degree ``|q|`` at a time: ``{q: K_q}`` per layer, from ``|q| = 0``.
+
+    The vacuum block is ``D^{1/2}`` on the defect range.  Grade ``q`` follows
+    from grade ``q - e_i`` (``i`` the last factor with ``q_i > 0``), one layer
+    down, by ``K T_{i,j}^* = (S_{i,j}^* (x) I) K``: the ``S_{i,j}`` target rows
+    of grade ``q`` are ``(K_{q - e_i} T_{i,j}^*) / w`` with the shift weights
+    ``w``.  The same recursion serves both models on the truncation of
+    ``ft.model``; in the symmetric model (a commutative tuple, see
+    ``symmetric.constrained_berezin``) a monomial reached by several letters
+    takes the rows of the last one, so the letters run last to first and each
+    forms only the rows of targets not yet written.
+
+    Only the previous layer is held here, so a caller that drops each layer
+    once the next one is yielded keeps two layers alive.
+    """
+    by_degree: list[list[tuple[int, ...]]] = [[] for _ in range(sum(ft.shape.caps) + 1)]
     for q in ft.grades:
-        if not any(q):
-            blocks[q] = dd.range_basis.conj().T @ dd.sqrt  # rank x dimH
-            continue
-        i, src = last_step(q)
-        block = np.zeros((ft.dim(q), t.dimH), dtype=complex)
-        written = np.zeros(ft.dim(q), dtype=bool)
-        for j in range(t.shape.n[i], 0, -1):
-            targets, w, _ = ft.shift(i, j, src)
-            src_rows = blocks[src]
-            fresh = ~written[targets]
-            if not fresh.all():  # monomials a later letter reached keep its rows
-                targets, w, src_rows = targets[fresh], w[fresh], src_rows[fresh]
-            block[targets] = _letter_rows(src_rows, t.entry(i, j), w)
-            written[targets] = True
-        blocks[q] = block
-    return BerezinKernel(t, ft, blocks, dd)
+        by_degree[sum(q)].append(q)
+    prev: dict[tuple[int, ...], np.ndarray] = {}
+    for grades in by_degree:
+        layer = {}
+        for q in grades:
+            if not any(q):
+                layer[q] = dd.range_basis.conj().T @ dd.sqrt  # rank x dimH
+                continue
+            i, src = last_step(q)
+            block = np.zeros((ft.dim(q), t.dimH), dtype=complex)
+            written = np.zeros(ft.dim(q), dtype=bool)
+            for j in range(t.shape.n[i], 0, -1):
+                targets, w, _ = ft.shift(i, j, src)
+                src_rows = prev[src]
+                fresh = ~written[targets]
+                if not fresh.all():  # monomials a later letter reached keep its rows
+                    targets, w, src_rows = targets[fresh], w[fresh], src_rows[fresh]
+                block[targets] = _letter_rows(src_rows, t.entry(i, j), w)
+                written[targets] = True
+            layer[q] = block
+        yield layer
+        prev = layer
 
 
 def _letter_rows(src_rows: np.ndarray, entry: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -154,24 +180,41 @@ def _letter_rows(src_rows: np.ndarray, entry: np.ndarray, w: np.ndarray) -> np.n
     return rows
 
 
-def verify_intertwining(kb: BerezinKernel) -> float:
+def verify_intertwining(t: OperatorTuple, caps: tuple[int, ...], model: str = "full") -> float:
     """Max residual of ``K T_{i,j}^* = (S_{i,j}^* (x) I) K`` over grades ``q`` with ``q + e_i`` inside the caps.
 
-    ``kb`` is a kernel ``berezin_kernel`` built; the pairs its recursion wrote
-    are left out (see ``_tested_pairs``), since their residuals are exactly 0.0.
-    A factor with cap 0 has no grade pair, so its identity would go untested:
-    that is refused.  Each residual block is formed in place and takes one
-    Gram spectrum.
+    The kernel of ``t`` at ``caps`` on the truncation of ``model`` is built
+    layer by layer (``_kernel_layers``): the pairs of degree ``L`` read layers
+    ``L`` and ``L + 1`` only, so they run as soon as layer ``L + 1`` exists and
+    layer ``L`` is dropped after them; two layers are alive at a time.  The
+    refusals come in the order of ``berezin_kernel`` (membership, then the size
+    budget of the whole kernel at ``caps``); then a factor with cap 0, which
+    has no grade pair and whose identity would go untested, is refused.  The
+    pairs the recursion wrote are left out (see ``_tested_pairs``), since their
+    residuals are exactly 0.0.
     """
-    ft = kb.truncation
-    t = kb.op
+    dd, ft = _kernel_truncation(t, caps, model)
     if 0 in ft.shape.caps:
         raise ValueError(f"caps {ft.shape.caps} leave a factor with no grade pair to test; "
                          "every cap must be >= 1")
     worst = 0.0
-    for i, j, q, targets, w in _tested_pairs(ft):
-        resid = kb.blocks[q] @ t.entry(i, j).conj().T
-        rhs = kb.blocks[bump(q, i)][targets]
+    lower = None
+    for upper in _kernel_layers(t, ft, dd):
+        if lower is not None:
+            worst = max(worst, _layer_residual(t, ft, lower, upper))
+        lower = upper
+    return worst
+
+
+def _layer_residual(t: OperatorTuple, ft: FockTruncation, lower: dict, upper: dict) -> float:
+    """Max intertwining residual of the tested pairs with ``q`` in layer ``lower`` (``q + e_i`` in ``upper``).
+
+    Each residual block is formed in place and takes one Gram spectrum.
+    """
+    worst = 0.0
+    for i, j, q, targets, w in _tested_pairs(ft, lower):
+        resid = lower[q] @ t.entry(i, j).conj().T
+        rhs = upper[bump(q, i)][targets]
         rhs *= w[:, None]
         resid -= rhs
         del rhs  # one residual-sized temporary at a time
@@ -179,12 +222,12 @@ def verify_intertwining(kb: BerezinKernel) -> float:
     return worst
 
 
-def _tested_pairs(ft: FockTruncation):
-    """``(i, j, q, targets, weights)`` of each pair whose intertwining residual can be nonzero.
+def _tested_pairs(ft: FockTruncation, grades):
+    """``(i, j, q, targets, weights)`` of each pair, ``q`` in ``grades``, whose intertwining residual can be nonzero.
 
     Pairs with ``q + e_i`` beyond the caps have no identity.  A pair is also
     left out when ``last_step(q + e_i) == (i, q)`` and every weight of
-    ``ft.shift(i, j, q)`` is exactly 1.0: ``berezin_kernel`` built grade
+    ``ft.shift(i, j, q)`` is exactly 1.0: ``_kernel_layers`` built grade
     ``q + e_i`` from ``q`` through factor ``i``, and a target of weight 1 is
     reached by no other letter (the squared weights into a target sum to 1),
     so it wrote those rows as ``K_q T_{i,j}^*`` itself and the residual is
@@ -194,7 +237,7 @@ def _tested_pairs(ft: FockTruncation):
     """
     for i in range(ft.shape.k):
         for j in range(1, ft.shape.n[i] + 1):
-            for q in ft.grades:
+            for q in grades:
                 up = bump(q, i)
                 if not ft.has_grade(up):
                     continue
@@ -425,6 +468,12 @@ class IndexCheck:
     completion_residual: float
 
 
+def _require_same_model(theta: InnerMultiplier, ft: FockTruncation, what: str) -> None:
+    """Refuse, by name, a multiplier of the other model than ``ft``'s: grade dimensions and weights differ."""
+    if theta.model != ft.model:
+        raise ValueError(f"a {theta.model!r}-model multiplier on a {ft.model!r}-model {what}")
+
+
 def index_formula_check(kb: BerezinKernel, theta: InnerMultiplier, blocks: dict | None = None) -> IndexCheck:
     """``curv = rank - trace[Theta (P_C (x) I) Theta^* (N_{<=q} (x) I)]`` at the depth ``q = caps - 1``.
 
@@ -434,8 +483,7 @@ def index_formula_check(kb: BerezinKernel, theta: InnerMultiplier, blocks: dict 
     kernel's caps, when the caller has them.
     """
     ft = kb.truncation
-    if theta.model != ft.model:
-        raise ValueError(f"a {theta.model!r}-model multiplier on a {ft.model!r}-model kernel")
+    _require_same_model(theta, ft, "kernel")
     blocks = theta.materialize_blocks(ft.shape.caps) if blocks is None else blocks
     _validate_blocks(theta, blocks, ft.shape.caps)
     return index_check_from_blocks(kb, theta, blocks)
@@ -539,14 +587,19 @@ def multiplier_to_json(theta: InnerMultiplier) -> str:
 
 
 def multiplier_from_json(text: str) -> InnerMultiplier:
+    """A multiplier from its JSON; a field that is missing, null or of the wrong type is refused by name."""
     data = json.loads(text)
-    n = tuple(int(v) for v in data["n"])
-    ds, dt = int(data["dim_source"]), int(data["dim_target"])
+    n = tuple(json_field(data, "n", "ints"))
+    ds, dt = json_field(data, "dim_source", "int"), json_field(data, "dim_target", "int")
     coeffs = {}
-    for entry in data["blocks"]:
-        d = tuple(int(v) for v in entry["degree"])
-        coeffs[d] = np.stack([matrix_from_pairs(flat, dt, ds) for flat in entry["coeffs"]], axis=0)
-    return InnerMultiplier(
-        Shape(n), ds, dt, coeffs, model=require_model(data.get("model", "full")),
-        isometric=bool(data.get("isometric", False)),
-    )
+    for entry in json_field(data, "blocks", "list"):
+        d = tuple(json_field(entry, "degree", "ints"))
+        if len(d) != len(n):
+            raise ValueError(f"field 'degree' must have {len(n)} entries, one per factor; got {len(d)}")
+        mats = [matrix_from_pairs(flat, dt, ds) for flat in json_field(entry, "coeffs", "list")]
+        coeffs[d] = np.stack(mats, axis=0)
+    isometric = data.get("isometric", False)
+    if not isinstance(isometric, bool):  # bool("false") is True
+        raise ValueError("field 'isometric' must be true or false")
+    return InnerMultiplier(Shape(n), ds, dt, coeffs, model=require_model(data.get("model", "full")),
+                           isometric=isometric)

@@ -348,7 +348,7 @@ def cmd_check_connection(args) -> int:
 
 def cmd_check_intertwine(args) -> int:
     t, caps = _tuple_and_caps(args)
-    resid = verify_intertwining(berezin_kernel(t, caps))
+    resid = verify_intertwining(t, caps)
     payload = {
         "command": "check",
         "kind": "intertwine",

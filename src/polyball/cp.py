@@ -423,6 +423,35 @@ def matrix_from_pairs(pairs, rows: int, cols: int) -> np.ndarray:
     return flat.view(complex).reshape(rows, cols)
 
 
+def _is_json_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+_JSON_KINDS = {
+    "int": ("an integer", _is_json_int),
+    "ints": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_json_int, v))),
+    "list": ("a list", lambda v: isinstance(v, list)),
+}
+
+
+def json_field(data, key: str, kind: str):
+    """Field ``key`` of a decoded JSON object, of ``kind`` ``"int"``, ``"ints"`` or ``"list"``.
+
+    A payload that is not an object, a missing or null field and a value of
+    another type (a boolean is not an integer, nor is ``2.0`` or ``"2"``) are
+    each a ``ValueError`` that names the field.
+    """
+    what, ok = _JSON_KINDS[kind]
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object with field {key!r}, got {type(data).__name__}")
+    value = data.get(key)
+    if value is None:
+        raise ValueError(f"field {key!r} is missing or null; expected {what}")
+    if not ok(value):
+        raise ValueError(f"field {key!r} must be {what}")
+    return value
+
+
 def _json_number(v) -> float:
     """A decoded JSON entry as a float: null reads as NaN, an integer beyond float range as inf."""
     if v is None:

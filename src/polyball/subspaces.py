@@ -581,16 +581,20 @@ class InnerSequenceReport:
 def inner_sequence_check(sub: GradedSubspace, psis, q_max: int) -> InnerSequenceReport:
     """Verify ``P_M = sum psi_s psi_s^*`` and the normalized occupation sums.
 
+    Each ``psi`` must be of the subspace's model; one of the other model is
+    refused by name, as ``index_formula_check`` refuses it.
+
     The residual is ``berezin._slab_residual`` over every grade, one column at
     a time: column ``p`` of ``P_M`` is read from ``grade_basis(p)``, or from the
     span columns, so ``P_M`` is never formed whole.
     """
-    from .berezin import _slab_residual, _sources, validate_multiplier
+    from .berezin import _require_same_model, _slab_residual, _sources, validate_multiplier
 
     ft = sub.truncation
     caps = ft.shape.caps
     sources = []
     for psi in psis:
+        _require_same_model(psi, ft, "subspace")
         validate_multiplier(psi, caps)
         if psi.dim_target != ft.coeff_dim:
             raise ValueError("multiplier target space must match the subspace coefficients")

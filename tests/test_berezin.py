@@ -115,21 +115,18 @@ def test_constrained_kernel_shares_the_word_tail_bound(powers):
 
 
 def test_intertwining_scalar_exact():
-    kb = berezin_kernel(scalar_tuple(0.7), (6,))
-    assert verify_intertwining(kb) < 1e-14
+    assert verify_intertwining(scalar_tuple(0.7), (6,)) < 1e-14
 
 
 def test_intertwining_zero_tuple():
     t = OperatorTuple(Shape((2,)), 2, ((np.zeros((2, 2)), np.zeros((2, 2))),))
-    kb = berezin_kernel(t, (4,))
-    assert verify_intertwining(kb) < 1e-15
+    assert verify_intertwining(t, (4,)) < 1e-15
 
 
 def test_intertwining_random_pure():
     rng = np.random.default_rng(101)
     t = random_polyball_tuple(rng, (2, 2), (2, 2), 0.6)
-    kb = berezin_kernel(t, (5, 5))
-    assert verify_intertwining(kb) < 1e-10
+    assert verify_intertwining(t, (5, 5)) < 1e-10
 
 
 @settings(max_examples=30, deadline=None)
@@ -147,19 +144,38 @@ def test_intertwining_skips_only_pairs_the_recursion_wrote(seed, case, norm, dat
     rng = np.random.default_rng(seed)
     caps = tuple(data.draw(st.integers(1, top)) for _ in n)
     if model == "full":
-        kb = berezin_kernel(random_polyball_tuple(rng, n, tuple(data.draw(st.integers(1, 3)) for _ in n), norm), caps)
+        t = random_polyball_tuple(rng, n, tuple(data.draw(st.integers(1, 3)) for _ in n), norm)
+        kb = berezin_kernel(t, caps)
     else:
         parts = [commuting_tuple(rng, ni, 2, norm) for ni in n]
-        kb = constrained_berezin(parts[0] if len(parts) == 1 else ampliation(parts), caps)
+        t = parts[0] if len(parts) == 1 else ampliation(parts)
+        kb = constrained_berezin(t, caps)
     full = intertwining_residuals(kb)
-    skipped = set(full) - {(i, j, q) for i, j, q, _, _ in berezin._tested_pairs(kb.truncation)}
-    assert verify_intertwining(kb) == max(full.values())
+    tested = berezin._tested_pairs(kb.truncation, kb.truncation.grades)
+    skipped = set(full) - {(i, j, q) for i, j, q, _, _ in tested}
+    assert verify_intertwining(t, caps, model) == max(full.values())
     assert all(full[p] == 0.0 for p in skipped)
     # the pairs whose grade q is 0 past factor i, less the symmetric ones with weights other than 1
     assert skipped == {(i, j, q) for i, j, q in full
                        if not any(q[i + 1:]) and (model == "full" or n[i] == 1 or q[i] == 0)}
     if model == "symmetric":
         assert not any(n[i] >= 2 and q[i] >= 1 for i, _, q in skipped)
+
+
+def test_intertwining_peaks_below_the_whole_kernel():
+    # two layers alive: at caps (5, 5) on n (2, 2) the top two hold about half the rows
+    t = random_polyball_tuple(np.random.default_rng(7), (2, 2), (4, 4), 0.7)
+    kb = berezin_kernel(t, (5, 5))
+    assert list(kb.blocks) == list(kb.truncation.grades)
+    kernel_bytes = sum(b.nbytes for b in kb.blocks.values())
+    del kb
+    tracemalloc.start()
+    try:
+        verify_intertwining(t, (5, 5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < kernel_bytes
 
 
 def test_connection_identity_grade_zero():

@@ -361,6 +361,39 @@ def test_every_matrix_loader_refuses_what_the_tuple_loader_refuses(payload, entr
     assert reason in report["reason"]
 
 
+MISSING = object()
+
+
+@pytest.mark.parametrize("path, value, named", [
+    (("n",), None, "n"), (("n",), MISSING, "n"), (("n",), "x", "n"), (("n",), [1.0], "n"), (("n",), [True], "n"),
+    (("dim_source",), None, "dim_source"), (("dim_target",), 1.5, "dim_target"),
+    (("blocks",), None, "blocks"), (("blocks",), MISSING, "blocks"), (("blocks",), {}, "blocks"),
+    (("blocks", 0), "x", "degree"),  # a block that is not an object
+    (("blocks", 0, "degree"), None, "degree"), (("blocks", 0, "degree"), MISSING, "degree"),
+    (("blocks", 0, "degree"), ["1"], "degree"), (("blocks", 0, "degree"), [], "degree"),
+    (("blocks", 0, "coeffs"), None, "coeffs"), (("blocks", 0, "coeffs"), MISSING, "coeffs"),
+    (("blocks", 0, "coeffs"), "x", "coeffs"), (("isometric",), "false", "isometric"),
+])
+def test_malformed_multiplier_field_is_refused_by_name(path, value, named, scalar_file, tmp_path, capsys):
+    data = multiplier_payload([1.0, 0.0])
+    multiplier_from_json(json.dumps(data))
+    *parents, key = path
+    target = data
+    for p in parents:
+        target = target[p]
+    if value is MISSING:
+        del target[key]
+    else:
+        target[key] = value
+    theta = tmp_path / "theta.json"
+    theta.write_text(json.dumps(data))
+    code, out, err = run(["check", "index", "--input", scalar_file, "--theta", str(theta), "--caps", "3"], capsys)
+    assert code == 1 and out == "" and "Traceback" not in err
+    report = json.loads(err)
+    assert report["error"] == "invalid-input"
+    assert f"'{named}'" in report["reason"]
+
+
 def test_unknown_subspace_mode_is_refused_by_name(tmp_path, capsys):
     path = tmp_path / "foo.json"
     path.write_text(json.dumps({"model": "full", "n": [1], "caps": [2], "dimE": 1, "mode": "foo"}))

@@ -347,6 +347,19 @@ def test_inner_sequence_empty_zero_subspace():
     assert rep.corner_value == 0.0
 
 
+@pytest.mark.parametrize("n", [2, 1])
+def test_inner_sequence_refuses_a_multiplier_of_the_other_model_by_name(n):
+    # at n = 1 both models have one basis vector per grade: only the model names the mix
+    from polyball.berezin import monomial_multiplier
+    from polyball.symmetric import sym_monomial_multiplier
+
+    sub = construct_mt(construct_nadic(2, 0.5), 4) if n == 2 else finite_codim_subspace((1,), (4,), 1)
+    assert inner_sequence_check(sub, [monomial_multiplier(Shape((n,)), 0, (1,))], q_max=3).ok
+    sym = sym_monomial_multiplier(Shape((n,)), ((1,) + (0,) * (n - 1),))
+    with pytest.raises(ValueError, match="'symmetric'-model multiplier on a 'full'-model subspace"):
+        inner_sequence_check(sub, [sym], q_max=3)
+
+
 def letter_line_subspace(mode, c, cap=4):
     """The words ending in letter 1, tensored with the unit vector ``c`` of ``E = C^2``, in ``mode``.
 

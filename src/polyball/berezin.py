@@ -5,7 +5,9 @@ row, the defect square root, through the intertwining
 ``K T_{i,j}^* = (S_{i,j}^* (x) I) K``; rows live on the truncated Fock tensor
 product with the defect range as coefficient space.  Grade blocks of the
 kernel are exact (truncation only discards rows beyond the caps), so the
-connection identity is a genuine two-route consistency check.
+connection identity is a genuine two-route consistency check.  Kernel rows and
+intertwining residuals are formed in row slabs by one thread per CPU, and
+their bits do not depend on the number of threads.
 
 Multipliers that intertwine the universal shifts are accepted as input data
 (coefficient blocks of their symbols); they are validated, never synthesized
@@ -18,7 +20,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -29,13 +33,16 @@ from .cp import (
     PsdVerdict,
     cp_apply_power,
     defect_data,
+    divide_real,
     json_field,
     matrix_from_pairs,
     matrix_to_pairs,
     psd_verdict,
     require_budget,
     require_membership,
+    slab_gram,
     spectral_norms,
+    stacked_norm,
 )
 from .fock import (
     FockTruncation,
@@ -47,9 +54,13 @@ from .fock import (
     truncation_for,
 )
 
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
+
 INTERTWINE_TOL = 1e-10
 MULTIPLIER_TOL = 1e-12
 COMPLETION_TOL = 1e-8
+SLAB_BYTES = 2**20  # rows of one kernel job: about this many bytes of a dimH-wide complex block
 
 
 @dataclass
@@ -112,8 +123,9 @@ def berezin_kernel(t: OperatorTuple, caps: tuple[int, ...], model: str = "full",
     """
     dd, ft = _kernel_truncation(t, caps, model, budget_caps)
     blocks: dict[tuple[int, ...], np.ndarray] = {}
-    for layer in _kernel_layers(t, ft, dd):
-        blocks |= layer
+    with _workers() as pool:
+        for layer in _kernel_layers(t, ft, dd, pool):
+            blocks |= layer
     return BerezinKernel(t, ft, {q: blocks[q] for q in ft.grades}, dd)
 
 
@@ -128,7 +140,56 @@ def _kernel_truncation(t: OperatorTuple, caps: tuple[int, ...], model: str,
     return dd, ft
 
 
-def _kernel_layers(t: OperatorTuple, ft: FockTruncation, dd: DefectData):
+def _workers() -> ThreadPoolExecutor:
+    """Workers for ``_by_slabs``: with the calling thread, one thread per CPU this process may run on.
+
+    The CPUs are those of the process's affinity mask, which ``taskset``
+    narrows; on one CPU there is still one worker.  The jobs spend their time
+    in numpy calls that release the interpreter lock.  Threads start with the
+    first job handed to the pool and end with it.
+    """
+    from concurrent.futures import ThreadPoolExecutor  # on first use, so that importing polyball stays as cheap
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return ThreadPoolExecutor(max(cpus - 1, 1))
+
+
+def _by_slabs(pool: ThreadPoolExecutor, work, pieces, width: int) -> list[list]:
+    """``work(*args, rows)`` over the row slabs ``rows`` of each piece ``(count, args)`` of ``pieces``, by ``pool``.
+
+    A slab holds about ``SLAB_BYTES`` of a ``width``-column complex block and
+    at least ``width`` rows, so its Gram matrix is no larger than itself.  A
+    piece is cut only where it is larger than a slab, and pieces share a job
+    up to a slab's rows, so small grades cost one job, not one each.  Returns
+    the results of each piece, in row order.
+    """
+    step = max(SLAB_BYTES // (16 * width), width)
+    jobs, job, room = [], [], step
+    for p, (count, _) in enumerate(pieces):
+        for a in range(0, count, step):
+            rows = slice(a, min(a + step, count))
+            if rows.stop - a > room:
+                jobs.append(job)
+                job, room = [], step
+            job.append((p, rows))
+            room -= rows.stop - a
+    jobs.append(job)
+
+    def run(job):
+        return [work(*pieces[p][1], rows) for p, rows in job]
+
+    futures = [pool.submit(run, job) for job in jobs[1:]]
+    results = [run(jobs[0])]
+    for job, future in zip(jobs[1:], futures):  # the calling thread also runs each job no worker has started
+        results.append(run(job) if future.cancel() else future)
+    out: list[list] = [[] for _ in pieces]
+    for job, result in zip(jobs, results):
+        for (p, _), r in zip(job, result if isinstance(result, list) else result.result()):
+            out[p].append(r)
+    return out
+
+
+def _kernel_layers(t: OperatorTuple, ft: FockTruncation, dd: DefectData, pool: ThreadPoolExecutor):
     """The kernel's grade blocks one total degree ``|q|`` at a time: ``{q: K_q}`` per layer, from ``|q| = 0``.
 
     The vacuum block is ``D^{1/2}`` on the defect range.  Grade ``q`` follows
@@ -141,15 +202,18 @@ def _kernel_layers(t: OperatorTuple, ft: FockTruncation, dd: DefectData):
     takes the rows of the last one, so the letters run last to first and each
     forms only the rows of targets not yet written.
 
-    Only the previous layer is held here, so a caller that drops each layer
-    once the next one is yielded keeps two layers alive.
+    Each layer is planned first (the targets, weights and kept rows of every
+    letter), then formed by ``pool`` in row slabs (``_by_slabs``).  The slabs
+    write disjoint rows, so every block has the same bits for any number of
+    workers.  Only the previous layer is held here, so a caller that drops
+    each layer once the next one is yielded keeps two layers alive.
     """
     by_degree: list[list[tuple[int, ...]]] = [[] for _ in range(sum(ft.shape.caps) + 1)]
     for q in ft.grades:
         by_degree[sum(q)].append(q)
     prev: dict[tuple[int, ...], np.ndarray] = {}
     for grades in by_degree:
-        layer = {}
+        layer, pieces = {}, []
         for q in grades:
             if not any(q):
                 layer[q] = dd.range_basis.conj().T @ dd.sqrt  # rank x dimH
@@ -159,15 +223,23 @@ def _kernel_layers(t: OperatorTuple, ft: FockTruncation, dd: DefectData):
             written = np.zeros(ft.dim(q), dtype=bool)
             for j in range(t.shape.n[i], 0, -1):
                 targets, w, _ = ft.shift(i, j, src)
-                src_rows = prev[src]
+                kept = None
                 fresh = ~written[targets]
                 if not fresh.all():  # monomials a later letter reached keep its rows
-                    targets, w, src_rows = targets[fresh], w[fresh], src_rows[fresh]
-                block[targets] = _letter_rows(src_rows, t.entry(i, j), w)
+                    kept, targets, w = np.flatnonzero(fresh), targets[fresh], w[fresh]
                 written[targets] = True
+                pieces.append((len(targets), (block, targets, prev[src], kept, t.entry(i, j), w)))
             layer[q] = block
+        _by_slabs(pool, _write_rows, pieces, t.dimH)
+        del pieces  # their index arrays are not held while the caller reads the layer
         yield layer
         prev = layer
+
+
+def _write_rows(block: np.ndarray, targets: np.ndarray, src: np.ndarray, kept: np.ndarray | None,
+                entry: np.ndarray, w: np.ndarray, rows: slice) -> None:
+    """Slab ``rows`` of one letter: its rows of ``block`` at ``targets``, from ``src`` (its rows ``kept``, or all)."""
+    block[targets[rows]] = _letter_rows(src[rows if kept is None else kept[rows]], entry, w[rows])
 
 
 def _letter_rows(src_rows: np.ndarray, entry: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -176,7 +248,7 @@ def _letter_rows(src_rows: np.ndarray, entry: np.ndarray, w: np.ndarray) -> np.n
     The product comes first, then the division, so exact rows stay exact.
     """
     rows = src_rows @ entry.conj().T
-    rows /= w[:, None]
+    divide_real(rows, w[:, None])
     return rows
 
 
@@ -186,7 +258,8 @@ def verify_intertwining(t: OperatorTuple, caps: tuple[int, ...], model: str = "f
     The kernel of ``t`` at ``caps`` on the truncation of ``model`` is built
     layer by layer (``_kernel_layers``): the pairs of degree ``L`` read layers
     ``L`` and ``L + 1`` only, so they run as soon as layer ``L + 1`` exists and
-    layer ``L`` is dropped after them; two layers are alive at a time.  The
+    layer ``L`` is dropped after them; two layers are alive at a time, and the
+    residuals are formed a row slab at a time (``_layer_residual``).  The
     refusals come in the order of ``berezin_kernel`` (membership, then the size
     budget of the whole kernel at ``caps``); then a factor with cap 0, which
     has no grade pair and whose identity would go untested, is refused.  The
@@ -199,27 +272,35 @@ def verify_intertwining(t: OperatorTuple, caps: tuple[int, ...], model: str = "f
                          "every cap must be >= 1")
     worst = 0.0
     lower = None
-    for upper in _kernel_layers(t, ft, dd):
-        if lower is not None:
-            worst = max(worst, _layer_residual(t, ft, lower, upper))
-        lower = upper
+    with _workers() as pool:
+        for upper in _kernel_layers(t, ft, dd, pool):
+            if lower is not None:
+                worst = max(worst, _layer_residual(t, ft, lower, upper, pool))
+            lower = upper
     return worst
 
 
-def _layer_residual(t: OperatorTuple, ft: FockTruncation, lower: dict, upper: dict) -> float:
+def _layer_residual(t: OperatorTuple, ft: FockTruncation, lower: dict, upper: dict,
+                    pool: ThreadPoolExecutor) -> float:
     """Max intertwining residual of the tested pairs with ``q`` in layer ``lower`` (``q + e_i`` in ``upper``).
 
-    Each residual block is formed in place and takes one Gram spectrum.
+    Each residual is formed by ``pool`` in row slabs (``_by_slabs``), and
+    ``cp.stacked_norm`` takes its norm from their Gram matrices in row order.
     """
-    worst = 0.0
-    for i, j, q, targets, w in _tested_pairs(ft, lower):
-        resid = lower[q] @ t.entry(i, j).conj().T
-        rhs = upper[bump(q, i)][targets]
-        rhs *= w[:, None]
-        resid -= rhs
-        del rhs  # one residual-sized temporary at a time
-        worst = max(worst, float(spectral_norms(resid)))
-    return worst
+    pieces = [(ft.dim(q), (lower[q], t.entry(i, j), upper[bump(q, i)], targets, w))
+              for i, j, q, targets, w in _tested_pairs(ft, lower)]
+    return max([0.0] + [stacked_norm(parts) for parts in _by_slabs(pool, _residual_slab, pieces, t.dimH)])
+
+
+def _residual_slab(lower: np.ndarray, entry: np.ndarray, upper: np.ndarray, targets: np.ndarray,
+                   w: np.ndarray, rows: slice) -> tuple[float, np.ndarray | None]:
+    """``cp.slab_gram`` of slab ``rows`` of the residual ``K_q T^* - (S^* (x) I) K_{q + e_i}`` (``lower`` is ``K_q``)."""
+    resid = lower[rows] @ entry.conj().T
+    rhs = np.take(upper, targets[rows], axis=0)
+    rhs *= w[rows, None]
+    resid -= rhs
+    del rhs  # two slab-sized temporaries at a time: the residual and one more
+    return slab_gram(resid, len(lower))
 
 
 def _tested_pairs(ft: FockTruncation, grades):

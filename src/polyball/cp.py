@@ -91,7 +91,8 @@ def spectral_norms(stack) -> np.ndarray:
     copied and scaled; the scale of the other factor is divided out of the
     small Gram matrix.  All-zero matrices (exact identities) skip the Gram
     product.  A 2-D input gives a 0-d array; an empty matrix has norm 0, and
-    one with a NaN or infinite entry has norm NaN.
+    one with a NaN or infinite entry has norm NaN.  ``stacked_norm`` is the same
+    norm of one matrix taken by row slabs.
     """
     x = np.asarray(stack)
     if not np.issubdtype(x.dtype, np.inexact):
@@ -106,13 +107,72 @@ def spectral_norms(stack) -> np.ndarray:
         return out
     # a full stack is used in place: a residual is never copied whole
     y, s = (x, scale[..., None, None]) if live.all() else (x[live], scale[live][:, None, None])
-    yc = np.conj(y)
-    yc /= s
-    gram = np.swapaxes(yc, -2, -1) @ y if c <= r else y @ np.swapaxes(yc, -2, -1)
-    del yc
-    gram /= s
-    out[live] = np.sqrt(np.clip(np.linalg.eigvalsh(gram)[..., -1], 0.0, None)) * s[..., 0, 0]
+    out[live] = _gram_norm(_scaled_gram(y, s, c <= r), s[..., 0, 0])
     return out
+
+
+def slab_gram(slab: np.ndarray, rows: int) -> tuple[float, np.ndarray | None]:
+    """One row slab of a ``rows x c`` matrix as ``stacked_norm`` reads it: ``(s, G)``.
+
+    ``s`` is the slab's largest absolute entry and ``G`` its Gram matrix divided
+    by ``s**2``: ``slab^* slab`` (c x c), which adds up over row slabs.  A
+    matrix with fewer rows than columns is one slab, and takes ``slab slab^*``
+    as ``spectral_norms`` does.  An all-zero or non-finite slab has no Gram
+    (``G`` is None).
+    """
+    s = float(np.abs(slab).max(initial=0.0))
+    if not (math.isfinite(s) and s > 0):
+        return s, None
+    return s, _scaled_gram(slab, s, slab.shape[-1] <= rows)
+
+
+def stacked_norm(parts) -> float:
+    """``spectral_norms`` of one matrix from the ``slab_gram`` parts of its row slabs.
+
+    The Grams are summed in the order given, each times ``(s / top)**2`` with
+    ``top`` the largest slab scale, so one slab gives the bits of
+    ``spectral_norms`` and no slab under- or overflows.  A NaN or infinite
+    entry gives NaN, and an all-zero matrix 0.0.
+    """
+    top = float(np.max([s for s, _ in parts], initial=0.0))  # a NaN scale propagates
+    if not math.isfinite(top):
+        return math.nan
+    gram = None
+    for s, g in parts:
+        if g is not None:
+            g = g * (s / top) ** 2
+            gram = g if gram is None else gram + g
+    return 0.0 if gram is None else float(_gram_norm(gram, top))
+
+
+def divide_real(a: np.ndarray, d) -> None:
+    """``a /= d`` in place, for a real ``d`` that broadcasts against ``a``.
+
+    numpy divides a complex number by a real one as the product with the
+    reciprocal, part by part.  For a C-contiguous complex ``a`` this takes that
+    product on the real view: the same bits for finite entries, in a fraction
+    of the time.
+    """
+    if a.dtype != np.complex128 or not a.flags.c_contiguous:
+        a /= d
+        return
+    v = a.view(np.float64)
+    np.multiply(v, 1.0 / np.asarray(d, dtype=np.float64), out=v)
+
+
+def _scaled_gram(y: np.ndarray, s, by_columns: bool) -> np.ndarray:
+    """The Gram matrix of ``y / s``: ``y^* y`` over the columns, else ``y y^*``; ``s`` broadcasts over a stack."""
+    yc = np.conj(y)
+    divide_real(yc, s)
+    gram = np.swapaxes(yc, -2, -1) @ y if by_columns else y @ np.swapaxes(yc, -2, -1)
+    del yc
+    divide_real(gram, s)
+    return gram
+
+
+def _gram_norm(gram: np.ndarray, s):
+    """``s`` times the square root of the top eigenvalue of each scaled Gram matrix."""
+    return np.sqrt(np.clip(np.linalg.eigvalsh(gram)[..., -1], 0.0, None)) * s
 
 
 def max_spectral_norm(mats) -> float:
@@ -380,12 +440,16 @@ def tuple_to_json(t: OperatorTuple) -> str:
 
 
 def tuple_from_json(text: str) -> OperatorTuple:
+    """A tuple from its JSON; a field that is missing, null or of the wrong type is refused by name."""
     data = json.loads(text)
-    n = tuple(int(v) for v in data["n"])
-    dim = int(data["dimH"])
+    n = tuple(json_field(data, "n", "ints"))
+    dim = json_field(data, "dimH", "int")
     if dim < 1:
         raise ValueError(f"dimH must be >= 1, got {dim}")
-    factors = tuple(tuple(matrix_from_pairs(m, dim, dim) for m in row) for row in data["factors"])
+    rows = json_field(data, "factors", "list")
+    if not all(isinstance(row, list) for row in rows):
+        raise ValueError("field 'factors' must be a list of rows, each a list of matrices")
+    factors = tuple(tuple(matrix_from_pairs(m, dim, dim) for m in row) for row in rows)
     return OperatorTuple(Shape(n), dim, factors)
 
 
@@ -434,16 +498,19 @@ _JSON_KINDS = {
 }
 
 
-def json_field(data, key: str, kind: str):
+def json_field(data, key: str, kind: str, default=None):
     """Field ``key`` of a decoded JSON object, of ``kind`` ``"int"``, ``"ints"`` or ``"list"``.
 
-    A payload that is not an object, a missing or null field and a value of
-    another type (a boolean is not an integer, nor is ``2.0`` or ``"2"``) are
-    each a ``ValueError`` that names the field.
+    A payload that is not an object, a missing field (unless a ``default`` is
+    given), a null field and a value of another type (a boolean is not an
+    integer, nor is ``2.0`` or ``"2"``) are each a ``ValueError`` that names the
+    field.
     """
     what, ok = _JSON_KINDS[kind]
     if not isinstance(data, dict):
         raise ValueError(f"expected a JSON object with field {key!r}, got {type(data).__name__}")
+    if default is not None and key not in data:
+        return default
     value = data.get(key)
     if value is None:
         raise ValueError(f"field {key!r} is missing or null; expected {what}")

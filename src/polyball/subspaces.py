@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .basis import Shape, word_rank
-from .cp import OperatorTuple, matrix_from_pairs, matrix_to_pairs, max_spectral_norm, require_budget
+from .cp import OperatorTuple, json_field, matrix_from_pairs, matrix_to_pairs, max_spectral_norm, require_budget
 from .curvature import CurvEstimate, _complement_curvature, _occupation, _ratio_table, _summary
 from .fock import (
     FockTruncation,
@@ -674,9 +674,9 @@ def subspace_to_json(sub: GradedSubspace) -> str:
 
 def subspace_from_json(text: str) -> GradedSubspace:
     data = json.loads(text)
-    n = tuple(int(v) for v in data["n"])
-    caps = tuple(int(v) for v in data["caps"])
-    dim_e = int(data.get("dimE", 1))
+    n = tuple(json_field(data, "n", "ints"))
+    caps = tuple(json_field(data, "caps", "ints"))
+    dim_e = json_field(data, "dimE", "int", default=1)
     ft = truncation_for(data.get("model", "full"), Shape(n, caps=caps), dim_e)
     mode = data["mode"]
     if mode not in ("structured", "basis", "span"):

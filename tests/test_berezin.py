@@ -1,7 +1,9 @@
 import itertools
 import json
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -37,7 +39,15 @@ from polyball.berezin import (
     verify_intertwining,
 )
 from polyball.cli import main
-from polyball.cp import SIZE_BUDGET, OperatorTuple, ampliation, tuple_to_json
+from polyball.cp import (
+    SIZE_BUDGET,
+    OperatorTuple,
+    ampliation,
+    slab_gram,
+    spectral_norms,
+    stacked_norm,
+    tuple_to_json,
+)
 from polyball.fock import FockTruncation, defect_shift
 from polyball.subspaces import (
     GradedSubspace,
@@ -176,6 +186,83 @@ def test_intertwining_peaks_below_the_whole_kernel():
     finally:
         tracemalloc.stop()
     assert peak < kernel_bytes
+
+
+def test_intertwining_peaks_at_two_layers_and_a_few_slabs_per_thread(monkeypatch):
+    # residuals and new rows are formed one row slab per job: beyond the two top layers and
+    # the index arrays of the top pairs, each of the 4 threads (3 workers and the caller)
+    # holds a few slabs
+    monkeypatch.setattr(berezin, "SLAB_BYTES", 2**16)
+    monkeypatch.setattr(berezin, "_workers", lambda: ThreadPoolExecutor(3))
+    t = random_polyball_tuple(np.random.default_rng(7), (2, 2), (4, 4), 0.7)
+    kb = berezin_kernel(t, (5, 5))
+    ft = kb.truncation
+    top_two = sum(b.nbytes for q, b in kb.blocks.items() if sum(q) >= 9)
+    pairs = berezin._tested_pairs(ft, [q for q in ft.grades if sum(q) == 9])
+    index = sum(targets.nbytes + w.nbytes for *_, targets, w in pairs)
+    del kb
+    tracemalloc.start()
+    try:
+        verify_intertwining(t, (5, 5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < top_two + index + 4 * 6 * berezin.SLAB_BYTES
+
+
+def _slab_cases():
+    rng = np.random.default_rng(3)
+    return [("full", random_polyball_tuple(rng, (2, 2), (2, 3), 0.7), (4, 4)),
+            ("symmetric", ampliation([commuting_tuple(rng, 2, 2, 0.8), commuting_tuple(rng, 3, 2, 0.8)]), (5, 4))]
+
+
+@pytest.mark.parametrize("model", ["full", "symmetric"])
+def test_kernel_and_residual_bits_do_not_depend_on_workers_or_slabs(monkeypatch, model):
+    t, caps = next((t, caps) for m, t, caps in _slab_cases() if m == model)
+    base = berezin_kernel(t, caps, model)
+    resid = verify_intertwining(t, caps, model)
+    # one worker, and every layer one slab, run by the calling thread
+    monkeypatch.setattr(berezin, "SLAB_BYTES", 2**40)
+    monkeypatch.setattr(berezin, "_workers", lambda: ThreadPoolExecutor(1))
+    kb = berezin_kernel(t, caps, model)
+    assert all(np.array_equal(kb.blocks[q].view(np.uint64), base.blocks[q].view(np.uint64)) for q in base.blocks)
+    assert verify_intertwining(t, caps, model) == resid
+    # slabs of dimH rows on more workers than cores, switching threads as often as it can:
+    # every kernel bit is kept, and the residual norm sums more slab Grams
+    monkeypatch.setattr(berezin, "SLAB_BYTES", 0)
+    monkeypatch.setattr(berezin, "_workers", lambda: ThreadPoolExecutor(8))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        kb = berezin_kernel(t, caps, model)
+        tiny = verify_intertwining(t, caps, model)
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(kb.blocks[q].view(np.uint64), base.blocks[q].view(np.uint64)) for q in base.blocks)
+    assert abs(tiny - resid) <= 1e-12 * resid
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e150])
+def test_norm_from_many_slabs_matches_the_whole(monkeypatch, scale):
+    # a slab of 3 rows: 17 slabs of a 50 x 3 matrix, one of them 1e-100 times smaller
+    monkeypatch.setattr(berezin, "SLAB_BYTES", 0)
+    rng = np.random.default_rng(11)
+    x = (rng.standard_normal((50, 3)) + 1j * rng.standard_normal((50, 3))) * scale
+    x[6:9] *= 1e-100
+
+    def norm(m):
+        with ThreadPoolExecutor(2) as pool:
+            (parts,) = berezin._by_slabs(pool, lambda m, rows: slab_gram(m[rows], len(m)), [(len(m), (m,))], 3)
+        return parts, stacked_norm(parts)
+
+    parts, got = norm(x)
+    assert len(parts) == 17
+    want = float(spectral_norms(x))
+    assert abs(got - want) <= 1e-13 * want
+    assert stacked_norm([slab_gram(x, len(x))]) == want  # one slab: the bits of spectral_norms
+    x[20, 1] = np.nan
+    assert math.isnan(norm(x)[1])
+    assert norm(np.zeros((50, 3), dtype=complex))[1] == 0.0
 
 
 def test_connection_identity_grade_zero():

@@ -13,7 +13,7 @@ from oracle import connection_payload_full
 from polyball import berezin
 from polyball.berezin import INTERTWINE_TOL, multiplier_from_json
 from polyball.cli import _render_json, main
-from polyball.cp import tuple_to_json
+from polyball.cp import tuple_from_json, tuple_to_json
 from polyball.subspaces import (
     bidisc_difference_subspace,
     construct_mt,
@@ -392,6 +392,51 @@ def test_malformed_multiplier_field_is_refused_by_name(path, value, named, scala
     report = json.loads(err)
     assert report["error"] == "invalid-input"
     assert f"'{named}'" in report["reason"]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n", None), ("n", MISSING), ("n", [2.0]), ("n", "x"), ("dimH", None), ("dimH", MISSING), ("dimH", 1.0),
+    ("dimH", True), ("factors", None), ("factors", MISSING), ("factors", {}), ("factors", [None]),
+])
+def test_malformed_tuple_field_is_refused_by_name(key, value, tmp_path, capsys):
+    data = json.loads(scalar_tuple_json(0.5))
+    tuple_from_json(json.dumps(data))
+    if value is MISSING:
+        del data[key]
+    else:
+        data[key] = value
+    path = tmp_path / "tuple.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(["check", "intertwine", "--input", str(path), "--caps", "3"], capsys)
+    assert code == 1 and out == "" and "Traceback" not in err
+    report = json.loads(err)
+    assert report["error"] == "invalid-input"
+    assert f"'{key}'" in report["reason"]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n", None), ("n", MISSING), ("n", [2.5]), ("caps", None), ("caps", MISSING), ("caps", "3"),
+    ("dimE", None), ("dimE", 1.0), ("dimE", "1"),
+])
+def test_malformed_subspace_field_is_refused_by_name(key, value, tmp_path, capsys):
+    data = json.loads(subspace_to_json(construct_mt(construct_nadic(2, 0.5), 3)))
+    if value is MISSING:
+        del data[key]
+    else:
+        data[key] = value
+    path = tmp_path / "mt.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(["mult", "--input", str(path), "--qmax", "2"], capsys)
+    assert code == 1 and out == "" and "Traceback" not in err
+    report = json.loads(err)
+    assert report["error"] == "invalid-input"
+    assert f"'{key}'" in report["reason"]
+
+
+def test_a_subspace_without_dim_e_has_one_coefficient(tmp_path, capsys):
+    data = json.loads(subspace_to_json(construct_mt(construct_nadic(2, 0.5), 3)))
+    del data["dimE"]
+    assert subspace_from_json(json.dumps(data)).truncation.coeff_dim == 1
 
 
 def test_unknown_subspace_mode_is_refused_by_name(tmp_path, capsys):

@@ -64,7 +64,6 @@ from .subspaces import (
 )
 from .symmetric import (
     SymFockTruncation,
-    constrained_berezin,
     coordinate_multiple_subspace,
     curv_c_estimate,
     m_c_estimate,

@@ -39,6 +39,7 @@ from .cp import (
     matrix_to_pairs,
     psd_verdict,
     require_budget,
+    require_commutative,
     require_membership,
     slab_gram,
     spectral_norms,
@@ -131,7 +132,9 @@ def berezin_kernel(t: OperatorTuple, caps: tuple[int, ...], model: str = "full",
 
 def _kernel_truncation(t: OperatorTuple, caps: tuple[int, ...], model: str,
                        budget_caps: tuple[int, ...] | None = None) -> tuple[DefectData, FockTruncation]:
-    """The defect and the kernel's truncation, after the membership test and the size budget, in that order."""
+    """The defect and the kernel's truncation, after commutativity (symmetric model), membership and size budget."""
+    if model == "symmetric":
+        require_commutative(t)
     require_membership(t)
     dd = defect_data(t)
     ft = truncation_for(model, t.shape.with_caps(caps), dd.rank)
@@ -198,7 +201,7 @@ def _kernel_layers(t: OperatorTuple, ft: FockTruncation, dd: DefectData, pool: T
     of grade ``q`` are ``(K_{q - e_i} T_{i,j}^*) / w`` with the shift weights
     ``w``.  The same recursion serves both models on the truncation of
     ``ft.model``; in the symmetric model (a commutative tuple, see
-    ``symmetric.constrained_berezin``) a monomial reached by several letters
+    ``_kernel_truncation``) a monomial reached by several letters
     takes the rows of the last one, so the letters run last to first and each
     forms only the rows of targets not yet written.
 
@@ -260,11 +263,11 @@ def verify_intertwining(t: OperatorTuple, caps: tuple[int, ...], model: str = "f
     ``L`` and ``L + 1`` only, so they run as soon as layer ``L + 1`` exists and
     layer ``L`` is dropped after them; two layers are alive at a time, and the
     residuals are formed a row slab at a time (``_layer_residual``).  The
-    refusals come in the order of ``berezin_kernel`` (membership, then the size
-    budget of the whole kernel at ``caps``); then a factor with cap 0, which
-    has no grade pair and whose identity would go untested, is refused.  The
-    pairs the recursion wrote are left out (see ``_tested_pairs``), since their
-    residuals are exactly 0.0.
+    refusals come in the order of ``berezin_kernel`` (``_kernel_truncation``,
+    with the size budget of the whole kernel at ``caps``); then a factor with
+    cap 0, which has no grade pair and whose identity would go untested, is
+    refused.  The pairs the recursion wrote are left out (see
+    ``_tested_pairs``), since their residuals are exactly 0.0.
     """
     dd, ft = _kernel_truncation(t, caps, model)
     if 0 in ft.shape.caps:
@@ -307,8 +310,8 @@ def _tested_pairs(ft: FockTruncation, grades):
     """``(i, j, q, targets, weights)`` of each pair, ``q`` in ``grades``, whose intertwining residual can be nonzero.
 
     Pairs with ``q + e_i`` beyond the caps have no identity.  A pair is also
-    left out when ``last_step(q + e_i) == (i, q)`` and every weight of
-    ``ft.shift(i, j, q)`` is exactly 1.0: ``_kernel_layers`` built grade
+    left out when ``last_step(q + e_i) == (i, q)`` and every word-level weight
+    of ``ft.shift_data(i, j, q)`` is exactly 1.0: ``_kernel_layers`` built grade
     ``q + e_i`` from ``q`` through factor ``i``, and a target of weight 1 is
     reached by no other letter (the squared weights into a target sum to 1),
     so it wrote those rows as ``K_q T_{i,j}^*`` itself and the residual is
@@ -322,9 +325,10 @@ def _tested_pairs(ft: FockTruncation, grades):
                 up = bump(q, i)
                 if not ft.has_grade(up):
                     continue
-                targets, w, _ = ft.shift(i, j, q)
-                if last_step(up) == (i, q) and (w == 1.0).all():
+                data = ft.shift_data(i, j, q)
+                if last_step(up) == (i, q) and (data[1] == 1.0).all():
                     continue
+                targets, w, _ = ft.expand(*data)
                 yield i, j, q, targets, w
 
 

@@ -42,7 +42,7 @@ from .subspaces import (
     tensor_subspace,
     uncountable_family,
 )
-from .symmetric import constrained_berezin, curv_c_estimate, m_c_estimate
+from .symmetric import curv_c_estimate, m_c_estimate
 
 
 def fmt(x: float) -> str:
@@ -366,8 +366,7 @@ def cmd_check_index(args) -> int:
     with open(args.theta) as fh:
         theta = multiplier_from_json(fh.read())
     blocks = theta.materialize_blocks(caps)  # first: at large caps these, not the kernel, exceed the size budget
-    kernel = constrained_berezin if theta.model == "symmetric" else berezin_kernel
-    kb = kernel(t, caps)
+    kb = berezin_kernel(t, caps, theta.model)
     chk = index_formula_check(kb, theta, blocks=blocks)
     payload = {
         "command": "check",

@@ -197,6 +197,12 @@ def require_commuting(resid: float, factors, scale, what: str) -> None:
         raise ValueError(f"{what} do not commute (residual {resid:.3e})")
 
 
+def require_commutative(t: OperatorTuple) -> None:
+    """A commutative-polyball element has commuting entries within each factor too."""
+    resid = max_spectral_norm(a @ b - b @ a for mats in t.factors for a, b in itertools.combinations(mats, 2))
+    require_commuting(resid, t.factors, lambda tops: max(top * top for top in tops), "entries within a factor")
+
+
 @dataclass(frozen=True)
 class OperatorTuple:
     """A k-tuple of row tuples of dimH x dimH complex matrices."""
@@ -495,11 +501,13 @@ _JSON_KINDS = {
     "int": ("an integer", _is_json_int),
     "ints": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_json_int, v))),
     "list": ("a list", lambda v: isinstance(v, list)),
+    "number": ("a number", lambda v: isinstance(v, float) or _is_json_int(v)),
+    "object": ("an object", lambda v: isinstance(v, dict)),
 }
 
 
 def json_field(data, key: str, kind: str, default=None):
-    """Field ``key`` of a decoded JSON object, of ``kind`` ``"int"``, ``"ints"`` or ``"list"``.
+    """Field ``key`` of a decoded JSON object, of a ``kind`` named in ``_JSON_KINDS`` (``"int"``, ``"list"``, ...).
 
     A payload that is not an object, a missing field (unless a ``default`` is
     given), a null field and a value of another type (a boolean is not an
@@ -516,6 +524,15 @@ def json_field(data, key: str, kind: str, default=None):
         raise ValueError(f"field {key!r} is missing or null; expected {what}")
     if not ok(value):
         raise ValueError(f"field {key!r} must be {what}")
+    return value
+
+
+def json_int(data, key: str, lo: int, hi: int | None = None) -> int:
+    """Integer field ``key`` in ``lo..hi`` (no upper end for ``hi=None``), refused by name otherwise."""
+    value = json_field(data, key, "int")
+    if value < lo or (hi is not None and value > hi):
+        bound = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+        raise ValueError(f"field {key!r} must be {bound}, got {value}")
     return value
 
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from .basis import iter_grades, simplex_cumulative_count
 from .cp import OperatorTuple, cp_apply, cp_apply_adjoint, defect_data, require_budget, require_membership
+from .fock import FockTruncation, truncation_for
 
 MONOTONE_SLACK = 1e-12
 MONOTONE_ERROR = 1e-10
@@ -74,7 +75,7 @@ def _grade_table(values: np.ndarray, traces: np.ndarray | None = None) -> GradeT
     return table
 
 
-def grade_trace_table(t: OperatorTuple, qmax: tuple[int, ...], factor_dim=pow) -> GradeTable:
+def grade_trace_table(t: OperatorTuple, qmax: tuple[int, ...], model: str = "full") -> GradeTable:
     """All normalized grade traces on the box ``q <= qmax``, by trace duality.
 
     ``trace[Phi_B^b Phi_A^a(D)] = <Phi_B^{*b}(I), Phi_A^a(D)>_HS`` splits each
@@ -82,9 +83,8 @@ def grade_trace_table(t: OperatorTuple, qmax: tuple[int, ...], factor_dim=pow) -
     first ``ceil(k/2)`` transfer maps, and each leaf fills the slab of the
     remaining factors with one product against the stack of adjoint iterates
     of the identity.  That is ``O(Q^ceil(k/2))`` map applications, not one
-    per lattice point.  ``factor_dim(n_i, q_i)`` is the per-factor grade
-    dimension the traces are divided by: ``n_i**q_i`` by default (word
-    model), binomial for the symmetric model.
+    per lattice point.  The traces are divided by the grade dimensions of the
+    truncation of ``model``.
 
     The table and the adjoint stack with its transposed copy are sized
     against the budget before the first map is applied.
@@ -94,6 +94,7 @@ def grade_trace_table(t: OperatorTuple, qmax: tuple[int, ...], factor_dim=pow) -
         raise ValueError(f"qmax {qmax} does not match k={t.k}")
     if min(qmax) < 0:
         raise ValueError(f"q_max must be >= 0, got {qmax}")
+    factor_dim = truncation_for(model, t.shape.with_caps(qmax)).factor_dim
     split = (t.k + 1) // 2
     stacked = math.prod(q + 1 for q in qmax[split:]) * t.dimH**2
     require_budget(f"grade table at qmax {qmax}", 16 * (math.prod(q + 1 for q in qmax) + 2 * stacked))
@@ -114,8 +115,8 @@ def grade_trace_table(t: OperatorTuple, qmax: tuple[int, ...], factor_dim=pow) -
     walk(0, defect_data(t).defect, ())
     traces = _real(traces).reshape(tuple(q + 1 for q in qmax))
     dims = np.ones((), dtype=object)
-    for ni, qi in zip(t.shape.n, qmax):
-        dims = np.multiply.outer(dims, np.array([factor_dim(ni, q) for q in range(qi + 1)], dtype=object))
+    for i, qi in enumerate(qmax):
+        dims = np.multiply.outer(dims, np.array([factor_dim(i, q) for q in range(qi + 1)], dtype=object))
     # the grade dimensions are exact integers, rounded once
     return _grade_table(traces / dims.astype(float), traces)
 
@@ -188,16 +189,17 @@ def _box_sums(traces: np.ndarray) -> np.ndarray:
 def curvature_estimate(t: OperatorTuple, q_max: int) -> CurvEstimate:
     """Fill all sequences up to the corner ``(q_max,...,q_max)`` and report the corner value.
 
-    The defect-product route divides by ``prod_i sum_{s<=q} n_i**s``.
+    The defect-product route divides by ``prod_i sum_{s<=q} n_i**s`` (``FockTruncation.cumulative_dim``).
     """
     require_membership(t)
     table = grade_trace_table(t, (q_max,) * t.k)
+    cumulative_dim = FockTruncation(t.shape.with_caps((q_max,) * t.k)).cumulative_dim
     fields = _summary(t.shape.n, table)
     monotone_ok = _check_monotone(table.array)
     # a float product: sums such as 2**61 - 1 are not exact doubles, and an
     # integer product would round them differently
     defect_product = [
-        tr / math.prod((sum(ni**s for s in range(qq + 1)) for ni in t.shape.n), start=1.0)
+        tr / math.prod((cumulative_dim(i, qq) for i in range(t.k)), start=1.0)
         for qq, tr in enumerate(_box_sums(table.traces).tolist())
     ]
     routes = (fields["estimate"], fields["cesaro_seq"][-1], defect_product[-1])

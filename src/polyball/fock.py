@@ -106,14 +106,16 @@ class FockTruncation:
         return (words[:, None] * self.coeff_dim + np.arange(self.coeff_dim)).reshape(-1)
 
     def shift(self, i: int, j: int, q: tuple[int, ...]):
-        """``shift_data`` expanded over the coefficient space: ``(rows, weights, squares)``.
+        """``expand`` of ``shift_data``: ``(rows, weights, squares)`` over the coefficient space.
 
         Row ``r`` of grade ``q`` maps to ``weights[r]`` times row ``rows[r]`` of
         grade ``q + e_i``; every scatter of a shift goes through here.
         """
-        targets, weights, squares = self.shift_data(i, j, q)
+        return self.expand(*self.shift_data(i, j, q))
+
+    def expand(self, targets, weights, squares):
+        """A ``shift_data`` triple over the coefficient space; word-model weights are their own squares: one array."""
         w = np.repeat(weights, self.coeff_dim)
-        # word-model weights are their own squares: one expanded array serves both
         return self.coeff_rows(targets), w, (w if squares is weights else np.repeat(squares, self.coeff_dim))
 
 

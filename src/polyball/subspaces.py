@@ -27,7 +27,8 @@ from fractions import Fraction
 import numpy as np
 
 from .basis import Shape, word_rank
-from .cp import OperatorTuple, json_field, matrix_from_pairs, matrix_to_pairs, max_spectral_norm, require_budget
+from .cp import (OperatorTuple, json_field, json_int, matrix_from_pairs, matrix_to_pairs, max_spectral_norm,
+                 require_budget)
 from .curvature import CurvEstimate, _complement_curvature, _occupation, _ratio_table, _summary
 from .fock import (
     FockTruncation,
@@ -206,8 +207,12 @@ def _orthogonal_complement(b: np.ndarray) -> np.ndarray:
     if m == 0:
         return np.eye(dim, dtype=complex)
     u, s, _ = np.linalg.svd(b, full_matrices=True)
-    rank = int(np.sum(s > 1e-12))
-    return u[:, rank:]
+    return u[:, _rank(s):]
+
+
+def _rank(s: np.ndarray) -> int:
+    """Numerical rank from singular values: those above ``1e-12`` times the largest."""
+    return int(np.count_nonzero(s > 1e-12 * s.max(initial=0.0)))
 
 
 def _apply_shift_columns(ft, i, j, columns):
@@ -282,6 +287,8 @@ def construct_mt(exp: NAdicExpansion, cap: int) -> GradedSubspace:
     n = exp.base
     if exp.exponents and cap < exp.exponents[0]:
         raise ValueError(f"cap {cap} is below the leading exponent {exp.exponents[0]}")
+    top = min(cap, 8)  # suffix sets verified exhaustively on small grades only: two int arrays per word
+    require_budget(f"suffix index sets of n={n} up to grade {top}", 16 * n**top)
     suffixes: list[tuple[int, ...]] = []
     prev = 0
     for p, (k, d) in enumerate(zip(exp.exponents, exp.digits)):
@@ -318,9 +325,7 @@ def construct_mt(exp: NAdicExpansion, cap: int) -> GradedSubspace:
             "digits": list(exp.digits),
         },
     )
-    for q in ft.grades:
-        if q[0] > 8:
-            break  # suffix sets verified exhaustively on small grades only
+    for q in ft.grades[: top + 1]:
         if len(index_set(q)) != count(q):
             raise RuntimeError(f"suffix count mismatch at grade {q}")
     return sub
@@ -469,14 +474,13 @@ def uncountable_family(t: float, omega: float, caps, n=(2, 2), n_terms: int = 20
 
 
 def span_subspace(ft: FockTruncation, vectors: np.ndarray) -> GradedSubspace:
-    """Subspace spanned by explicit full-height vectors; orthonormalized on entry."""
+    """Subspace spanned by explicit full-height vectors: the left singular vectors of their numerical rank."""
     require_budget(f"span subspace at caps {ft.shape.caps}", 16 * ft.total_dim**2)
     v = np.asarray(vectors, dtype=complex)
     if v.ndim != 2 or v.shape[0] != ft.total_dim:
         raise ValueError(f"vectors must be columns of height {ft.total_dim}")
-    q, r = np.linalg.qr(v)
-    keep = np.abs(np.diag(r)) > 1e-12
-    return GradedSubspace(ft, "span", columns=q[:, keep])
+    u, s, _ = np.linalg.svd(v, full_matrices=False)
+    return GradedSubspace(ft, "span", columns=u[:, : _rank(s)])
 
 
 def bidisc_difference_subspace(caps=(5, 5)) -> GradedSubspace:
@@ -682,7 +686,8 @@ def subspace_from_json(text: str) -> GradedSubspace:
     if mode not in ("structured", "basis", "span"):
         raise ValueError(f"unknown subspace mode {mode!r}; expected structured, basis or span")
     if mode == "structured":
-        sub = _structured_from_params(data["kind"], data.get("params", {}), n, caps, dim_e, ft)
+        params = json_field(data, "params", "object", default={})
+        sub = _structured_from_params(data["kind"], params, n, caps, dim_e, ft)
         if sub.truncation != ft:  # the class too: a model is a truncation class
             raise ValueError(f"structured {data['kind']!r} subspace lives on {_describe(sub.truncation)}, "
                              f"but the head says {_describe(ft)}")
@@ -713,7 +718,8 @@ def _structured_from_params(kind: str, params: dict, n, caps, dim_e, ft=None) ->
     if kind == "coordinate_multiple":
         from .symmetric import coordinate_multiple_subspace
 
-        return coordinate_multiple_subspace(ft, int(params["factor"]), int(params["var"]))
+        factor = json_int(params, "factor", 0, len(n) - 1)
+        return coordinate_multiple_subspace(ft, factor, json_int(params, "var", 1, n[factor]))
     if kind == "full":
         return full_subspace(ft)
     if kind == "zero":
@@ -721,30 +727,27 @@ def _structured_from_params(kind: str, params: dict, n, caps, dim_e, ft=None) ->
     if getattr(ft, "model", "full") == "symmetric":
         raise ValueError(f"structured kind {kind!r} is word-model only")
     if kind == "mt":
-        exp = NAdicExpansion(
-            int(params["n"]),
-            float(params["t"]),
-            tuple(int(v) for v in params["exponents"]),
-            tuple(int(v) for v in params["digits"]),
-            Fraction(0),
-            sum(
-                (Fraction(int(d), int(params["n"]) ** int(k))
-                 for k, d in zip(params["exponents"], params["digits"])),
-                Fraction(0),
-            ),
-        )
-        return construct_mt(exp, caps[0])
+        base, t = json_int(params, "n", 2), float(json_field(params, "t", "number"))
+        exponents, digits = json_field(params, "exponents", "ints"), json_field(params, "digits", "ints")
+        if len(exponents) != len(digits) or any(b <= a for a, b in zip([0] + exponents, exponents)):
+            raise ValueError("field 'exponents' must be strictly increasing positive integers, one per digit")
+        if not all(1 <= d < base for d in digits):
+            raise ValueError(f"field 'digits' must hold integers in 1..{base - 1}")
+        value = sum((Fraction(d, base**k) for k, d in zip(exponents, digits)), Fraction(0))
+        return construct_mt(NAdicExpansion(base, t, tuple(exponents), tuple(digits), Fraction(0), value), caps[0])
     if kind == "cur0":
         return cur0_subspace(n[0], caps[0])
     if kind == "finite_codim":
-        return finite_codim_subspace(n, caps, int(params["min_total_degree"]), dim_e)
+        return finite_codim_subspace(n, caps, json_int(params, "min_total_degree", 0), dim_e)
     if kind == "tensor":
         parts = []
         pos = 0
-        for part in params["parts"]:
+        for part in json_field(params, "parts", "list"):
+            if not isinstance(part, dict):
+                raise ValueError("field 'parts' must be a list of objects")
             arity = len(part["n"]) if isinstance(part.get("n"), list) else 1
             parts.append(_structured_from_params(part["kind"], part, n[pos : pos + arity],
-                                                 caps[pos : pos + arity], int(part.get("dimE", 1))))
+                                                 caps[pos : pos + arity], json_field(part, "dimE", "int", default=1)))
             pos += arity
         sub = tensor_subspace(parts)
         if "family" in params:  # written by uncountable_family

@@ -12,14 +12,13 @@ cross-check at small caps.
 dimensions (binomial instead of ``n^q``) and the shift weights, so
 block-graded operators, kernels, subspaces and the estimator pipeline are
 shared with the word model.  The constrained kernel of a commutative tuple is
-the word-model vacuum recursion run on this truncation; no word-model kernel
-is built.  ``shift_data`` also returns the squared weights as the exact ratios
-``(a_j + 1)/(q + 1)``, so the diagonal routes never square a rounded root.
+``berezin_kernel(t, caps, "symmetric")``: the word-model vacuum recursion on
+this truncation.  ``shift_data`` also returns the squared weights as the exact
+ratios ``(a_j + 1)/(q + 1)``, so the diagonal routes never square a rounded root.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,8 +27,8 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import Shape
-from .berezin import BerezinKernel, InnerMultiplier, berezin_kernel, has_characteristic_function
-from .cp import OperatorTuple, PsdVerdict, max_spectral_norm, require_commuting, require_membership
+from .berezin import InnerMultiplier, berezin_kernel, has_characteristic_function
+from .cp import OperatorTuple, require_commutative, require_membership
 from .curvature import CurvEstimate, _box_sums, _check_monotone, _summary, grade_trace_table
 from .fock import FockTruncation, bump
 from .subspaces import BeurlingVerdict, GradedSubspace, MultiplicityEstimate, beurling_check, multiplicity_estimate
@@ -40,14 +39,6 @@ def sym_grade_dim(n_i: int, q: int) -> int:
     if n_i < 1 or q < 0:
         raise ValueError(f"need n_i >= 1 and q >= 0, got n_i={n_i}, q={q}")
     return math.comb(q + n_i - 1, n_i - 1)
-
-
-def sym_word_dim(n: tuple[int, ...], q: tuple[int, ...]) -> int:
-    """Dimension ``prod_i C(q_i + n_i - 1, n_i - 1)`` of the grade-``q`` monomial slice."""
-    d = 1
-    for ni, qi in zip(n, q):
-        d *= sym_grade_dim(ni, qi)
-    return d
 
 
 @lru_cache(maxsize=None)
@@ -68,11 +59,11 @@ class SymFockTruncation(FockTruncation):
     model = "symmetric"
 
     def word_dim(self, q: tuple[int, ...]) -> int:
-        return sym_word_dim(self.shape.n, q)
+        return math.prod(sym_grade_dim(ni, qi) for ni, qi in zip(self.shape.n, q))
 
     def cumulative_dim(self, i: int, cap: int) -> int:
         """``sum_{c <= cap} factor_dim(i, c)`` in closed form: ``C(cap + n_i, n_i)``."""
-        return sym_cumulative_trace(self.shape.n[i], cap)
+        return math.comb(cap + self.shape.n[i], self.shape.n[i])
 
     def shift_data(self, i: int, j: int, q: tuple[int, ...]):
         """Multiplication by coordinate ``j`` of factor ``i`` on the grade-``q`` monomials."""
@@ -96,16 +87,6 @@ class SymFockTruncation(FockTruncation):
         return targets, fac_w[ranks[i]], fac_ratio[ranks[i]]
 
 
-def max_intra_commutator(t: OperatorTuple) -> float:
-    return max_spectral_norm(a @ b - b @ a for mats in t.factors for a, b in itertools.combinations(mats, 2))
-
-
-def require_commutative(t: OperatorTuple) -> None:
-    """A commutative-polyball element has commuting entries within each factor too."""
-    require_commuting(max_intra_commutator(t), t.factors, lambda tops: max(top * top for top in tops),
-                      "entries within a factor")
-
-
 def curv_c_estimate(t: OperatorTuple, q_max: int) -> CurvEstimate:
     """Commutative curvature: grade traces normalized by binomial grade dimensions.
 
@@ -117,7 +98,7 @@ def curv_c_estimate(t: OperatorTuple, q_max: int) -> CurvEstimate:
     """
     require_commutative(t)
     require_membership(t)
-    table = grade_trace_table(t, (q_max,) * t.k, sym_grade_dim)
+    table = grade_trace_table(t, (q_max,) * t.k, "symmetric")
     fields = _summary(t.shape.n, table)
     monotone_ok = _check_monotone(table.array)
     fact = math.prod(math.factorial(ni) for ni in t.shape.n)
@@ -131,8 +112,7 @@ def curv_c_estimate(t: OperatorTuple, q_max: int) -> CurvEstimate:
     caveats: tuple[str, ...] = ()
     if any(ni >= 2 for ni in t.shape.n):
         caps = (min(q_max, 3) + 1,) * t.k
-        verdict = constrained_char_function(t, caps)
-        if not verdict.positive:
+        if not has_characteristic_function(berezin_kernel(t, caps, "symmetric")).positive:
             caveats = ("characteristic function test failed; existence of the limit is unproved",)
     return CurvEstimate(
         **fields,
@@ -141,18 +121,6 @@ def curv_c_estimate(t: OperatorTuple, q_max: int) -> CurvEstimate:
         formula_spread=max(routes) - min(routes),
         caveats=caveats,
     )
-
-
-def constrained_berezin(t: OperatorTuple, caps: tuple[int, ...]) -> BerezinKernel:
-    """Kernel of a commutative tuple on the symmetric truncation, built from its vacuum row."""
-    require_commutative(t)
-    return berezin_kernel(t, caps, "symmetric")
-
-
-def constrained_char_function(t: OperatorTuple, caps: tuple[int, ...]) -> PsdVerdict:
-    """PSD test of ``Delta_{B (x) I}(I - K K^*)`` on interior grades."""
-    kb = constrained_berezin(t, caps)
-    return has_characteristic_function(kb)
 
 
 def sym_monomial_multiplier(shape: Shape, exponents: tuple[tuple[int, ...], ...]) -> InnerMultiplier:
@@ -174,7 +142,7 @@ def coordinate_multiple_subspace(sf: SymFockTruncation, factor: int, var: int) -
         raise ValueError(f"variable {var} out of range for factor {factor}")
 
     def index_set(q):
-        dims = [sym_grade_dim(sf.shape.n[l], q[l]) for l in range(sf.shape.k)]
+        dims = [sf.factor_dim(l, q[l]) for l in range(sf.shape.k)]
         divisible = np.array([alpha[var - 1] >= 1 for alpha in monomials(sf.shape.n[factor], q[factor])])
         axis = [1] * sf.shape.k
         axis[factor] = dims[factor]
@@ -192,11 +160,6 @@ def coordinate_multiple_subspace(sf: SymFockTruncation, factor: int, var: int) -
         count_fn=count,
         params={"factor": factor, "var": var},
     )
-
-
-def sym_cumulative_trace(n_i: int, q: int) -> int:
-    """Sum of the degree-slice traces up to ``q``: ``C(q + n_i, n_i)``, exact."""
-    return math.comb(q + n_i, n_i)
 
 
 @dataclass

@@ -79,7 +79,7 @@ from polyball.cp import (
 from polyball.curvature import _real
 from polyball.fock import FockTruncation, GradedOperator, _cp_shift_blocks, bump
 from polyball.subspaces import NAdicExpansion
-from polyball.symmetric import SymFockTruncation, monomials, sym_cumulative_trace
+from polyball.symmetric import SymFockTruncation, monomials
 
 
 def grade_trace_table_walk(t: OperatorTuple, qmax: tuple[int, ...], word_dim=None) -> dict[tuple[int, ...], float]:
@@ -328,7 +328,7 @@ def universal_factorial_form_value(n: tuple[int, ...], q: int) -> float:
     """Factorial-form sequence of the universal commutative tuple, from exact counts."""
     if q < 1:
         raise ValueError("the factorial form needs q >= 1")
-    total = math.prod(sym_cumulative_trace(ni, q) for ni in n)
+    total = math.prod(math.comb(q + ni, ni) for ni in n)
     fact = math.prod(math.factorial(ni) for ni in n)
     return fact * total / math.prod(float(q) ** ni for ni in n)
 

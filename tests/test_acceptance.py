@@ -40,7 +40,6 @@ from polyball.subspaces import (
 )
 from polyball.symmetric import (
     SymFockTruncation,
-    constrained_berezin,
     coordinate_multiple_subspace,
     sym_grade_dim,
 )
@@ -254,7 +253,7 @@ def test_criterion_10_index_formulas():
     sf = SymFockTruncation(Shape((1, 1), caps=(4, 4)))
     sub3 = coordinate_multiple_subspace(sf, 0, 1)
     t3 = compression_tuple(sub3)
-    kb3 = constrained_berezin(t3, (4, 4))
+    kb3 = berezin_kernel(t3, (4, 4), "symmetric")
     from polyball.symmetric import sym_monomial_multiplier
 
     chk3 = index_formula_check(kb3, sym_monomial_multiplier(Shape((1, 1)), ((1,), (0,))))
@@ -268,7 +267,7 @@ def test_criterion_10_index_formulas():
     assert chk4.lhs == chk4.rhs == float(kb4.defect.rank) == 2.0
     sf_m = SymFockTruncation(Shape((2,), caps=(4,)))
     t5 = compression_tuple(zero_subspace(sf_m))
-    kb5 = constrained_berezin(t5, (4,))
+    kb5 = berezin_kernel(t5, (4,), "symmetric")
     chk5 = index_formula_check(kb5, InnerMultiplier(Shape((2,)), 1, 1, {}, model="symmetric"))
     assert chk5.lhs == chk5.rhs == float(kb5.defect.rank) == 1.0
     _report(10, "index formulas agree on monomial fixtures; zero multiplier gives curv = rank")

@@ -57,7 +57,7 @@ from polyball.subspaces import (
     construct_nadic,
     zero_subspace,
 )
-from polyball.symmetric import constrained_berezin, monomials, sym_monomial_multiplier
+from polyball.symmetric import monomials, sym_monomial_multiplier
 
 
 def scalar_tuple(r):
@@ -119,7 +119,7 @@ def test_tail_bound_is_computed_only_where_reported(powers, tmp_path):
 
 def test_constrained_kernel_shares_the_word_tail_bound(powers):
     t = commuting_tuple(np.random.default_rng(41), 2, 3, 0.7)
-    kb = constrained_berezin(t, (4,))
+    kb = berezin_kernel(t, (4,), "symmetric")
     assert powers == []
     assert tail_bound(kb) == tail_bound(berezin_kernel(t, (4,))) > 0
 
@@ -159,7 +159,7 @@ def test_intertwining_skips_only_pairs_the_recursion_wrote(seed, case, norm, dat
     else:
         parts = [commuting_tuple(rng, ni, 2, norm) for ni in n]
         t = parts[0] if len(parts) == 1 else ampliation(parts)
-        kb = constrained_berezin(t, caps)
+        kb = berezin_kernel(t, caps, "symmetric")
     full = intertwining_residuals(kb)
     tested = berezin._tested_pairs(kb.truncation, kb.truncation.grades)
     skipped = set(full) - {(i, j, q) for i, j, q, _, _ in tested}
@@ -328,7 +328,7 @@ def commuting_pair_kernel(caps):
     """Symmetric kernel of a commuting dimH-9 tuple with n (2,2)."""
     rng = np.random.default_rng(41)
     t = ampliation([commuting_tuple(rng, 2, 3, 0.8), commuting_tuple(rng, 2, 3, 0.8)])
-    return constrained_berezin(t, caps)
+    return berezin_kernel(t, caps, "symmetric")
 
 
 @pytest.mark.parametrize("make", [
@@ -391,7 +391,7 @@ def test_operator_trace_matches_dense_oracle_word_model(n, dims, caps):
 def test_operator_trace_matches_dense_oracle_symmetric_model():
     rng = np.random.default_rng(137)
     t = ampliation([commuting_tuple(rng, 2, 2, 0.7), commuting_tuple(rng, 3, 2, 0.7)])
-    kb = constrained_berezin(t, (3, 3))
+    kb = berezin_kernel(t, (3, 3), "symmetric")
     for q in iter_grades((2, 2)):
         assert_matches_oracle(kb, q)
         assert curvature_operator_trace(kb, q).residual < 1e-10
@@ -681,7 +681,7 @@ def test_multiplier_blocks_match_closed_form(model, n, degrees, caps):
 def test_index_formula_rejects_a_multiplier_of_the_other_model():
     rng = np.random.default_rng(233)
     t = ampliation([commuting_tuple(rng, 2, 2, 0.7), commuting_tuple(rng, 1, 2, 0.7)])
-    sym_kb = constrained_berezin(t, (3, 3))
+    sym_kb = berezin_kernel(t, (3, 3), "symmetric")
     with pytest.raises(ValueError, match="'full'-model multiplier on a 'symmetric'-model kernel"):
         index_formula_check(sym_kb, monomial_multiplier(Shape((2, 1)), 0, (1,)))
     word_kb = berezin_kernel(t, (3, 3))

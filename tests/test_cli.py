@@ -654,8 +654,92 @@ def test_tensor_of_a_symmetric_part_is_invalid_input(tmp_path, capsys):
     ["cur0", "--caps", "3,4"],
     ["mt", "--terms", "0"],
     ["uncountable", "--caps", "3,3", "--terms", "0"],
+    ["mt", "--n", "1000000", "--caps", "5"],  # its suffix sets are sized before any is formed
 ])
 def test_construct_refuses_caps_and_terms_it_cannot_use(argv, tmp_path, capsys):
     out = tmp_path / "sub.json"
     assert_invalid_input(*run(["construct", *argv, "--out", str(out)], capsys))
     assert not out.exists()
+
+
+MT_PARAMS = {"n": 2, "t": 0.5, "exponents": [1], "digits": [1]}
+CM_HEAD = {"model": "symmetric", "n": [2, 2], "caps": [3, 3]}
+TENSOR_HEAD = {"n": [2, 2], "caps": [3, 3]}
+MALFORMED_PARAMS = {
+    "factor-out-of-range": (structured_head("coordinate_multiple", {"factor": 10**6, "var": 1}, **CM_HEAD), "'factor'"),
+    "factor-negative": (structured_head("coordinate_multiple", {"factor": -1, "var": 1}, **CM_HEAD), "'factor'"),
+    "var-null": (structured_head("coordinate_multiple", {"factor": 0, "var": None}, **CM_HEAD), "'var'"),
+    "var-out-of-range": (structured_head("coordinate_multiple", {"factor": 0, "var": 3}, **CM_HEAD), "'var'"),
+    "params-null": (structured_head("mt", None), "'params'"),
+    "params-a-list": (structured_head("mt", [MT_PARAMS]), "'params'"),
+    "digits-null": (structured_head("mt", MT_PARAMS | {"digits": None}), "'digits'"),
+    "digit-out-of-range": (structured_head("mt", MT_PARAMS | {"digits": [2]}), "'digits'"),
+    "n-zero": (structured_head("mt", MT_PARAMS | {"n": 0}), "'n'"),
+    "n-not-an-integer": (structured_head("mt", MT_PARAMS | {"n": 1.5}), "'n'"),
+    "n-over-the-budget": (structured_head("mt", MT_PARAMS | {"n": 10**6}), "n=1000000"),
+    "t-null": (structured_head("mt", MT_PARAMS | {"t": None}), "'t'"),
+    "exponents-not-increasing": (structured_head("mt", MT_PARAMS | {"exponents": [0]}), "'exponents'"),
+    "exponents-not-one-per-digit": (structured_head("mt", MT_PARAMS | {"exponents": [1, 2]}), "'exponents'"),
+    "parts-a-string": (structured_head("tensor", {"parts": "x"}, **TENSOR_HEAD), "'parts'"),
+    "parts-not-objects": (structured_head("tensor", {"parts": [1]}, **TENSOR_HEAD), "'parts'"),
+    "part-dim-e-null": (structured_head("tensor", {"parts": [MT_PARAMS | {"kind": "mt", "dimE": None}]}, **TENSOR_HEAD),
+                        "'dimE'"),
+    "min-total-degree-negative": (structured_head("finite_codim", {"min_total_degree": -1}), "'min_total_degree'"),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_PARAMS))
+def test_malformed_structured_params_are_refused_by_name(name, tmp_path, capsys):
+    data, named = MALFORMED_PARAMS[name]
+    path = tmp_path / "sub.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(["mult", "--input", str(path), "--qmax", "2"], capsys)
+    assert_invalid_input(code, out, err)
+    assert named in json.loads(err)["reason"]
+
+
+def span_payload_of(vectors, n, caps):
+    """A span-mode subspace JSON of real ``vectors`` (rows of the whole truncation)."""
+    return json.dumps({"model": "full", "n": list(n), "caps": list(caps), "dimE": 1, "mode": "span",
+                       "vectors": [[[float(x), 0.0] for x in v] for v in vectors]})
+
+
+def test_a_repeated_span_vector_hides_no_direction(tmp_path, capsys):
+    # the whole n (1,1), caps (2,2) space as unit vectors, once without and once with the vacuum repeated
+    eye = np.eye(9)
+    outs = []
+    for name, vectors in (("once", eye), ("twice", np.vstack([eye[:1], eye]))):
+        path, out = tmp_path / f"{name}.json", tmp_path / f"{name}.out"
+        path.write_text(span_payload_of(vectors, (1, 1), (2, 2)))
+        code, _, err = run(["mult", "--input", str(path), "--qmax", "2", "--out", str(out)], capsys)
+        assert code == 0, err
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["estimate"] == 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rank=st.integers(0, 9), extra=st.integers(0, 4))
+def test_span_rank_is_the_rank_of_its_vectors(seed, rank, extra):
+    from polyball.basis import Shape
+    from polyball.fock import FockTruncation
+    from polyball.subspaces import span_subspace
+
+    rng = np.random.default_rng(seed)
+    vectors = rng.standard_normal((9, rank)) @ rng.standard_normal((rank, rank + extra))
+    sub = span_subspace(FockTruncation(Shape((1, 1), caps=(2, 2))), vectors)
+    assert sub.columns.shape[1] == np.linalg.matrix_rank(vectors)
+    assert sub.gram_residual() < 1e-12
+
+
+def test_check_index_refuses_a_non_commuting_row_on_the_symmetric_model(tmp_path, capsys):
+    from polyball.basis import Shape
+    from polyball.berezin import multiplier_to_json
+    from polyball.symmetric import sym_monomial_multiplier
+
+    tup, theta = tmp_path / "tuple.json", tmp_path / "theta.json"
+    tup.write_text(tuple_to_json(random_polyball_tuple(np.random.default_rng(3), (2,), (3,), 0.8)))
+    theta.write_text(multiplier_to_json(sym_monomial_multiplier(Shape((2,)), ((1, 0),))))
+    code, out, err = run(["check", "index", "--input", str(tup), "--theta", str(theta), "--caps", "3"], capsys)
+    assert_invalid_input(code, out, err)
+    assert "entries within a factor do not commute" in json.loads(err)["reason"]

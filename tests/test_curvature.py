@@ -1,4 +1,4 @@
-from functools import partial
+import math
 
 import numpy as np
 import pytest
@@ -16,7 +16,6 @@ from polyball.curvature import (
     curvature_estimate,
     grade_trace_table,
 )
-from polyball.symmetric import sym_grade_dim, sym_word_dim
 
 
 def scalar_tuple(r):
@@ -81,8 +80,10 @@ def test_duality_table_matches_the_walk(seed, n, qmax, norm, symmetric):
     t = random_polyball_tuple(rng, tuple(n), dims, norm)
     box = tuple(qmax[: t.k])
     if symmetric:
-        table = grade_trace_table(t, box, sym_grade_dim)
-        walk = grade_trace_table_walk(t, box, partial(sym_word_dim, t.shape.n))
+        table = grade_trace_table(t, box, "symmetric")
+        # binomial grade dimensions, written out apart from the truncation under test
+        walk = grade_trace_table_walk(t, box, lambda q: math.prod(math.comb(qi + ni - 1, ni - 1)
+                                                                  for ni, qi in zip(t.shape.n, q)))
     else:
         table = grade_trace_table(t, box)
         walk = grade_trace_table_walk(t, box)

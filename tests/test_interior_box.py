@@ -27,7 +27,7 @@ from polyball.subspaces import (
     tensor_subspace,
     uncountable_family,
 )
-from polyball.symmetric import constrained_berezin, coordinate_multiple_subspace
+from polyball.symmetric import coordinate_multiple_subspace
 
 CAPS = st.lists(st.integers(0, 3), min_size=1, max_size=2)
 
@@ -47,7 +47,7 @@ def random_kernel(model, caps, seed):
     rng = np.random.default_rng(seed)
     if model == "symmetric":
         parts = [commuting_tuple(rng, 2, 2, 0.8) for _ in caps]
-        return constrained_berezin(parts[0] if len(parts) == 1 else ampliation(parts), tuple(caps))
+        return berezin_kernel(parts[0] if len(parts) == 1 else ampliation(parts), tuple(caps), "symmetric")
     n = tuple(int(v) for v in rng.integers(1, 3, len(caps)))
     return berezin_kernel(random_polyball_tuple(rng, n, (2,) * len(caps), 0.8), tuple(caps))
 
@@ -141,7 +141,7 @@ def traced_peak(fn):
 def test_char_function_peaks_below_the_full_box_operator():
     # caps (4, 4): the full box has 2025 rows, the interior box 900
     rng = np.random.default_rng(41)
-    kb = constrained_berezin(ampliation([commuting_tuple(rng, 2, 3, 0.8), commuting_tuple(rng, 2, 3, 0.8)]), (4, 4))
+    kb = berezin_kernel(ampliation([commuting_tuple(rng, 2, 3, 0.8), commuting_tuple(rng, 2, 3, 0.8)]), (4, 4), "symmetric")
     kk_bytes = sum(b.nbytes for b in kb.kk_star_full().blocks.values())
     assert interior_box(kb.truncation).total_dim == 900
     assert traced_peak(lambda: has_characteristic_function(kb)) < 0.75 * kk_bytes
@@ -159,7 +159,7 @@ def test_beurling_peaks_near_one_full_box_projection():
 def test_char_function_refuses_an_interior_over_the_budget(monkeypatch):
     # caps (8, 8): the kernel is 2.6 MB, but the interior box (7, 7) has 11664 rows, 16 * 11664**2 bytes dense
     rng = np.random.default_rng(41)
-    kb = constrained_berezin(ampliation([commuting_tuple(rng, 2, 3, 0.8), commuting_tuple(rng, 2, 3, 0.8)]), (8, 8))
+    kb = berezin_kernel(ampliation([commuting_tuple(rng, 2, 3, 0.8), commuting_tuple(rng, 2, 3, 0.8)]), (8, 8), "symmetric")
     assert interior_box(kb.truncation).total_dim == 11664
     formed = []
     monkeypatch.setattr(BerezinKernel, "kk_star_full", lambda self, box=None: formed.append(box))

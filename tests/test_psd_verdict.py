@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import commuting_tuple
 from oracle import creation_op, op_block, op_identity
 from polyball import fock
-from polyball.berezin import BerezinKernel, has_characteristic_function
+from polyball.berezin import BerezinKernel, berezin_kernel, has_characteristic_function
 from polyball.basis import Shape
 from polyball.cp import PSD_TOL, ampliation, herm, psd_verdict
 from polyball.fock import FockTruncation, bump, defect_shift, defect_verdict
@@ -26,13 +26,13 @@ from polyball.subspaces import (
     tensor_subspace,
     uncountable_family,
 )
-from polyball.symmetric import SymFockTruncation, constrained_berezin, coordinate_multiple_subspace
+from polyball.symmetric import SymFockTruncation, coordinate_multiple_subspace
 
 
 def constrained_kernel():
     """Symmetric kernel of a Beurling compression; its smallest eigenvalue is -2.2e-16."""
     sub = coordinate_multiple_subspace(SymFockTruncation(Shape((2, 2), caps=(3, 3))), 0, 1)
-    return constrained_berezin(compression_tuple(sub), (3, 3))
+    return berezin_kernel(compression_tuple(sub), (3, 3), "symmetric")
 
 
 def oracle_cases():
@@ -247,7 +247,7 @@ def test_span_beurling_test_takes_one_whole_interior_spectrum(eigvalsh_sizes):
 def curv_c_kernel():
     """The caps-(4, 4) symmetric kernel of the ``curv-c`` tuple: two ``commuting_tuple`` draws from seed 1."""
     rng = np.random.default_rng(1)
-    return constrained_berezin(ampliation([commuting_tuple(rng, 2, 3, 0.8), commuting_tuple(rng, 2, 3, 0.8)]), (4, 4))
+    return berezin_kernel(ampliation([commuting_tuple(rng, 2, 3, 0.8), commuting_tuple(rng, 2, 3, 0.8)]), (4, 4), "symmetric")
 
 
 @pytest.mark.parametrize("verdict, make", [

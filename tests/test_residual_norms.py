@@ -23,7 +23,6 @@ from polyball.cp import tuple_to_json
 from polyball.subspaces import compression_tuple, construct_mt, construct_nadic
 from polyball.symmetric import (
     SymFockTruncation,
-    constrained_berezin,
     coordinate_multiple_subspace,
     sym_monomial_multiplier,
 )
@@ -40,7 +39,7 @@ def word_case():
 def symmetric_case():
     """The compression of a coordinate multiple and its monomial: completes exactly."""
     sub = coordinate_multiple_subspace(SymFockTruncation(Shape((1, 1), caps=(4, 4))), 0, 1)
-    kb = constrained_berezin(compression_tuple(sub), (4, 4))
+    kb = berezin_kernel(compression_tuple(sub), (4, 4), "symmetric")
     return kb, sym_monomial_multiplier(Shape((1, 1)), ((1,), (0,)))
 
 

@@ -10,13 +10,13 @@ import pytest
 from conftest import commuting_tuple, random_polyball_tuple
 from oracle import cp_matrix
 from polyball import cp
-from polyball.basis import Shape, grade_dim
+from polyball.basis import Shape
 from polyball.berezin import InnerMultiplier, berezin_kernel, has_characteristic_function
 from polyball.cli import main
 from polyball.cp import SIZE_BUDGET, OperatorTuple, ampliation
 from polyball.fock import FockTruncation, defect_shift, interior_box, truncation_for
 from polyball.subspaces import beurling_check, bidisc_difference_subspace, uncountable_family
-from polyball.symmetric import curv_c_estimate, sym_word_dim
+from polyball.symmetric import curv_c_estimate
 
 
 def predicted_bytes(monkeypatch, route):
@@ -61,7 +61,7 @@ def test_beurling_size_is_its_dense_interior(make, monkeypatch):
 def test_multiplier_size_is_its_blocks(model, monkeypatch):
     # two symbol degrees on two factors, with coefficient spaces of dimension 2 and 3
     n, ds, dt = (2, 3), 2, 3
-    count = (lambda d: sym_word_dim(n, d)) if model == "symmetric" else (lambda d: grade_dim(Shape(n), d))
+    count = truncation_for(model, Shape(n, caps=(3, 3))).word_dim
     rng = np.random.default_rng(5)
     coeffs = {d: rng.standard_normal((count(d), dt, ds)) + 0j for d in [(1, 0), (0, 2)]}
     theta = InnerMultiplier(Shape(n), ds, dt, coeffs, model=model)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import commuting_tuple
+from conftest import commuting_tuple, random_row_tuple
 from oracle import (
     creation_op,
     embedding_matrix,
@@ -21,12 +21,14 @@ from oracle import (
 from polyball.basis import Shape, grade_dim
 from polyball.berezin import (
     InnerMultiplier,
+    berezin_kernel,
     connection_identity,
+    has_characteristic_function,
     index_formula_check,
     validate_multiplier,
     verify_intertwining,
 )
-from polyball.cp import OperatorTuple, ampliation
+from polyball.cp import MembershipError, OperatorTuple, ampliation, require_commutative
 from polyball.curvature import subspace_curvature
 from polyball.fock import FockTruncation, GradedOperator
 from polyball.subspaces import (
@@ -38,14 +40,10 @@ from polyball.subspaces import (
 )
 from polyball.symmetric import (
     SymFockTruncation,
-    constrained_berezin,
-    constrained_char_function,
     coordinate_multiple_subspace,
     curv_c_estimate,
     m_c_estimate,
     monomials,
-    require_commutative,
-    sym_cumulative_trace,
     sym_grade_dim,
     sym_monomial_multiplier,
 )
@@ -77,9 +75,9 @@ def test_sym_grade_dim_matches_multiset_enumeration():
 def test_sym_cumulative_trace():
     for n in (1, 2, 3):
         for q in range(6):
-            assert sym_cumulative_trace(n, q) == sum(sym_grade_dim(n, s) for s in range(q + 1))
+            assert sf_single(n, q).cumulative_dim(0, q) == sum(sym_grade_dim(n, s) for s in range(q + 1))
             expected = math.prod(q + i for i in range(1, n + 1)) / math.factorial(n)
-            assert sym_cumulative_trace(n, q) == expected
+            assert sf_single(n, q).cumulative_dim(0, q) == expected
 
 
 # -- the compressed shifts -------------------------------------------------------
@@ -106,6 +104,23 @@ def test_b_operators_commute_within_factor():
     for key, blk in comm.blocks.items():
         if all(v <= 2 for v in key[0]):
             assert np.linalg.norm(blk, 2) < 1e-14
+
+
+SYMMETRIC_KERNEL_ENTRIES = {"berezin_kernel": berezin_kernel, "verify_intertwining": verify_intertwining}
+
+
+@pytest.mark.parametrize("entry", list(SYMMETRIC_KERNEL_ENTRIES))
+@pytest.mark.parametrize("norm", [0.8, 1.5])
+def test_symmetric_kernel_entries_refuse_a_non_commuting_row(entry, norm):
+    # a random two-letter row: a polyball member at norm 0.8, not one at 1.5; commutativity is tested first
+    t = random_row_tuple(np.random.default_rng(7), 2, 3, norm)
+    if norm > 1:
+        with pytest.raises(MembershipError):
+            SYMMETRIC_KERNEL_ENTRIES[entry](t, (3,), "full")
+    else:
+        SYMMETRIC_KERNEL_ENTRIES[entry](t, (3,), "full")
+    with pytest.raises(ValueError, match=r"^entries within a factor do not commute \(residual "):
+        SYMMETRIC_KERNEL_ENTRIES[entry](t, (3,), "symmetric")
 
 
 @pytest.mark.parametrize("scale, eps, refused", [(1e3, 1e-9, False), (1e3, 1e-8, True), (1.0, 1e-3, True)])
@@ -255,7 +270,7 @@ def test_factorial_form_universal_counts():
 
 def test_constrained_kernel_scalar_equals_plain():
     r = 0.7
-    kb = constrained_berezin(scalar_tuple(r), (6,))
+    kb = berezin_kernel(scalar_tuple(r), (6,), "symmetric")
     for q in range(7):
         assert kb.blocks[(q,)][0, 0] == pytest.approx(np.sqrt(1 - r**2) * r**q)
 
@@ -264,7 +279,7 @@ def test_constrained_kernel_direct_formula():
     # rows are sqrt(q!/alpha!) * defect^{1/2} (T^alpha)^* in the monomial basis
     rng = np.random.default_rng(137)
     t = commuting_tuple(rng, 2, 3, 0.7)
-    kb = constrained_berezin(t, (4,))
+    kb = berezin_kernel(t, (4,), "symmetric")
     from polyball.cp import defect_data
 
     dd = defect_data(t)
@@ -292,7 +307,7 @@ def test_constrained_kernel_b_intertwining():
 def test_constrained_connection_identity():
     rng = np.random.default_rng(149)
     t = commuting_tuple(rng, 2, 2, 0.6)
-    kb = constrained_berezin(t, (6,))
+    kb = berezin_kernel(t, (6,), "symmetric")
     for q in range(5):
         _, _, resid = connection_identity(kb, (q,))
         assert resid < 1e-8
@@ -302,7 +317,7 @@ def test_constrained_char_function_on_beurling_compression():
     sf = sf_single(2, 4)
     sub = coordinate_multiple_subspace(sf, 0, 1)
     t = compression_tuple(sub)
-    verdict = constrained_char_function(t, (4,))
+    verdict = has_characteristic_function(berezin_kernel(t, (4,), "symmetric"))
     assert verdict.positive
 
 
@@ -350,7 +365,7 @@ def test_index3_polydisc_monomial():
     sf = SymFockTruncation(Shape((1, 1), caps=(4, 4)))
     sub = coordinate_multiple_subspace(sf, 0, 1)
     t = compression_tuple(sub)
-    kb = constrained_berezin(t, (4, 4))
+    kb = berezin_kernel(t, (4, 4), "symmetric")
     theta = sym_monomial_multiplier(Shape((1, 1)), ((1,), (0,)))
     chk = index_formula_check(kb, theta)
     assert chk.lhs == pytest.approx(0.0, abs=1e-10)
@@ -361,7 +376,7 @@ def test_index3_polydisc_monomial():
 def test_index3_zero_theta_reduces_to_rank():
     sf = sf_single(2, 4)
     t = compression_tuple(zero_subspace(sf))
-    kb = constrained_berezin(t, (4,))
+    kb = berezin_kernel(t, (4,), "symmetric")
     assert kb.defect.rank == 1
     theta = InnerMultiplier(Shape((2,)), 1, 1, {}, model="symmetric")
     chk = index_formula_check(kb, theta)
@@ -409,7 +424,7 @@ def test_direct_kernel_matches_the_fold_of_the_word_kernel(seed, n, norm, data):
     parts = [commuting_tuple(rng, ni, 2, norm) for ni in n]
     t = parts[0] if len(parts) == 1 else ampliation(parts)
     caps = tuple(data.draw(st.integers(1, 4)) for _ in n)
-    direct = constrained_berezin(t, caps)
+    direct = berezin_kernel(t, caps, "symmetric")
     folded = folded_berezin(t, caps)
     assert direct.truncation == folded.truncation
     for q, b in folded.blocks.items():
@@ -425,7 +440,7 @@ def test_constrained_kernel_peaks_below_the_word_kernel():
     assert word_rows == 16129  # 145161 rows at defect rank 9
     tracemalloc.start()
     try:
-        kb = constrained_berezin(t, caps)
+        kb = berezin_kernel(t, caps, "symmetric")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

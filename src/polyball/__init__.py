@@ -13,6 +13,7 @@ from .berezin import (
     InnerMultiplier,
     berezin_kernel,
     connection_identity,
+    connection_residuals,
     curvature_operator_trace,
     has_characteristic_function,
     index_formula_check,

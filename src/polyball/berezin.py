@@ -22,7 +22,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -114,7 +114,7 @@ def kernel_tail_bound(t: OperatorTuple, caps: tuple[int, ...]) -> float:
 
 def berezin_kernel(t: OperatorTuple, caps: tuple[int, ...], model: str = "full",
                    budget_caps: tuple[int, ...] | None = None) -> BerezinKernel:
-    """The whole kernel: every layer of ``_kernel_layers``, with ``blocks`` in ``ft.grades`` order.
+    """The whole kernel: every degree of ``_kernel_layers``, leaves formed, with ``blocks`` in ``ft.grades`` order.
 
     A kernel of more than ``SIZE_BUDGET`` bytes at ``budget_caps`` (default
     ``caps``) is refused before any block is allocated, from the closed-form
@@ -125,8 +125,8 @@ def berezin_kernel(t: OperatorTuple, caps: tuple[int, ...], model: str = "full",
     dd, ft = _kernel_truncation(t, caps, model, budget_caps)
     blocks: dict[tuple[int, ...], np.ndarray] = {}
     with _workers() as pool:
-        for layer in _kernel_layers(t, ft, dd, pool):
-            blocks |= layer
+        for stored, leaves in _kernel_layers(t, ft, dd, pool):
+            blocks |= stored | _leaf_blocks(t, ft, leaves, pool)
     return BerezinKernel(t, ft, {q: blocks[q] for q in ft.grades}, dd)
 
 
@@ -157,16 +157,21 @@ def _workers() -> ThreadPoolExecutor:
     return ThreadPoolExecutor(max(cpus - 1, 1))
 
 
+def _slab_rows(width: int) -> int:
+    """Rows of one ``_by_slabs`` slab: about ``SLAB_BYTES`` of a ``width``-column complex block, at least ``width``."""
+    return max(SLAB_BYTES // (16 * width), width)
+
+
 def _by_slabs(pool: ThreadPoolExecutor, work, pieces, width: int) -> list[list]:
     """``work(*args, rows)`` over the row slabs ``rows`` of each piece ``(count, args)`` of ``pieces``, by ``pool``.
 
-    A slab holds about ``SLAB_BYTES`` of a ``width``-column complex block and
-    at least ``width`` rows, so its Gram matrix is no larger than itself.  A
-    piece is cut only where it is larger than a slab, and pieces share a job
-    up to a slab's rows, so small grades cost one job, not one each.  Returns
-    the results of each piece, in row order.
+    A piece is cut into slabs of ``_slab_rows(width)`` rows from its first
+    row, so a slab's Gram matrix is no larger than itself.  A piece is cut
+    only where it is larger than a slab, and pieces share a job up to a slab's
+    rows, so small grades cost one job, not one each.  Returns the results of
+    each piece, in row order.
     """
-    step = max(SLAB_BYTES // (16 * width), width)
+    step = _slab_rows(width)
     jobs, job, room = [], [], step
     for p, (count, _) in enumerate(pieces):
         for a in range(0, count, step):
@@ -192,125 +197,269 @@ def _by_slabs(pool: ThreadPoolExecutor, work, pieces, width: int) -> list[list]:
     return out
 
 
+def _is_leaf(ft: FockTruncation, q: tuple[int, ...]) -> bool:
+    """Whether no grade is built from ``q != 0``: no ``q + e_i`` inside the caps has ``last_step == (i, q)``.
+
+    That is ``q_i`` at its cap for every ``i`` from the last factor where
+    ``q_i > 0`` on: with no zero cap, the grades with the last factor at its cap.
+    """
+    if not any(q):
+        return False
+    i = last_step(q)[0]
+    return q[i:] == ft.shape.caps[i:]
+
+
+class _Plan(NamedTuple):
+    """How the rows of a grade are written (``_plan``): the block of its source grade, and one entry per letter."""
+
+    src: np.ndarray
+    letters: list
+
+
 def _kernel_layers(t: OperatorTuple, ft: FockTruncation, dd: DefectData, pool: ThreadPoolExecutor):
-    """The kernel's grade blocks one total degree ``|q|`` at a time: ``{q: K_q}`` per layer, from ``|q| = 0``.
+    """The kernel one total degree ``|q|`` at a time, from ``|q| = 0``: ``(stored, leaves)`` per degree.
+
+    ``stored`` is ``{q: K_q}`` for the grades of the degree that other grades
+    are built from, and the vacuum; ``leaves`` is ``{u: _Plan}`` for the
+    grades of the next degree that no grade is built from (``_is_leaf``),
+    whose source blocks are in ``stored``.  A leaf block is never formed here:
+    ``berezin_kernel`` forms it with ``_leaf_blocks``, and
+    ``verify_intertwining`` forms only the rows each residual slab reads.
 
     The vacuum block is ``D^{1/2}`` on the defect range.  Grade ``q`` follows
-    from grade ``q - e_i`` (``i`` the last factor with ``q_i > 0``), one layer
+    from grade ``q - e_i`` (``i`` the last factor with ``q_i > 0``), one degree
     down, by ``K T_{i,j}^* = (S_{i,j}^* (x) I) K``: the ``S_{i,j}`` target rows
     of grade ``q`` are ``(K_{q - e_i} T_{i,j}^*) / w`` with the shift weights
-    ``w``.  The same recursion serves both models on the truncation of
-    ``ft.model``; in the symmetric model (a commutative tuple, see
-    ``_kernel_truncation``) a monomial reached by several letters
-    takes the rows of the last one, so the letters run last to first and each
-    forms only the rows of targets not yet written.
-
-    Each layer is planned first (the targets, weights and kept rows of every
-    letter), then formed by ``pool`` in row slabs (``_by_slabs``).  The slabs
+    ``w`` (``_plan``).  Each degree is planned first, then its stored
+    grades are formed by ``pool`` in row slabs (``_by_slabs``).  The slabs
     write disjoint rows, so every block has the same bits for any number of
-    workers.  Only the previous layer is held here, so a caller that drops
-    each layer once the next one is yielded keeps two layers alive.
+    workers.  Only the stored grades of the last degree are held here, so a
+    caller that drops each degree once the next one is yielded keeps two
+    degrees of stored grades alive.
     """
-    by_degree: list[list[tuple[int, ...]]] = [[] for _ in range(sum(ft.shape.caps) + 1)]
+    by_degree: list[list[tuple[int, ...]]] = [[] for _ in range(sum(ft.shape.caps) + 2)]
     for q in ft.grades:
         by_degree[sum(q)].append(q)
-    prev: dict[tuple[int, ...], np.ndarray] = {}
-    for grades in by_degree:
+    stored: dict[tuple[int, ...], np.ndarray] = {}
+    for grades, ahead in zip(by_degree, by_degree[1:]):
         layer, pieces = {}, []
         for q in grades:
             if not any(q):
                 layer[q] = dd.range_basis.conj().T @ dd.sqrt  # rank x dimH
-                continue
-            i, src = last_step(q)
-            block = np.zeros((ft.dim(q), t.dimH), dtype=complex)
-            written = np.zeros(ft.dim(q), dtype=bool)
-            for j in range(t.shape.n[i], 0, -1):
-                targets, w, _ = ft.shift(i, j, src)
-                kept = None
-                fresh = ~written[targets]
-                if not fresh.all():  # monomials a later letter reached keep its rows
-                    kept, targets, w = np.flatnonzero(fresh), targets[fresh], w[fresh]
-                written[targets] = True
-                pieces.append((len(targets), (block, targets, prev[src], kept, t.entry(i, j), w)))
-            layer[q] = block
+            elif not _is_leaf(ft, q):
+                layer[q] = np.zeros((ft.dim(q), t.dimH), dtype=complex)
+                pieces += _letter_pieces(layer[q], _plan(t, ft, q, stored))
         _by_slabs(pool, _write_rows, pieces, t.dimH)
-        del pieces  # their index arrays are not held while the caller reads the layer
-        yield layer
-        prev = layer
+        del pieces  # their index arrays are not held while the caller reads the degree
+        stored = layer
+        yield stored, {u: _plan(t, ft, u, stored) for u in ahead if _is_leaf(ft, u)}
+
+
+def _plan(t: OperatorTuple, ft: FockTruncation, q: tuple[int, ...], below: dict) -> _Plan:
+    """How the rows of grade ``q != 0`` are written from its source block ``below[q - e_i]``.
+
+    ``i`` is the last factor with ``q_i > 0``.  Each letter ``j`` has an entry
+    ``(T_{i,j}, targets, kept, w)``: it sends the source rows ``kept`` (all when
+    None) to its ``targets`` of ``q`` with the shift weights ``w`` (None when
+    all are 1, as for every word-model letter).  The
+    same recursion serves both models on the truncation of ``ft.model``; in the
+    symmetric model (a commutative tuple, see ``_kernel_truncation``) a
+    monomial reached by several letters takes the rows of the last one, so the
+    letters run last to first and each writes only the targets not yet
+    written.  Every row of ``q`` is written by exactly one letter.
+    """
+    i, src = last_step(q)
+    written = np.zeros(ft.dim(q), dtype=bool)
+    letters = []
+    for j in range(t.shape.n[i], 0, -1):
+        targets, w, _ = ft.shift(i, j, src)
+        kept = None
+        fresh = ~written[targets]
+        if not fresh.all():  # monomials a later letter reached keep its rows
+            kept, targets, w = np.flatnonzero(fresh), targets[fresh], w[fresh]
+        if (w == 1.0).all():
+            w = None
+        written[targets] = True
+        letters.append((t.entry(i, j), targets, kept, w))
+    return _Plan(below[src], letters)
+
+
+def _letter_pieces(block: np.ndarray, plan: _Plan) -> list:
+    """The ``_by_slabs`` pieces of ``_write_rows`` that fill ``block`` by ``plan``, one per letter."""
+    return [(len(targets), (block, targets, plan.src, kept, entry, w)) for entry, targets, kept, w in plan.letters]
+
+
+def _leaf_blocks(t: OperatorTuple, ft: FockTruncation, leaves: dict, pool: ThreadPoolExecutor) -> dict:
+    """``{u: K_u}`` of the ``leaves`` of ``_kernel_layers``, formed by ``pool`` in row slabs."""
+    blocks, pieces = {}, []
+    for u, plan in leaves.items():
+        blocks[u] = np.zeros((ft.dim(u), t.dimH), dtype=complex)
+        pieces += _letter_pieces(blocks[u], plan)
+    _by_slabs(pool, _write_rows, pieces, t.dimH)
+    return blocks
 
 
 def _write_rows(block: np.ndarray, targets: np.ndarray, src: np.ndarray, kept: np.ndarray | None,
-                entry: np.ndarray, w: np.ndarray, rows: slice) -> None:
+                entry: np.ndarray, w: np.ndarray | None, rows: slice) -> None:
     """Slab ``rows`` of one letter: its rows of ``block`` at ``targets``, from ``src`` (its rows ``kept``, or all)."""
-    block[targets[rows]] = _letter_rows(src[rows if kept is None else kept[rows]], entry, w[rows])
+    src_rows = src[rows if kept is None else kept[rows]]
+    block[targets[rows]] = _letter_rows(src_rows, entry, None if w is None else w[rows])
 
 
-def _letter_rows(src_rows: np.ndarray, entry: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _letter_rows(src_rows: np.ndarray, entry: np.ndarray, w: np.ndarray | None) -> np.ndarray:
     """``(src_rows T^*) / w``: the kernel rows one letter ``T`` sends to its targets.
 
     The product comes first, then the division, so exact rows stay exact.
+    Weights None are all 1, whose division would keep every bit.
     """
     rows = src_rows @ entry.conj().T
-    divide_real(rows, w[:, None])
+    if w is not None:
+        divide_real(rows, w[:, None])
     return rows
+
+
+class _LeafRows:
+    """Rows ``leaf_rows[idx]`` of a leaf grade (``idx`` a slice or an index array), with ``_leaf_blocks``'s bits.
+
+    Every row is written by one letter from one source row (``_plan``).
+    It is formed as in its ``_write_rows`` slab: in one product of two rows or
+    more of that letter, or alone if it is alone in its slab, since numpy takes
+    a one-row product as a matrix-vector product, whose bits differ from those
+    of a matrix product.
+    """
+
+    def __init__(self, plan: _Plan, rows: int):
+        self.src, self.entries = plan.src, [entry for entry, *_ in plan.letters]
+        self.letter = np.empty(rows, dtype=np.min_scalar_type(len(plan.letters)))
+        self.source = np.empty(rows, dtype=np.min_scalar_type(len(plan.src)))
+        self.weight = None if all(w is None for *_, w in plan.letters) else np.ones(rows)
+        self.alone = np.zeros(rows, dtype=bool)
+        step = _slab_rows(plan.src.shape[1])
+        for m, (_, targets, kept, w) in enumerate(plan.letters):
+            self.letter[targets] = m
+            self.source[targets] = np.arange(len(targets)) if kept is None else kept
+            if w is not None:
+                self.weight[targets] = w
+            if step == 1:
+                self.alone[targets] = True
+            elif len(targets) % step == 1:  # the letter's last slab is one row
+                self.alone[targets[-1]] = True
+
+    def __len__(self) -> int:
+        return len(self.letter)
+
+    def __getitem__(self, idx) -> np.ndarray:
+        if isinstance(idx, slice):
+            idx = np.arange(*idx.indices(len(self)))
+        out = np.empty((len(idx), self.src.shape[1]), dtype=complex)
+        for sel, rows in self.parts(idx):
+            out[sel] = rows
+        return out
+
+    def parts(self, idx: np.ndarray):
+        """``(sel, rows)`` per batch: ``rows`` are the leaf's rows ``idx[sel]``, of one letter."""
+        letter, alone = self.letter[idx], self.alone[idx]
+        for m, entry in enumerate(self.entries):
+            together = np.flatnonzero((letter == m) & ~alone)
+            if len(together) == 1:
+                together = np.repeat(together, 2)  # a row twice: a matrix product, as in its slab
+            for sel in [together, *np.flatnonzero((letter == m) & alone)[:, None]]:
+                if len(sel):
+                    r = idx[sel]
+                    w = None if self.weight is None else self.weight[r]
+                    yield sel, _letter_rows(self.src[self.source[r]], entry, w)
+
+
+def _row_parts(grade, idx: np.ndarray):
+    """``(sel, rows)``: the rows ``idx[sel]`` of a grade, gathered from its block, or by batches from ``_LeafRows``."""
+    if isinstance(grade, np.ndarray):
+        yield slice(None), np.take(grade, idx, axis=0)
+    else:
+        yield from grade.parts(idx)
 
 
 def verify_intertwining(t: OperatorTuple, caps: tuple[int, ...], model: str = "full") -> float:
     """Max residual of ``K T_{i,j}^* = (S_{i,j}^* (x) I) K`` over grades ``q`` with ``q + e_i`` inside the caps.
 
     The kernel of ``t`` at ``caps`` on the truncation of ``model`` is built
-    layer by layer (``_kernel_layers``): the pairs of degree ``L`` read layers
-    ``L`` and ``L + 1`` only, so they run as soon as layer ``L + 1`` exists and
-    layer ``L`` is dropped after them; two layers are alive at a time, and the
-    residuals are formed a row slab at a time (``_layer_residual``).  The
-    refusals come in the order of ``berezin_kernel`` (``_kernel_truncation``,
-    with the size budget of the whole kernel at ``caps``); then a factor with
-    cap 0, which has no grade pair and whose identity would go untested, is
-    refused.  The pairs the recursion wrote are left out (see
-    ``_tested_pairs``), since their residuals are exactly 0.0.
+    one degree at a time (``_kernel_layers``), and its leaf grades are never
+    formed whole: each residual slab forms the leaf rows it reads from the
+    stored rows of their source grade (``_LeafRows``).  When the stored grades
+    of degree ``L`` arrive, with the leaf plans of degree ``L + 1``, the pairs
+    from stored grades of degree ``L - 1`` into them run, and so do the pairs
+    from degree ``L`` into leaves; the stored grades of degree ``L - 1`` are
+    then dropped.  So the stored grades of two degrees are alive at a time,
+    and the residuals are formed a row slab at a time (``_layer_residual``).
+    The refusals come in the order of ``berezin_kernel``
+    (``_kernel_truncation``, with the size budget of the whole kernel at
+    ``caps``); then a factor with cap 0, which has no grade pair and whose
+    identity would go untested, is refused.  The pairs the recursion wrote are
+    left out (see ``_tested_pairs``), since their residuals are exactly 0.0.
     """
     dd, ft = _kernel_truncation(t, caps, model)
     if 0 in ft.shape.caps:
         raise ValueError(f"caps {ft.shape.caps} leave a factor with no grade pair to test; "
                          "every cap must be >= 1")
     worst = 0.0
-    lower = None
+    below: dict = {}  # the stored grades of the degree below
+    here: dict = {}  # the leaves of this degree
     with _workers() as pool:
-        for upper in _kernel_layers(t, ft, dd, pool):
-            if lower is not None:
-                worst = max(worst, _layer_residual(t, ft, lower, upper, pool))
-            lower = upper
+        for stored, leaves in _kernel_layers(t, ft, dd, pool):
+            ahead = {u: _LeafRows(plan, ft.dim(u)) for u, plan in leaves.items()}
+            del leaves  # the plans' index arrays, now held by ``ahead`` in one row order
+            # a pair's grades are one degree apart: from the degree below into the stored grades of this
+            # degree, and from this degree into the leaves of the next
+            worst = max(worst, _layer_residual(t, ft, below | stored | here, stored | ahead, pool))
+            below, here = stored, ahead
     return worst
 
 
 def _layer_residual(t: OperatorTuple, ft: FockTruncation, lower: dict, upper: dict,
                     pool: ThreadPoolExecutor) -> float:
-    """Max intertwining residual of the tested pairs with ``q`` in layer ``lower`` (``q + e_i`` in ``upper``).
+    """Max intertwining residual of the tested pairs with ``q`` in ``lower`` and ``q + e_i`` in ``upper``.
 
-    Each residual is formed by ``pool`` in row slabs (``_by_slabs``), and
-    ``cp.stacked_norm`` takes its norm from their Gram matrices in row order.
+    Grades map to their blocks or their ``_LeafRows``.  The letters of one
+    ``(i, q)`` are one piece, so each slab of ``K_q`` is read, or formed, once
+    for all of them.  Each residual is formed by ``pool`` in row slabs
+    (``_by_slabs``), and ``cp.stacked_norm`` takes its norm from their Gram
+    matrices in row order.
     """
-    pieces = [(ft.dim(q), (lower[q], t.entry(i, j), upper[bump(q, i)], targets, w))
-              for i, j, q, targets, w in _tested_pairs(ft, lower)]
-    return max([0.0] + [stacked_norm(parts) for parts in _by_slabs(pool, _residual_slab, pieces, t.dimH)])
+    letters: dict = {}
+    for i, j, q, targets, w in _tested_pairs(ft, lower, upper):
+        letters.setdefault((i, q), []).append((t.entry(i, j), targets, w))
+    pieces = [(ft.dim(q), (lower[q], upper[bump(q, i)], these)) for (i, q), these in letters.items()]
+    slabs = _by_slabs(pool, _residual_slabs, pieces, t.dimH)
+    return max([0.0] + [stacked_norm(parts) for piece in slabs for parts in zip(*piece)])
 
 
-def _residual_slab(lower: np.ndarray, entry: np.ndarray, upper: np.ndarray, targets: np.ndarray,
-                   w: np.ndarray, rows: slice) -> tuple[float, np.ndarray | None]:
-    """``cp.slab_gram`` of slab ``rows`` of the residual ``K_q T^* - (S^* (x) I) K_{q + e_i}`` (``lower`` is ``K_q``)."""
-    resid = lower[rows] @ entry.conj().T
-    rhs = np.take(upper, targets[rows], axis=0)
-    rhs *= w[rows, None]
-    resid -= rhs
-    del rhs  # two slab-sized temporaries at a time: the residual and one more
-    return slab_gram(resid, len(lower))
+def _residual_slabs(lower, upper, letters, rows: slice) -> list[tuple[float, np.ndarray | None]]:
+    """``cp.slab_gram`` of slab ``rows`` of each letter's residual ``K_q T^* - (S^* (x) I) K_{q + e_i}``.
+
+    ``lower`` is ``K_q`` and ``upper`` is ``K_{q + e_i}``; ``letters`` holds
+    ``(T, targets, w)`` per letter (``w`` None: all 1, a scaling that would
+    keep every bit).  Beside the slab of ``K_q``, one residual and one batch of
+    target rows are alive at a time.
+    """
+    src = lower[rows]
+    grams = []
+    for entry, targets, w in letters:
+        resid = src @ entry.conj().T
+        for sel, rhs in _row_parts(upper, targets[rows]):
+            if w is not None:
+                rhs *= w[rows][sel, None]
+            resid[sel] -= rhs
+            del rhs
+        grams.append(slab_gram(resid, len(lower)))
+        del resid
+    return grams
 
 
-def _tested_pairs(ft: FockTruncation, grades):
+def _tested_pairs(ft: FockTruncation, grades, into):
     """``(i, j, q, targets, weights)`` of each pair, ``q`` in ``grades``, whose intertwining residual can be nonzero.
 
-    Pairs with ``q + e_i`` beyond the caps have no identity.  A pair is also
-    left out when ``last_step(q + e_i) == (i, q)`` and every word-level weight
+    ``weights`` is None when all are 1.  Only pairs with ``q + e_i`` in
+    ``into`` are yielded (beyond the caps there is no identity).  A pair is
+    also left out when ``last_step(q + e_i) == (i, q)`` and every word-level weight
     of ``ft.shift_data(i, j, q)`` is exactly 1.0: ``_kernel_layers`` built grade
     ``q + e_i`` from ``q`` through factor ``i``, and a target of weight 1 is
     reached by no other letter (the squared weights into a target sum to 1),
@@ -323,23 +472,50 @@ def _tested_pairs(ft: FockTruncation, grades):
         for j in range(1, ft.shape.n[i] + 1):
             for q in grades:
                 up = bump(q, i)
-                if not ft.has_grade(up):
+                if up not in into:
                     continue
                 data = ft.shift_data(i, j, q)
-                if last_step(up) == (i, q) and (data[1] == 1.0).all():
+                ones = (data[1] == 1.0).all()
+                if last_step(up) == (i, q) and ones:
                     continue
                 targets, w, _ = ft.expand(*data)
-                yield i, j, q, targets, w
+                yield i, j, q, targets, None if ones else w
 
 
 def connection_identity(kb: BerezinKernel, q: tuple[int, ...]):
     """Both sides of ``K^*(P_q (x) I)K = Phi^q(defect)`` plus the residual."""
     if not kb.truncation.has_grade(q):
         raise ValueError(f"grade {q} beyond caps")
-    lhs = kb.grade_gram(q)
-    rhs = kb.defect.defect
-    for i in range(kb.op.k):
-        rhs = cp_apply_power(kb.op, i, rhs, q[i])
+    return _connection(kb.op, kb.defect, q, kb.blocks[q])
+
+
+def connection_residuals(t: OperatorTuple, caps: tuple[int, ...],
+                         budget_caps: tuple[int, ...] | None = None) -> dict[tuple[int, ...], float]:
+    """``{q: residual}`` of ``connection_identity`` on every grade of the word-model kernel at ``caps``.
+
+    The kernel is built one degree at a time (``_kernel_layers``), and each
+    block is dropped once its residual is taken: the stored grades of one
+    degree and one leaf of the next are alive at a time.  The refusals and
+    the size budget at ``budget_caps`` are those of ``berezin_kernel``, and
+    every residual has its bits.
+    """
+    dd, ft = _kernel_truncation(t, caps, "full", budget_caps)
+    out = {}
+    with _workers() as pool:
+        for stored, leaves in _kernel_layers(t, ft, dd, pool):
+            for q, block in stored.items():
+                out[q] = _connection(t, dd, q, block)[2]
+            for u, plan in leaves.items():
+                out[u] = _connection(t, dd, u, _leaf_blocks(t, ft, {u: plan}, pool)[u])[2]
+    return out
+
+
+def _connection(t: OperatorTuple, dd: DefectData, q: tuple[int, ...], block: np.ndarray):
+    """``(lhs, rhs, residual)`` of the connection identity at grade ``q``, from the kernel block ``K_q``."""
+    lhs = block.conj().T @ block
+    rhs = dd.defect
+    for i in range(t.k):
+        rhs = cp_apply_power(t, i, rhs, q[i])
     residual = float(spectral_norms(lhs - rhs))
     return lhs, rhs, residual
 

@@ -18,11 +18,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import iter_grades
 from .berezin import (
     INTERTWINE_TOL,
     berezin_kernel,
-    connection_identity,
+    connection_residuals,
     curvature_operator_trace,
     index_formula_check,
     kernel_tail_bound,
@@ -318,17 +317,16 @@ def _tuple_and_caps(args):
 
 
 def cmd_check_connection(args) -> int:
-    """Residuals on the grades ``q <= min(qmax, caps)``, from a kernel built on that box only.
+    """Residuals on the grades ``q <= min(qmax, caps)``, from a kernel built on that box only, a degree at a time.
 
     Kernel rows of a grade depend only on lower grades, so the residuals are
     those of the kernel at ``--caps``; the size budget and the tail bound are
     taken at ``--caps``.
     """
     t, caps = _tuple_and_caps(args)
-    box = tuple(min(args.qmax, c) for c in caps)
-    kb = berezin_kernel(t, box, budget_caps=caps)
-    grades = sorted(iter_grades(box))
-    resids = [connection_identity(kb, q)[2] for q in grades]
+    by_grade = connection_residuals(t, tuple(min(args.qmax, c) for c in caps), budget_caps=caps)
+    grades = sorted(by_grade)
+    resids = [by_grade[q] for q in grades]
     rows = [
         {f"q{i + 1}": q[i] for i in range(t.k)} | {"residual": r}
         for q, r in zip(grades, resids)

@@ -503,6 +503,7 @@ _JSON_KINDS = {
     "list": ("a list", lambda v: isinstance(v, list)),
     "number": ("a number", lambda v: isinstance(v, float) or _is_json_int(v)),
     "object": ("an object", lambda v: isinstance(v, dict)),
+    "str": ("a string", lambda v: isinstance(v, str)),
 }
 
 

@@ -682,24 +682,27 @@ def subspace_from_json(text: str) -> GradedSubspace:
     caps = tuple(json_field(data, "caps", "ints"))
     dim_e = json_field(data, "dimE", "int", default=1)
     ft = truncation_for(data.get("model", "full"), Shape(n, caps=caps), dim_e)
-    mode = data["mode"]
+    mode = json_field(data, "mode", "str")
     if mode not in ("structured", "basis", "span"):
         raise ValueError(f"unknown subspace mode {mode!r}; expected structured, basis or span")
     if mode == "structured":
         params = json_field(data, "params", "object", default={})
-        sub = _structured_from_params(data["kind"], params, n, caps, dim_e, ft)
+        kind = json_field(data, "kind", "str")
+        sub = _structured_from_params(kind, params, n, caps, dim_e, ft)
         if sub.truncation != ft:  # the class too: a model is a truncation class
-            raise ValueError(f"structured {data['kind']!r} subspace lives on {_describe(sub.truncation)}, "
+            raise ValueError(f"structured {kind!r} subspace lives on {_describe(sub.truncation)}, "
                              f"but the head says {_describe(ft)}")
         return sub
     if mode == "basis":
         bases = {}
-        for entry in data["grades"]:
-            q = tuple(int(v) for v in entry["q"])
-            bases[q] = matrix_from_pairs(entry["basis"], ft.dim(q), int(entry["cols"]))
+        for entry in json_field(data, "grades", "list"):
+            q = tuple(json_field(entry, "q", "ints"))
+            cols = json_int(entry, "cols", 0)
+            bases[q] = matrix_from_pairs(json_field(entry, "basis", "list"), ft.dim(q), cols)
         sub = GradedSubspace(ft, "basis", grade_bases=bases)
     else:
-        sub = span_subspace(ft, np.hstack([matrix_from_pairs(col, ft.total_dim, 1) for col in data["vectors"]]))
+        vectors = json_field(data, "vectors", "list")
+        sub = span_subspace(ft, np.hstack([matrix_from_pairs(col, ft.total_dim, 1) for col in vectors]))
     if sub.gram_residual() > GRAM_TOL:
         raise ValueError("loaded basis is not orthonormal")
     resid = sub.certify_invariance()
@@ -746,7 +749,7 @@ def _structured_from_params(kind: str, params: dict, n, caps, dim_e, ft=None) ->
             if not isinstance(part, dict):
                 raise ValueError("field 'parts' must be a list of objects")
             arity = len(part["n"]) if isinstance(part.get("n"), list) else 1
-            parts.append(_structured_from_params(part["kind"], part, n[pos : pos + arity],
+            parts.append(_structured_from_params(json_field(part, "kind", "str"), part, n[pos : pos + arity],
                                                  caps[pos : pos + arity], json_field(part, "dimE", "int", default=1)))
             pos += arity
         sub = tensor_subspace(parts)

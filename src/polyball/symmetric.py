@@ -138,6 +138,8 @@ def coordinate_multiple_subspace(sf: SymFockTruncation, factor: int, var: int) -
     """Monomials divisible by one coordinate of one factor; graded and shift invariant."""
     if sf.model != "symmetric":
         raise ValueError(f"coordinate_multiple is symmetric-model only, got model {sf.model!r}")
+    if not 0 <= factor < sf.shape.k:
+        raise ValueError(f"factor {factor} out of range for {sf.shape.k} factors")
     if not 1 <= var <= sf.shape.n[factor]:
         raise ValueError(f"variable {var} out of range for factor {factor}")
 

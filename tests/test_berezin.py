@@ -29,6 +29,7 @@ from polyball.berezin import (
     InnerMultiplier,
     berezin_kernel,
     connection_identity,
+    connection_residuals,
     curvature_operator_trace,
     has_characteristic_function,
     index_formula_check,
@@ -48,7 +49,7 @@ from polyball.cp import (
     stacked_norm,
     tuple_to_json,
 )
-from polyball.fock import FockTruncation, defect_shift
+from polyball.fock import FockTruncation, bump, defect_shift
 from polyball.subspaces import (
     GradedSubspace,
     bidisc_difference_subspace,
@@ -161,7 +162,7 @@ def test_intertwining_skips_only_pairs_the_recursion_wrote(seed, case, norm, dat
         t = parts[0] if len(parts) == 1 else ampliation(parts)
         kb = berezin_kernel(t, caps, "symmetric")
     full = intertwining_residuals(kb)
-    tested = berezin._tested_pairs(kb.truncation, kb.truncation.grades)
+    tested = berezin._tested_pairs(kb.truncation, kb.truncation.grades, kb.truncation.grades)
     skipped = set(full) - {(i, j, q) for i, j, q, _, _ in tested}
     assert verify_intertwining(t, caps, model) == max(full.values())
     assert all(full[p] == 0.0 for p in skipped)
@@ -189,17 +190,19 @@ def test_intertwining_peaks_below_the_whole_kernel():
 
 
 def test_intertwining_peaks_at_two_layers_and_a_few_slabs_per_thread(monkeypatch):
-    # residuals and new rows are formed one row slab per job: beyond the two top layers and
-    # the index arrays of the top pairs, each of the 4 threads (3 workers and the caller)
-    # holds a few slabs
+    # the leaves, the grades with the last factor at its cap, are formed a slab at a time: beyond the stored
+    # grades of two adjacent degrees, the row plans of the top leaves and the index arrays of the top pairs,
+    # each of the 4 threads (3 workers and the caller) holds a few slabs
     monkeypatch.setattr(berezin, "SLAB_BYTES", 2**16)
     monkeypatch.setattr(berezin, "_workers", lambda: ThreadPoolExecutor(3))
     t = random_polyball_tuple(np.random.default_rng(7), (2, 2), (4, 4), 0.7)
     kb = berezin_kernel(t, (5, 5))
     ft = kb.truncation
-    top_two = sum(b.nbytes for q, b in kb.blocks.items() if sum(q) >= 9)
-    pairs = berezin._tested_pairs(ft, [q for q in ft.grades if sum(q) == 9])
-    index = sum(targets.nbytes + w.nbytes for *_, targets, w in pairs)
+    stored = [sum(b.nbytes for q, b in kb.blocks.items() if sum(q) == d and q[-1] < 5) for d in range(11)]
+    assert stored[-1] == 0 and stored[-3] + stored[-2] == max(map(sum, zip(stored, stored[1:])))
+    plans = 24 * sum(ft.dim(q) for q in ft.grades if sum(q) >= 9 and q[-1] == 5)
+    pairs = berezin._tested_pairs(ft, [q for q in ft.grades if sum(q) in (8, 9)], ft.grades)
+    index = sum(targets.nbytes + (0 if w is None else w.nbytes) for *_, targets, w in pairs)
     del kb
     tracemalloc.start()
     try:
@@ -207,7 +210,7 @@ def test_intertwining_peaks_at_two_layers_and_a_few_slabs_per_thread(monkeypatch
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < top_two + index + 4 * 6 * berezin.SLAB_BYTES
+    assert peak < stored[-3] + stored[-2] + plans + index + 4 * 6 * berezin.SLAB_BYTES
 
 
 def _slab_cases():
@@ -263,6 +266,81 @@ def test_norm_from_many_slabs_matches_the_whole(monkeypatch, scale):
     x[20, 1] = np.nan
     assert math.isnan(norm(x)[1])
     assert norm(np.zeros((50, 3), dtype=complex))[1] == 0.0
+
+
+@pytest.mark.parametrize("n, caps", [((2,), (4,)), ((1, 2), (2, 3)), ((2, 2), (3, 3))])
+def test_symmetric_pairs_into_leaves_keep_the_kernel_bits(n, caps):
+    # n_last = 2: the pairs of the last factor into a leaf have weights other than 1, so they are tested,
+    # and their target rows are formed from the leaf's plan
+    rng = np.random.default_rng(13)
+    parts = [commuting_tuple(rng, ni, 2, 0.8) for ni in n]
+    t = parts[0] if len(parts) == 1 else ampliation(parts)
+    kb = berezin_kernel(t, caps, "symmetric")
+    ft = kb.truncation
+    tested = [(i, q) for i, _, q, _, _ in berezin._tested_pairs(ft, ft.grades, ft.grades)]
+    into_leaves = [(i, q) for i, q in tested if bump(q, i)[-1] == caps[-1]]
+    assert any(i == len(n) - 1 for i, _ in into_leaves)
+    assert any(q[-1] == caps[-1] for _, q in into_leaves) == (len(n) > 1)  # a leaf as the lower grade too
+    assert verify_intertwining(t, caps, "symmetric") == max(intertwining_residuals(kb).values())
+
+
+@pytest.mark.parametrize("model, n, dims, caps, slab", [
+    ("full", (2,), (2,), (3,), 240),  # slabs of 7 rows: each letter's last slab is one row
+    ("full", (2, 2), (1, 2), (2, 3), 0),
+    ("full", (1, 1), (1, 1), (3, 2), 2**20),  # one row per grade
+    ("symmetric", (3,), (2,), (4,), 2**20),
+    ("symmetric", (2, 2), (1, 2), (3, 3), 0),
+])
+def test_leaf_rows_have_the_bits_of_the_kernel_blocks(monkeypatch, model, n, dims, caps, slab):
+    # any rows of a leaf, formed from its plan: single rows, slices and scattered subsets
+    monkeypatch.setattr(berezin, "SLAB_BYTES", slab)
+    rng = np.random.default_rng(1)
+    if model == "full":
+        t = random_polyball_tuple(rng, n, dims, 0.7)
+    else:
+        parts = [commuting_tuple(rng, ni, d, 0.8) for ni, d in zip(n, dims)]
+        t = parts[0] if len(parts) == 1 else ampliation(parts)
+    kb = berezin_kernel(t, caps, model)
+    dd, ft = berezin._kernel_truncation(t, caps, model)
+    leaves = []
+    with berezin._workers() as pool:
+        for _, plans in berezin._kernel_layers(t, ft, dd, pool):
+            for u, plan in plans.items():
+                rows, block = berezin._LeafRows(plan, ft.dim(u)), kb.blocks[u]
+                d = len(block)
+                for idx in [slice(0, d), slice(d // 3, d), *np.arange(d)[:, None], rng.permutation(d)[: d // 2 + 1]]:
+                    assert np.array_equal(rows[idx].view(np.uint64), block[idx].view(np.uint64))
+                leaves.append(u)
+    assert leaves == [q for q in ft.grades if berezin._is_leaf(ft, q)]
+    assert leaves == [q for q in ft.grades if q[-1] == caps[-1]]
+
+
+def test_layered_connection_residuals_keep_the_kernel_bits():
+    t = random_polyball_tuple(np.random.default_rng(19), (2, 2), (2, 3), 0.7)
+    kb = berezin_kernel(t, (4, 3))
+    got = connection_residuals(t, (4, 3))
+    assert got == {q: connection_identity(kb, q)[2] for q in kb.truncation.grades}
+    # a zero cap: the grades of the other factor, the last one a leaf
+    assert connection_residuals(t, (3, 0)) == {q: connection_identity(kb, q)[2] for q in iter_grades((3, 0))}
+
+
+def test_layered_connection_holds_one_degree_and_one_leaf():
+    # each block is dropped once its residual is taken: the stored grades of one degree, and one leaf of the
+    # next with the conjugate its Gram matrix is formed from
+    t = random_polyball_tuple(np.random.default_rng(7), (2, 2), (4, 4), 0.7)
+    kb = berezin_kernel(t, (5, 5))
+    stored = [sum(b.nbytes for q, b in kb.blocks.items() if sum(q) == d and q[-1] < 5) for d in range(11)]
+    leaf = [max([b.nbytes for q, b in kb.blocks.items() if sum(q) == d and q[-1] == 5], default=0) for d in range(11)]
+    whole = sum(b.nbytes for b in kb.blocks.values())
+    del kb
+    tracemalloc.start()
+    try:
+        connection_residuals(t, (5, 5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    window = max(a + 2 * b for a, b in zip(stored, leaf[1:]))
+    assert peak < window + 2 * berezin.SLAB_BYTES < whole
 
 
 def test_connection_identity_grade_zero():

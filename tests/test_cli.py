@@ -743,3 +743,48 @@ def test_check_index_refuses_a_non_commuting_row_on_the_symmetric_model(tmp_path
     code, out, err = run(["check", "index", "--input", str(tup), "--theta", str(theta), "--caps", "3"], capsys)
     assert_invalid_input(code, out, err)
     assert "entries within a factor do not commute" in json.loads(err)["reason"]
+
+
+def basis_payload(**fields):
+    """The whole n (1,), caps (2,) space as a basis-mode subspace JSON, with some fields replaced."""
+    grades = [{"q": [c], "basis": [[1.0, 0.0]], "cols": 1} for c in range(3)]
+    return {"model": "full", "n": [1], "caps": [2], "dimE": 1, "mode": "basis", "grades": grades} | fields
+
+
+def one_grade(**entry):
+    return [{"q": [0], "basis": [[1.0, 0.0]], "cols": 1} | entry]
+
+
+MALFORMED_FIELDS = {
+    "mode-null": (basis_payload(mode=None), "'mode'"),
+    "mode-not-a-string": (basis_payload(mode=3), "'mode'"),
+    "kind-null": (structured_head(None, {}), "'kind'"),
+    "part-kind-null": (structured_head("tensor", {"parts": [MT_PARAMS | {"kind": None}]}), "'kind'"),
+    "grades-null": (basis_payload(grades=None), "'grades'"),
+    "grade-not-an-object": (basis_payload(grades=[1]), "'q'"),
+    "q-null": (basis_payload(grades=one_grade(q=None)), "'q'"),
+    "q-not-integers": (basis_payload(grades=one_grade(q=["0"])), "'q'"),
+    "cols-null": (basis_payload(grades=one_grade(cols=None)), "'cols'"),
+    "cols-not-an-integer": (basis_payload(grades=one_grade(cols=1.0)), "'cols'"),
+    "cols-negative": (basis_payload(grades=one_grade(cols=-1)), "'cols'"),
+    "basis-null": (basis_payload(grades=one_grade(basis=None)), "'basis'"),
+    "vectors-null": (basis_payload(mode="span", vectors=None), "'vectors'"),
+}
+
+
+def test_the_basis_payload_is_valid(tmp_path, capsys):
+    path = tmp_path / "sub.json"
+    path.write_text(json.dumps(basis_payload()))
+    code, out, err = run(["mult", "--input", str(path), "--qmax", "1"], capsys)
+    assert code == 0, err
+    assert json.loads(out)["estimate"] == 1
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_FIELDS))
+def test_malformed_subspace_fields_are_refused_by_name(name, tmp_path, capsys):
+    data, named = MALFORMED_FIELDS[name]
+    path = tmp_path / "sub.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(["mult", "--input", str(path), "--qmax", "1"], capsys)
+    assert_invalid_input(code, out, err)
+    assert named in json.loads(err)["reason"]

@@ -333,6 +333,12 @@ def test_coordinate_multiple_counts():
     assert sub.certify_invariance() < 1e-12
 
 
+@pytest.mark.parametrize("factor", [1, 5, -1])
+def test_coordinate_multiple_refuses_a_factor_out_of_range_by_name(factor):
+    with pytest.raises(ValueError, match=rf"^factor {factor} out of range for 1 factors$"):
+        coordinate_multiple_subspace(sf_single(2, 2), factor, 1)
+
+
 def test_m_c_full_space():
     sf = SymFockTruncation(Shape((2, 2), caps=(3, 3)), coeff_dim=2)
     rep = m_c_estimate(full_subspace(sf), 3)

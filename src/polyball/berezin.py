@@ -31,6 +31,7 @@ from .cp import (
     DefectData,
     OperatorTuple,
     PsdVerdict,
+    cp_apply,
     cp_apply_power,
     defect_data,
     divide_real,
@@ -210,10 +211,12 @@ def _is_leaf(ft: FockTruncation, q: tuple[int, ...]) -> bool:
 
 
 class _Plan(NamedTuple):
-    """How the rows of a grade are written (``_plan``): the block of its source grade, and one entry per letter."""
+    """How a grade's rows are written (``_plan``): from ``grade`` (block ``src``) by factor ``i``, ``{j: T_{i,j}}``."""
 
+    i: int
+    grade: tuple[int, ...]
     src: np.ndarray
-    letters: list
+    entries: dict
 
 
 def _kernel_layers(t: OperatorTuple, ft: FockTruncation, dd: DefectData, pool: ThreadPoolExecutor):
@@ -223,14 +226,14 @@ def _kernel_layers(t: OperatorTuple, ft: FockTruncation, dd: DefectData, pool: T
     are built from, and the vacuum; ``leaves`` is ``{u: _Plan}`` for the
     grades of the next degree that no grade is built from (``_is_leaf``),
     whose source blocks are in ``stored``.  A leaf block is never formed here:
-    ``berezin_kernel`` forms it with ``_leaf_blocks``, and
+    ``berezin_kernel`` forms it with ``_leaf_blocks``, and in the word model
     ``verify_intertwining`` forms only the rows each residual slab reads.
 
     The vacuum block is ``D^{1/2}`` on the defect range.  Grade ``q`` follows
     from grade ``q - e_i`` (``i`` the last factor with ``q_i > 0``), one degree
     down, by ``K T_{i,j}^* = (S_{i,j}^* (x) I) K``: the ``S_{i,j}`` target rows
     of grade ``q`` are ``(K_{q - e_i} T_{i,j}^*) / w`` with the shift weights
-    ``w`` (``_plan``).  Each degree is planned first, then its stored
+    ``w`` (``_letter_pieces``).  Each degree is planned first, then its stored
     grades are formed by ``pool`` in row slabs (``_by_slabs``).  The slabs
     write disjoint rows, so every block has the same bits for any number of
     workers.  Only the stored grades of the last degree are held here, so a
@@ -248,45 +251,49 @@ def _kernel_layers(t: OperatorTuple, ft: FockTruncation, dd: DefectData, pool: T
                 layer[q] = dd.range_basis.conj().T @ dd.sqrt  # rank x dimH
             elif not _is_leaf(ft, q):
                 layer[q] = np.zeros((ft.dim(q), t.dimH), dtype=complex)
-                pieces += _letter_pieces(layer[q], _plan(t, ft, q, stored))
+                pieces += _letter_pieces(ft, layer[q], _plan(t, ft, q, stored))
         _by_slabs(pool, _write_rows, pieces, t.dimH)
-        del pieces  # their index arrays are not held while the caller reads the degree
+        del pieces  # their targets are not held while the caller reads the degree
         stored = layer
         yield stored, {u: _plan(t, ft, u, stored) for u in ahead if _is_leaf(ft, u)}
 
 
 def _plan(t: OperatorTuple, ft: FockTruncation, q: tuple[int, ...], below: dict) -> _Plan:
-    """How the rows of grade ``q != 0`` are written from its source block ``below[q - e_i]``.
-
-    ``i`` is the last factor with ``q_i > 0``.  Each letter ``j`` has an entry
-    ``(T_{i,j}, targets, kept, w)``: it sends the source rows ``kept`` (all when
-    None) to its ``targets`` of ``q`` with the shift weights ``w`` (None when
-    all are 1, as for every word-model letter).  The
-    same recursion serves both models on the truncation of ``ft.model``; in the
-    symmetric model (a commutative tuple, see ``_kernel_truncation``) a
-    monomial reached by several letters takes the rows of the last one, so the
-    letters run last to first and each writes only the targets not yet
-    written.  Every row of ``q`` is written by exactly one letter.
-    """
+    """How the rows of grade ``q != 0`` are written: from ``below[q - e_i]`` by the letters of factor ``i``, the
+    last factor with ``q_i > 0``, last to first (``_letter_pieces``)."""
     i, src = last_step(q)
-    written = np.zeros(ft.dim(q), dtype=bool)
-    letters = []
-    for j in range(t.shape.n[i], 0, -1):
-        targets, w, _ = ft.shift(i, j, src)
+    return _Plan(i, src, below[src], {j: t.entry(i, j) for j in range(t.shape.n[i], 0, -1)})
+
+
+def _letter_pieces(ft: FockTruncation, block: np.ndarray, plan: _Plan) -> list:
+    """The ``_by_slabs`` pieces of ``_write_rows`` that fill ``block`` by ``plan``, one per letter.
+
+    Letter ``j`` sends the source rows ``kept`` (all when None) to its targets
+    (``ft.letter_rows``) with the shift weights ``w`` (None when all are 1, as
+    for every word-model letter).  The same recursion serves both models on
+    the truncation of ``ft.model``; in the symmetric model (a commutative
+    tuple, see ``_kernel_truncation``) a monomial reached by several letters
+    takes the rows of the last one, so the letters run last to first and each
+    writes only the targets not yet written.  A target of weight 1 is reached
+    by no other letter (the squared weights into a target sum to 1), so only
+    letters with other weights are checked.  Every row is written by exactly
+    one letter.
+    """
+    pieces, written = [], None
+    for j, entry in plan.entries.items():
+        targets, w, _ = ft.letter_rows(block, plan.i, j, plan.grade)
         kept = None
-        fresh = ~written[targets]
-        if not fresh.all():  # monomials a later letter reached keep its rows
-            kept, targets, w = np.flatnonzero(fresh), targets[fresh], w[fresh]
-        if (w == 1.0).all():
-            w = None
-        written[targets] = True
-        letters.append((t.entry(i, j), targets, kept, w))
-    return _Plan(below[src], letters)
-
-
-def _letter_pieces(block: np.ndarray, plan: _Plan) -> list:
-    """The ``_by_slabs`` pieces of ``_write_rows`` that fill ``block`` by ``plan``, one per letter."""
-    return [(len(targets), (block, targets, plan.src, kept, entry, w)) for entry, targets, kept, w in plan.letters]
+        if w is not None:
+            written = np.zeros(len(block), dtype=bool) if written is None else written
+            seen = ft.letter_rows(written, plan.i, j, plan.grade)[0]
+            fresh = ~seen[...]
+            if not fresh.all():  # monomials a later letter reached keep its rows
+                kept, w = np.flatnonzero(fresh), w[fresh]
+            seen[...] = True
+            if (w == 1.0).all():
+                w = None
+        pieces.append((len(plan.src) if kept is None else len(kept), (targets, plan.src, kept, entry, w)))
+    return pieces
 
 
 def _leaf_blocks(t: OperatorTuple, ft: FockTruncation, leaves: dict, pool: ThreadPoolExecutor) -> dict:
@@ -294,16 +301,39 @@ def _leaf_blocks(t: OperatorTuple, ft: FockTruncation, leaves: dict, pool: Threa
     blocks, pieces = {}, []
     for u, plan in leaves.items():
         blocks[u] = np.zeros((ft.dim(u), t.dimH), dtype=complex)
-        pieces += _letter_pieces(blocks[u], plan)
+        pieces += _letter_pieces(ft, blocks[u], plan)
     _by_slabs(pool, _write_rows, pieces, t.dimH)
     return blocks
 
 
-def _write_rows(block: np.ndarray, targets: np.ndarray, src: np.ndarray, kept: np.ndarray | None,
-                entry: np.ndarray, w: np.ndarray | None, rows: slice) -> None:
-    """Slab ``rows`` of one letter: its rows of ``block`` at ``targets``, from ``src`` (its rows ``kept``, or all)."""
-    src_rows = src[rows if kept is None else kept[rows]]
-    block[targets[rows]] = _letter_rows(src_rows, entry, None if w is None else w[rows])
+def _write_rows(targets, src: np.ndarray, kept: np.ndarray | None, entry: np.ndarray, w: np.ndarray | None,
+                rows: slice) -> None:
+    """Slab ``rows`` of one letter, one product: the ``targets`` (``ft.letter_rows``, by ``_boxes``) of the rows
+    ``kept`` (or all) of ``src``."""
+    sel = rows if kept is None else kept[rows]
+    out = _letter_rows(src[sel], entry, None if w is None else w[rows])
+    if kept is not None:
+        targets[sel] = out
+        return
+    for lo, hi, box in _boxes(targets.shape[:-1], rows.start, rows.stop):
+        targets[box] = out[lo - rows.start : hi - rows.start].reshape(*(s.stop - s.start for s in box), -1)
+
+
+def _boxes(shape: tuple[int, ...], a: int, b: int) -> list:
+    """``(lo, hi, box)``: the positions ``a:b`` of a C-ordered grid of ``shape`` as at most ``2 len(shape) - 1`` boxes,
+    in order; ``box`` holds a slice per axis, and ``grid[box]`` holds the positions ``lo:hi``."""
+    if a >= b:
+        return []
+    if len(shape) == 1:
+        return [(a, b, (slice(a, b),))]
+    inner = math.prod(shape[1:])
+    o = a // inner
+    if o == (b - 1) // inner:  # inside one row
+        return [(lo + o * inner, hi + o * inner, (slice(o, o + 1), *box))
+                for lo, hi, box in _boxes(shape[1:], a - o * inner, b - o * inner)]
+    first, last = -(-a // inner), b // inner  # the whole rows
+    whole = [(first * inner, last * inner, (slice(first, last), *(slice(0, d) for d in shape[1:])))]
+    return _boxes(shape, a, first * inner) + whole[: last > first] + _boxes(shape, last * inner, b)
 
 
 def _letter_rows(src_rows: np.ndarray, entry: np.ndarray, w: np.ndarray | None) -> np.ndarray:
@@ -319,76 +349,89 @@ def _letter_rows(src_rows: np.ndarray, entry: np.ndarray, w: np.ndarray | None) 
 
 
 class _LeafRows:
-    """Rows ``leaf_rows[idx]`` of a leaf grade (``idx`` a slice or an index array), with ``_leaf_blocks``'s bits.
+    """The rows of a word-model leaf grade, formed on demand through views of its source block (``_LeafView``).
 
-    Every row is written by one letter from one source row (``_plan``).
-    It is formed as in its ``_write_rows`` slab: in one product of two rows or
-    more of that letter, or alone if it is alone in its slab, since numpy takes
-    a one-row product as a matrix-vector product, whose bits differ from those
-    of a matrix product.
+    Each row is formed as in its ``_write_rows`` slab: in one product of two
+    rows or more of its letter, or alone if it is alone in its slab, since
+    numpy takes a one-row product as a matrix-vector product, whose bits differ.
     """
 
-    def __init__(self, plan: _Plan, rows: int):
-        self.src, self.entries = plan.src, [entry for entry, *_ in plan.letters]
-        self.letter = np.empty(rows, dtype=np.min_scalar_type(len(plan.letters)))
-        self.source = np.empty(rows, dtype=np.min_scalar_type(len(plan.src)))
-        self.weight = None if all(w is None for *_, w in plan.letters) else np.ones(rows)
-        self.alone = np.zeros(rows, dtype=bool)
-        step = _slab_rows(plan.src.shape[1])
-        for m, (_, targets, kept, w) in enumerate(plan.letters):
-            self.letter[targets] = m
-            self.source[targets] = np.arange(len(targets)) if kept is None else kept
-            if w is not None:
-                self.weight[targets] = w
-            if step == 1:
-                self.alone[targets] = True
-            elif len(targets) % step == 1:  # the letter's last slab is one row
-                self.alone[targets[-1]] = True
+    def __init__(self, ft: FockTruncation, plan: _Plan, rows: int):
+        self.ft, self.plan, self.step = ft, plan, _slab_rows(plan.src.shape[1])
+        self.shape = (rows, plan.src.shape[1])
+        self.grid = ft.letter_rows(np.empty((rows, 0)), plan.i, 1, plan.grade)[0].shape[:2]  # a letter's (A, L) rows
 
-    def __len__(self) -> int:
-        return len(self.letter)
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        view = _LeafView(self, self.plan.src.reshape(1, *self.grid, self.shape[1]), True)
+        return _read_rows(view, *rows.indices(self.shape[0])[:2])
 
-    def __getitem__(self, idx) -> np.ndarray:
-        if isinstance(idx, slice):
-            idx = np.arange(*idx.indices(len(self)))
-        out = np.empty((len(idx), self.src.shape[1]), dtype=complex)
-        for sel, rows in self.parts(idx):
-            out[sel] = rows
-        return out
+    def letter_rows(self, i: int, j: int, q: tuple[int, ...]) -> _LeafView:
+        """``ft.letter_rows`` of the leaf's rows for a factor ``i`` before its own: the rows its letters write
+        from the targets of letter ``(i, j)`` in the source block."""
+        src = self.ft.letter_rows(self.plan.src, i, j, bump(q, self.plan.i, -1))[0]
+        d = self.grid[0] // (len(src) * self.ft.shape.n[i])
+        return _LeafView(self, src.reshape(len(src), d, self.grid[1], self.shape[1]), j == self.ft.shape.n[i])
 
-    def parts(self, idx: np.ndarray):
-        """``(sel, rows)`` per batch: ``rows`` are the leaf's rows ``idx[sel]``, of one letter."""
-        letter, alone = self.letter[idx], self.alone[idx]
-        for m, entry in enumerate(self.entries):
-            together = np.flatnonzero((letter == m) & ~alone)
-            if len(together) == 1:
-                together = np.repeat(together, 2)  # a row twice: a matrix product, as in its slab
-            for sel in [together, *np.flatnonzero((letter == m) & alone)[:, None]]:
-                if len(sel):
-                    r = idx[sel]
-                    w = None if self.weight is None else self.weight[r]
-                    yield sel, _letter_rows(self.src[self.source[r]], entry, w)
+    def product(self, j: int, src_rows: np.ndarray, last: bool) -> np.ndarray:
+        """``src_rows T_j^*`` with the bits of the slabs: each row alone when slabs are one row, and the source
+        block's last row alone when ``last`` and the slabs leave it alone."""
+        alone = len(src_rows) if self.step == 1 else int(last and len(self.plan.src) % self.step == 1)
+        m = len(src_rows) - alone
+        entry = self.plan.entries[j]
+        parts = [_letter_rows(src_rows[:m] if m > 1 else src_rows[[0, 0]], entry, None)[:m]] if m else []
+        parts += [_letter_rows(src_rows[r : r + 1], entry, None) for r in range(m, len(src_rows))]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _row_parts(grade, idx: np.ndarray):
-    """``(sel, rows)``: the rows ``idx[sel]`` of a grade, gathered from its block, or by batches from ``_LeafRows``."""
-    if isinstance(grade, np.ndarray):
-        yield slice(None), np.take(grade, idx, axis=0)
-    else:
-        yield from grade.parts(idx)
+@dataclass(frozen=True)
+class _LeafView:
+    """Rows of a word-model leaf split to ``(A, d, n, L)``: letter ``m + 1`` of its ``n`` writes ``[:, :, m]`` from
+    the source rows ``src[:, :, :]`` of ``(A, d, L)``, whose last row is the source block's when ``last``."""
+
+    leaf: _LeafRows
+    src: np.ndarray
+    last: bool
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        a, d, run, width = self.src.shape
+        return a, d, len(self.leaf.plan.entries), run, width
+
+    def parts(self, box):
+        """``(sel, rows)`` per letter of the leaf: its rows ``[box][sel]``."""
+        sa, sd, sj, sr = box
+        rows = np.ascontiguousarray(self.src[sa, sd, sr]).reshape(-1, self.src.shape[-1])
+        last = self.last and (sa.stop, sd.stop, sr.stop) == self.src.shape[:3]
+        shape = (sa.stop - sa.start, sd.stop - sd.start, -1, self.src.shape[-1])
+        for m in range(sj.start, sj.stop):
+            yield (slice(None), slice(None), m - sj.start), self.leaf.product(m + 1, rows, last).reshape(shape)
+
+
+def _row_parts(targets, box):
+    """``(sel, rows)``: the target rows ``[box][sel]``, a view or a gather whole, or by letters from ``_LeafView``."""
+    return targets.parts(box) if isinstance(targets, _LeafView) else [(..., targets[box])]
+
+
+def _read_rows(targets, a: int, b: int) -> np.ndarray:
+    """The target rows ``a:b``, in source order, box by box (``_boxes``) and batch by batch (``_row_parts``)."""
+    out = np.empty((b - a, targets.shape[-1]), dtype=complex)
+    for lo, hi, box in _boxes(targets.shape[:-1], a, b):
+        for sel, rows in _row_parts(targets, box):
+            out[lo - a : hi - a].reshape(*(s.stop - s.start for s in box), -1)[sel] = rows
+    return out
 
 
 def verify_intertwining(t: OperatorTuple, caps: tuple[int, ...], model: str = "full") -> float:
     """Max residual of ``K T_{i,j}^* = (S_{i,j}^* (x) I) K`` over grades ``q`` with ``q + e_i`` inside the caps.
 
     The kernel of ``t`` at ``caps`` on the truncation of ``model`` is built
-    one degree at a time (``_kernel_layers``), and its leaf grades are never
-    formed whole: each residual slab forms the leaf rows it reads from the
-    stored rows of their source grade (``_LeafRows``).  When the stored grades
-    of degree ``L`` arrive, with the leaf plans of degree ``L + 1``, the pairs
-    from stored grades of degree ``L - 1`` into them run, and so do the pairs
-    from degree ``L`` into leaves; the stored grades of degree ``L - 1`` are
-    then dropped.  So the stored grades of two degrees are alive at a time,
+    one degree at a time (``_kernel_layers``).  Its word-model leaf grades are
+    never formed whole: each residual slab forms the leaf rows it reads from
+    the stored rows of their source grade (``_leaf_rows``).  When the stored
+    grades of degree ``L`` arrive, with the leaf plans of degree ``L + 1``, the
+    pairs from stored grades of degree ``L - 1`` into them run, and so do the
+    pairs from degree ``L`` into leaves; the stored grades of degree ``L - 1``
+    are then dropped.  So the stored grades of two degrees are alive at a time,
     and the residuals are formed a row slab at a time (``_layer_residual``).
     The refusals come in the order of ``berezin_kernel``
     (``_kernel_truncation``, with the size budget of the whole kernel at
@@ -405,13 +448,20 @@ def verify_intertwining(t: OperatorTuple, caps: tuple[int, ...], model: str = "f
     here: dict = {}  # the leaves of this degree
     with _workers() as pool:
         for stored, leaves in _kernel_layers(t, ft, dd, pool):
-            ahead = {u: _LeafRows(plan, ft.dim(u)) for u, plan in leaves.items()}
-            del leaves  # the plans' index arrays, now held by ``ahead`` in one row order
+            ahead = _leaf_rows(t, ft, leaves, pool)
             # a pair's grades are one degree apart: from the degree below into the stored grades of this
             # degree, and from this degree into the leaves of the next
             worst = max(worst, _layer_residual(t, ft, below | stored | here, stored | ahead, pool))
             below, here = stored, ahead
     return worst
+
+
+def _leaf_rows(t: OperatorTuple, ft: FockTruncation, leaves: dict, pool: ThreadPoolExecutor) -> dict:
+    """``{u: rows}`` of the ``leaves`` of ``_kernel_layers``: ``_LeafRows`` where ``ft.letter_rows`` are views, the
+    blocks (``_leaf_blocks``) where they are gathers."""
+    if isinstance(ft.letter_rows(np.empty((0, 0)), 0, 1, (0,) * ft.shape.k)[0], np.ndarray):
+        return {u: _LeafRows(ft, plan, ft.dim(u)) for u, plan in leaves.items()}
+    return _leaf_blocks(t, ft, leaves, pool)
 
 
 def _layer_residual(t: OperatorTuple, ft: FockTruncation, lower: dict, upper: dict,
@@ -425,48 +475,52 @@ def _layer_residual(t: OperatorTuple, ft: FockTruncation, lower: dict, upper: di
     matrices in row order.
     """
     letters: dict = {}
-    for i, j, q, targets, w in _tested_pairs(ft, lower, upper):
+    for i, j, q in _tested_pairs(ft, lower, upper):
+        up = upper[bump(q, i)]
+        targets, w = (up.letter_rows(i, j, q), None) if isinstance(up, _LeafRows) else ft.letter_rows(up, i, j, q)[:2]
         letters.setdefault((i, q), []).append((t.entry(i, j), targets, w))
-    pieces = [(ft.dim(q), (lower[q], upper[bump(q, i)], these)) for (i, q), these in letters.items()]
+    pieces = [(ft.dim(q), (lower[q], these)) for (i, q), these in letters.items()]
     slabs = _by_slabs(pool, _residual_slabs, pieces, t.dimH)
     return max([0.0] + [stacked_norm(parts) for piece in slabs for parts in zip(*piece)])
 
 
-def _residual_slabs(lower, upper, letters, rows: slice) -> list[tuple[float, np.ndarray | None]]:
+def _residual_slabs(lower, letters, rows: slice) -> list[tuple[float, np.ndarray | None]]:
     """``cp.slab_gram`` of slab ``rows`` of each letter's residual ``K_q T^* - (S^* (x) I) K_{q + e_i}``.
 
-    ``lower`` is ``K_q`` and ``upper`` is ``K_{q + e_i}``; ``letters`` holds
-    ``(T, targets, w)`` per letter (``w`` None: all 1, a scaling that would
-    keep every bit).  Beside the slab of ``K_q``, one residual and one batch of
-    target rows are alive at a time.
+    ``lower`` is ``K_q``; ``letters`` holds ``(T, targets, w)`` per letter:
+    its target rows of ``K_{q + e_i}`` (``ft.letter_rows``, or
+    ``_LeafRows.letter_rows``), read box by box (``_boxes``), and its weights
+    (None: all 1, a scaling that would keep every bit).  Beside the slab of
+    ``K_q``, one residual and one batch of target rows are alive at a time.
     """
     src = lower[rows]
     grams = []
     for entry, targets, w in letters:
         resid = src @ entry.conj().T
-        for sel, rhs in _row_parts(upper, targets[rows]):
-            if w is not None:
-                rhs *= w[rows][sel, None]
-            resid[sel] -= rhs
-            del rhs
-        grams.append(slab_gram(resid, len(lower)))
+        for lo, hi, box in _boxes(targets.shape[:-1], rows.start, rows.stop):
+            part = resid[lo - rows.start : hi - rows.start].reshape(*(s.stop - s.start for s in box), -1)
+            for sel, rhs in _row_parts(targets, box):
+                if w is not None:  # a gathered copy
+                    rhs *= w[lo:hi, None]
+                view = part[sel]
+                view -= rhs
+                del rhs
+        grams.append(slab_gram(resid, lower.shape[0]))
         del resid
     return grams
 
 
 def _tested_pairs(ft: FockTruncation, grades, into):
-    """``(i, j, q, targets, weights)`` of each pair, ``q`` in ``grades``, whose intertwining residual can be nonzero.
+    """``(i, j, q)`` of each pair, ``q`` in ``grades``, whose intertwining residual can be nonzero.
 
-    ``weights`` is None when all are 1.  Only pairs with ``q + e_i`` in
-    ``into`` are yielded (beyond the caps there is no identity).  A pair is
-    also left out when ``last_step(q + e_i) == (i, q)`` and every word-level weight
-    of ``ft.shift_data(i, j, q)`` is exactly 1.0: ``_kernel_layers`` built grade
-    ``q + e_i`` from ``q`` through factor ``i``, and a target of weight 1 is
-    reached by no other letter (the squared weights into a target sum to 1),
-    so it wrote those rows as ``K_q T_{i,j}^*`` itself and the residual is
-    exactly 0.0.  Word-model weights are all 1, so there that is every pair
-    whose ``q`` is 0 past factor ``i``; symmetric weights are all 1 only for
-    ``n_i = 1`` or ``q_i = 0``.
+    Only pairs with ``q + e_i`` in ``into`` are yielded (beyond the caps there
+    is no identity).  A pair is also left out when ``last_step(q + e_i) == (i,
+    q)`` and its ``ft.letter_rows`` weights are all 1 (None): ``_kernel_layers`` built grade ``q + e_i``
+    from ``q`` through factor ``i``, and a target of weight 1 is reached by no
+    other letter, so it wrote those rows as ``K_q T_{i,j}^*`` itself and the
+    residual is exactly 0.0.  Word-model weights are all 1, so there that is
+    every pair whose ``q`` is 0 past factor ``i``; symmetric weights are all 1
+    only for ``n_i = 1`` or ``q_i = 0``.
     """
     for i in range(ft.shape.k):
         for j in range(1, ft.shape.n[i] + 1):
@@ -474,19 +528,18 @@ def _tested_pairs(ft: FockTruncation, grades, into):
                 up = bump(q, i)
                 if up not in into:
                     continue
-                data = ft.shift_data(i, j, q)
-                ones = (data[1] == 1.0).all()
-                if last_step(up) == (i, q) and ones:
-                    continue
-                targets, w, _ = ft.expand(*data)
-                yield i, j, q, targets, None if ones else w
+                if last_step(up) != (i, q) or ft.letter_rows(np.empty((0, 0)), i, j, q)[1] is not None:
+                    yield i, j, q
 
 
 def connection_identity(kb: BerezinKernel, q: tuple[int, ...]):
     """Both sides of ``K^*(P_q (x) I)K = Phi^q(defect)`` plus the residual."""
     if not kb.truncation.has_grade(q):
         raise ValueError(f"grade {q} beyond caps")
-    return _connection(kb.op, kb.defect, q, kb.blocks[q])
+    rhs = kb.defect.defect
+    for i in range(kb.op.k):
+        rhs = cp_apply_power(kb.op, i, rhs, q[i])
+    return _connection(kb.blocks[q], rhs)
 
 
 def connection_residuals(t: OperatorTuple, caps: tuple[int, ...],
@@ -495,29 +548,33 @@ def connection_residuals(t: OperatorTuple, caps: tuple[int, ...],
 
     The kernel is built one degree at a time (``_kernel_layers``), and each
     block is dropped once its residual is taken: the stored grades of one
-    degree and one leaf of the next are alive at a time.  The refusals and
-    the size budget at ``budget_caps`` are those of ``berezin_kernel``, and
-    every residual has its bits.
+    degree and one leaf of the next are alive at a time.  ``Phi^q(D)`` is
+    ``Phi_i(Phi^{q - e_i}(D))``, ``i`` the last factor with ``q_i > 0``, from
+    the images of the degree below: one ``cp_apply`` per grade, in the order
+    of ``connection_identity``'s maps.  The refusals and the size budget at
+    ``budget_caps`` are those of ``berezin_kernel``, and every residual has
+    its bits.
     """
     dd, ft = _kernel_truncation(t, caps, "full", budget_caps)
-    out = {}
+    out, images = {}, {}
+
+    def image(q):
+        return dd.defect if not any(q) else cp_apply(t, last_step(q)[0], images[last_step(q)[1]])
+
     with _workers() as pool:
         for stored, leaves in _kernel_layers(t, ft, dd, pool):
+            images = {q: image(q) for q in stored}
             for q, block in stored.items():
-                out[q] = _connection(t, dd, q, block)[2]
+                out[q] = _connection(block, images[q])[2]
             for u, plan in leaves.items():
-                out[u] = _connection(t, dd, u, _leaf_blocks(t, ft, {u: plan}, pool)[u])[2]
+                out[u] = _connection(_leaf_blocks(t, ft, {u: plan}, pool)[u], image(u))[2]
     return out
 
 
-def _connection(t: OperatorTuple, dd: DefectData, q: tuple[int, ...], block: np.ndarray):
-    """``(lhs, rhs, residual)`` of the connection identity at grade ``q``, from the kernel block ``K_q``."""
+def _connection(block: np.ndarray, rhs: np.ndarray):
+    """``(lhs, rhs, residual)`` of the connection identity at a grade, from its kernel block and ``Phi^q(D)``."""
     lhs = block.conj().T @ block
-    rhs = dd.defect
-    for i in range(t.k):
-        rhs = cp_apply_power(t, i, rhs, q[i])
-    residual = float(spectral_norms(lhs - rhs))
-    return lhs, rhs, residual
+    return lhs, rhs, float(spectral_norms(lhs - rhs))
 
 
 def has_characteristic_function(kb: BerezinKernel) -> PsdVerdict:
@@ -576,8 +633,8 @@ def curvature_operator_trace(kb: BerezinKernel, q: tuple[int, ...]) -> TraceChec
             # sum every letter first, subtract once: keeps exact values such as 1.0 exact
             shifted = np.zeros(ft.dim(s))
             for j in range(1, ft.shape.n[i] + 1):
-                targets, _, squares = ft.shift(i, j, src)
-                shifted[targets] += squares * diag[src]
+                targets, _, squares = ft.letter_rows(shifted, i, j, src)
+                targets[...] += (diag[src] if squares is None else squares * diag[src]).reshape(targets.shape)
             nxt[s] = diag[s] - shifted
         diag = nxt
     value = 0.0
@@ -641,9 +698,12 @@ class InnerMultiplier:
                 prev = blocks[(s0, t0)]
                 block = np.zeros((dst.dim(tgrade), src.dim(s)), dtype=complex)
                 for j in range(1, shape.n[i] + 1):
-                    cols, w_s, _ = src.shift(i, j, s0)
-                    rows, w_t, _ = dst.shift(i, j, t0)
-                    block[np.ix_(rows, cols)] = (w_t[:, None] * prev) / w_s
+                    rows, w_t, _ = dst.letter_rows(block, i, j, t0)
+                    sub = rows[...]  # a view, or a gathered copy written back
+                    cols, w_s, _ = src.letter_rows(np.moveaxis(sub, -1, 0), i, j, s0)
+                    value = ((1.0 if w_t is None else w_t[:, None]) * prev) / (1.0 if w_s is None else w_s)
+                    cols[...] = value.T.reshape(cols.shape)
+                    rows[...] = sub
                 blocks[(s, tgrade)] = block
         return blocks
 
@@ -776,13 +836,15 @@ def _completion_residual(kb: BerezinKernel, theta: InnerMultiplier, blocks) -> f
 
 
 def _sources(blocks: dict, sources, grades) -> list[dict]:
-    """``{q: B[s->q]}`` for each grade ``s`` of ``sources``, in that order, with a block into ``grades``."""
-    out = []
-    for s in sources:
-        outs = {q: blocks[(s, q)] for q in grades if (s, q) in blocks}
-        if outs:
-            out.append(outs)
-    return out
+    """``{q: B[s->q]}`` for each grade ``s`` of ``sources``, in that order, with a block into ``grades``.
+
+    The block keys are read once, so the cost is linear in the blocks.
+    """
+    into, outs = set(grades), {s: {} for s in sources}
+    for (s, q), b in blocks.items():
+        if q in into and s in outs:
+            outs[s][q] = b
+    return [o for o in outs.values() if o]
 
 
 def _slab_residual(dim, grades, sources, kernel: dict | None = None, minus=None) -> float:
@@ -811,15 +873,17 @@ def _slab_residual(dim, grades, sources, kernel: dict | None = None, minus=None)
         start, count = runs.get(dim(q), (offset[q], 0))
         runs[dim(q)] = (start, count + 1)
     k_rows = None if kernel is None else np.concatenate([kernel[q] for q in order])
+    feeds: dict = {}  # column grade -> the sources with a block there, in their order
+    for outs in sources:
+        for p in outs:
+            feeds.setdefault(p, []).append(outs)
     worst = 0.0
     for p in order:
         slab = np.zeros((ends[-1], dim(p)), dtype=complex) if k_rows is None else k_rows @ kernel[p].conj().T
-        for outs in sources:
-            bp = outs.get(p)
-            if bp is not None:
-                bp_h = bp.conj().T
-                for q, bq in outs.items():
-                    slab[offset[q] : offset[q] + dim(q)] += bq @ bp_h
+        for outs in feeds.get(p, ()):
+            bp_h = outs[p].conj().T
+            for q, bq in outs.items():
+                slab[offset[q] : offset[q] + dim(q)] += bq @ bp_h
         for q, m in ({p: np.eye(dim(p))} if minus is None else minus(p)).items():
             slab[offset[q] : offset[q] + dim(q)] -= m
         for d, (start, count) in runs.items():

@@ -5,8 +5,8 @@ space is folded into every grade, so a grade's ambient dimension is
 ``word_dim(q) * coeff_dim``.  Operators are kept block-sparse by grade pair
 with dense blocks.  Grade-shifting operators (creation operators and their
 symmetric compressions) are described by an index map plus a weight vector
-per grade, so large kernels can be shifted without materializing the 0/1
-matrices.
+per grade, or one letter at a time by ``letter_rows`` (a view in the word
+model), so kernels are shifted without materializing the 0/1 matrices.
 
 Truncation semantics: a shift out of the caps maps to zero.  Every operator
 carries a per-factor interior margin counting the transfer-map applications
@@ -117,6 +117,19 @@ class FockTruncation:
         """A ``shift_data`` triple over the coefficient space; word-model weights are their own squares: one array."""
         w = np.repeat(weights, self.coeff_dim)
         return self.coeff_rows(targets), w, (w if squares is weights else np.repeat(squares, self.coeff_dim))
+
+    def letter_rows(self, block, i: int, j: int, q: tuple[int, ...]):
+        """The rows of ``block`` (axis 0: grade ``q + e_i``) that letter ``j`` of factor ``i`` sends grade ``q`` to.
+
+        Returns ``(rows, weights, squares)`` as ``shift`` does, weights None
+        when all are 1; ``rows`` reads and writes the targets of grade ``q``'s
+        rows, in C order over ``rows.shape[:1 - block.ndim]``.  The letter puts
+        its digit in front of the factor-``i`` word, so ``rows`` is the view
+        ``[:, j - 1]`` of ``block`` split to ``(A, n_i, d_i B)`` rows, ``A`` the
+        words of the factors before ``i``: contiguous when ``A = 1``.
+        """
+        a, n = math.prod(m**d for m, d in zip(self.shape.n[:i], q)), self.shape.n[i]
+        return block.reshape(a, n, len(block) // (a * n), *block.shape[1:])[:, j - 1], None, None
 
 
 def require_model(model: str) -> str:

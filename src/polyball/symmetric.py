@@ -67,24 +67,48 @@ class SymFockTruncation(FockTruncation):
 
     def shift_data(self, i: int, j: int, q: tuple[int, ...]):
         """Multiplication by coordinate ``j`` of factor ``i`` on the grade-``q`` monomials."""
-        per_factor = [monomials(self.shape.n[l], q[l]) for l in range(self.shape.k)]
-        dims = tuple(len(m) for m in per_factor)
-        up = monomials(self.shape.n[i], q[i] + 1)
-        up_index = {m: r for r, m in enumerate(up)}
-        fac_tgt = np.empty(dims[i], dtype=int)
-        fac_ratio = np.empty(dims[i])
-        for r, alpha in enumerate(per_factor[i]):
-            bumped = tuple(a + (1 if l == j - 1 else 0) for l, a in enumerate(alpha))
-            fac_tgt[r] = up_index[bumped]
-            fac_ratio[r] = (alpha[j - 1] + 1) / (q[i] + 1)
-        # the weight is the square root of the ratio; squares read the ratio itself
-        fac_w = np.sqrt(fac_ratio)
+        dims = tuple(len(monomials(n, d)) for n, d in zip(self.shape.n, q))
+        fac_tgt, fac_w, fac_ratio = _factor_shift(self.shape.n[i], q[i], j)
         ranks = np.unravel_index(np.arange(self.word_dim(q)), dims)
-        new_dims = tuple(len(up) if l == i else d for l, d in enumerate(dims))
+        new_dims = tuple(sym_grade_dim(self.shape.n[i], q[i] + 1) if l == i else d for l, d in enumerate(dims))
         new_ranks = list(ranks)
         new_ranks[i] = fac_tgt[ranks[i]]
         targets = np.ravel_multi_index(tuple(new_ranks), new_dims)
         return targets, fac_w[ranks[i]], fac_ratio[ranks[i]]
+
+    def letter_rows(self, block, i: int, j: int, q: tuple[int, ...]):
+        """``FockTruncation.letter_rows`` by the ``shift`` index arrays: ``rows`` gathers and scatters."""
+        rows, w, squares = self.shift(i, j, q)
+        ones = bool((w == 1.0).all())
+        return _Gather(block, rows), None if ones else w, None if ones else squares
+
+
+@dataclass(frozen=True)
+class _Gather:
+    """``block``'s rows ``rows[key]`` at ``[key]``: read by a gather, written by a scatter."""
+
+    block: object
+    rows: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.rows.shape + self.block.shape[1:]
+
+    def __getitem__(self, key):
+        return self.block[self.rows[key]]
+
+    def __setitem__(self, key, value) -> None:
+        self.block[self.rows[key]] = value
+
+
+@lru_cache(maxsize=None)
+def _factor_shift(n: int, q: int, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coordinate ``j`` on the degree-``q`` monomials of ``n`` variables: target ranks, the weights
+    ``sqrt((a_j + 1)/(q + 1))`` and, exactly, their squares."""
+    up_index = {m: r for r, m in enumerate(monomials(n, q + 1))}
+    tgt = np.array([up_index[tuple(a + (l == j - 1) for l, a in enumerate(alpha))] for alpha in monomials(n, q)])
+    ratio = np.array([(alpha[j - 1] + 1) / (q + 1) for alpha in monomials(n, q)])
+    return tgt, np.sqrt(ratio), ratio
 
 
 def curv_c_estimate(t: OperatorTuple, q_max: int) -> CurvEstimate:

@@ -52,6 +52,11 @@
   ``check connection`` calls ``kernel_tail_bound`` with its ``--caps``.
 * ``partial_sum``: the sum of the digits of a digit expansion with exponent at
   most ``q``; the library counts the suffix subspace's grades in closed form.
+* ``index_kernel_blocks``, ``IndexLeafRows`` and ``index_verify_intertwining``:
+  the kernel recursion, the leaf rows and the intertwining residuals with
+  every letter's targets as a ``shift`` index map, scattered and gathered by
+  fancy indexing; the library reads word-model targets as strided views
+  (``FockTruncation.letter_rows``).
 """
 
 from __future__ import annotations
@@ -64,6 +69,7 @@ from functools import partial
 import numpy as np
 
 from polyball.basis import grade_dim, iter_grades
+from polyball import berezin
 from polyball.berezin import BerezinKernel, berezin_kernel, connection_identity, kernel_tail_bound
 from polyball.cp import (
     OperatorTuple,
@@ -74,10 +80,12 @@ from polyball.cp import (
     herm,
     psd_verdict,
     require_budget,
+    slab_gram,
     spectral_norms,
+    stacked_norm,
 )
 from polyball.curvature import _real
-from polyball.fock import FockTruncation, GradedOperator, _cp_shift_blocks, bump
+from polyball.fock import FockTruncation, GradedOperator, _cp_shift_blocks, bump, last_step
 from polyball.subspaces import NAdicExpansion
 from polyball.symmetric import SymFockTruncation, monomials
 
@@ -388,3 +396,143 @@ def partial_sum(exp: NAdicExpansion, q: int) -> Fraction:
         (Fraction(d, exp.base**k) for k, d in zip(exp.exponents, exp.digits) if k <= q),
         Fraction(0),
     )
+
+
+# -- the index-map route of the kernel recursion and the intertwining residuals --------------------------------
+
+
+def _index_plan(t: OperatorTuple, ft: FockTruncation, q: tuple[int, ...], below: dict):
+    """``(source block, [(T, targets, kept, w)])``: the letters of grade ``q`` as ``ft.shift`` index maps."""
+    i, src = last_step(q)
+    written = np.zeros(ft.dim(q), dtype=bool)
+    letters = []
+    for j in range(t.shape.n[i], 0, -1):
+        targets, w, _ = ft.shift(i, j, src)
+        kept = None
+        fresh = ~written[targets]
+        if not fresh.all():
+            kept, targets, w = np.flatnonzero(fresh), targets[fresh], w[fresh]
+        if (w == 1.0).all():
+            w = None
+        written[targets] = True
+        letters.append((t.entry(i, j), targets, kept, w))
+    return below[src], letters
+
+
+def _index_write_rows(block, targets, src, kept, entry, w, rows):
+    block[targets[rows]] = berezin._letter_rows(src[rows if kept is None else kept[rows]], entry,
+                                                None if w is None else w[rows])
+
+
+def _index_pieces(block, plan) -> list:
+    src, letters = plan
+    return [(len(targets), (block, targets, src, kept, entry, w)) for entry, targets, kept, w in letters]
+
+
+def index_kernel_layers(t: OperatorTuple, ft: FockTruncation, dd, pool):
+    """``berezin._kernel_layers`` with every letter's rows scattered through its index map."""
+    by_degree = [[] for _ in range(sum(ft.shape.caps) + 2)]
+    for q in ft.grades:
+        by_degree[sum(q)].append(q)
+    stored: dict = {}
+    for grades, ahead in zip(by_degree, by_degree[1:]):
+        layer, pieces = {}, []
+        for q in grades:
+            if not any(q):
+                layer[q] = dd.range_basis.conj().T @ dd.sqrt
+            elif not berezin._is_leaf(ft, q):
+                layer[q] = np.zeros((ft.dim(q), t.dimH), dtype=complex)
+                pieces += _index_pieces(layer[q], _index_plan(t, ft, q, stored))
+        berezin._by_slabs(pool, _index_write_rows, pieces, t.dimH)
+        stored = layer
+        yield stored, {u: _index_plan(t, ft, u, stored) for u in ahead if berezin._is_leaf(ft, u)}
+
+
+def index_kernel_blocks(t: OperatorTuple, caps: tuple[int, ...], model: str = "full") -> dict:
+    """The blocks of ``berezin_kernel`` by the index-map route."""
+    dd, ft = berezin._kernel_truncation(t, caps, model)
+    blocks: dict = {}
+    with berezin._workers() as pool:
+        for stored, leaves in index_kernel_layers(t, ft, dd, pool):
+            blocks |= stored
+            pieces = []
+            for u, plan in leaves.items():
+                blocks[u] = np.zeros((ft.dim(u), t.dimH), dtype=complex)
+                pieces += _index_pieces(blocks[u], plan)
+            berezin._by_slabs(pool, _index_write_rows, pieces, t.dimH)
+    return blocks
+
+
+class IndexLeafRows:
+    """``berezin._LeafRows`` by per-row index arrays: each row's letter, source row and weight, and whether its
+    ``_write_rows`` slab holds it alone."""
+
+    def __init__(self, plan, rows: int):
+        self.src, letters = plan
+        self.entries = [entry for entry, *_ in letters]
+        self.letter = np.empty(rows, dtype=int)
+        self.source = np.empty(rows, dtype=int)
+        self.weight = np.ones(rows)
+        self.alone = np.zeros(rows, dtype=bool)
+        step = berezin._slab_rows(self.src.shape[1])
+        for m, (_, targets, kept, w) in enumerate(letters):
+            self.letter[targets] = m
+            self.source[targets] = np.arange(len(targets)) if kept is None else kept
+            if w is not None:
+                self.weight[targets] = w
+            if step == 1:
+                self.alone[targets] = True
+            elif len(targets) % step == 1:
+                self.alone[targets[-1]] = True
+
+    def __len__(self) -> int:
+        return len(self.letter)
+
+    def __getitem__(self, idx) -> np.ndarray:
+        if isinstance(idx, slice):
+            idx = np.arange(*idx.indices(len(self)))
+        out = np.empty((len(idx), self.src.shape[1]), dtype=complex)
+        letter, alone = self.letter[idx], self.alone[idx]
+        for m, entry in enumerate(self.entries):
+            together = np.flatnonzero((letter == m) & ~alone)
+            if len(together) == 1:
+                together = np.repeat(together, 2)
+            for sel in [together, *np.flatnonzero((letter == m) & alone)[:, None]]:
+                if len(sel):
+                    r = idx[sel]
+                    w = self.weight[r]
+                    out[sel] = berezin._letter_rows(self.src[self.source[r]], entry, None if (w == 1.0).all() else w)
+        return out
+
+
+def _index_residual_slabs(lower, upper, letters, rows):
+    src = lower[rows]
+    grams = []
+    for entry, targets, w in letters:
+        resid = src @ entry.conj().T
+        rhs = np.take(upper, targets[rows], axis=0) if isinstance(upper, np.ndarray) else upper[targets[rows]]
+        if w is not None:
+            rhs *= w[rows][:, None]
+        resid -= rhs
+        grams.append(slab_gram(resid, len(lower)))
+    return grams
+
+
+def index_verify_intertwining(t: OperatorTuple, caps: tuple[int, ...], model: str = "full") -> float:
+    """``berezin.verify_intertwining`` with the pairs' targets as ``ft.shift`` index maps, gathered by ``np.take``,
+    and the leaf rows formed by ``IndexLeafRows``."""
+    dd, ft = berezin._kernel_truncation(t, caps, model)
+    worst, below, here = 0.0, {}, {}
+    with berezin._workers() as pool:
+        for stored, leaves in index_kernel_layers(t, ft, dd, pool):
+            ahead = {u: IndexLeafRows(plan, ft.dim(u)) for u, plan in leaves.items()}
+            lower, upper = below | stored | here, stored | ahead
+            letters: dict = {}
+            for i, j, q in berezin._tested_pairs(ft, lower, upper):
+                targets, w, _ = ft.shift(i, j, q)
+                letters.setdefault((i, q), []).append((t.entry(i, j), targets, None if (w == 1.0).all() else w))
+            pieces = [(ft.dim(q), (lower[q], upper[bump(q, i)], these)) for (i, q), these in letters.items()]
+            slabs = berezin._by_slabs(pool, _index_residual_slabs, pieces, t.dimH)
+            worst = max([worst] + [stacked_norm(parts) for piece in slabs for parts in zip(*piece)])
+            below, here = stored, ahead
+    return worst

@@ -163,7 +163,7 @@ def test_intertwining_skips_only_pairs_the_recursion_wrote(seed, case, norm, dat
         kb = berezin_kernel(t, caps, "symmetric")
     full = intertwining_residuals(kb)
     tested = berezin._tested_pairs(kb.truncation, kb.truncation.grades, kb.truncation.grades)
-    skipped = set(full) - {(i, j, q) for i, j, q, _, _ in tested}
+    skipped = set(full) - set(tested)
     assert verify_intertwining(t, caps, model) == max(full.values())
     assert all(full[p] == 0.0 for p in skipped)
     # the pairs whose grade q is 0 past factor i, less the symmetric ones with weights other than 1
@@ -191,8 +191,8 @@ def test_intertwining_peaks_below_the_whole_kernel():
 
 def test_intertwining_peaks_at_two_layers_and_a_few_slabs_per_thread(monkeypatch):
     # the leaves, the grades with the last factor at its cap, are formed a slab at a time: beyond the stored
-    # grades of two adjacent degrees, the row plans of the top leaves and the index arrays of the top pairs,
-    # each of the 4 threads (3 workers and the caller) holds a few slabs
+    # grades of two adjacent degrees and the row plans of the top leaves (the top pairs hold no index array: in
+    # the word model their targets are views), each of the 4 threads (3 workers and the caller) holds a few slabs
     monkeypatch.setattr(berezin, "SLAB_BYTES", 2**16)
     monkeypatch.setattr(berezin, "_workers", lambda: ThreadPoolExecutor(3))
     t = random_polyball_tuple(np.random.default_rng(7), (2, 2), (4, 4), 0.7)
@@ -201,8 +201,6 @@ def test_intertwining_peaks_at_two_layers_and_a_few_slabs_per_thread(monkeypatch
     stored = [sum(b.nbytes for q, b in kb.blocks.items() if sum(q) == d and q[-1] < 5) for d in range(11)]
     assert stored[-1] == 0 and stored[-3] + stored[-2] == max(map(sum, zip(stored, stored[1:])))
     plans = 24 * sum(ft.dim(q) for q in ft.grades if sum(q) >= 9 and q[-1] == 5)
-    pairs = berezin._tested_pairs(ft, [q for q in ft.grades if sum(q) in (8, 9)], ft.grades)
-    index = sum(targets.nbytes + (0 if w is None else w.nbytes) for *_, targets, w in pairs)
     del kb
     tracemalloc.start()
     try:
@@ -210,7 +208,7 @@ def test_intertwining_peaks_at_two_layers_and_a_few_slabs_per_thread(monkeypatch
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < stored[-3] + stored[-2] + plans + index + 4 * 6 * berezin.SLAB_BYTES
+    assert peak < stored[-3] + stored[-2] + plans + 4 * 6 * berezin.SLAB_BYTES
 
 
 def _slab_cases():
@@ -277,7 +275,7 @@ def test_symmetric_pairs_into_leaves_keep_the_kernel_bits(n, caps):
     t = parts[0] if len(parts) == 1 else ampliation(parts)
     kb = berezin_kernel(t, caps, "symmetric")
     ft = kb.truncation
-    tested = [(i, q) for i, _, q, _, _ in berezin._tested_pairs(ft, ft.grades, ft.grades)]
+    tested = [(i, q) for i, _, q in berezin._tested_pairs(ft, ft.grades, ft.grades)]
     into_leaves = [(i, q) for i, q in tested if bump(q, i)[-1] == caps[-1]]
     assert any(i == len(n) - 1 for i, _ in into_leaves)
     assert any(q[-1] == caps[-1] for _, q in into_leaves) == (len(n) > 1)  # a leaf as the lower grade too
@@ -292,7 +290,8 @@ def test_symmetric_pairs_into_leaves_keep_the_kernel_bits(n, caps):
     ("symmetric", (2, 2), (1, 2), (3, 3), 0),
 ])
 def test_leaf_rows_have_the_bits_of_the_kernel_blocks(monkeypatch, model, n, dims, caps, slab):
-    # any rows of a leaf, formed from its plan: single rows, slices and scattered subsets
+    # any rows of a leaf as verify_intertwining reads them: single rows and slices, formed from the leaf's plan
+    # in the word model, and scattered subsets of the leaf block, formed whole, in the symmetric model
     monkeypatch.setattr(berezin, "SLAB_BYTES", slab)
     rng = np.random.default_rng(1)
     if model == "full":
@@ -305,10 +304,13 @@ def test_leaf_rows_have_the_bits_of_the_kernel_blocks(monkeypatch, model, n, dim
     leaves = []
     with berezin._workers() as pool:
         for _, plans in berezin._kernel_layers(t, ft, dd, pool):
-            for u, plan in plans.items():
-                rows, block = berezin._LeafRows(plan, ft.dim(u)), kb.blocks[u]
+            for u, rows in berezin._leaf_rows(t, ft, plans, pool).items():
+                block = kb.blocks[u]
                 d = len(block)
-                for idx in [slice(0, d), slice(d // 3, d), *np.arange(d)[:, None], rng.permutation(d)[: d // 2 + 1]]:
+                idxs = [slice(0, d), slice(d // 3, d), *(slice(r, r + 1) for r in range(d))]
+                if model == "symmetric":
+                    idxs += [*np.arange(d)[:, None], rng.permutation(d)[: d // 2 + 1]]
+                for idx in idxs:
                     assert np.array_equal(rows[idx].view(np.uint64), block[idx].view(np.uint64))
                 leaves.append(u)
     assert leaves == [q for q in ft.grades if berezin._is_leaf(ft, q)]

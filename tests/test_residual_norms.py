@@ -12,6 +12,8 @@ from polyball.basis import Shape
 from polyball.berezin import (
     InnerMultiplier,
     _completion_residual,
+    _slab_residual,
+    _sources,
     _validate_blocks,
     berezin_kernel,
     monomial_multiplier,
@@ -61,6 +63,39 @@ def test_slab_completion_residual_matches_pair_oracle(name):
     kb, theta = CASES[name]()
     blocks = theta.materialize_blocks(kb.truncation.shape.caps)
     assert _completion_residual(kb, theta, blocks) == completion_residual_pairs(kb, theta, blocks) == 0.0
+
+
+class CountingDict(dict):
+    """A dict that counts its lookups by key."""
+
+    lookups = 0
+
+    def __contains__(self, key):
+        self.lookups += 1
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+def test_completion_residual_lookups_are_linear_in_the_blocks():
+    # the sources are read off the block keys, and each column grade visits only the sources that feed it:
+    # on the compression tuple at caps (12, 12), 156 interior grades, no lookup is made per pair of grades
+    caps = (12, 12)
+    kb = berezin_kernel(compression_tuple(coordinate_multiple_subspace(SymFockTruncation(Shape((1, 1), caps=caps)),
+                                                                      0, 1)), caps, "symmetric")
+    theta = sym_monomial_multiplier(Shape((1, 1)), ((1,), (0,)))
+    ft, blocks = kb.truncation, CountingDict(theta.materialize_blocks(caps))
+    interior = theta.interior_grades(ft)
+    sources = [CountingDict(outs) for outs in _sources(blocks, ft.grades, interior)]
+    assert blocks.lookups <= len(blocks) and len(interior) == 156
+    assert _slab_residual(ft.dim, interior, sources, kb.blocks) == _completion_residual(kb, theta, blocks) == 0.0
+    assert sum(s.lookups for s in sources) <= sum(map(len, sources))
 
 
 def perturbed_blocks(theta, caps):

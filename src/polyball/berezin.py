@@ -35,6 +35,7 @@ from .cp import (
     cp_apply_power,
     defect_data,
     divide_real,
+    gc_paused,
     json_field,
     matrix_from_pairs,
     matrix_to_pairs,
@@ -283,13 +284,12 @@ def _letter_pieces(ft: FockTruncation, block: np.ndarray, plan: _Plan) -> list:
     for j, entry in plan.entries.items():
         targets, w, _ = ft.letter_rows(block, plan.i, j, plan.grade)
         kept = None
-        if w is not None:
+        if w is not None:  # a symmetric letter: ``targets`` gathers the rows ``targets.rows``
             written = np.zeros(len(block), dtype=bool) if written is None else written
-            seen = ft.letter_rows(written, plan.i, j, plan.grade)[0]
-            fresh = ~seen[...]
+            fresh = ~written[targets.rows]
             if not fresh.all():  # monomials a later letter reached keep its rows
                 kept, w = np.flatnonzero(fresh), w[fresh]
-            seen[...] = True
+            written[targets.rows] = True
             if (w == 1.0).all():
                 w = None
         pieces.append((len(plan.src) if kept is None else len(kept), (targets, plan.src, kept, entry, w)))
@@ -892,6 +892,7 @@ def _slab_residual(dim, grades, sources, kernel: dict | None = None, minus=None)
     return worst
 
 
+@gc_paused
 def multiplier_to_json(theta: InnerMultiplier) -> str:
     return json.dumps(
         {
@@ -911,6 +912,7 @@ def multiplier_to_json(theta: InnerMultiplier) -> str:
     )
 
 
+@gc_paused
 def multiplier_from_json(text: str) -> InnerMultiplier:
     """A multiplier from its JSON; a field that is missing, null or of the wrong type is refused by name."""
     data = json.loads(text)

@@ -477,9 +477,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = lru_cache(maxsize=1)(build_parser)  # one parser per process: ``parse_args`` keeps no state between calls
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except MembershipError as exc:
         payload = {"error": "membership", "reason": str(exc), "p": list(exc.p),

@@ -9,11 +9,12 @@ finite-dimensional linear algebra; no Fock truncation is involved.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce, wraps
 
 import numpy as np
 
@@ -236,6 +237,34 @@ class OperatorTuple:
     def k(self) -> int:
         return self.shape.k
 
+    @cached_property  # the entries are read-only: what follows from them alone is formed once per tuple
+    def _defect(self) -> np.ndarray:
+        """``herm(Delta_T(I))``, read-only: ``check_polyball`` at ``p = (1,...,1)`` and ``defect_data`` both read it."""
+        return _read_only(herm(defect_map(self, (1,) * self.k, np.eye(self.dimH, dtype=complex))))
+
+    @cached_property
+    def _verdict(self) -> PolyballVerdict:
+        def spectrum(p):  # Delta_0(I) is I: its spectrum is read as ones
+            if not any(p):
+                return np.ones(self.dimH)
+            return np.linalg.eigvalsh(self._defect if all(p) else herm(defect_map(self, p, np.eye(self.dimH))))
+        verdicts = {p: psd_verdict(spectrum(p)) for p in itertools.product((0, 1), repeat=self.k)}
+        worst = min(verdicts, key=lambda p: verdicts[p].min_eigenvalue - verdicts[p].bound)
+        eigs = {p: v.min_eigenvalue for p, v in verdicts.items()}
+        return PolyballVerdict(all(v.positive for v in verdicts.values()), worst, eigs[worst], eigs)
+
+    @cached_property
+    def _defect_data(self) -> DefectData:
+        vals, vecs = np.linalg.eigh(self._defect)
+        if not (verdict := psd_verdict(vals)).positive:
+            raise DefectNotPositiveError(verdict.min_eigenvalue)
+        clipped = np.clip(vals, 0.0, None)
+        sqrt = (vecs * np.sqrt(clipped)) @ vecs.conj().T
+        keep = clipped > RANK_TOL * clipped.max(initial=0.0)
+        cols = [vecs[:, j] for j in np.argsort(clipped)[::-1] if keep[j]]
+        basis = np.stack(cols, axis=1) if cols else np.zeros((self.dimH, 0), dtype=complex)
+        return DefectData(self._defect, _read_only(sqrt), int(np.count_nonzero(keep)), _read_only(basis))
+
     def entry(self, i: int, j: int) -> np.ndarray:
         """Matrix of generator ``j`` (1-based letter) in factor ``i`` (0-based)."""
         return self.factors[i][j - 1]
@@ -301,13 +330,8 @@ class PolyballVerdict:
 
 
 def check_polyball(t: OperatorTuple) -> PolyballVerdict:
-    """PSD test of the defect map at every p in {0,1}^k; the worst p has the least margin."""
-    eye = np.eye(t.dimH, dtype=complex)
-    verdicts = {p: psd_verdict(np.linalg.eigvalsh(herm(defect_map(t, p, eye))))
-                for p in itertools.product((0, 1), repeat=t.k)}
-    worst = min(verdicts, key=lambda p: verdicts[p].min_eigenvalue - verdicts[p].bound)
-    eigs = {p: v.min_eigenvalue for p, v in verdicts.items()}
-    return PolyballVerdict(all(v.positive for v in verdicts.values()), worst, eigs[worst], eigs)
+    """PSD test of the defect map at every p in {0,1}^k, once per tuple; the worst p has the least margin."""
+    return t._verdict
 
 
 def require_membership(t: OperatorTuple) -> PolyballVerdict:
@@ -367,19 +391,13 @@ class DefectData:
 
 
 def defect_data(t: OperatorTuple) -> DefectData:
-    """Hermitian eigendecomposition of the defect, with clipped spectrum and numerical rank."""
-    d = herm(defect_map(t, (1,) * t.k, np.eye(t.dimH, dtype=complex)))
-    vals, vecs = np.linalg.eigh(d)
-    verdict = psd_verdict(vals)
-    if not verdict.positive:
-        raise DefectNotPositiveError(verdict.min_eigenvalue)
-    clipped = np.clip(vals, 0.0, None)
-    sqrt = (vecs * np.sqrt(clipped)) @ vecs.conj().T
-    keep = clipped > RANK_TOL * clipped.max(initial=0.0)
-    rank = int(np.count_nonzero(keep))
-    cols = [vecs[:, j] for j in np.argsort(clipped)[::-1] if keep[j]]
-    basis = np.stack(cols, axis=1) if cols else np.zeros((t.dimH, 0), dtype=complex)
-    return DefectData(d, sqrt, rank, basis)
+    """Hermitian eigendecomposition of the defect, once per tuple, in read-only arrays; clipped spectrum and rank."""
+    return t._defect_data
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def direct_sum(t: OperatorTuple, u: OperatorTuple) -> OperatorTuple:
@@ -434,17 +452,28 @@ def ampliation(tuples: list[OperatorTuple]) -> OperatorTuple:
     return out
 
 
+def gc_paused(fn):
+    """``fn`` with the cyclic collector paused: a JSON payload's lists hold no cycles, and die with ``fn``'s frame."""
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
+
+
+@gc_paused
 def tuple_to_json(t: OperatorTuple) -> str:
     """Serialize to the wire format; floats round-trip bit-exactly."""
-    return json.dumps(
-        {
-            "n": list(t.shape.n),
-            "dimH": t.dimH,
-            "factors": [[matrix_to_pairs(a) for a in row] for row in t.factors],
-        }
-    )
+    factors = [[matrix_to_pairs(a) for a in row] for row in t.factors]
+    return json.dumps({"n": list(t.shape.n), "dimH": t.dimH, "factors": factors})
 
 
+@gc_paused
 def tuple_from_json(text: str) -> OperatorTuple:
     """A tuple from its JSON; a field that is missing, null or of the wrong type is refused by name."""
     data = json.loads(text)

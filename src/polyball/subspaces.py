@@ -27,8 +27,8 @@ from fractions import Fraction
 import numpy as np
 
 from .basis import Shape, word_rank
-from .cp import (OperatorTuple, json_field, json_int, matrix_from_pairs, matrix_to_pairs, max_spectral_norm,
-                 require_budget)
+from .cp import (OperatorTuple, gc_paused, json_field, json_int, matrix_from_pairs, matrix_to_pairs,
+                 max_spectral_norm, require_budget)
 from .curvature import CurvEstimate, _complement_curvature, _occupation, _ratio_table, _summary
 from .fock import (
     FockTruncation,
@@ -655,6 +655,7 @@ def compression_tuple(sub: GradedSubspace) -> OperatorTuple:
 # -- serialization ------------------------------------------------------------
 
 
+@gc_paused
 def subspace_to_json(sub: GradedSubspace) -> str:
     ft = sub.truncation
     head = {
@@ -676,6 +677,7 @@ def subspace_to_json(sub: GradedSubspace) -> str:
     return json.dumps(head | {"mode": "span", "vectors": vecs})
 
 
+@gc_paused
 def subspace_from_json(text: str) -> GradedSubspace:
     data = json.loads(text)
     n = tuple(json_field(data, "n", "ints"))

@@ -1,7 +1,10 @@
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -474,6 +477,24 @@ def test_usage_errors_are_invalid_input(argv, flag, capsys):
     payload = json.loads(err)
     assert payload["error"] == "invalid-input"
     assert flag in payload["reason"]
+
+
+def test_one_parser_serves_a_sequence_of_calls_as_fresh_processes_do(scalar_file, capsys):
+    from polyball.cli import build_parser
+
+    assert build_parser() is not build_parser()
+    sequence = [
+        ["curv", "--input", scalar_file, "--qmax", "3", "--format", "csv"],
+        ["curv", "--input", scalar_file, "--qmax", "3"],
+        ["curv", "--input", scalar_file, "--qmax", "abc"],
+        ["construct", "mt", "--caps", "3"],
+        ["curv", "--input", scalar_file, "--qmax", "3", "--formula", "cesaro"],
+    ]
+    env = os.environ | {"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    for argv in sequence:
+        fresh = subprocess.run([sys.executable, "-m", "polyball.cli", *argv], capture_output=True, text=True,
+                               env=env, timeout=60)
+        assert run(argv, capsys) == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
 @pytest.mark.parametrize("command", ["curv", "curv-c", "mult"])

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import numpy as np
@@ -7,7 +8,9 @@ from hypothesis import strategies as st
 
 from conftest import random_normal_contraction, random_polyball_tuple, random_row_tuple
 from oracle import cp_matrix, defect_map_expanded, grade_trace, min_eig, word_product_adjoint
+from polyball import cp
 from polyball.basis import Shape
+from polyball.berezin import berezin_kernel, monomial_multiplier, multiplier_from_json, multiplier_to_json
 from polyball.cp import (
     DefectNotPositiveError,
     OperatorTuple,
@@ -22,6 +25,8 @@ from polyball.cp import (
     tuple_from_json,
     tuple_to_json,
 )
+from polyball.curvature import bounds_report, curvature_estimate
+from polyball.subspaces import construct_mt, construct_nadic, subspace_from_json, subspace_to_json
 
 
 def scalar_tuple(r):
@@ -166,6 +171,41 @@ def test_defect_data_rejects_indefinite():
         defect_data(t)
 
 
+def test_one_defect_decomposition_per_tuple(monkeypatch):
+    t = random_polyball_tuple(np.random.default_rng(43), (2, 1), (2, 3), 0.8)
+    calls = []
+
+    def spy(name, fn, key):
+        def wrapped(*args, **kwargs):
+            calls.append((name, key(*args)))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(cp, "defect_map", spy("defect_map", cp.defect_map, lambda u, p, y: p))
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name), lambda a, *rest: a.shape))
+    curvature_estimate(t, 3)
+    bounds_report(t, 3)
+    berezin_kernel(t, (2, 2))
+    assert sorted(p for name, p in calls if name == "defect_map") == [(0, 1), (1, 0), (1, 1)]
+    assert [c for c in calls if c[0] == "eigh"] == [("eigh", (6, 6))]
+    assert calls.count(("eigvalsh", (6, 6))) == 3  # one per p != 0
+    assert check_polyball(t) is check_polyball(t) and defect_data(t) is defect_data(t)
+    dd = defect_data(t)
+    for a in (dd.defect, dd.sqrt, dd.range_basis):
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+
+
+def test_membership_bits_match_a_fresh_decomposition():
+    t = random_polyball_tuple(np.random.default_rng(47), (2, 2), (2, 2), 0.8)
+    eye = np.eye(t.dimH, dtype=complex)
+    for p, eig in check_polyball(t).eigenvalues.items():
+        assert eig == np.linalg.eigvalsh((defect_map(t, p, eye) + defect_map(t, p, eye).conj().T) / 2)[0]
+    d = defect_map(t, (1, 1), eye)
+    assert np.array_equal(defect_data(t).defect, (d + d.conj().T) / 2)
+
+
 def test_direct_sum_defect_blocks():
     rng = np.random.default_rng(43)
     t = random_row_tuple(rng, 2, 3, 0.8)
@@ -249,6 +289,37 @@ def test_json_writer_matches_per_entry_floats():
     assert tuple_to_json(t) == text
     assert np.signbit(t.factors[0][0][0, 0].real) and np.signbit(t.factors[0][0][0, 0].imag)
     assert t.factors[0][0][1, 2] == complex(5e-324, 0.0)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_json_loaders_and_writers_restore_the_collector(monkeypatch, enabled):
+    t = scalar_tuple(0.5)
+    theta = monomial_multiplier(Shape((2,)), 0, (1,))
+    sub = construct_mt(construct_nadic(2, 0.5), 3)
+    steps = [(tuple_to_json, t, None), (multiplier_to_json, theta, None), (subspace_to_json, sub, None)]
+    for load, text in ((tuple_from_json, tuple_to_json(t)), (multiplier_from_json, multiplier_to_json(theta)),
+                       (subspace_from_json, subspace_to_json(sub))):
+        steps += [(load, text, None), (load, "{", json.JSONDecodeError), (load, '{"n": null}', "'n'")]
+    seen = []
+    loads, dumps = json.loads, json.dumps
+    monkeypatch.setattr(json, "loads", lambda *a, **kw: seen.append(gc.isenabled()) or loads(*a, **kw))
+    monkeypatch.setattr(json, "dumps", lambda *a, **kw: seen.append(gc.isenabled()) or dumps(*a, **kw))
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for fn, arg, refusal in steps:
+            if refusal is None:
+                fn(arg)
+            elif isinstance(refusal, str):
+                with pytest.raises(ValueError, match=refusal):
+                    fn(arg)
+            else:
+                with pytest.raises(refusal):
+                    fn(arg)
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert len(seen) == 12 and not any(seen)  # every payload is decoded or encoded with the collector paused
 
 
 def test_word_product_adjoint_matches_explicit():

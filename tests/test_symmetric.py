@@ -275,6 +275,17 @@ def test_constrained_kernel_scalar_equals_plain():
         assert kb.blocks[(q,)][0, 0] == pytest.approx(np.sqrt(1 - r**2) * r**q)
 
 
+def test_symmetric_kernel_takes_one_shift_map_per_letter(monkeypatch):
+    # n (2, 2) at caps (4, 4): 24 grades past the vacuum, two letters each
+    rng = np.random.default_rng(139)
+    t = ampliation([commuting_tuple(rng, 2, 2, 0.7), commuting_tuple(rng, 2, 2, 0.7)])
+    calls = []
+    shift_data = SymFockTruncation.shift_data
+    monkeypatch.setattr(SymFockTruncation, "shift_data", lambda self, *a: calls.append(a) or shift_data(self, *a))
+    berezin_kernel(t, (4, 4), "symmetric")
+    assert len(calls) <= 48
+
+
 def test_constrained_kernel_direct_formula():
     # rows are sqrt(q!/alpha!) * defect^{1/2} (T^alpha)^* in the monomial basis
     rng = np.random.default_rng(137)

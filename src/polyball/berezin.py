@@ -46,6 +46,7 @@ from .cp import (
     slab_gram,
     spectral_norms,
     stacked_norm,
+    tolerance,
 )
 from .fock import (
     FockTruncation,
@@ -60,9 +61,6 @@ from .fock import (
 if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
 
-INTERTWINE_TOL = 1e-10
-MULTIPLIER_TOL = 1e-12
-COMPLETION_TOL = 1e-8
 SLAB_BYTES = 2**20  # rows of one kernel job: about this many bytes of a dimH-wide complex block
 
 
@@ -769,14 +767,14 @@ def _validate_blocks(theta: InnerMultiplier, blocks: dict, caps: tuple[int, ...]
                 rows, w_t, _ = dst_ft.shift(i, j, tgrade)
                 resid[j - 1][rows] -= w_t[:, None] * b
             worst = max(worst, float(spectral_norms(resid).max()))
-    if worst > MULTIPLIER_TOL:
+    if not tolerance("multiplier", worst)[0]:
         raise ValueError(f"multiplier does not intertwine the shifts (residual {worst:.3e})")
     if theta.isometric:
         # Theta^* Theta - I on interior source grades: the Gram of the adjoint blocks B[s->t]^*
         interior = theta.interior_grades(src_ft)
         adjoints = {(t, s): b.conj().T for (s, t), b in blocks.items()}
         resid = _slab_residual(src_ft.dim, interior, _sources(adjoints, dst_ft.grades, interior))
-        if resid > INTERTWINE_TOL:
+        if not tolerance("intertwine", resid)[0]:
             raise ValueError(f"multiplier flagged isometric but Theta*Theta != I (residual {resid:.3e})")
     return worst
 
@@ -815,7 +813,7 @@ def index_check_from_blocks(kb, theta, blocks) -> IndexCheck:
     ft = kb.truncation
     q = tuple(c - 1 for c in ft.shape.caps)
     comp = _completion_residual(kb, theta, blocks)
-    if comp > COMPLETION_TOL:
+    if not tolerance("completion", comp)[0]:
         raise ValueError(f"K K* + Theta Theta* != I on interior grades (residual {comp:.3e})")
     lhs = curvature_operator_trace(kb, q).value
     term = 0.0

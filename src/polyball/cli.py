@@ -19,7 +19,6 @@ from functools import lru_cache
 import numpy as np
 
 from .berezin import (
-    INTERTWINE_TOL,
     berezin_kernel,
     connection_residuals,
     curvature_operator_trace,
@@ -28,8 +27,8 @@ from .berezin import (
     multiplier_from_json,
     verify_intertwining,
 )
-from .cp import MembershipError, tuple_from_json
-from .curvature import NumericalInstabilityError, bounds_report, curvature_estimate
+from .cp import TOLERANCES, MembershipError, tuple_from_json
+from .curvature import NumericalInstabilityError, bounds_report, curvature_estimate, subspace_curvature
 from .subspaces import (
     beurling_check,
     construct_mt,
@@ -267,8 +266,7 @@ def cmd_construct(args) -> int:
     if kind in ("mt", "cur0") and len(args.caps) != 1:
         raise ValueError(f"construct {kind} has one factor: --caps takes one cap, got {list(args.caps)}")
     if kind == "mt":
-        exp = construct_nadic(args.n, args.t, args.terms)
-        sub = construct_mt(exp, args.caps[0])
+        sub = construct_mt(construct_nadic(args.n, args.t, args.terms), args.caps[0])
     elif kind == "cur0":
         sub = cur0_subspace(args.n, args.caps[0])
     elif kind == "uncountable":
@@ -388,16 +386,13 @@ def cmd_demo(args) -> int:
     est = curvature_estimate(t, 6)
     lines.append(f"scalar tuple r={r}: curvature corner sequence")
     lines.append("  " + " ".join(fmt(v) for v in est.corner_seq))
-    exp = construct_nadic(2, 0.5)
-    sub = construct_mt(exp, 8)
+    sub = construct_mt(construct_nadic(2, 0.5), 8)
     mult = multiplicity_estimate(sub, 8)
     lines.append("suffix subspace at t=0.5: per-grade occupation " + fmt(mult.estimate)
                  + ", exact limit " + fmt(float(mult.exact_limit)))
     v = beurling_check(sub)
     lines.append(f"its positivity test: {v.positive} (min eigenvalue {fmt(v.min_eigenvalue)})")
     fam = uncountable_family(0.3, 0.75, (8, 8))
-    from .curvature import subspace_curvature
-
     curv = subspace_curvature(fam, 8)
     lines.append("two-factor family at t=0.3: compression curvature limit "
                  + fmt(float(curv.exact_limit)))
@@ -467,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
         if kind == "index":
             p.add_argument("--theta", required=True, help="multiplier JSON")
         else:
-            p.add_argument("--tol", type=float, default=INTERTWINE_TOL, help="residual tolerance")
+            p.add_argument("--tol", type=float, default=TOLERANCES["intertwine"].value, help="residual tolerance")
         p.set_defaults(func=func)
 
     p_demo = sub.add_parser("demo", help="small showcase run")

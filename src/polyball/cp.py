@@ -15,18 +15,60 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, reduce, wraps
+from typing import NamedTuple
 
 import numpy as np
 
 from .basis import Shape
 
-COMMUTATION_TOL = 1e-10
-PSD_TOL = 1e-10
-PURITY_TOL = 1e-9
-STALL_TOL = 1e-12
 MAX_PURITY_ITER = 200
-RANK_TOL = 1e-9
 SIZE_BUDGET = 2**30  # largest array a dense route may form, in bytes, checked before it is allocated
+
+
+class Tolerance(NamedTuple):
+    """A row of ``TOLERANCES``: one check's bound, how it scales, and when the measured ``x`` passes it."""
+
+    value: float | str  # or the name of the row whose value the check borrows
+    scale: str  # a rule of _SCALES
+    comparison: str  # a test of _PASSES; ">=" reads x against minus the bound
+    bounds: str
+
+
+_SCALES = {"absolute": lambda x, s: 1.0, "relative": lambda x, s: np.maximum(s, 1.0),  # the scale, at least 1
+           "top": lambda x, s: np.max(x, initial=0.0)}  # the largest entry of x
+_PASSES = {"<=": lambda x, b: np.logical_not(x > b), "<": lambda x, b: x < b, ">": lambda x, b: x > b,
+           ">=": lambda x, b: x >= b, "chain": lambda x, b: not any(u > v + b for u, v in zip(x, x[1:]))}
+TOLERANCES = {
+    "psd": Tolerance(1e-10, "relative", ">=", "least eigenvalue of every PSD verdict; scale: the spectral norm"),
+    "ampliation": Tolerance("psd", "relative", "<=", "ampliation defect minus the product of the part defects"),
+    "commutation": Tolerance(1e-10, "relative", "<=", "commutator norms; scale: products of the largest entry norms"),
+    "purity": Tolerance(1e-9, "absolute", "<", "norm of Phi_i^m(I) read as decayed; 10 times it as not decayed"),
+    "stall": Tolerance(1e-12, "relative", "<", "change of that norm read as stalled; scale: the previous norm"),
+    "rank": Tolerance(1e-9, "top", ">", "defect eigenvalues counted in its rank"),
+    "svd_rank": Tolerance(1e-12, "top", ">", "singular values counted in a subspace's rank"),
+    "intertwine": Tolerance(1e-10, "absolute", "<=", "Theta* Theta - I of an isometric multiplier; the default --tol"),
+    "multiplier": Tolerance(1e-12, "absolute", "<=", "Theta S - S Theta of a multiplier"),
+    "completion": Tolerance(1e-8, "absolute", "<=", "K K* + Theta Theta* - I on interior grades"),
+    "gram": Tolerance(1e-12, "absolute", "<=", "B* B - I of a loaded subspace basis"),
+    "invariance": Tolerance(1e-10, "absolute", "<=", "shift-invariance residual of a loaded subspace"),
+    "decomposition": Tolerance(1e-10, "absolute", "<=", "P_M minus the sum of Psi Psi* in an inner sequence"),
+    "support": Tolerance(1e-12, "absolute", ">", "span column norm at a cap grade read as support"),
+    "span_shift": Tolerance(1e-12, "absolute", ">", "shifted seed norm kept by invariant_span"),
+    "span_new": Tolerance(1e-10, "absolute", ">", "new direction norm added by invariant_span"),
+    "imag": Tolerance(1e-12, "relative", "<=", "imaginary part of a grade trace; scale: its real part"),
+    "monotone_slack": Tolerance(1e-12, "absolute", "<=", "largest grade value increase with monotone_ok true"),
+    "monotone_error": Tolerance(1e-10, "absolute", "<=", "largest grade value increase before exit 3"),
+    "bounds_chain": Tolerance(1e-10, "relative", "chain", "0 <= estimate <= trace(defect) <= rank; scale: the trace"),
+}
+
+
+def tolerance(name: str, x, scale=1.0):
+    """``(ok, x, bound)`` of ``x`` against row ``name`` of ``TOLERANCES``; a scalar ``x`` gives a bool and a float."""
+    row = TOLERANCES[name]
+    bound = TOLERANCES.get(row.value, row).value * _SCALES[row.scale](x, scale)  # a borrowed value, else the row's
+    bound = (float(bound) if np.ndim(bound) == 0 else bound) * (-1 if row.comparison == ">=" else 1)
+    ok = _PASSES[row.comparison](x, bound)
+    return (bool(ok) if np.ndim(ok) == 0 else ok), x, bound
 
 
 class DefectNotPositiveError(ValueError):
@@ -72,14 +114,13 @@ class PsdVerdict:
 
 
 def psd_verdict(spectrum: np.ndarray) -> PsdVerdict:
-    """PSD verdict from the ascending eigenvalues of a Hermitian matrix: the one use of ``PSD_TOL``.
+    """PSD verdict from the ascending eigenvalues of a Hermitian matrix: the one use of the ``psd`` row.
 
-    The scale is the spectral norm (at least 1), which for a Hermitian matrix
-    is the largest absolute eigenvalue, so no SVD is needed.
+    The scale is the spectral norm, which for a Hermitian matrix is the
+    largest absolute eigenvalue, so no SVD is needed.
     """
     lo, hi = (float(spectrum[0]), float(spectrum[-1])) if len(spectrum) else (0.0, 0.0)
-    bound = -PSD_TOL * max(-lo, hi, 1.0)
-    return PsdVerdict(lo >= bound, lo, bound)
+    return PsdVerdict(*tolerance("psd", lo, max(-lo, hi)))
 
 
 def spectral_norms(stack) -> np.ndarray:
@@ -185,16 +226,16 @@ def max_spectral_norm(mats) -> float:
 
 
 def require_commuting(resid: float, factors, scale, what: str) -> None:
-    """Refuse a commutator residual above ``COMMUTATION_TOL * max(scale(tops), 1)``: the one commutation rule.
+    """Refuse a commutator residual above the ``commutation`` row: the one commutation rule.
 
     ``tops`` are the largest entry norms of the ``factors``, and ``scale`` maps
     them to the norm scale of the commutators tested.  The bound is at least
-    ``COMMUTATION_TOL``, so the norms are computed only above it.
+    the row's value, so the norms are computed only above it.
     """
-    if resid <= COMMUTATION_TOL:
+    if tolerance("commutation", resid)[0]:
         return
     tops = [float(spectral_norms(np.stack(mats)).max()) for mats in factors]
-    if resid > COMMUTATION_TOL * max(scale(tops), 1.0):
+    if not tolerance("commutation", resid, scale(tops))[0]:
         raise ValueError(f"{what} do not commute (residual {resid:.3e})")
 
 
@@ -260,7 +301,7 @@ class OperatorTuple:
             raise DefectNotPositiveError(verdict.min_eigenvalue)
         clipped = np.clip(vals, 0.0, None)
         sqrt = (vecs * np.sqrt(clipped)) @ vecs.conj().T
-        keep = clipped > RANK_TOL * clipped.max(initial=0.0)
+        keep = tolerance("rank", clipped)[0]
         cols = [vecs[:, j] for j in np.argsort(clipped)[::-1] if keep[j]]
         basis = np.stack(cols, axis=1) if cols else np.zeros((self.dimH, 0), dtype=complex)
         return DefectData(self._defect, _read_only(sqrt), int(np.count_nonzero(keep)), _read_only(basis))
@@ -367,15 +408,13 @@ def check_pure(t: OperatorTuple) -> PurityReport:
         for it in range(1, MAX_PURITY_ITER + 1):
             y = cp_apply(t, i, y)
             new_norm = float(spectral_norms(y))
-            if new_norm < PURITY_TOL:
-                verdict = "pure"
-                norm = new_norm
-                break
-            if abs(new_norm - norm) < STALL_TOL * max(norm, 1.0) and new_norm > 10 * PURITY_TOL:
-                verdict = "not_pure"
-                norm = new_norm
-                break
+            pure, _, floor = tolerance("purity", new_norm)
+            # a stall counts only an order of magnitude above the purity floor
+            stalled = not pure and tolerance("stall", abs(new_norm - norm), norm)[0] and new_norm > 10 * floor
             norm = new_norm
+            if pure or stalled:
+                verdict = "pure" if pure else "not_pure"
+                break
         verdicts.append(verdict)
         iters.append(it)
         norms.append(norm)
@@ -442,12 +481,10 @@ def ampliation(tuples: list[OperatorTuple]) -> OperatorTuple:
                 row.append(reduce(np.kron, pieces))
             factors.append(tuple(row))
     out = OperatorTuple(Shape(n), total, tuple(factors))
-    expected = np.array([[1.0 + 0j]])
-    for t in tuples:
-        expected = np.kron(expected, defect_map(t, (1,) * t.k, np.eye(t.dimH, dtype=complex)))
-    got = defect_map(out, (1,) * out.k, np.eye(total, dtype=complex))
-    resid, scale = spectral_norms(np.stack([got - expected, expected]))
-    if resid > PSD_TOL * max(scale, 1.0):
+    # the parts' defects were formed by require_membership, and out's is the one check_polyball(out) reads
+    expected = reduce(np.kron, [t._defect for t in tuples])
+    resid, scale = spectral_norms(np.stack([out._defect - expected, expected]))
+    if not tolerance("ampliation", resid, scale)[0]:
         raise ValueError("ampliation defect does not factor as the tensor product of factor defects")
     return out
 

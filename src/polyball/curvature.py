@@ -19,12 +19,8 @@ from functools import partial
 import numpy as np
 
 from .basis import iter_grades, simplex_cumulative_count
-from .cp import OperatorTuple, cp_apply, cp_apply_adjoint, defect_data, require_budget, require_membership
+from .cp import OperatorTuple, cp_apply, cp_apply_adjoint, defect_data, require_budget, require_membership, tolerance
 from .fock import FockTruncation, truncation_for
-
-MONOTONE_SLACK = 1e-12
-MONOTONE_ERROR = 1e-10
-IMAG_TOL = 1e-12
 
 
 class NumericalInstabilityError(RuntimeError):
@@ -52,9 +48,9 @@ class CurvEstimate:
 def _real(traces) -> np.ndarray:
     """Real parts of grade traces, refusing imaginary parts beyond roundoff."""
     traces = np.asarray(traces)
-    bad = np.abs(traces.imag) > IMAG_TOL * np.maximum(np.abs(traces.real), 1.0)
-    if bad.any():
-        raise NumericalInstabilityError(f"grade trace has imaginary part {traces.imag[bad][0]:.3e}")
+    ok = tolerance("imag", np.abs(traces.imag), np.abs(traces.real))[0]
+    if not np.all(ok):
+        raise NumericalInstabilityError(f"grade trace has imaginary part {traces.imag[np.logical_not(ok)][0]:.3e}")
     return traces.real
 
 
@@ -130,20 +126,18 @@ def _chain(step, y: np.ndarray, steps: int):
 
 
 def _check_monotone(values: np.ndarray) -> bool:
-    """Non-increase of the grade values along every axis, within ``MONOTONE_SLACK``."""
+    """Non-increase of the grade values along every axis, within the ``monotone_slack`` row."""
     ok = True
     for i in range(values.ndim):
         gaps = np.diff(values, axis=i)
         if not gaps.size:
             continue
         worst = gaps.max()
-        if worst > MONOTONE_ERROR:
+        if not tolerance("monotone_error", worst)[0]:
             q = np.unravel_index(int(gaps.argmax()), gaps.shape)
             up = tuple(int(v) + (j == i) for j, v in enumerate(q))
-            raise NumericalInstabilityError(
-                f"grade value increased from {tuple(map(int, q))} to {up} by {worst:.3e}"
-            )
-        if worst > MONOTONE_SLACK:
+            raise NumericalInstabilityError(f"grade value increased from {tuple(map(int, q))} to {up} by {worst:.3e}")
+        if not tolerance("monotone_slack", worst)[0]:
             ok = False
     return ok
 
@@ -276,9 +270,7 @@ def bounds_report(t: OperatorTuple, q_max: int = 6) -> BoundsReport:
     est = curvature_estimate(t, q_max)
     dd = defect_data(t)
     tr = float(np.trace(dd.defect).real)
-    slack = 1e-10 * max(tr, 1.0)
     chain = (0.0, est.estimate, tr, float(dd.rank))
-    for a, b in zip(chain, chain[1:]):
-        if a > b + slack:
-            raise NumericalInstabilityError(f"bounds chain violated: {chain}")
+    if not tolerance("bounds_chain", chain, tr)[0]:
+        raise NumericalInstabilityError(f"bounds chain violated: {chain}")
     return BoundsReport(0.0, est.estimate, tr, dd.rank)

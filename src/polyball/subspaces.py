@@ -28,7 +28,7 @@ import numpy as np
 
 from .basis import Shape, word_rank
 from .cp import (OperatorTuple, gc_paused, json_field, json_int, matrix_from_pairs, matrix_to_pairs,
-                 max_spectral_norm, require_budget)
+                 max_spectral_norm, require_budget, tolerance)
 from .curvature import CurvEstimate, _complement_curvature, _occupation, _ratio_table, _summary
 from .fock import (
     FockTruncation,
@@ -37,11 +37,6 @@ from .fock import (
     defect_verdict,
     truncation_for,
 )
-
-GRAM_TOL = 1e-12
-INVARIANCE_TOL = 1e-10
-DECOMPOSITION_TOL = 1e-10
-SUPPORT_TOL = 1e-12
 
 
 class InvarianceError(ValueError):
@@ -172,11 +167,11 @@ class GradedSubspace:
                     shifted = _apply_shift_columns(ft, i, j, self.columns)
                     resid = shifted - q_proj @ shifted
                     for c in range(self.columns.shape[1]):
-                        if np.linalg.norm(self.columns[cap_rows, c]) > SUPPORT_TOL:
+                        if tolerance("support", np.linalg.norm(self.columns[cap_rows, c]))[0]:
                             continue  # shift dropped components at the cap
                         worst = max(worst, float(np.linalg.norm(resid[:, c])))
             return worst
-        for q in ft.grades:
+        for q in ft.grades if self.grade_bases is None else [q for q in self.grade_bases if ft.has_grade(q)]:
             b = self.grade_basis(q)
             if not b.shape[1]:
                 continue
@@ -211,8 +206,8 @@ def _orthogonal_complement(b: np.ndarray) -> np.ndarray:
 
 
 def _rank(s: np.ndarray) -> int:
-    """Numerical rank from singular values: those above ``1e-12`` times the largest."""
-    return int(np.count_nonzero(s > 1e-12 * s.max(initial=0.0)))
+    """Numerical rank from singular values: those above the ``svd_rank`` row."""
+    return int(np.count_nonzero(tolerance("svd_rank", s)[0]))
 
 
 def _apply_shift_columns(ft, i, j, columns):
@@ -504,13 +499,13 @@ def invariant_span(ft: FockTruncation, seeds: np.ndarray) -> GradedSubspace:
                 shifted = _apply_shift_columns(ft, i, j, np.stack(frontier, axis=1))
                 for c in range(shifted.shape[1]):
                     v = shifted[:, c]
-                    if np.linalg.norm(v) > 1e-12:
+                    if tolerance("span_shift", np.linalg.norm(v))[0]:
                         nxt.append(v)
         added = []
         basis = np.stack(cols, axis=1)
         for v in nxt:
             w = v - basis @ (basis.conj().T @ v)
-            if np.linalg.norm(w) > 1e-10:
+            if tolerance("span_new", np.linalg.norm(w))[0]:
                 w = w / np.linalg.norm(w)
                 cols.append(w)
                 added.append(w)
@@ -615,7 +610,7 @@ def inner_sequence_check(sub: GradedSubspace, psis, q_max: int) -> InnerSequence
         return {p: b @ b.conj().T}
 
     worst = _slab_residual(ft.dim, ft.grades, sources, minus=column)
-    if worst > DECOMPOSITION_TOL:
+    if not tolerance("decomposition", worst)[0]:
         raise ValueError(f"inner decomposition residual {worst:.3e} too large")
     sums = {q: sum(float(np.linalg.norm(outs[q]) ** 2) for outs in sources if q in outs) / ft.word_dim(q)
             for q in ft.grades}
@@ -705,10 +700,10 @@ def subspace_from_json(text: str) -> GradedSubspace:
     else:
         vectors = json_field(data, "vectors", "list")
         sub = span_subspace(ft, np.hstack([matrix_from_pairs(col, ft.total_dim, 1) for col in vectors]))
-    if sub.gram_residual() > GRAM_TOL:
+    if not tolerance("gram", sub.gram_residual())[0]:
         raise ValueError("loaded basis is not orthonormal")
     resid = sub.certify_invariance()
-    if resid > INVARIANCE_TOL:
+    if not tolerance("invariance", resid)[0]:
         raise InvarianceError(f"loaded subspace is not shift invariant (residual {resid:.3e})")
     return sub
 

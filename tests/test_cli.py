@@ -1,4 +1,8 @@
+import contextlib
+import copy
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,22 +12,28 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_polyball_tuple
+from conftest import commuting_tuple, random_polyball_tuple, random_row_tuple
 from oracle import connection_payload_full
 from polyball import berezin
-from polyball.berezin import INTERTWINE_TOL, multiplier_from_json
+from polyball.basis import Shape
+from polyball.berezin import monomial_multiplier, multiplier_from_json, multiplier_to_json
 from polyball.cli import _render_json, main
-from polyball.cp import tuple_from_json, tuple_to_json
+from polyball.cp import TOLERANCES, ampliation, tuple_from_json, tuple_to_json
 from polyball.subspaces import (
     bidisc_difference_subspace,
+    compression_tuple,
     construct_mt,
     construct_nadic,
+    cur0_subspace,
     subspace_from_json,
     subspace_to_json,
+    tensor_subspace,
+    uncountable_family,
 )
+from polyball.symmetric import SymFockTruncation, coordinate_multiple_subspace, sym_monomial_multiplier
 
 
 def scalar_tuple_json(r):
@@ -303,7 +313,7 @@ def test_check_connection_matches_the_full_caps_kernel(n, caps, qmax, seed):
         assert main(argv + ["--out", out]) == 0
         with open(out) as fh:
             text = fh.read()
-    assert text == _render_json(connection_payload_full(t, caps, qmax, INTERTWINE_TOL)) + "\n"
+    assert text == _render_json(connection_payload_full(t, caps, qmax, TOLERANCES["intertwine"].value)) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -809,3 +819,89 @@ def test_malformed_subspace_fields_are_refused_by_name(name, tmp_path, capsys):
     code, out, err = run(["mult", "--input", str(path), "--qmax", "1"], capsys)
     assert_invalid_input(code, out, err)
     assert named in json.loads(err)["reason"]
+
+
+
+def fuzz_payloads():
+    """Small inputs of every kind the command line reads: ``{name: (payload, argv lists)}``.
+
+    In an argv, ``{}`` is the input's own file and ``{name}`` the file of another input.
+    """
+    rng = np.random.default_rng(0)
+    unit = [[[1.0 if r == i else 0.0, 0.0] for r in range(4)] for i in range(4)]
+    subspace = [["mult", "--input", "{}", "--qmax", "2"], ["check", "beurling", "--input", "{}"]]
+    full_index = ["check", "index", "--input", "{index_tuple}", "--theta", "{theta}", "--caps", "3"]
+    sym_index = ["check", "index", "--input", "{sym_index_tuple}", "--theta", "{sym_theta}", "--caps", "2,2"]
+    payloads = {
+        "tuple": (tuple_to_json(ampliation([random_row_tuple(rng, 2, 2, 0.8), random_row_tuple(rng, 1, 1, 0.8)])),
+                  [["curv", "--input", "{}", "--qmax", "2"], ["check", "intertwine", "--input", "{}", "--caps", "2,2"],
+                   ["check", "connection", "--input", "{}", "--caps", "2,2", "--qmax", "1"]]),
+        "commuting_tuple": (tuple_to_json(ampliation([commuting_tuple(rng, 2, 2, 0.8), commuting_tuple(rng, 1, 1, 0.8)])),
+                            [["curv-c", "--input", "{}", "--qmax", "2"]]),
+        "mt": (subspace_to_json(construct_mt(construct_nadic(2, 0.5), 3)), subspace),
+        "uncountable": (subspace_to_json(uncountable_family(0.3, 0.75, (2, 2))), subspace),
+        "tensor": (subspace_to_json(tensor_subspace([construct_mt(construct_nadic(2, 0.5), 2), cur0_subspace(2, 2)])),
+                   subspace),
+        "coordinate_multiple": (subspace_to_json(coordinate_multiple_subspace(
+            SymFockTruncation(Shape((2, 1), caps=(2, 2))), 0, 1)), subspace),
+        "span": (json.dumps({"model": "full", "n": [1, 1], "caps": [1, 1], "dimE": 1, "mode": "span",
+                             "vectors": unit}), subspace),
+        "basis": (json.dumps({"model": "full", "n": [1], "caps": [2], "dimE": 1, "mode": "basis", "grades": [
+            {"q": [q], "basis": [[1.0, 0.0]], "cols": 1} for q in range(3)]}), subspace),
+        "index_tuple": (tuple_to_json(compression_tuple(construct_mt(construct_nadic(2, 0.5), 3))), [full_index]),
+        "theta": (multiplier_to_json(monomial_multiplier(Shape((2,)), 0, (1,))), [full_index]),
+        "sym_index_tuple": (tuple_to_json(compression_tuple(coordinate_multiple_subspace(
+            SymFockTruncation(Shape((1, 1), caps=(2, 2))), 0, 1))), [sym_index]),
+        "sym_theta": (multiplier_to_json(sym_monomial_multiplier(Shape((1, 1)), ((1,), (0,)))), [sym_index]),
+    }
+    return {name: (json.loads(text), argvs) for name, (text, argvs) in payloads.items()}
+
+
+def json_paths(value, prefix=()):
+    """Every path into a decoded JSON value, the value itself excluded."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from json_paths(child, prefix + (key,))
+
+
+DELETE = object()
+
+
+@pytest.fixture(scope="module")
+def fuzz(tmp_path_factory):
+    """The fuzz inputs, each written to ``<name>.json`` in a work directory: ``(work, payloads)``."""
+    work, payloads = tmp_path_factory.mktemp("fuzz"), fuzz_payloads()
+    for name, (payload, _) in payloads.items():
+        (work / f"{name}.json").write_text(json.dumps(payload))
+    return work, payloads
+
+
+@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_inputs_exit_0_to_3_and_every_refusal_is_one_json_error(fuzz, data):
+    # each path of an input deleted or set to a value of another type, sign or size
+    fuzz_dir, payloads = fuzz
+    name = data.draw(st.sampled_from(sorted(payloads)), label="input")
+    payload, argvs = payloads[name]
+    path = data.draw(st.sampled_from(list(json_paths(payload))), label="path")
+    value = data.draw(st.sampled_from([DELETE, None, "x", -1, 0, 1.5, 10**6, [], {}, True, math.nan]), label="value")
+    mutated = copy.deepcopy(payload)
+    parent = mutated
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    target = fuzz_dir / f"mutated-{name}.json"
+    target.write_text(json.dumps(mutated))
+    files = {other: str(fuzz_dir / f"{other}.json") for other in payloads} | {name: str(target)}
+    for argv in argvs:
+        args = [a.format(str(target), **files) for a in argv] + ["--out", str(fuzz_dir / "out.txt")]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(args)
+        assert code in (0, 1, 2, 3), args
+        if code:
+            assert "error" in json.loads(err.getvalue()), args

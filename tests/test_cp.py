@@ -172,7 +172,6 @@ def test_defect_data_rejects_indefinite():
 
 
 def test_one_defect_decomposition_per_tuple(monkeypatch):
-    t = random_polyball_tuple(np.random.default_rng(43), (2, 1), (2, 3), 0.8)
     calls = []
 
     def spy(name, fn, key):
@@ -181,13 +180,16 @@ def test_one_defect_decomposition_per_tuple(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(cp, "defect_map", spy("defect_map", cp.defect_map, lambda u, p, y: p))
+    monkeypatch.setattr(cp, "defect_map", spy("defect_map", cp.defect_map, lambda u, p, y: (u.dimH, p)))
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name), lambda a, *rest: a.shape))
+    # the ampliation forms the tuple's Delta(I) as it checks it: construction is counted too
+    t = random_polyball_tuple(np.random.default_rng(43), (2, 1), (2, 3), 0.8)
     curvature_estimate(t, 3)
     bounds_report(t, 3)
     berezin_kernel(t, (2, 2))
-    assert sorted(p for name, p in calls if name == "defect_map") == [(0, 1), (1, 0), (1, 1)]
+    assert sorted(p for name, (dim, p) in (c for c in calls if c[0] == "defect_map") if dim == 6) == [
+        (0, 1), (1, 0), (1, 1)]
     assert [c for c in calls if c[0] == "eigh"] == [("eigh", (6, 6))]
     assert calls.count(("eigvalsh", (6, 6))) == 3  # one per p != 0
     assert check_polyball(t) is check_polyball(t) and defect_data(t) is defect_data(t)
@@ -195,6 +197,24 @@ def test_one_defect_decomposition_per_tuple(monkeypatch):
     for a in (dd.defect, dd.sqrt, dd.range_basis):
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
+
+
+def test_ampliation_reads_each_defect_once(monkeypatch):
+    rng = np.random.default_rng(44)
+    parts = [random_row_tuple(rng, 2, 3, 0.8) for _ in range(2)]
+    calls = []
+    real = cp.defect_map
+
+    def spy(u, p, y):
+        calls.append((u.dimH, p))
+        return real(u, p, y)
+
+    monkeypatch.setattr(cp, "defect_map", spy)
+    out = ampliation(parts)
+    assert check_polyball(out).member
+    # each part's Delta(I) once, for its membership; the product's once, checked and then reused
+    assert calls.count((3, (1,))) == 2 and calls.count((9, (1, 1))) == 1
+    assert sorted(calls) == [(3, (1,)), (3, (1,)), (9, (0, 1)), (9, (1, 0)), (9, (1, 1))]
 
 
 def test_membership_bits_match_a_fresh_decomposition():

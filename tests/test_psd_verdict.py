@@ -10,7 +10,7 @@ from oracle import creation_op, op_block, op_identity
 from polyball import fock
 from polyball.berezin import BerezinKernel, berezin_kernel, has_characteristic_function
 from polyball.basis import Shape
-from polyball.cp import PSD_TOL, ampliation, herm, psd_verdict
+from polyball.cp import TOLERANCES, ampliation, herm, psd_verdict
 from polyball.fock import FockTruncation, bump, defect_shift, defect_verdict
 from polyball.subspaces import (
     GradedSubspace,
@@ -57,15 +57,15 @@ def test_verdict_matches_dense_oracles(name):
     scale = max(abs(spectrum[0]), abs(spectrum[-1]))
     norm = d.norm_interior()
     assert scale == pytest.approx(norm, rel=1e-12)
-    assert v.bound == pytest.approx(-PSD_TOL * max(norm, 1.0), rel=1e-12)
-    assert v.positive == (d.min_eig_interior() >= -PSD_TOL * max(norm, 1.0))
+    assert v.bound == pytest.approx(-TOLERANCES["psd"].value * max(norm, 1.0), rel=1e-12)
+    assert v.positive == (d.min_eig_interior() >= -TOLERANCES["psd"].value * max(norm, 1.0))
     assert v.positive == (name != "bidisc-difference")
 
 
 def svd_scaled_verdict(a):
     """The rule before the one verdict: SVD norm of the matrix itself."""
     lo = float(np.linalg.eigvalsh(herm(a))[0])
-    return lo >= -PSD_TOL * max(np.linalg.norm(a, 2), 1.0)
+    return lo >= -TOLERANCES["psd"].value * max(np.linalg.norm(a, 2), 1.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -82,7 +82,7 @@ def test_verdict_equals_svd_scaled_rule(dim, seed, scale, margin):
     u, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
     vals = rng.uniform(0.0, scale, dim)
     vals[-1] = scale
-    vals[0] = margin * PSD_TOL * max(scale, 1.0)
+    vals[0] = margin * TOLERANCES["psd"].value * max(scale, 1.0)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     a = (u * vals) @ u.conj().T + 1e-16 * scale * (g - g.conj().T)
     v = psd_verdict(np.linalg.eigvalsh(herm(a)))
@@ -92,7 +92,7 @@ def test_verdict_equals_svd_scaled_rule(dim, seed, scale, margin):
 
 def test_empty_spectrum_is_positive():
     v = psd_verdict(np.zeros(0))
-    assert v.positive and v.min_eigenvalue == 0.0 and v.bound == -PSD_TOL
+    assert v.positive and v.min_eigenvalue == 0.0 and v.bound == -TOLERANCES["psd"].value
 
 
 @pytest.fixture
@@ -157,7 +157,7 @@ def test_interior_verdict_matches_dense_oracles(name):
     d = defect_shift(sub.projection())
     v = defect_verdict("Beurling test", sub.truncation, sub.projection)
     assert v.min_eigenvalue == d.min_eig_interior()
-    assert v.bound == pytest.approx(-PSD_TOL * max(d.norm_interior(), 1.0), rel=1e-12)
+    assert v.bound == pytest.approx(-TOLERANCES["psd"].value * max(d.norm_interior(), 1.0), rel=1e-12)
     assert v.positive == (name != "finite-codim")
     assert beurling_check(sub).positive == v.positive
     if name == "finite-codim":

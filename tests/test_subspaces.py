@@ -100,6 +100,17 @@ def test_mt_invariance_certificate():
     assert sub.certify_invariance() < 1e-12
 
 
+def test_basis_invariance_reads_only_the_stored_grades(monkeypatch):
+    # three stored grades under a cap of 10**6: the certificate visits them, not the empty grades
+    ft = FockTruncation(Shape((1,), caps=(10**6,)))
+    sub = GradedSubspace(ft, "basis", grade_bases={(q,): np.ones((1, 1), dtype=complex) for q in range(3)})
+    calls = []
+    real = GradedSubspace.grade_basis
+    monkeypatch.setattr(GradedSubspace, "grade_basis", lambda self, q: calls.append(q) or real(self, q))
+    assert sub.certify_invariance() == 1.0  # grade 2 shifts into the empty grade 3
+    assert sorted(calls) == [(0,), (1,), (1,), (2,), (2,), (3,)]
+
+
 def test_mt_complement_ratio_closed_form():
     exp = construct_nadic(2, 0.25)
     sub = construct_mt(exp, cap=8)

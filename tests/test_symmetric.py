@@ -125,7 +125,7 @@ def test_symmetric_kernel_entries_refuse_a_non_commuting_row(entry, norm):
 
 @pytest.mark.parametrize("scale, eps, refused", [(1e3, 1e-9, False), (1e3, 1e-8, True), (1.0, 1e-3, True)])
 def test_within_factor_commutation_bound_scales_with_the_entries(scale, eps, refused):
-    # ||[A, B]|| = scale**2 * eps against COMMUTATION_TOL * max(||B||**2, 1), about 1.6e-9 * scale**2:
+    # ||[A, B]|| = scale**2 * eps against the commutation row's 1e-10 * max(||B||**2, 1), about 1.6e-9 * scale**2:
     # the residual 1e-3 passes beside entries of norm 4e3 and is refused beside entries of norm 4
     a = scale * np.diag([1.0, 2.0])
     b = scale * np.array([[3.0, eps], [0.0, 4.0]])

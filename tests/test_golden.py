@@ -41,6 +41,9 @@ def write_inputs(work: Path) -> dict[str, list[str]]:
         "n": [2, 1], "dimH": 2,
         "factors": [[_matrix([0.5, 0.25]), _matrix([0.25, 0.5])], [_matrix([0.5, 0.5])]],
     }))
+    # its first factor alone: the characteristic-function test passes, so curv-c prints no caveat
+    single = work / "single.json"
+    single.write_text(json.dumps({"n": [2], "dimH": 2, "factors": [[_matrix([0.5, 0.25]), _matrix([0.25, 0.5])]]}))
     mt = work / "mt.json"
     mt.write_text(subspace_to_json(construct_mt(construct_nadic(2, 0.625), 6)))
     unc = work / "uncountable.json"
@@ -62,6 +65,7 @@ def write_inputs(work: Path) -> dict[str, list[str]]:
         "curv_scalar.json": ["curv", "--input", str(scalar), "--qmax", "6"],
         "curv_scalar.csv": ["curv", "--input", str(scalar), "--qmax", "4", "--format", "csv"],
         "curv_c_diagonal.json": ["curv-c", "--input", str(diagonal), "--qmax", "5"],
+        "curv_c_single_factor.json": ["curv-c", "--input", str(single), "--qmax", "3"],
         "mult_mt.json": ["mult", "--input", str(mt), "--qmax", "6"],
         "mult_uncountable.json": ["mult", "--input", str(unc), "--qmax", "4"],
         "mult_coordinate_multiple.json": ["mult", "--input", str(cm), "--qmax", "4"],

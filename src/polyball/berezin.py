@@ -22,6 +22,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -575,23 +576,24 @@ def _connection(block: np.ndarray, rhs: np.ndarray):
     return lhs, rhs, float(spectral_norms(lhs - rhs))
 
 
+def identity_minus_kk_star(kb: BerezinKernel, box: FockTruncation) -> GradedOperator:
+    """``I - K K^*`` on ``box``, formed in place on the ``kk_star_full`` blocks with the bits of ``identity - kk``:
+    the operator whose defect the characteristic-function test reads."""
+    d = kb.kk_star_full(box)
+    for (src, dst), b in d.blocks.items():
+        if src == dst:
+            np.subtract(np.eye(len(b), dtype=complex), b, out=b)
+        else:
+            b *= -1.0
+    return d
+
+
 def has_characteristic_function(kb: BerezinKernel) -> PsdVerdict:
     """PSD test of ``Delta_{S (x) I}(I - K K^*)`` on interior grades, by ``fock.defect_verdict``.
 
-    ``I - K K^*`` is formed in place on the ``kk_star_full`` blocks, with the
-    bits of ``identity - kk``.  A zero cap reads as positive with minimum 0.0.
+    A zero cap reads as positive with minimum 0.0.
     """
-
-    def defect(box):
-        d = kb.kk_star_full(box)
-        for (src, dst), b in d.blocks.items():
-            if src == dst:
-                np.subtract(np.eye(len(b), dtype=complex), b, out=b)
-            else:
-                b *= -1.0
-        return d
-
-    v = defect_verdict("characteristic-function test", kb.truncation, defect)
+    v = defect_verdict("characteristic-function test", kb.truncation, partial(identity_minus_kk_star, kb))
     return psd_verdict(np.zeros(0)) if v is None else v
 
 

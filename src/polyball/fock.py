@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .basis import Shape, grade_dim, iter_grades
-from .cp import PsdVerdict, psd_verdict, require_budget, spectral_norms
+from .cp import PsdVerdict, psd_verdict, require_budget, spectral_norms, tolerance
 
 
 @dataclass(frozen=True)
@@ -306,12 +306,12 @@ def defect_shift(y: GradedOperator, factors=None) -> GradedOperator:
     return y
 
 
-def defect_verdict(what: str, ft: FockTruncation, build) -> PsdVerdict | None:
-    """PSD verdict of ``Delta_{S (x) I}(build(box))`` on ``box = interior_box(ft)``: the one dense positivity route.
+def _dense_defect(what: str, ft: FockTruncation, build) -> tuple[FockTruncation, np.ndarray] | None:
+    """``(box, h)``: the dense Hermitian interior ``h`` of ``Delta_{S (x) I}(build(box))``, ``box = interior_box(ft)``.
 
     ``None`` when a cap is 0.  The dense interior's ``16 * N**2`` bytes are refused as ``what`` before
     ``build`` runs.  ``defect_shift`` consumes the built operator, whose blocks are cleared once ``to_dense``
-    returns; the spectrum is then the sorted diagonal when nothing lies off it, else one ``eigvalsh``.
+    returns.
     """
     box = interior_box(ft)
     if box is None:
@@ -320,5 +320,45 @@ def defect_verdict(what: str, ft: FockTruncation, build) -> PsdVerdict | None:
     y = defect_shift(build(box))
     h = y.to_dense(box.grades, hermitian=True)
     y.blocks.clear()
+    return box, h
+
+
+def _spectrum_verdict(h: np.ndarray) -> PsdVerdict:
+    """PSD verdict of a Hermitian ``h`` from its whole spectrum: the sorted diagonal when nothing lies off it,
+    else one ``eigvalsh``."""
     d = h.diagonal()
     return psd_verdict(np.sort(d.real) if np.count_nonzero(h) == np.count_nonzero(d) else np.linalg.eigvalsh(h))
+
+
+def psd_sign(h: np.ndarray, cuts) -> bool:
+    """``_spectrum_verdict(h).positive``, refuted first from the leading block ``h[:c, :c]``.
+
+    ``c`` is the last of the row boundaries ``cuts`` with at most a quarter of the rows.  By Cauchy
+    interlacing the least eigenvalue ``m`` of the block bounds that of ``h`` from above, and
+    ``||h||_2 <= ||h||_F``: an ``m`` below twice the ``psd`` bound at the Frobenius scale lies below the whole
+    verdict's own bound, with a factor 2 to spare for rounding.  Only a block that passes reads the whole
+    spectrum.
+    """
+    c = max((b for b in cuts if 4 * b <= len(h)), default=0)
+    if c and not tolerance("psd", np.linalg.eigvalsh(h[:c, :c])[0] / 2, np.linalg.norm(h))[0]:
+        return False
+    return _spectrum_verdict(h).positive
+
+
+def defect_verdict(what: str, ft: FockTruncation, build) -> PsdVerdict | None:
+    """PSD verdict of ``Delta_{S (x) I}(build(box))`` on ``box = interior_box(ft)``: the one dense positivity route.
+
+    ``None`` when a cap is 0; see ``_dense_defect`` for the size check and the release of the built blocks.
+    """
+    dense = _dense_defect(what, ft, build)
+    return None if dense is None else _spectrum_verdict(dense[1])
+
+
+def defect_positive(what: str, ft: FockTruncation, build) -> bool:
+    """``defect_verdict(what, ft, build).positive`` by ``psd_sign`` on the box's grade boundaries; true when a
+    cap is 0."""
+    dense = _dense_defect(what, ft, build)
+    if dense is None:
+        return True
+    box, h = dense
+    return psd_sign(h, [box.offset(q) for q in box.grades])

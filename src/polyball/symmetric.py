@@ -22,15 +22,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .basis import Shape
-from .berezin import InnerMultiplier, berezin_kernel, has_characteristic_function
+from .berezin import InnerMultiplier, berezin_kernel, identity_minus_kk_star
 from .cp import OperatorTuple, require_commutative, require_membership
 from .curvature import CurvEstimate, _box_sums, _check_monotone, _summary, grade_trace_table
-from .fock import FockTruncation, bump
+from .fock import FockTruncation, bump, defect_positive
 from .subspaces import BeurlingVerdict, GradedSubspace, MultiplicityEstimate, beurling_check, multiplicity_estimate
 
 
@@ -117,8 +117,9 @@ def curv_c_estimate(t: OperatorTuple, q_max: int) -> CurvEstimate:
     The third route stored in ``defect_product_seq`` is the factorial-weighted
     form ``n_1! ... n_k! trace[(id - Phi^{q+1})...(I)] / (q^{n_1} ... q^{n_k})``.
     Existence is a theorem only under the characteristic-function hypothesis,
-    so the verdict of the constrained kernel test is attached as a caveat when
-    it fails.
+    so the sign of the constrained kernel test is attached as a caveat when it
+    fails; ``fock.defect_positive`` reads that sign, from one leading grade
+    block when the block already fails.
     """
     require_commutative(t)
     require_membership(t)
@@ -135,8 +136,8 @@ def curv_c_estimate(t: OperatorTuple, q_max: int) -> CurvEstimate:
         routes.append(factorial_form[-1])
     caveats: tuple[str, ...] = ()
     if any(ni >= 2 for ni in t.shape.n):
-        caps = (min(q_max, 3) + 1,) * t.k
-        if not has_characteristic_function(berezin_kernel(t, caps, "symmetric")).positive:
+        kb = berezin_kernel(t, (min(q_max, 3) + 1,) * t.k, "symmetric")
+        if not defect_positive("characteristic-function test", kb.truncation, partial(identity_minus_kk_star, kb)):
             caveats = ("characteristic function test failed; existence of the limit is unproved",)
     return CurvEstimate(
         **fields,

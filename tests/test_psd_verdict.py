@@ -1,17 +1,23 @@
 """The one PSD verdict: against the dense oracles, the SVD-scaled formula, and its cost."""
 
+import os
+import subprocess
+import sys
+from functools import partial
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import commuting_tuple
+from conftest import commuting_tuple, random_row_tuple
 from oracle import creation_op, op_block, op_identity
 from polyball import fock
-from polyball.berezin import BerezinKernel, berezin_kernel, has_characteristic_function
+from polyball.berezin import BerezinKernel, berezin_kernel, has_characteristic_function, identity_minus_kk_star
 from polyball.basis import Shape
-from polyball.cp import TOLERANCES, ampliation, herm, psd_verdict
-from polyball.fock import FockTruncation, bump, defect_shift, defect_verdict
+from polyball.cp import TOLERANCES, ampliation, herm, psd_verdict, tuple_to_json
+from polyball.fock import FockTruncation, bump, defect_positive, defect_shift, defect_verdict
 from polyball.subspaces import (
     GradedSubspace,
     beurling_check,
@@ -26,7 +32,7 @@ from polyball.subspaces import (
     tensor_subspace,
     uncountable_family,
 )
-from polyball.symmetric import SymFockTruncation, coordinate_multiple_subspace
+from polyball.symmetric import SymFockTruncation, coordinate_multiple_subspace, curv_c_estimate
 
 
 def constrained_kernel():
@@ -250,10 +256,16 @@ def curv_c_kernel():
     return berezin_kernel(ampliation([commuting_tuple(rng, 2, 3, 0.8), commuting_tuple(rng, 2, 3, 0.8)]), (4, 4), "symmetric")
 
 
+def caveat_sign(kb):
+    """The route of ``curv_c_estimate``'s caveat: the sign of the characteristic-function test."""
+    return defect_positive("characteristic-function test", kb.truncation, partial(identity_minus_kk_star, kb))
+
+
 @pytest.mark.parametrize("verdict, make", [
     (has_characteristic_function, curv_c_kernel),
+    (caveat_sign, curv_c_kernel),
     (beurling_check, lambda: bidisc_difference_subspace((5, 5))),
-], ids=["char-function", "bidisc-difference"])
+], ids=["char-function", "curv-c-caveat", "bidisc-difference"])
 def test_the_operator_is_released_before_the_spectrum(verdict, make, monkeypatch):
     arg = make()  # before the patches: building a kernel takes spectra of its own
     built, seen = [], []
@@ -272,3 +284,108 @@ def test_the_operator_is_released_before_the_spectrum(verdict, make, monkeypatch
     monkeypatch.setattr(np.linalg, "eigvalsh", recording)
     verdict(arg)
     assert seen == [[0]]  # one spectrum, taken after the one built operator gave up its blocks
+
+
+# -- the curv-c caveat reads its sign from one leading grade block --------------------------------
+
+
+def planted_hermitian(rng, dim, scale, planted, lead):
+    """Hermitian ``dim x dim`` with spectral norm ``scale`` whose least eigenvalue is ``planted`` times the
+    ``psd`` bound at the Frobenius scale; with ``lead > 0`` its eigenvector lies in the first ``lead`` rows."""
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    if lead:
+        g[lead:, 0] = 0.0
+    u, _ = np.linalg.qr(g)
+    vals = rng.uniform(0.0, scale, dim)
+    vals[-1] = scale
+    vals[0] = planted * TOLERANCES["psd"].value * max(float(np.linalg.norm(vals[1:])), 1.0)
+    return herm((u * vals) @ u.conj().T)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dim=st.integers(2, 40),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1e-3, 1.0, 7.0, 1e3]),
+    planted=st.sampled_from([0.0, 0.5, -0.5, -0.99, -1.01, -1.99, -2.01, -50.0]),
+    localized=st.booleans(),
+    data=st.data(),
+)
+def test_psd_sign_equals_the_whole_spectrum_verdict(dim, seed, scale, planted, localized, data):
+    rng = np.random.default_rng(seed)
+    cuts = [0] + sorted(data.draw(st.sets(st.integers(1, dim - 1), max_size=dim - 1)))
+    lead = max((b for b in cuts if 4 * b <= dim), default=0)
+    h = planted_hermitian(rng, dim, scale, planted, lead if localized else 0)
+    assert fock.psd_sign(h, cuts) == psd_verdict(np.linalg.eigvalsh(h)).positive
+
+
+def random_kernel(rng, model, n, caps):
+    rows = [(commuting_tuple if model == "symmetric" else random_row_tuple)(rng, ni, 2, 0.8) for ni in n]
+    return berezin_kernel(rows[0] if len(rows) == 1 else ampliation(rows), caps, model)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    model=st.sampled_from(["full", "symmetric"]),
+    n_caps=st.sampled_from([((2,), (4,)), ((3,), (3,)), ((2, 1), (2, 3)), ((1, 2), (3, 2)), ((2, 2), (2, 2))]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_caveat_sign_equals_the_characteristic_function_verdict(model, n_caps, seed):
+    kb = random_kernel(np.random.default_rng(seed), model, *n_caps)
+    assert caveat_sign(kb) == has_characteristic_function(kb).positive
+
+
+def test_curv_c_caveat_reads_one_leading_block(counted, eigvalsh_sizes, monkeypatch):
+    rng = np.random.default_rng(1)
+    t = ampliation([commuting_tuple(rng, 2, 3, 0.8), commuting_tuple(rng, 2, 3, 0.8)])
+    built = []
+    kk_star_full = BerezinKernel.kk_star_full
+
+    def recording(self, *args, **kwargs):
+        built.append(kk_star_full(self, *args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(BerezinKernel, "kk_star_full", recording)
+    est = curv_c_estimate(t, 3)  # caps (4, 4): the kernel of curv_c_kernel, a 900-row interior
+    assert est.caveats == ("characteristic function test failed; existence of the limit is unproved",)
+    assert len(built) == 1 and counted["to_dense"] == 1
+    assert max(eigvalsh_sizes) == 198  # grades (0, 0) to (1, 2): 22 of the 100 interior monomials, dimH 9
+    assert 4 * max(eigvalsh_sizes) <= 900
+
+
+CHILD = """
+import sys
+from functools import partial
+from polyball.berezin import berezin_kernel, has_characteristic_function, identity_minus_kk_star
+from polyball.cp import tuple_from_json
+from polyball.fock import defect_positive
+kb = berezin_kernel(tuple_from_json(sys.stdin.read()), (4, 4), "symmetric")
+if sys.argv[1] == "caveat":
+    defect_positive("characteristic-function test", kb.truncation, partial(identity_minus_kk_star, kb))
+else:
+    has_characteristic_function(kb)
+print(next(line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:")))
+"""
+
+
+def peak_rss_kib(route, tuple_json):
+    """Peak RSS of a fresh interpreter that builds the caps-(4, 4) symmetric kernel and runs ``route`` on it.
+
+    ``VmHWM`` is the high-water mark of the process's own memory map; ``ru_maxrss`` would also count the
+    resident set of the process that started it.
+    """
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", CHILD, route], input=tuple_json, capture_output=True, text=True,
+                         env=env, check=True)
+    return int(out.stdout)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the peak RSS of a process from /proc")
+def test_caveat_peaks_below_the_characteristic_function_verdict():
+    # Only the whole-interior eigvalsh copies the 900-row interior into LAPACK's buffers.  numpy allocates them
+    # with malloc, out of tracemalloc's sight (both routes' traced peak is the to_dense step), so each route's
+    # peak RSS is read in a lean process of its own.
+    rng = np.random.default_rng(1)
+    t = tuple_to_json(ampliation([commuting_tuple(rng, 2, 3, 0.8), commuting_tuple(rng, 2, 3, 0.8)]))
+    assert peak_rss_kib("caveat", t) < peak_rss_kib("whole", t)

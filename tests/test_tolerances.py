@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import random_polyball_tuple
-from polyball import berezin, cp, curvature, subspaces
+from polyball import berezin, cp, curvature, fock, subspaces
 from polyball.basis import Shape
 from polyball.berezin import (InnerMultiplier, _validate_blocks, monomial_multiplier, multiplier_to_json,
                               validate_multiplier)
@@ -291,6 +291,32 @@ def test_the_psd_row_fails_nan_and_its_borrower_passes_it():
     assert tolerance("psd", -2e-10, 2.0) == (True, -2e-10, -2e-10)
     assert tolerance("psd", math.nan, 2.0)[0] is False
     assert tolerance("ampliation", math.nan, 2.0)[0] is True  # psd's value, its own comparison
+
+
+def leading_block_case(m):
+    """8 x 8 Hermitian: ``diag(m, 1)`` on the leading two rows, a random block with spectrum in [0.5, 1] below."""
+    rng = np.random.default_rng(3)
+    u, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    tail = (u * rng.uniform(0.5, 1.0, 6)) @ u.conj().T
+    h = np.zeros((8, 8), dtype=complex)
+    h[:2, :2] = np.diag([m, 1.0])
+    h[2:, 2:] = (tail + tail.conj().T) / 2
+    return h
+
+
+@pytest.mark.parametrize("side, reads", [(1 + 1e-6, [2]), (1 - 1e-6, [2, 8])], ids=["below", "above"])
+def test_the_psd_row_refutes_from_the_leading_block_at_twice_its_bound(side, reads, monkeypatch):
+    # the leading block of cuts (0, 2, 4, 6) has 2 of the 8 rows; its least eigenvalue m is planted just below or
+    # just above twice the psd bound at the Frobenius scale: below, the block alone refutes; above, the whole
+    # spectrum is read, and fails at its own bound
+    frobenius = float(np.linalg.norm(leading_block_case(0.0)))
+    h = leading_block_case(-2 * TOLERANCES["psd"].value * frobenius * side)
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: sizes.append(len(a)) or eigvalsh(a))
+    assert fock.psd_sign(h, [0, 2, 4, 6]) is False
+    assert sizes == reads
+    assert cp.psd_verdict(eigvalsh(h)).positive is False
 
 
 def small_float_sites(path):

@@ -132,8 +132,8 @@ def _emit_grade_table(payload: dict, table, cesaro, defect_product, value_key, a
         return
     header, columns = _grade_columns(table, cesaro, defect_product, value_key, "null")
     # one table row at indent 2 of the payload: keys at 6 spaces, braces at 4
-    row = "    {{\n" + ",\n".join(f"      {_json_key(h)}{{}}" for h in header) + "\n    }}"
-    rows = ",\n".join(row.format(*cells) for cells in zip(*columns))
+    row = "    {\n" + ",\n".join(f"      {_json_key(h)}%s" for h in header) + "\n    }"
+    rows = ",\n".join(row % cells for cells in zip(*columns))
     _write(_render_json(payload | {"table": _Rendered(f"[\n{rows}\n  ]")}) + "\n", args.out)
 
 

@@ -330,21 +330,6 @@ def _spectrum_verdict(h: np.ndarray) -> PsdVerdict:
     return psd_verdict(np.sort(d.real) if np.count_nonzero(h) == np.count_nonzero(d) else np.linalg.eigvalsh(h))
 
 
-def psd_sign(h: np.ndarray, cuts) -> bool:
-    """``_spectrum_verdict(h).positive``, refuted first from the leading block ``h[:c, :c]``.
-
-    ``c`` is the last of the row boundaries ``cuts`` with at most a quarter of the rows.  By Cauchy
-    interlacing the least eigenvalue ``m`` of the block bounds that of ``h`` from above, and
-    ``||h||_2 <= ||h||_F``: an ``m`` below twice the ``psd`` bound at the Frobenius scale lies below the whole
-    verdict's own bound, with a factor 2 to spare for rounding.  Only a block that passes reads the whole
-    spectrum.
-    """
-    c = max((b for b in cuts if 4 * b <= len(h)), default=0)
-    if c and not tolerance("psd", np.linalg.eigvalsh(h[:c, :c])[0] / 2, np.linalg.norm(h))[0]:
-        return False
-    return _spectrum_verdict(h).positive
-
-
 def defect_verdict(what: str, ft: FockTruncation, build) -> PsdVerdict | None:
     """PSD verdict of ``Delta_{S (x) I}(build(box))`` on ``box = interior_box(ft)``: the one dense positivity route.
 
@@ -355,10 +340,21 @@ def defect_verdict(what: str, ft: FockTruncation, build) -> PsdVerdict | None:
 
 
 def defect_positive(what: str, ft: FockTruncation, build) -> bool:
-    """``defect_verdict(what, ft, build).positive`` by ``psd_sign`` on the box's grade boundaries; true when a
-    cap is 0."""
+    """``defect_verdict(what, ft, build).positive``, refuted first on the unit box; true when a cap is 0.
+
+    The unit box caps every factor at 2, so its interior grades are ``{0, 1}^k``.  It is closed under the
+    step down and ``build``'s blocks do not depend on the caps, so its dense interior is, to the bit, a
+    principal submatrix of the whole one: by Cauchy interlacing its least eigenvalue ``m`` bounds the whole
+    one's from above.  ``build(box)`` lies between 0 and I (``I - K K^*``) and each ``id - Phi_i`` has norm
+    at most 2 (Russo-Dye), so ``||h||_2 <= 2^k``: an ``m`` below twice the ``psd`` bound at scale ``2^k``
+    lies below the whole verdict's own bound, with a factor 2 to spare for rounding.  Only a unit box that
+    passes, or that is the whole box, leads to the whole interior and its spectrum.
+    """
+    caps = ft.shape.caps
+    unit = tuple(min(c, 2) for c in caps)
+    if unit != caps:
+        dense = _dense_defect(what, truncation_for(ft.model, ft.shape.with_caps(unit), ft.coeff_dim), build)
+        if dense is not None and not tolerance("psd", np.linalg.eigvalsh(dense[1])[0] / 2, 2.0**ft.shape.k)[0]:
+            return False
     dense = _dense_defect(what, ft, build)
-    if dense is None:
-        return True
-    box, h = dense
-    return psd_sign(h, [box.offset(q) for q in box.grades])
+    return dense is None or _spectrum_verdict(dense[1]).positive

@@ -118,8 +118,8 @@ def curv_c_estimate(t: OperatorTuple, q_max: int) -> CurvEstimate:
     form ``n_1! ... n_k! trace[(id - Phi^{q+1})...(I)] / (q^{n_1} ... q^{n_k})``.
     Existence is a theorem only under the characteristic-function hypothesis,
     so the sign of the constrained kernel test is attached as a caveat when it
-    fails; ``fock.defect_positive`` reads that sign, from one leading grade
-    block when the block already fails.
+    fails; ``fock.defect_positive`` reads that sign, from the unit box (interior
+    grades ``{0, 1}^k``) alone when that box already fails.
     """
     require_commutative(t)
     require_membership(t)

@@ -5,10 +5,11 @@ import subprocess
 import sys
 from functools import partial
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from conftest import commuting_tuple, random_row_tuple
@@ -17,7 +18,7 @@ from polyball import fock
 from polyball.berezin import BerezinKernel, berezin_kernel, has_characteristic_function, identity_minus_kk_star
 from polyball.basis import Shape
 from polyball.cp import TOLERANCES, ampliation, herm, psd_verdict, tuple_to_json
-from polyball.fock import FockTruncation, bump, defect_positive, defect_shift, defect_verdict
+from polyball.fock import FockTruncation, bump, defect_positive, defect_shift, defect_verdict, truncation_for
 from polyball.subspaces import (
     GradedSubspace,
     beurling_check,
@@ -286,56 +287,98 @@ def test_the_operator_is_released_before_the_spectrum(verdict, make, monkeypatch
     assert seen == [[0]]  # one spectrum, taken after the one built operator gave up its blocks
 
 
-# -- the curv-c caveat reads its sign from one leading grade block --------------------------------
+# -- the curv-c caveat is refuted on the unit box before the whole interior is built -----------------------
 
 
-def planted_hermitian(rng, dim, scale, planted, lead):
-    """Hermitian ``dim x dim`` with spectral norm ``scale`` whose least eigenvalue is ``planted`` times the
-    ``psd`` bound at the Frobenius scale; with ``lead > 0`` its eigenvector lies in the first ``lead`` rows."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    if lead:
-        g[lead:, 0] = 0.0
-    u, _ = np.linalg.qr(g)
-    vals = rng.uniform(0.0, scale, dim)
-    vals[-1] = scale
-    vals[0] = planted * TOLERANCES["psd"].value * max(float(np.linalg.norm(vals[1:])), 1.0)
-    return herm((u * vals) @ u.conj().T)
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    dim=st.integers(2, 40),
-    seed=st.integers(0, 2**32 - 1),
-    scale=st.sampled_from([1e-3, 1.0, 7.0, 1e3]),
-    planted=st.sampled_from([0.0, 0.5, -0.5, -0.99, -1.01, -1.99, -2.01, -50.0]),
-    localized=st.booleans(),
-    data=st.data(),
-)
-def test_psd_sign_equals_the_whole_spectrum_verdict(dim, seed, scale, planted, localized, data):
-    rng = np.random.default_rng(seed)
-    cuts = [0] + sorted(data.draw(st.sets(st.integers(1, dim - 1), max_size=dim - 1)))
-    lead = max((b for b in cuts if 4 * b <= dim), default=0)
-    h = planted_hermitian(rng, dim, scale, planted, lead if localized else 0)
-    assert fock.psd_sign(h, cuts) == psd_verdict(np.linalg.eigvalsh(h)).positive
-
-
-def random_kernel(rng, model, n, caps):
+def random_tuple(rng, model, n):
     rows = [(commuting_tuple if model == "symmetric" else random_row_tuple)(rng, ni, 2, 0.8) for ni in n]
-    return berezin_kernel(rows[0] if len(rows) == 1 else ampliation(rows), caps, model)
+    return rows[0] if len(rows) == 1 else ampliation(rows)
+
+
+def random_kernel(case):
+    """The kernel of ``case = (model, (n, caps), seed)``: a random tuple of that model."""
+    model, (n, caps), seed = case
+    return berezin_kernel(random_tuple(np.random.default_rng(seed), model, n), caps, model)
+
+
+def unit_truncation(ft):
+    """The truncation at caps ``min(c, 2)``, whose interior grades are ``{0, 1}^k``: the first box of the caveat."""
+    return truncation_for(ft.model, ft.shape.with_caps(min(c, 2) for c in ft.shape.caps), ft.coeff_dim)
+
+
+def dense_char_defect(kb, ft):
+    """``(box, h)`` of the characteristic-function test on ``interior_box(ft)``, built from ``kb``'s blocks."""
+    return fock._dense_defect("characteristic-function test", ft, partial(identity_minus_kk_star, kb))
+
+
+def caveat_stages(kb):
+    """``(caveat_sign(kb), caps)``: the sign, and the caps of each truncation whose interior it densified."""
+    seen, dense_defect = [], fock._dense_defect
+
+    def recording(what, ft, build):
+        seen.append(ft.shape.caps)
+        return dense_defect(what, ft, build)
+
+    with mock.patch.object(fock, "_dense_defect", recording):
+        return caveat_sign(kb), seen
+
+
+# k = 1 and 2; caps where the unit box is the whole box, and where it is not
+N_CAPS = [((2,), (4,)), ((3,), (3,)), ((2,), (2,)), ((2, 1), (2, 3)), ((1, 2), (3, 2)), ((2, 2), (2, 2)),
+          ((1, 1), (4, 1))]
+kernels = st.tuples(st.sampled_from(["full", "symmetric"]), st.sampled_from(N_CAPS), st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=kernels)
+def test_the_unit_box_interior_is_a_principal_submatrix_of_the_whole(case):
+    kb = random_kernel(case)
+    box, h = dense_char_defect(kb, kb.truncation)
+    unit, u = dense_char_defect(kb, unit_truncation(kb.truncation))
+    assert set(unit.grades) == {q for q in box.grades if max(q) <= 1}
+    rows = np.concatenate([box.offset(q) + np.arange(box.dim(q)) for q in unit.grades])
+    assert h[np.ix_(rows, rows)].tobytes() == u.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=kernels)
+def test_the_characteristic_defect_has_norm_at_most_2_to_the_k(case):
+    kb = random_kernel(case)
+    _, h = dense_char_defect(kb, kb.truncation)
+    assert np.linalg.norm(h, 2) <= 2.0 ** kb.truncation.shape.k
+
+
+@settings(max_examples=15, deadline=None)
+@given(model=st.sampled_from(["full", "symmetric"]), n=st.sampled_from([(2,), (3,), (1, 1), (1, 2), (2, 1)]),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_unit_box_refutation_holds_at_a_larger_depth(model, n, seed):
+    t = random_tuple(np.random.default_rng(seed), model, n)
+    sign, seen = caveat_stages(berezin_kernel(t, (4,) * len(n), model))
+    if not sign and seen == [(2,) * len(n)]:  # refuted on the unit box of caps (4, 4)
+        assert not has_characteristic_function(berezin_kernel(t, (5,) * len(n), model)).positive
 
 
 @settings(max_examples=25, deadline=None)
-@given(
-    model=st.sampled_from(["full", "symmetric"]),
-    n_caps=st.sampled_from([((2,), (4,)), ((3,), (3,)), ((2, 1), (2, 3)), ((1, 2), (3, 2)), ((2, 2), (2, 2))]),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_caveat_sign_equals_the_characteristic_function_verdict(model, n_caps, seed):
-    kb = random_kernel(np.random.default_rng(seed), model, *n_caps)
-    assert caveat_sign(kb) == has_characteristic_function(kb).positive
+@given(case=kernels)
+def test_caveat_sign_equals_the_characteristic_function_verdict(case):
+    kb = random_kernel(case)
+    sign, seen = caveat_stages(kb)
+    assert sign == has_characteristic_function(kb).positive
+    # the whole interior is read unless the unit box refutes
+    assert seen[-1] == kb.truncation.shape.caps or (not sign and seen == [unit_truncation(kb.truncation).shape.caps])
 
 
-def test_curv_c_caveat_reads_one_leading_block(counted, eigvalsh_sizes, monkeypatch):
+def test_the_caveat_reaches_both_stages():
+    def stages(case):
+        return caveat_stages(random_kernel(case))[1]
+
+    quick = settings(database=None, max_examples=50, phases=[Phase.generate])  # the first example found
+    refuted = find(kernels, lambda c: max(c[1][1]) > 2 and len(stages(c)) == 1, settings=quick)
+    find(kernels, lambda c: len(stages(c)) == 2, settings=quick)  # the unit box passed: the whole box is read
+    assert caveat_stages(random_kernel(refuted))[0] is False
+
+
+def test_curv_c_caveat_reads_the_unit_box(counted, eigvalsh_sizes, monkeypatch):
     rng = np.random.default_rng(1)
     t = ampliation([commuting_tuple(rng, 2, 3, 0.8), commuting_tuple(rng, 2, 3, 0.8)])
     built = []
@@ -349,8 +392,7 @@ def test_curv_c_caveat_reads_one_leading_block(counted, eigvalsh_sizes, monkeypa
     est = curv_c_estimate(t, 3)  # caps (4, 4): the kernel of curv_c_kernel, a 900-row interior
     assert est.caveats == ("characteristic function test failed; existence of the limit is unproved",)
     assert len(built) == 1 and counted["to_dense"] == 1
-    assert max(eigvalsh_sizes) == 198  # grades (0, 0) to (1, 2): 22 of the 100 interior monomials, dimH 9
-    assert 4 * max(eigvalsh_sizes) <= 900
+    assert eigvalsh_sizes.count(81) == 1 and max(eigvalsh_sizes) == 81  # grades {0, 1}^2: 9 monomials, dimH 9
 
 
 CHILD = """

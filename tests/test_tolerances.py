@@ -293,30 +293,35 @@ def test_the_psd_row_fails_nan_and_its_borrower_passes_it():
     assert tolerance("ampliation", math.nan, 2.0)[0] is True  # psd's value, its own comparison
 
 
-def leading_block_case(m):
-    """8 x 8 Hermitian: ``diag(m, 1)`` on the leading two rows, a random block with spectrum in [0.5, 1] below."""
+def unit_box_case(m):
+    """``(ft, build)`` on n (2,) at cap 3: ``build(box)`` is block-diagonal, ``m`` at the vacuum and a random block
+    with spectrum in [0.5, 1] on each other grade.  The unit box's interior has grades 0 and 1 (3 rows), the
+    whole interior grades 0 to 2 (7 rows)."""
     rng = np.random.default_rng(3)
-    u, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
-    tail = (u * rng.uniform(0.5, 1.0, 6)) @ u.conj().T
-    h = np.zeros((8, 8), dtype=complex)
-    h[:2, :2] = np.diag([m, 1.0])
-    h[2:, 2:] = (tail + tail.conj().T) / 2
-    return h
+
+    def block(d):
+        u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        b = (u * rng.uniform(0.5, 1.0, d)) @ u.conj().T
+        return (b + b.conj().T) / 2
+
+    ft = FockTruncation(Shape((2,), caps=(3,)))
+    blocks = {((0,), (0,)): np.array([[m]], dtype=complex), ((1,), (1,)): block(2), ((2,), (2,)): block(4)}
+    return ft, lambda box: fock.GradedOperator(box, {key: b for key, b in blocks.items() if key[0] in box.grades})
 
 
-@pytest.mark.parametrize("side, reads", [(1 + 1e-6, [2]), (1 - 1e-6, [2, 8])], ids=["below", "above"])
-def test_the_psd_row_refutes_from_the_leading_block_at_twice_its_bound(side, reads, monkeypatch):
-    # the leading block of cuts (0, 2, 4, 6) has 2 of the 8 rows; its least eigenvalue m is planted just below or
-    # just above twice the psd bound at the Frobenius scale: below, the block alone refutes; above, the whole
-    # spectrum is read, and fails at its own bound
-    frobenius = float(np.linalg.norm(leading_block_case(0.0)))
-    h = leading_block_case(-2 * TOLERANCES["psd"].value * frobenius * side)
+@pytest.mark.parametrize("side, reads", [(1 + 1e-6, [3]), (1 - 1e-6, [3, 7])], ids=["below", "above"])
+def test_the_psd_row_refutes_from_the_unit_box_at_twice_its_bound(side, reads, monkeypatch):
+    # with the shifts patched out, the unit box's least eigenvalue is m, planted just below or just above twice
+    # the psd bound at scale 2^k: below, the unit box alone refutes; above, the whole interior is read, and
+    # fails at its own bound
+    ft, build = unit_box_case(-2 * TOLERANCES["psd"].value * 2.0**1 * side)  # k = 1
+    monkeypatch.setattr(fock, "defect_shift", lambda y: y)
     sizes = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: sizes.append(len(a)) or eigvalsh(a))
-    assert fock.psd_sign(h, [0, 2, 4, 6]) is False
+    assert fock.defect_positive("test", ft, build) is False
     assert sizes == reads
-    assert cp.psd_verdict(eigvalsh(h)).positive is False
+    assert cp.psd_verdict(eigvalsh(fock._dense_defect("test", ft, build)[1])).positive is False
 
 
 def small_float_sites(path):

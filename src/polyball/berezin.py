@@ -113,17 +113,13 @@ def kernel_tail_bound(t: OperatorTuple, caps: tuple[int, ...]) -> float:
     return sum(spectral_norms(np.stack([cp_apply_power(t, i, eye, caps[i] + 1) for i in range(t.k)])).tolist())
 
 
-def berezin_kernel(t: OperatorTuple, caps: tuple[int, ...], model: str = "full",
-                   budget_caps: tuple[int, ...] | None = None) -> BerezinKernel:
+def berezin_kernel(t: OperatorTuple, caps: tuple[int, ...], model: str = "full") -> BerezinKernel:
     """The whole kernel: every degree of ``_kernel_layers``, leaves formed, with ``blocks`` in ``ft.grades`` order.
 
-    A kernel of more than ``SIZE_BUDGET`` bytes at ``budget_caps`` (default
-    ``caps``) is refused before any block is allocated, from the closed-form
-    ``total_dim``.  A caller that reads only the grades below larger caps passes
-    those as ``budget_caps``: the kernel is built on the smaller box, and every
-    input the larger one would refuse is still refused.
+    A kernel of more than ``SIZE_BUDGET`` bytes is refused before any block is
+    allocated, from the closed-form ``total_dim``.
     """
-    dd, ft = _kernel_truncation(t, caps, model, budget_caps)
+    dd, ft = _kernel_truncation(t, caps, model)
     blocks: dict[tuple[int, ...], np.ndarray] = {}
     with _workers() as pool:
         for stored, leaves in _kernel_layers(t, ft, dd, pool):
@@ -274,7 +270,8 @@ def _letter_pieces(ft: FockTruncation, block: np.ndarray, plan: _Plan) -> list:
     the truncation of ``ft.model``; in the symmetric model (a commutative
     tuple, see ``_kernel_truncation``) a monomial reached by several letters
     takes the rows of the last one, so the letters run last to first and each
-    writes only the targets not yet written.  A target of weight 1 is reached
+    writes only the targets not yet written, as the mask ``written`` read
+    through the same ``letter_rows`` tells.  A target of weight 1 is reached
     by no other letter (the squared weights into a target sum to 1), so only
     letters with other weights are checked.  Every row is written by exactly
     one letter.
@@ -283,12 +280,13 @@ def _letter_pieces(ft: FockTruncation, block: np.ndarray, plan: _Plan) -> list:
     for j, entry in plan.entries.items():
         targets, w, _ = ft.letter_rows(block, plan.i, j, plan.grade)
         kept = None
-        if w is not None:  # a symmetric letter: ``targets`` gathers the rows ``targets.rows``
+        if w is not None:
             written = np.zeros(len(block), dtype=bool) if written is None else written
-            fresh = ~written[targets.rows]
+            mask = ft.letter_rows(written, plan.i, j, plan.grade)[0]
+            fresh = ~mask[...].reshape(-1)
             if not fresh.all():  # monomials a later letter reached keep its rows
                 kept, w = np.flatnonzero(fresh), w[fresh]
-            written[targets.rows] = True
+            mask[...] = True
             if (w == 1.0).all():
                 w = None
         pieces.append((len(plan.src) if kept is None else len(kept), (targets, plan.src, kept, entry, w)))
@@ -312,7 +310,7 @@ def _write_rows(targets, src: np.ndarray, kept: np.ndarray | None, entry: np.nda
     sel = rows if kept is None else kept[rows]
     out = _letter_rows(src[sel], entry, None if w is None else w[rows])
     if kept is not None:
-        targets[sel] = out
+        targets[np.unravel_index(sel, targets.shape[:-1])] = out
         return
     for lo, hi, box in _boxes(targets.shape[:-1], rows.start, rows.stop):
         targets[box] = out[lo - rows.start : hi - rows.start].reshape(*(s.stop - s.start for s in box), -1)
@@ -407,7 +405,7 @@ class _LeafView:
 
 
 def _row_parts(targets, box):
-    """``(sel, rows)``: the target rows ``[box][sel]``, a view or a gather whole, or by letters from ``_LeafView``."""
+    """``(sel, rows)``: the target rows ``[box][sel]``, whole from ``letter_rows`` or by letters from ``_LeafView``."""
     return targets.parts(box) if isinstance(targets, _LeafView) else [(..., targets[box])]
 
 
@@ -456,9 +454,11 @@ def verify_intertwining(t: OperatorTuple, caps: tuple[int, ...], model: str = "f
 
 
 def _leaf_rows(t: OperatorTuple, ft: FockTruncation, leaves: dict, pool: ThreadPoolExecutor) -> dict:
-    """``{u: rows}`` of the ``leaves`` of ``_kernel_layers``: ``_LeafRows`` where ``ft.letter_rows`` are views, the
-    blocks (``_leaf_blocks``) where they are gathers."""
-    if isinstance(ft.letter_rows(np.empty((0, 0)), 0, 1, (0,) * ft.shape.k)[0], np.ndarray):
+    """``{u: rows}`` of the ``leaves`` of ``_kernel_layers``: ``_LeafRows`` when every letter into a leaf is a word
+    letter (unweighted, at ``(j - 1) n_i^c``; a symmetric one is only at ``n_i = 1``), else ``_leaf_blocks``."""
+    word = FockTruncation.factor_letter
+    if all(ft.factor_letter(i, j, c - 1)[1] is None and ft.factor_letter(i, j, c - 1)[0] == word(ft, i, j, c - 1)[0]
+           for u in leaves for i, c in enumerate(u) if c for j in range(1, ft.shape.n[i] + 1)):
         return {u: _LeafRows(ft, plan, ft.dim(u)) for u, plan in leaves.items()}
     return _leaf_blocks(t, ft, leaves, pool)
 
@@ -489,8 +489,9 @@ def _residual_slabs(lower, letters, rows: slice) -> list[tuple[float, np.ndarray
     ``lower`` is ``K_q``; ``letters`` holds ``(T, targets, w)`` per letter:
     its target rows of ``K_{q + e_i}`` (``ft.letter_rows``, or
     ``_LeafRows.letter_rows``), read box by box (``_boxes``), and its weights
-    (None: all 1, a scaling that would keep every bit).  Beside the slab of
-    ``K_q``, one residual and one batch of target rows are alive at a time.
+    (None: all 1, a scaling that would keep every bit), applied to a copy of
+    the rows read, never to ``K_{q + e_i}``.  Beside the slab of ``K_q``, one
+    residual and one batch of target rows are alive at a time.
     """
     src = lower[rows]
     grams = []
@@ -499,8 +500,8 @@ def _residual_slabs(lower, letters, rows: slice) -> list[tuple[float, np.ndarray
         for lo, hi, box in _boxes(targets.shape[:-1], rows.start, rows.stop):
             part = resid[lo - rows.start : hi - rows.start].reshape(*(s.stop - s.start for s in box), -1)
             for sel, rhs in _row_parts(targets, box):
-                if w is not None:  # a gathered copy
-                    rhs *= w[lo:hi, None]
+                if w is not None:
+                    rhs = rhs * w[lo:hi].reshape(*rhs.shape[:-1], 1)
                 view = part[sel]
                 view -= rhs
                 del rhs
@@ -514,7 +515,7 @@ def _tested_pairs(ft: FockTruncation, grades, into):
 
     Only pairs with ``q + e_i`` in ``into`` are yielded (beyond the caps there
     is no identity).  A pair is also left out when ``last_step(q + e_i) == (i,
-    q)`` and its ``ft.letter_rows`` weights are all 1 (None): ``_kernel_layers`` built grade ``q + e_i``
+    q)`` and its ``ft.factor_letter`` weights are all 1 (None): ``_kernel_layers`` built grade ``q + e_i``
     from ``q`` through factor ``i``, and a target of weight 1 is reached by no
     other letter, so it wrote those rows as ``K_q T_{i,j}^*`` itself and the
     residual is exactly 0.0.  Word-model weights are all 1, so there that is
@@ -527,7 +528,7 @@ def _tested_pairs(ft: FockTruncation, grades, into):
                 up = bump(q, i)
                 if up not in into:
                     continue
-                if last_step(up) != (i, q) or ft.letter_rows(np.empty((0, 0)), i, j, q)[1] is not None:
+                if last_step(up) != (i, q) or ft.factor_letter(i, j, q[i])[1] is not None:
                     yield i, j, q
 
 
@@ -612,7 +613,7 @@ def curvature_operator_trace(kb: BerezinKernel, q: tuple[int, ...]) -> TraceChec
     product.  The creation operators map basis vectors to weighted basis
     vectors, injectively for each letter, so ``id - Phi_i`` acts on those
     diagonals by scattering squared shift weights; both models differ only in
-    the ``shift_data`` weights.  The squares are the exact ratios, never a
+    the ``factor_letter`` weights.  The squares are the exact ratios, never a
     rounded square root squared.
     """
     ft = kb.truncation
@@ -699,7 +700,7 @@ class InnerMultiplier:
                 block = np.zeros((dst.dim(tgrade), src.dim(s)), dtype=complex)
                 for j in range(1, shape.n[i] + 1):
                     rows, w_t, _ = dst.letter_rows(block, i, j, t0)
-                    sub = rows[...]  # a view, or a gathered copy written back
+                    sub = rows[...]  # the rows themselves, or a copy that is written back
                     cols, w_s, _ = src.letter_rows(np.moveaxis(sub, -1, 0), i, j, s0)
                     value = ((1.0 if w_t is None else w_t[:, None]) * prev) / (1.0 if w_s is None else w_s)
                     cols[...] = value.T.reshape(cols.shape)
@@ -726,8 +727,8 @@ def _basis_norms(ft: FockTruncation, q: tuple[int, ...]) -> np.ndarray:
         i, p0 = last_step(p)
         v = np.empty(ft.word_dim(p))
         for j in range(1, ft.shape.n[i] + 1):
-            tgt, w, _ = ft.shift_data(i, j, p0)
-            v[tgt] = norms[p0] * w
+            rows, w, _ = ft.letter_rows(v, i, j, p0)
+            rows[...] = (norms[p0] if w is None else norms[p0] * w).reshape(rows.shape)
         norms[p] = v
     return norms[q]
 
@@ -763,11 +764,11 @@ def _validate_blocks(theta: InnerMultiplier, blocks: dict, caps: tuple[int, ...]
                 up_block = np.zeros((dst_ft.dim(t_up), src_ft.dim(s_up)), dtype=complex)
             resid = np.empty((shape.n[i], dst_ft.dim(t_up), src_ft.dim(s)), dtype=complex)
             for j in range(1, shape.n[i] + 1):
-                # Theta S_{i,j} minus S_{i,j} Theta on source grade s, as shifted index maps
-                cols, w_s, _ = src_ft.shift(i, j, s)
-                resid[j - 1] = up_block[:, cols] * w_s
-                rows, w_t, _ = dst_ft.shift(i, j, tgrade)
-                resid[j - 1][rows] -= w_t[:, None] * b
+                # Theta S_{i,j} minus S_{i,j} Theta on source grade s, through the letter's rows and columns
+                cols, w_s, _ = src_ft.letter_rows(up_block.T, i, j, s)
+                resid[j - 1] = cols[...].reshape(src_ft.dim(s), dst_ft.dim(t_up)).T * (1.0 if w_s is None else w_s)
+                rows, w_t, _ = dst_ft.letter_rows(resid[j - 1], i, j, tgrade)
+                rows[...] -= (b if w_t is None else w_t[:, None] * b).reshape(rows.shape)
             worst = max(worst, float(spectral_norms(resid).max()))
     if not tolerance("multiplier", worst)[0]:
         raise ValueError(f"multiplier does not intertwine the shifts (residual {worst:.3e})")

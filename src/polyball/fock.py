@@ -3,10 +3,11 @@
 A truncation stores one grade per multi-degree ``q <= caps``; the coefficient
 space is folded into every grade, so a grade's ambient dimension is
 ``word_dim(q) * coeff_dim``.  Operators are kept block-sparse by grade pair
-with dense blocks.  Grade-shifting operators (creation operators and their
-symmetric compressions) are described by an index map plus a weight vector
-per grade, or one letter at a time by ``letter_rows`` (a view in the word
-model), so kernels are shifted without materializing the 0/1 matrices.
+with dense blocks.  A model supplies one factor at a time: ``factor_dim`` and
+``factor_letter``, a letter's targets and weights.  On these, ``letter_rows``
+reads a letter's target rows of a grade block, a view when they are one run,
+and ``shift`` gives them as an index map plus weights per grade, so kernels
+are shifted without materializing the 0/1 matrices.
 
 Truncation semantics: a shift out of the caps maps to zero.  Every operator
 carries a per-factor interior margin counting the transfer-map applications
@@ -66,8 +67,15 @@ class FockTruncation:
         return cap + 1 if n == 1 else (n ** (cap + 1) - 1) // (n - 1)
 
     def factor_dim(self, i: int, c: int) -> int:
-        """``word_dim(c e_i)``: ``word_dim(q)`` is the product of ``factor_dim(i, q_i)``."""
-        return self.word_dim((0,) * i + (c,) + (0,) * (self.shape.k - 1 - i))
+        """``n_i**c`` words: ``word_dim(q)`` is the product of ``factor_dim(i, q_i)``."""
+        return self.shape.n[i] ** c
+
+    def factor_letter(self, i: int, j: int, c: int):
+        """``(targets, weights, squares)`` of letter ``j`` of factor ``i`` on the factor's degree-``c`` basis: the
+        degree-``c + 1`` positions it sends them to, in source order (a slice for one run, else an index array),
+        the shift weights and their exact squares (None when all are 1).  A word letter puts its digit in front."""
+        run = self.shape.n[i] ** c
+        return slice((j - 1) * run, j * run), None, None
 
     def word_dim(self, q: tuple[int, ...]) -> int:
         return grade_dim(self.shape, q)
@@ -81,22 +89,36 @@ class FockTruncation:
     def has_grade(self, q: tuple[int, ...]) -> bool:
         return all(0 <= qi <= c for qi, c in zip(q, self.shape.caps))
 
-    def shift_data(self, i: int, j: int, q: tuple[int, ...]):
-        """Word-level action of the factor-``i`` letter-``j`` creation operator on grade ``q``.
+    def letter_rows(self, block, i: int, j: int, q: tuple[int, ...]):
+        """The rows of ``block`` (axis 0: grade ``q + e_i``) that letter ``j`` of factor ``i`` sends grade ``q`` to.
 
-        Returns ``(targets, weights, squares)``: source word ``s`` of grade ``q``
-        maps to ``weights[s]`` times target word ``targets[s]`` of grade
-        ``q + e_i``, and ``squares[s]`` is ``weights[s]**2`` without rounding a
-        square root.  Word-model weights are all 1.
+        Returns ``(rows, weights, squares)``: ``rows`` reads and writes the targets of grade ``q``'s rows, in C
+        order over ``rows.shape[:1 - block.ndim]``, with ``factor_letter``'s weights and squares spread over them.
+        The rows are split to ``(A, D, B)``: ``A`` the factors before ``i``, ``D`` factor ``i``'s degree ``q_i + 1``.
+        A run of ``D`` is the view ``[:, run]``, ``D`` and ``B`` merged, contiguous when ``A = 1``; other targets
+        are a ``_Gather`` of ``D``, needed only by symmetric letters ``j >= 2`` of factors with ``n_i >= 3``.
         """
-        dims = tuple(self.shape.n[l] ** q[l] for l in range(self.shape.k))
-        ranks = np.unravel_index(np.arange(self.word_dim(q)), dims)
-        new_dims = tuple(d * self.shape.n[l] if l == i else d for l, d in enumerate(dims))
-        new_ranks = list(ranks)
-        new_ranks[i] = (j - 1) * dims[i] + ranks[i]
-        targets = np.ravel_multi_index(tuple(new_ranks), new_dims)
-        ones = np.ones(self.word_dim(q))
-        return targets, ones, ones
+        targets, weights, squares = self.factor_letter(i, j, q[i])
+        a, d = math.prod(map(self.factor_dim, range(i), q)), self.factor_dim(i, q[i] + 1)
+        b = len(block) // (a * d)
+        if isinstance(targets, slice):
+            rows = block.reshape(a, d * b, *block.shape[1:])[:, targets.start * b : targets.stop * b]
+        else:
+            rows = _Gather(block.reshape(a, d, b, *block.shape[1:]), targets)
+        if weights is None:
+            return rows, None, None
+        spread = np.empty((2, a, len(weights), b))
+        spread[0], spread[1] = weights[:, None], squares[:, None]
+        return rows, *spread.reshape(2, -1)
+
+    def shift_data(self, i: int, j: int, q: tuple[int, ...]):
+        """The factor-``i`` letter-``j`` creation operator on grade ``q``, as ``letter_rows`` of the word positions:
+        source word ``s`` maps to ``weights[s]`` times target word ``targets[s]`` of grade ``q + e_i``, and
+        ``squares[s]`` is ``weights[s]**2`` without rounding a square root.  Weights all 1 are one array."""
+        rows, weights, squares = self.letter_rows(np.arange(self.word_dim(bump(q, i))), i, j, q)
+        targets = rows[...].reshape(-1)
+        ones = np.ones(len(targets))
+        return targets, ones if weights is None else weights, ones if squares is None else squares
 
     def coeff_rows(self, words: np.ndarray) -> np.ndarray:
         """Rows of a grade holding the given word (or monomial) indices, in the same order.
@@ -106,30 +128,32 @@ class FockTruncation:
         return (words[:, None] * self.coeff_dim + np.arange(self.coeff_dim)).reshape(-1)
 
     def shift(self, i: int, j: int, q: tuple[int, ...]):
-        """``expand`` of ``shift_data``: ``(rows, weights, squares)`` over the coefficient space.
+        """``shift_data`` over the coefficient space: ``(rows, weights, squares)``.
 
         Row ``r`` of grade ``q`` maps to ``weights[r]`` times row ``rows[r]`` of
         grade ``q + e_i``; every scatter of a shift goes through here.
         """
-        return self.expand(*self.shift_data(i, j, q))
-
-    def expand(self, targets, weights, squares):
-        """A ``shift_data`` triple over the coefficient space; word-model weights are their own squares: one array."""
+        targets, weights, squares = self.shift_data(i, j, q)
         w = np.repeat(weights, self.coeff_dim)
         return self.coeff_rows(targets), w, (w if squares is weights else np.repeat(squares, self.coeff_dim))
 
-    def letter_rows(self, block, i: int, j: int, q: tuple[int, ...]):
-        """The rows of ``block`` (axis 0: grade ``q + e_i``) that letter ``j`` of factor ``i`` sends grade ``q`` to.
 
-        Returns ``(rows, weights, squares)`` as ``shift`` does, weights None
-        when all are 1; ``rows`` reads and writes the targets of grade ``q``'s
-        rows, in C order over ``rows.shape[:1 - block.ndim]``.  The letter puts
-        its digit in front of the factor-``i`` word, so ``rows`` is the view
-        ``[:, j - 1]`` of ``block`` split to ``(A, n_i, d_i B)`` rows, ``A`` the
-        words of the factors before ``i``: contiguous when ``A = 1``.
-        """
-        a, n = math.prod(m**d for m, d in zip(self.shape.n[:i], q)), self.shape.n[i]
-        return block.reshape(a, n, len(block) // (a * n), *block.shape[1:])[:, j - 1], None, None
+class _Gather:
+    """``split[:, targets]`` of rows split to ``(A, D, B)``, keyed by ``(A, len(targets), B)`` positions: a gather
+    to read, a scatter to write."""
+
+    def __init__(self, split: np.ndarray, targets: np.ndarray):
+        self.split, self.targets, self.shape = split, targets, (len(split), len(targets), *split.shape[2:])
+
+    def _key(self, key):
+        a, d, *rest = (slice(None),) * 3 if key is Ellipsis else key
+        return (a, self.targets[d], *rest)
+
+    def __getitem__(self, key):
+        return self.split[self._key(key)]
+
+    def __setitem__(self, key, value) -> None:
+        self.split[self._key(key)] = value
 
 
 def require_model(model: str) -> str:

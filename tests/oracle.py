@@ -55,8 +55,16 @@
 * ``index_kernel_blocks``, ``IndexLeafRows`` and ``index_verify_intertwining``:
   the kernel recursion, the leaf rows and the intertwining residuals with
   every letter's targets as a ``shift`` index map, scattered and gathered by
-  fancy indexing; the library reads word-model targets as strided views
-  (``FockTruncation.letter_rows``).
+  fancy indexing; the library reads a letter's targets through
+  ``FockTruncation.letter_rows``: strided views of its runs, and a gather of
+  the factor's positions for the symmetric letters that are not one run.
+* ``index_materialize_blocks``, ``index_validate_residual`` and
+  ``index_operator_trace``: the multiplier recursion, its intertwining
+  residual and the operator-trace route with every letter as a ``shift``
+  index map.
+* ``index_shift_data``: ``FockTruncation.shift_data`` from the basis itself,
+  words or monomials listed and multiplied by the letter one at a time; the
+  library reads it off ``letter_rows`` of the word positions.
 """
 
 from __future__ import annotations
@@ -68,7 +76,7 @@ from functools import partial
 
 import numpy as np
 
-from polyball.basis import grade_dim, iter_grades
+from polyball.basis import Shape, grade_dim, iter_grades
 from polyball import berezin
 from polyball.berezin import BerezinKernel, berezin_kernel, connection_identity, kernel_tail_bound
 from polyball.cp import (
@@ -85,7 +93,7 @@ from polyball.cp import (
     stacked_norm,
 )
 from polyball.curvature import _real
-from polyball.fock import FockTruncation, GradedOperator, _cp_shift_blocks, bump, last_step
+from polyball.fock import FockTruncation, GradedOperator, _cp_shift_blocks, bump, last_step, truncation_for
 from polyball.subspaces import NAdicExpansion
 from polyball.symmetric import SymFockTruncation, monomials
 
@@ -536,3 +544,114 @@ def index_verify_intertwining(t: OperatorTuple, caps: tuple[int, ...], model: st
             worst = max([worst] + [stacked_norm(parts) for piece in slabs for parts in zip(*piece)])
             below, here = stored, ahead
     return worst
+
+
+def index_shift_data(ft: FockTruncation, i: int, j: int, q: tuple[int, ...]):
+    """``ft.shift_data(i, j, q)`` from the factor bases: a word takes the digit ``j`` in front, a monomial
+    ``alpha`` becomes ``alpha + e_j`` with squared weight ``(alpha_j + 1)/(q_i + 1)``."""
+    def basis(l, c):
+        return enumerate_words(ft.shape.n[l], c) if ft.model == "full" else list(monomials(ft.shape.n[l], c))
+
+    up = {x: r for r, x in enumerate(basis(i, q[i] + 1))}
+    if ft.model == "full":
+        letter = [(up[(j,) + x], 1.0) for x in basis(i, q[i])]
+    else:
+        letter = [(up[tuple(a + (l == j - 1) for l, a in enumerate(x))], (x[j - 1] + 1) / (q[i] + 1))
+                  for x in basis(i, q[i])]
+    dims = [len(basis(l, c)) for l, c in enumerate(q)]
+    ranks = list(np.unravel_index(np.arange(math.prod(dims)), dims))
+    squares = np.array([sq for _, sq in letter])[ranks[i]]
+    ranks[i] = np.array([r for r, _ in letter])[ranks[i]]
+    return np.ravel_multi_index(tuple(ranks), [len(up) if l == i else d for l, d in enumerate(dims)]), \
+        np.sqrt(squares), squares
+
+
+def _index_basis_norms(ft: FockTruncation, q: tuple[int, ...]) -> np.ndarray:
+    """``berezin._basis_norms`` by the ``shift_data`` index maps."""
+    norms = {}
+    for p in iter_grades(q):
+        if not any(p):
+            norms[p] = np.ones(1)
+            continue
+        i, p0 = last_step(p)
+        v = np.empty(ft.word_dim(p))
+        for j in range(1, ft.shape.n[i] + 1):
+            tgt, w, _ = ft.shift_data(i, j, p0)
+            v[tgt] = norms[p0] * w
+        norms[p] = v
+    return norms[q]
+
+
+def index_materialize_blocks(theta, caps: tuple[int, ...]) -> dict:
+    """``InnerMultiplier.materialize_blocks`` with each letter's rows and columns as ``shift`` index maps."""
+    shape = Shape(theta.shape.n, caps)
+    src = truncation_for(theta.model, shape, theta.dim_source)
+    dst = truncation_for(theta.model, shape, theta.dim_target)
+    blocks: dict = {}
+    for d, coeff in theta.coeffs.items():
+        for s in src.grades:
+            tgrade = tuple(si + di for si, di in zip(s, d))
+            if not dst.has_grade(tgrade):
+                continue
+            if not any(s):
+                norms = _index_basis_norms(src, d)
+                blocks[(s, tgrade)] = (norms[:, None, None] * coeff).reshape(dst.dim(d), -1).astype(complex)
+                continue
+            i, s0 = last_step(s)
+            prev = blocks[(s0, bump(tgrade, i, -1))]
+            block = np.zeros((dst.dim(tgrade), src.dim(s)), dtype=complex)
+            for j in range(1, shape.n[i] + 1):
+                rows, w_t, _ = dst.shift(i, j, bump(tgrade, i, -1))
+                cols, w_s, _ = src.shift(i, j, s0)
+                block[np.ix_(rows, cols)] = (w_t[:, None] * prev) / w_s
+            blocks[(s, tgrade)] = block
+    return blocks
+
+
+def index_validate_residual(theta, blocks: dict, caps: tuple[int, ...]) -> float:
+    """The intertwining residual of ``berezin.validate_multiplier``, ``Theta S_{i,j} - S_{i,j} Theta`` block by
+    block, with every letter as a ``shift`` index map."""
+    shape = Shape(theta.shape.n, caps)
+    src = truncation_for(theta.model, shape, theta.dim_source)
+    dst = truncation_for(theta.model, shape, theta.dim_target)
+    worst = 0.0
+    for (s, tgrade), b in blocks.items():
+        for i in range(shape.k):
+            s_up, t_up = bump(s, i), bump(tgrade, i)
+            if not (src.has_grade(s_up) and dst.has_grade(t_up)):
+                continue
+            up_block = blocks.get((s_up, t_up))
+            if up_block is None:
+                up_block = np.zeros((dst.dim(t_up), src.dim(s_up)), dtype=complex)
+            resid = np.empty((shape.n[i], dst.dim(t_up), src.dim(s)), dtype=complex)
+            for j in range(1, shape.n[i] + 1):
+                cols, w_s, _ = src.shift(i, j, s)
+                resid[j - 1] = up_block[:, cols] * w_s
+                rows, w_t, _ = dst.shift(i, j, tgrade)
+                resid[j - 1][rows] -= w_t[:, None] * b
+            worst = max(worst, float(spectral_norms(resid).max()))
+    return worst
+
+
+def index_operator_trace(kb: BerezinKernel, q: tuple[int, ...]) -> float:
+    """The value of ``berezin.curvature_operator_trace`` with the squared weights scattered by ``shift`` index maps."""
+    ft = kb.truncation
+    lattice = list(iter_grades(q))
+    diag = {s: np.einsum("rh,rh->r", kb.blocks[s], kb.blocks[s].conj()).real for s in lattice}
+    for i in range(ft.shape.k):
+        nxt = {}
+        for s in lattice:
+            if s[i] == 0:
+                nxt[s] = diag[s]
+                continue
+            src = bump(s, i, -1)
+            shifted = np.zeros(ft.dim(s))
+            for j in range(1, ft.shape.n[i] + 1):
+                rows, _, squares = ft.shift(i, j, src)
+                shifted[rows] += squares * diag[src]
+            nxt[s] = diag[s] - shifted
+        diag = nxt
+    value = 0.0
+    for s in lattice:
+        value += float(diag[s].sum()) / ft.word_dim(s)
+    return value

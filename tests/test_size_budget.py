@@ -14,7 +14,7 @@ from polyball.basis import Shape
 from polyball.berezin import InnerMultiplier, berezin_kernel, has_characteristic_function
 from polyball.cli import main
 from polyball.cp import SIZE_BUDGET, OperatorTuple, ampliation
-from polyball.fock import FockTruncation, defect_shift, interior_box, truncation_for
+from polyball.fock import defect_shift, interior_box, truncation_for
 from polyball.subspaces import beurling_check, bidisc_difference_subspace, uncountable_family
 from polyball.symmetric import curv_c_estimate
 
@@ -84,6 +84,18 @@ def test_curv_c_reads_the_interior_box_size():
     assert len(est.corner_seq) == 2
 
 
+def test_a_refuted_caveat_sizes_only_the_unit_kernel(monkeypatch):
+    # a budget one byte short of the caps-(4, 4) kernel that curv-c tests at qmax 3: the unit box refutes the
+    # caveat from the caps-(1, 1) kernel, so no deeper kernel is built or sized
+    rng = np.random.default_rng(1)
+    t = ampliation([commuting_tuple(rng, 2, 3, 0.8), commuting_tuple(rng, 2, 3, 0.8)])
+    kernel = predicted_bytes(monkeypatch, lambda: berezin_kernel(t, (4, 4), "symmetric"))
+    monkeypatch.setattr(cp, "SIZE_BUDGET", kernel - 1)
+    with pytest.raises(ValueError, match=r"Berezin kernel at caps \(4, 4\)"):
+        berezin_kernel(t, (4, 4), "symmetric")
+    assert curv_c_estimate(t, 3).caveats == ("characteristic function test failed; existence of the limit is unproved",)
+
+
 ONE = {"n": [2], "dimH": 1, "factors": [[[[0.5, 0.0]], [[0.5, 0.0]]]]}
 THETA = {"model": "full", "n": [2], "dim_source": 1, "dim_target": 1, "isometric": True,
          "blocks": [{"degree": [1], "coeffs": [[[1.0, 0.0]], [[0.0, 0.0]]]}]}
@@ -147,8 +159,9 @@ def test_cumulative_dim_is_the_sum_of_the_grade_dimensions(model):
 @pytest.mark.parametrize("model", ["full", "symmetric"])
 def test_sizing_a_huge_cap_computes_no_grade_dimension(model, monkeypatch):
     calls = []
-    factor_dim = FockTruncation.factor_dim
-    monkeypatch.setattr(FockTruncation, "factor_dim", lambda self, i, c: calls.append(c) or factor_dim(self, i, c))
+    cls = type(truncation_for(model, Shape((2,), caps=(0,))))  # each model has its own factor_dim
+    factor_dim = cls.factor_dim
+    monkeypatch.setattr(cls, "factor_dim", lambda self, i, c: calls.append(c) or factor_dim(self, i, c))
     ft = truncation_for(model, Shape((2,), caps=(20000,)))
     assert ft.total_dim == (2**20001 - 1 if model == "full" else 20001 * 20002 // 2)
     one_factor = OperatorTuple(Shape((2,)), 1, ((np.full((1, 1), 0.5 + 0j),) * 2,))

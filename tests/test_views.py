@@ -1,5 +1,6 @@
-"""Word-model letter targets as strided views: bit for bit against the index-map route of ``tests/oracle.py``,
-no index map in the word-model intertwining check, one transfer-map step per grade in ``check connection``."""
+"""Letter targets as strided views, and as factor-level gathers where a symmetric letter is not one run: bit for
+bit against the index-map route of ``tests/oracle.py``, no index map in the word-model intertwining check, no
+gather for symmetric factors of at most two variables, one transfer-map step per grade in ``check connection``."""
 
 import math
 
@@ -8,13 +9,30 @@ import pytest
 from hypothesis import example, find, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_polyball_tuple
-from oracle import IndexLeafRows, index_kernel_blocks, index_kernel_layers, index_verify_intertwining
-from polyball import berezin
+from conftest import commuting_tuple, random_polyball_tuple
+from oracle import (
+    IndexLeafRows,
+    index_kernel_blocks,
+    index_kernel_layers,
+    index_materialize_blocks,
+    index_operator_trace,
+    index_shift_data,
+    index_validate_residual,
+    index_verify_intertwining,
+)
+from polyball import berezin, fock
 from polyball.basis import Shape
-from polyball.berezin import berezin_kernel, connection_residuals, verify_intertwining
+from polyball.berezin import (
+    InnerMultiplier,
+    berezin_kernel,
+    connection_residuals,
+    curvature_operator_trace,
+    validate_multiplier,
+    verify_intertwining,
+)
 from polyball.cp import OperatorTuple, ampliation
-from polyball.fock import FockTruncation, bump
+from polyball.fock import FockTruncation, bump, truncation_for
+from polyball.symmetric import SymFockTruncation
 
 
 @st.composite
@@ -126,6 +144,82 @@ def test_word_model_intertwining_builds_no_index_map(monkeypatch):
     dd, ft = berezin._kernel_truncation(t, (3, 3, 3), "full")
     assert all(isinstance(v, int) or isinstance(v, tuple) for pair in berezin._tested_pairs(ft, ft.grades, ft.grades)
                for v in pair)
+
+
+@st.composite
+def symmetric_cases(draw):
+    """``(n, caps, slab, seed)``: k in 1..2, n_i in 1..4, one cap possibly 0, at most 300 monomials."""
+    k = draw(st.integers(1, 2))
+    n = tuple(draw(st.integers(1, 4)) for _ in range(k))
+    caps = [draw(st.integers(1, 3)) for _ in range(k)]
+    if draw(st.booleans()):
+        caps[draw(st.integers(0, k - 1))] = 0
+    monomials = math.prod(math.comb(cap + ni, ni) for ni, cap in zip(n, caps))
+    caps = tuple(caps) if monomials <= 300 else tuple(min(c, 2) for c in caps)
+    return n, caps, draw(st.sampled_from([0, 2**16, 2**40])), draw(st.integers(0, 2**32 - 1))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=symmetric_cases())
+@example(case=((3, 2), (3, 2), 0, 1))  # gathers in front of a view, slabs of one row
+@example(case=((4,), (3,), 2**16, 2))  # letters of up to C(q + 2, 2) runs
+@example(case=((1, 4), (2, 0), 2**40, 3))  # a zero cap
+def test_symmetric_letters_are_bit_equal_to_the_index_route(case):
+    n, caps, slab, seed = case
+    rng = np.random.default_rng(seed)
+    parts = [commuting_tuple(rng, ni, 2, 0.7) for ni in n]
+    t = parts[0] if len(parts) == 1 else ampliation(parts)
+    coeffs = {d: rng.standard_normal((SymFockTruncation(Shape(n, caps=d)).dim(d), 1, 2)) + 0.5j
+              for d in {(0,) * len(n), (1,) + (0,) * (len(n) - 1), (1,) * len(n)}}
+    theta = InnerMultiplier(Shape(n), 2, 1, coeffs, model="symmetric")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(berezin, "SLAB_BYTES", slab)
+        kb = berezin_kernel(t, caps, "symmetric")
+        want = index_kernel_blocks(t, caps, "symmetric")
+        assert all(np.array_equal(_bits(kb.blocks[q]), _bits(want[q])) for q in want)
+        if 0 in caps:
+            with pytest.raises(ValueError, match="no grade pair"):
+                verify_intertwining(t, caps, "symmetric")
+        else:
+            assert verify_intertwining(t, caps, "symmetric") == index_verify_intertwining(t, caps, "symmetric")
+            q = tuple(c - 1 for c in caps)
+            assert curvature_operator_trace(kb, q).value == index_operator_trace(kb, q)
+        blocks, index = theta.materialize_blocks(caps), index_materialize_blocks(theta, caps)
+        assert blocks.keys() == index.keys()
+        assert all(np.array_equal(_bits(blocks[key]), _bits(index[key])) for key in index)
+        assert validate_multiplier(theta, caps) == index_validate_residual(theta, index, caps)
+
+
+@pytest.mark.parametrize("model", ["full", "symmetric"])
+def test_shift_data_is_the_letter_on_the_basis(model):
+    for n in [(1,), (2,), (3,), (4,), (2, 3), (3, 1, 2)]:
+        ft = truncation_for(model, Shape(n, caps=(3,) * len(n)))
+        for q in ft.grades:
+            for i in range(len(n)):
+                for j in range(1, n[i] + 1):
+                    got, want = ft.shift_data(i, j, q), index_shift_data(ft, i, j, q)
+                    assert np.array_equal(got[0], want[0])
+                    assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(got[1:], want[1:]))
+
+
+def test_symmetric_factors_of_two_variables_build_no_gather(monkeypatch):
+    # letters of one or two variables are one run each; three variables need a gather for letters 2 and 3
+    made = []
+    letter_rows = SymFockTruncation.letter_rows
+    monkeypatch.setattr(SymFockTruncation, "letter_rows",
+                        lambda self, *a: made.append(letter_rows(self, *a)) or made[-1])
+    rng = np.random.default_rng(4)
+    t = ampliation([commuting_tuple(rng, 2, 2, 0.7), commuting_tuple(rng, 1, 2, 0.7)])
+    berezin_kernel(t, (4, 3), "symmetric")
+    assert verify_intertwining(t, (4, 3), "symmetric") < 1e-10
+    assert made and all(isinstance(rows, np.ndarray) for rows, _, _ in made)
+    made.clear()
+    assert verify_intertwining(commuting_tuple(rng, 3, 2, 0.7), (3,), "symmetric") < 1e-10
+    assert any(isinstance(rows, fock._Gather) for rows, _, _ in made)
 
 
 def test_a_defect_of_rank_zero_leaves_no_row_to_test():

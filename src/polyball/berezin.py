@@ -165,8 +165,11 @@ def _by_slabs(pool: ThreadPoolExecutor, work, pieces, width: int) -> list[list]:
     A piece is cut into slabs of ``_slab_rows(width)`` rows from its first
     row, so a slab's Gram matrix is no larger than itself.  A piece is cut
     only where it is larger than a slab, and pieces share a job up to a slab's
-    rows, so small grades cost one job, not one each.  Returns the results of
-    each piece, in row order.
+    rows, so small grades cost one job, not one each.  The jobs are dealt in
+    turn to the calling thread and the workers, and each thread runs its own
+    jobs in order: which thread allocates what, and so the memory the threads
+    hold, does not depend on timing.  Returns the results of each piece, in
+    row order.
     """
     step = _slab_rows(width)
     jobs, job, room = [], [], step
@@ -179,17 +182,16 @@ def _by_slabs(pool: ThreadPoolExecutor, work, pieces, width: int) -> list[list]:
             job.append((p, rows))
             room -= rows.stop - a
     jobs.append(job)
+    lanes = min(pool._max_workers + 1, len(jobs))
 
-    def run(job):
-        return [work(*pieces[p][1], rows) for p, rows in job]
+    def run(lane):
+        return [[work(*pieces[p][1], rows) for p, rows in job] for job in jobs[lane::lanes]]
 
-    futures = [pool.submit(run, job) for job in jobs[1:]]
-    results = [run(jobs[0])]
-    for job, future in zip(jobs[1:], futures):  # the calling thread also runs each job no worker has started
-        results.append(run(job) if future.cancel() else future)
+    futures = [pool.submit(run, lane) for lane in range(1, lanes)]
+    results = [run(0)] + [future.result() for future in futures]
     out: list[list] = [[] for _ in pieces]
-    for job, result in zip(jobs, results):
-        for (p, _), r in zip(job, result if isinstance(result, list) else result.result()):
+    for n, job in enumerate(jobs):
+        for (p, _), r in zip(job, results[n % lanes][n // lanes]):
             out[p].append(r)
     return out
 

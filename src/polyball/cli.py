@@ -235,18 +235,7 @@ def cmd_mult(args) -> int:
     with open(args.input) as fh:
         sub = subspace_from_json(fh.read())
     qmax = min(args.qmax, min(sub.truncation.shape.caps))
-    if sub.truncation.model == "symmetric":
-        rep = m_c_estimate(sub, qmax)
-        est = rep.estimate
-        extra = {
-            "model": "symmetric",
-            "beurling_positive": rep.beurling.positive,
-            "beurling_min_eigenvalue": rep.beurling.min_eigenvalue,
-            "caveats": list(rep.caveats),
-        }
-    else:
-        est = multiplicity_estimate(sub, qmax)
-        extra = {"model": "full"}
+    est = (m_c_estimate if sub.truncation.model == "symmetric" else multiplicity_estimate)(sub, qmax)
     payload = {
         "command": "mult",
         "n": list(sub.truncation.shape.n),
@@ -256,7 +245,14 @@ def cmd_mult(args) -> int:
         "error_proxy": est.error_proxy,
         "exact_limit": None if est.exact_limit is None else float(est.exact_limit),
         "compression_curvature_estimate": est.curvature.estimate,
-    } | extra
+        "model": sub.truncation.model,
+    }
+    if est.beurling is not None:
+        payload |= {
+            "beurling_positive": est.beurling.positive,
+            "beurling_min_eigenvalue": est.beurling.min_eigenvalue,
+            "caveats": list(est.caveats),
+        }
     _emit_grade_table(payload, est.grade_values, est.cesaro_seq, None, "y_q", args)
     return 0
 

@@ -156,8 +156,6 @@ def _summary(n: tuple[int, ...], table: GradeTable) -> dict:
     means, the corner value and its last decrement as the error proxy."""
     values = table.array
     q_max = values.shape[0] - 1
-    if q_max < 0:
-        raise ValueError(f"q_max must be >= 0, got {q_max}")
     corner = values[(np.arange(q_max + 1),) * values.ndim].tolist()
     return {
         "n": n,
@@ -180,6 +178,21 @@ def _box_sums(traces: np.ndarray) -> np.ndarray:
     return traces[(np.arange(traces.shape[0]),) * traces.ndim]
 
 
+def _estimate(n: tuple[int, ...], table: GradeTable, defect_product) -> CurvEstimate:
+    """The estimate of a tuple from its grade table, with both models' checks and route spread.
+
+    ``defect_product(q, tr)`` turns the defect-product trace ``tr`` at depth ``q``
+    (``_box_sums``) into that route's value; a NaN at full depth, which only the
+    factorial form gives at ``q_max = 0``, is left out of the spread.
+    """
+    fields = _summary(n, table)
+    monotone_ok = _check_monotone(table.array)
+    seq = [defect_product(qq, tr) for qq, tr in enumerate(_box_sums(table.traces).tolist())]
+    routes = (fields["estimate"], fields["cesaro_seq"][-1]) + (() if math.isnan(seq[-1]) else (seq[-1],))
+    return CurvEstimate(**fields, defect_product_seq=seq, monotone_ok=monotone_ok,
+                        formula_spread=max(routes) - min(routes))
+
+
 def curvature_estimate(t: OperatorTuple, q_max: int) -> CurvEstimate:
     """Fill all sequences up to the corner ``(q_max,...,q_max)`` and report the corner value.
 
@@ -188,21 +201,10 @@ def curvature_estimate(t: OperatorTuple, q_max: int) -> CurvEstimate:
     require_membership(t)
     table = grade_trace_table(t, (q_max,) * t.k)
     cumulative_dim = FockTruncation(t.shape.with_caps((q_max,) * t.k)).cumulative_dim
-    fields = _summary(t.shape.n, table)
-    monotone_ok = _check_monotone(table.array)
     # a float product: sums such as 2**61 - 1 are not exact doubles, and an
     # integer product would round them differently
-    defect_product = [
-        tr / math.prod((cumulative_dim(i, qq) for i in range(t.k)), start=1.0)
-        for qq, tr in enumerate(_box_sums(table.traces).tolist())
-    ]
-    routes = (fields["estimate"], fields["cesaro_seq"][-1], defect_product[-1])
-    return CurvEstimate(
-        **fields,
-        defect_product_seq=defect_product,
-        monotone_ok=monotone_ok,
-        formula_spread=max(routes) - min(routes),
-    )
+    return _estimate(t.shape.n, table,
+                     lambda qq, tr: tr / math.prod((cumulative_dim(i, qq) for i in range(t.k)), start=1.0))
 
 
 def _occupation(sub, q_max: int) -> dict:

@@ -309,8 +309,8 @@ def _cp_shift_blocks(y: GradedOperator, i: int):
         yield (up_s, up_d), phi
 
 
-def defect_shift(y: GradedOperator, factors=None) -> GradedOperator:
-    """``(id - Phi_1) o ... o (id - Phi_k)`` of the universal shifts, applied to ``y`` in place.
+def defect_shift(y: GradedOperator) -> GradedOperator:
+    """``(id - Phi_1) o ... o (id - Phi_k)`` of the universal shifts, applied to ``y`` in place, one factor at a time.
 
     ``y`` is consumed: its blocks are overwritten and ``y`` itself is returned,
     so pass an operator whose blocks nothing else holds.  The only temporary
@@ -318,7 +318,7 @@ def defect_shift(y: GradedOperator, factors=None) -> GradedOperator:
     bits of ``y - Phi_i(y)`` in the operator arithmetic: for complex blocks
     ``(-1.0) * phi`` and ``-phi`` differ in the signs of zeros.
     """
-    for i in range(y.trunc.shape.k) if factors is None else factors:
+    for i in range(y.trunc.shape.k):
         for key, phi in _cp_shift_blocks(y, i):
             phi *= -1.0
             cur = y.blocks.get(key)

@@ -531,6 +531,7 @@ class MultiplicityEstimate:
     exact_limit: Fraction | None
     curvature: CurvEstimate
     caveats: tuple[str, ...] = ()
+    beurling: BeurlingVerdict | None = None  # set by ``symmetric.m_c_estimate``, None in the word model
 
 
 def multiplicity_estimate(sub: GradedSubspace, q_max: int) -> MultiplicityEstimate:
@@ -694,6 +695,9 @@ def subspace_from_json(text: str) -> GradedSubspace:
         bases = {}
         for entry in json_field(data, "grades", "list"):
             q = tuple(json_field(entry, "q", "ints"))
+            if len(q) != ft.shape.k or not ft.has_grade(q) or q in bases:
+                raise ValueError(f"field 'q' must name each grade once, one entry in 0..caps_i per factor "
+                                 f"(caps {list(caps)}), got {list(q)}")
             cols = json_int(entry, "cols", 0)
             bases[q] = matrix_from_pairs(json_field(entry, "basis", "list"), ft.dim(q), cols)
         sub = GradedSubspace(ft, "basis", grade_bases=bases)

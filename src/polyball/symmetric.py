@@ -22,7 +22,6 @@ diagonal routes never square a rounded root.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -31,9 +30,9 @@ import numpy as np
 from .basis import Shape
 from .berezin import InnerMultiplier, berezin_kernel, identity_minus_kk_star
 from .cp import OperatorTuple, defect_data, require_commutative, require_membership
-from .curvature import CurvEstimate, _box_sums, _check_monotone, _summary, grade_trace_table
+from .curvature import CurvEstimate, _estimate, grade_trace_table
 from .fock import FockTruncation, bump, defect_positive
-from .subspaces import BeurlingVerdict, GradedSubspace, MultiplicityEstimate, beurling_check, multiplicity_estimate
+from .subspaces import GradedSubspace, MultiplicityEstimate, beurling_check, multiplicity_estimate
 
 
 def sym_grade_dim(n_i: int, q: int) -> int:
@@ -103,31 +102,16 @@ def curv_c_estimate(t: OperatorTuple, q_max: int) -> CurvEstimate:
     """
     require_commutative(t)
     require_membership(t)
-    table = grade_trace_table(t, (q_max,) * t.k, "symmetric")
-    fields = _summary(t.shape.n, table)
-    monotone_ok = _check_monotone(table.array)
     fact = math.prod(math.factorial(ni) for ni in t.shape.n)
-    factorial_form = [float("nan")] + [
-        fact * tr / math.prod(float(qq) ** ni for ni in t.shape.n)
-        for qq, tr in enumerate(_box_sums(table.traces).tolist()[1:], start=1)
-    ]
-    routes = [fields["estimate"], fields["cesaro_seq"][-1]]
-    if q_max >= 1:
-        routes.append(factorial_form[-1])
-    caveats: tuple[str, ...] = ()
+    est = _estimate(t.shape.n, grade_trace_table(t, (q_max,) * t.k, "symmetric"),
+                    lambda qq, tr: fact * tr / math.prod(float(qq) ** ni for ni in t.shape.n) if qq else math.nan)
     if any(ni >= 2 for ni in t.shape.n):
         ft = SymFockTruncation(t.shape.with_caps((min(q_max, 3) + 1,) * t.k), defect_data(t).rank)
         # kernel rows do not depend on the caps: each box builds the kernel on its own grades
         if not defect_positive("characteristic-function test", ft,
                                lambda box: identity_minus_kk_star(berezin_kernel(t, box.shape.caps, "symmetric"), box)):
-            caveats = ("characteristic function test failed; existence of the limit is unproved",)
-    return CurvEstimate(
-        **fields,
-        defect_product_seq=factorial_form,
-        monotone_ok=monotone_ok,
-        formula_spread=max(routes) - min(routes),
-        caveats=caveats,
-    )
+            est.caveats = ("characteristic function test failed; existence of the limit is unproved",)
+    return est
 
 
 def sym_monomial_multiplier(shape: Shape, exponents: tuple[tuple[int, ...], ...]) -> InnerMultiplier:
@@ -171,15 +155,8 @@ def coordinate_multiple_subspace(sf: SymFockTruncation, factor: int, var: int) -
     )
 
 
-@dataclass
-class SymMultiplicityReport:
-    estimate: MultiplicityEstimate
-    beurling: BeurlingVerdict
-    caveats: tuple[str, ...]
-
-
-def m_c_estimate(sub: GradedSubspace, q_max: int) -> SymMultiplicityReport:
-    """Multiplicity on the symmetric model, gated by the Beurling verdict.
+def m_c_estimate(sub: GradedSubspace, q_max: int) -> MultiplicityEstimate:
+    """Multiplicity on the symmetric model, with its Beurling verdict in ``beurling``.
 
     For non-Beurling inputs the per-grade values are still reported, with an
     explicit caveat that no convergence theorem applies.
@@ -188,8 +165,7 @@ def m_c_estimate(sub: GradedSubspace, q_max: int) -> SymMultiplicityReport:
         raise ValueError("expected a subspace of a symmetric truncation")
     verdict = beurling_check(sub)
     est = multiplicity_estimate(sub, q_max)
-    caveats = () if verdict.positive else (
-        "not of Beurling type: existence of the multiplicity is unproved",
-    )
-    est.caveats = caveats
-    return SymMultiplicityReport(est, verdict, caveats)
+    est.beurling = verdict
+    if not verdict.positive:
+        est.caveats = ("not of Beurling type: existence of the multiplicity is unproved",)
+    return est

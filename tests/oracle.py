@@ -192,10 +192,10 @@ def folded_berezin(t: OperatorTuple, caps: tuple[int, ...]) -> BerezinKernel:
     return BerezinKernel(t, sf, blocks, kb.defect)
 
 
-def defect_shift_composed(y: GradedOperator, factors=None) -> GradedOperator:
+def defect_shift_composed(y: GradedOperator) -> GradedOperator:
     """``(id - Phi_1) o ... o (id - Phi_k)`` applied to ``y`` without touching it, one new operator per factor."""
     out = y
-    for i in range(y.trunc.shape.k) if factors is None else factors:
+    for i in range(y.trunc.shape.k):
         out = out - apply_cp_shift(out, i)
     return out
 

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -264,6 +265,26 @@ def test_norm_from_many_slabs_matches_the_whole(monkeypatch, scale):
     x[20, 1] = np.nan
     assert math.isnan(norm(x)[1])
     assert norm(np.zeros((50, 3), dtype=complex))[1] == 0.0
+
+
+@pytest.mark.parametrize("workers, rows", [(3, 50), (3, 7), (1, 50)])
+def test_slab_jobs_are_dealt_to_threads_in_turn(monkeypatch, workers, rows):
+    # slab s (3 rows each) runs in lane s mod lanes, lane 0 on the calling thread, however the threads are
+    # scheduled: the calling thread runs no worker's slab, so the memory each thread holds does not depend on timing
+    monkeypatch.setattr(berezin, "SLAB_BYTES", 0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(workers) as pool:
+            (got,) = berezin._by_slabs(pool, lambda rows: (rows.start, threading.get_ident()), [(rows, ())], 3)
+    finally:
+        sys.setswitchinterval(interval)
+    slabs = -(-rows // 3)
+    lanes = min(workers + 1, slabs)
+    assert [start for start, _ in got] == list(range(0, rows, 3))
+    assert got[0][1] == threading.get_ident()
+    assert all(got[s][1] == got[s % lanes][1] for s in range(slabs))
+    assert all(got[s][1] != got[0][1] for s in range(slabs) if s % lanes)
 
 
 @pytest.mark.parametrize("n, caps", [((2,), (4,)), ((1, 2), (2, 3)), ((2, 2), (3, 3))])

@@ -822,6 +822,43 @@ def test_malformed_subspace_fields_are_refused_by_name(name, tmp_path, capsys):
 
 
 
+def two_factor_basis(model, *grades):
+    """A basis-mode subspace JSON on n (1, 1), caps (2, 2), with one grade per ``(q, cols)``, ``cols`` 0 or 1."""
+    return {"model": model, "n": [1, 1], "caps": [2, 2], "dimE": 1, "mode": "basis",
+            "grades": [{"q": q, "basis": [[1.0, 0.0]] * cols, "cols": cols} for q, cols in grades]}
+
+
+BAD_GRADE_KEYS = {
+    "symmetric-short": two_factor_basis("symmetric", ([0], 1)),
+    "symmetric-long": two_factor_basis("symmetric", ([0, 0, 0], 1)),
+    "symmetric-beyond-caps": two_factor_basis("symmetric", ([5, 0], 1)),
+    "word-short": two_factor_basis("full", ([0], 1)),
+    "word-negative": two_factor_basis("full", ([-1, 0], 1)),
+    "word-beyond-caps": two_factor_basis("full", ([5, 0], 1)),
+    "word-repeated": two_factor_basis("full", ([0, 0], 1), ([0, 0], 0)),
+}
+
+
+@pytest.mark.parametrize("command", [["mult", "--qmax", "1"], ["check", "beurling"]])
+@pytest.mark.parametrize("name", list(BAD_GRADE_KEYS))
+def test_a_bad_basis_grade_key_is_refused_by_name(name, command, tmp_path, capsys):
+    # each key is refused before a grade dimension is read; none is dropped, and a repeat replaces nothing
+    path = tmp_path / "sub.json"
+    path.write_text(json.dumps(BAD_GRADE_KEYS[name]))
+    code, out, err = run([*command, "--input", str(path)], capsys)
+    assert_invalid_input(code, out, err)
+    assert "'q'" in json.loads(err)["reason"]
+
+
+@pytest.mark.parametrize("model", ["full", "symmetric"])
+def test_every_grade_key_once_loads_the_whole_space(model, tmp_path, capsys):
+    path = tmp_path / "sub.json"
+    path.write_text(json.dumps(two_factor_basis(model, *(([a, b], 1) for a in range(3) for b in range(3)))))
+    code, out, err = run(["mult", "--input", str(path), "--qmax", "2"], capsys)
+    assert code == 0, err
+    assert json.loads(out)["estimate"] == 1
+
+
 def fuzz_payloads():
     """Small inputs of every kind the command line reads: ``{name: (payload, argv lists)}``.
 

@@ -197,16 +197,14 @@ def test_defect_shift_in_place_is_bit_equal_to_the_composed_route(seed, model, k
     n = tuple(data.draw(st.integers(1, 3 if model == "symmetric" else 2)) for _ in range(k))
     caps = tuple(data.draw(st.integers(0, 3 if k < 3 else 2)) for _ in range(k))
     ft = fock.truncation_for(model, Shape(n, caps=caps), cd)
-    factors = data.draw(st.none() | st.permutations(range(k)).flatmap(
-        lambda order: st.integers(0, k).map(lambda m: order[:m])))
     blocks = {(p, q): _sparse_entries(rng, (ft.dim(q), ft.dim(p)))
               for p in ft.grades for q in ft.grades if rng.uniform() < density}
     for key in list(blocks)[::3]:  # real blocks become complex where a shift lands on them
         blocks[key] = blocks[key].real.copy()
     margin = tuple(data.draw(st.integers(0, 1)) for _ in range(k))
-    want = defect_shift_composed(GradedOperator(ft, {key: b.copy() for key, b in blocks.items()}, margin), factors)
+    want = defect_shift_composed(GradedOperator(ft, {key: b.copy() for key, b in blocks.items()}, margin))
     y = GradedOperator(ft, blocks, margin)
-    got = defect_shift(y, factors)
+    got = defect_shift(y)
     assert got is y
     assert got.margin == want.margin
     assert got.blocks.keys() == want.blocks.keys()

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from conftest import _one_factor_subspace, structured_subspaces
 from oracle import defect_shift_composed
 from polyball.cp import herm, psd_verdict
+from polyball.curvature import grade_trace_table
 from polyball.subspaces import (
     beurling_check,
+    compression_tuple,
     multiplicity_estimate,
     subspace_from_json,
     subspace_to_json,
@@ -31,6 +33,21 @@ def test_complement_identity_is_exact(sub):
         if q in est.exact_values:
             assert est.exact_values[q] == m
             assert m + est.curvature.exact_values[q] == ft.coeff_dim
+
+
+@settings(max_examples=40, deadline=None)
+@given(sub=structured_subspaces(max_cap=4).filter(lambda s: s.truncation.total_dim <= 400))
+def test_curv_grade_table_of_the_compression_is_the_exact_complement_count(sub):
+    # trace[Phi^q(defect)] of the compression to M perp is dim(q) - |M in grade q|: exact in the word
+    # model, whose traces are sums of 0/1 entries; the symmetric shifts carry rounded square-root weights
+    ft = sub.truncation
+    traces = grade_trace_table(compression_tuple(sub), ft.shape.caps, ft.model).traces
+    for q in ft.grades:
+        count = ft.dim(q) - sub.grade_trace_exact(q)
+        if ft.model == "symmetric":
+            assert abs(traces[q] - count) <= 1e-12 * max(1, count), q
+        else:
+            assert traces[q] == count, q
 
 
 @settings(max_examples=60, deadline=None)

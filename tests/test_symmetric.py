@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import commuting_tuple, random_row_tuple
+from conftest import commuting_tuple, random_polyball_tuple, random_row_tuple
 from oracle import (
     creation_op,
     embedding_matrix,
@@ -29,7 +29,7 @@ from polyball.berezin import (
     verify_intertwining,
 )
 from polyball.cp import MembershipError, OperatorTuple, ampliation, require_commutative
-from polyball.curvature import subspace_curvature
+from polyball.curvature import curvature_estimate, subspace_curvature
 from polyball.fock import FockTruncation, GradedOperator
 from polyball.subspaces import (
     compression_tuple,
@@ -258,6 +258,20 @@ def test_curv_c_monotone_and_caveat_free_for_nice_tuple():
     assert not math.isnan(est.defect_product_seq[1])
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3), dim=st.integers(1, 3), q_max=st.integers(0, 4))
+def test_curv_and_curv_c_agree_bit_for_bit_when_every_n_i_is_1(seed, k, dim, q_max):
+    # every grade dimension is 1 in both models, and both estimators run one builder on the same traces
+    t = random_polyball_tuple(np.random.default_rng(seed), (1,) * k, (dim,) * k, 0.8)
+    word, sym = curvature_estimate(t, q_max), curv_c_estimate(t, q_max)
+    assert list(word.grade_values) == list(sym.grade_values)
+    for name in ("corner_seq", "cesaro_seq", "estimate", "error_proxy"):
+        assert np.asarray(getattr(word, name)).tobytes() == np.asarray(getattr(sym, name)).tobytes(), name
+    assert word.grade_values.array.tobytes() == sym.grade_values.array.tobytes()
+    assert word.monotone_ok == sym.monotone_ok
+    assert sym.caveats == ()
+
+
 def test_factorial_form_universal_counts():
     assert universal_factorial_form_value((1,), 50) == pytest.approx(1 + 1 / 50)
     seq2 = [universal_factorial_form_value((2,), q) for q in (10, 20, 40, 80)]
@@ -353,16 +367,16 @@ def test_coordinate_multiple_refuses_a_factor_out_of_range_by_name(factor):
 def test_m_c_full_space():
     sf = SymFockTruncation(Shape((2, 2), caps=(3, 3)), coeff_dim=2)
     rep = m_c_estimate(full_subspace(sf), 3)
-    assert rep.estimate.grade_values[(3, 3)] == 2.0
+    assert rep.grade_values[(3, 3)] == 2.0
     assert rep.beurling.positive
 
 
 def test_m_c_coordinate_multiple_tends_to_one():
     sf = sf_single(2, 10)
     rep = m_c_estimate(coordinate_multiple_subspace(sf, 0, 1), 10)
-    vals = [rep.estimate.grade_values[(q,)] for q in range(11)]
+    vals = [rep.grade_values[(q,)] for q in range(11)]
     assert vals[10] == pytest.approx(10 / 11)
-    assert rep.estimate.exact_limit == 1
+    assert rep.exact_limit == 1
     assert rep.beurling.positive
     assert rep.caveats == ()
 
@@ -372,7 +386,7 @@ def test_m_c_polydisc_equals_word_model():
     sub = coordinate_multiple_subspace(sf, 0, 1)
     rep = m_c_estimate(sub, 6)
     for q in sf.grades:
-        assert rep.estimate.grade_values[q] == (1.0 if q[0] >= 1 else 0.0)
+        assert rep.grade_values[q] == (1.0 if q[0] >= 1 else 0.0)
 
 
 # -- index formula -----------------------------------------------------------------

@@ -6,8 +6,9 @@ row, the defect square root, through the intertwining
 product with the defect range as coefficient space.  Grade blocks of the
 kernel are exact (truncation only discards rows beyond the caps), so the
 connection identity is a genuine two-route consistency check.  Kernel rows and
-intertwining residuals are formed in row slabs by one thread per CPU, and
-their bits do not depend on the number of threads.
+intertwining residuals are formed in row slabs of bounded memory on the
+calling thread; BLAS's threads are the only parallelism, and the bits do not
+depend on how many it runs.
 
 Multipliers that intertwine the universal shifts are accepted as input data
 (coefficient blocks of their symbols); they are validated, never synthesized
@@ -20,10 +21,9 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,10 +59,7 @@ from .fock import (
     truncation_for,
 )
 
-if TYPE_CHECKING:
-    from concurrent.futures import ThreadPoolExecutor
-
-SLAB_BYTES = 2**20  # rows of one kernel job: about this many bytes of a dimH-wide complex block
+SLAB_BYTES = 2**20  # rows of one kernel slab: about this many bytes of a dimH-wide complex block
 
 
 @dataclass
@@ -121,9 +118,8 @@ def berezin_kernel(t: OperatorTuple, caps: tuple[int, ...], model: str = "full")
     """
     dd, ft = _kernel_truncation(t, caps, model)
     blocks: dict[tuple[int, ...], np.ndarray] = {}
-    with _workers() as pool:
-        for stored, leaves in _kernel_layers(t, ft, dd, pool):
-            blocks |= stored | _leaf_blocks(t, ft, leaves, pool)
+    for stored, leaves in _kernel_layers(t, ft, dd):
+        blocks |= stored | _leaf_blocks(t, ft, leaves)
     return BerezinKernel(t, ft, {q: blocks[q] for q in ft.grades}, dd)
 
 
@@ -140,60 +136,21 @@ def _kernel_truncation(t: OperatorTuple, caps: tuple[int, ...], model: str,
     return dd, ft
 
 
-def _workers() -> ThreadPoolExecutor:
-    """Workers for ``_by_slabs``: with the calling thread, one thread per CPU this process may run on.
-
-    The CPUs are those of the process's affinity mask, which ``taskset``
-    narrows; on one CPU there is still one worker.  The jobs spend their time
-    in numpy calls that release the interpreter lock.  Threads start with the
-    first job handed to the pool and end with it.
-    """
-    from concurrent.futures import ThreadPoolExecutor  # on first use, so that importing polyball stays as cheap
-
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return ThreadPoolExecutor(max(cpus - 1, 1))
-
-
 def _slab_rows(width: int) -> int:
     """Rows of one ``_by_slabs`` slab: about ``SLAB_BYTES`` of a ``width``-column complex block, at least ``width``."""
     return max(SLAB_BYTES // (16 * width), width)
 
 
-def _by_slabs(pool: ThreadPoolExecutor, work, pieces, width: int) -> list[list]:
-    """``work(*args, rows)`` over the row slabs ``rows`` of each piece ``(count, args)`` of ``pieces``, by ``pool``.
+def _by_slabs(work, pieces, width: int) -> list[list]:
+    """``work(*args, rows)`` over the row slabs ``rows`` of each piece ``(count, args)`` of ``pieces``, in order.
 
     A piece is cut into slabs of ``_slab_rows(width)`` rows from its first
-    row, so a slab's Gram matrix is no larger than itself.  A piece is cut
-    only where it is larger than a slab, and pieces share a job up to a slab's
-    rows, so small grades cost one job, not one each.  The jobs are dealt in
-    turn to the calling thread and the workers, and each thread runs its own
-    jobs in order: which thread allocates what, and so the memory the threads
-    hold, does not depend on timing.  Returns the results of each piece, in
-    row order.
+    row, so a slab's Gram matrix is no larger than itself.  Every slab runs on
+    the calling thread; BLAS's own threads are the only parallelism.  Returns
+    the results of each piece, in row order.
     """
     step = _slab_rows(width)
-    jobs, job, room = [], [], step
-    for p, (count, _) in enumerate(pieces):
-        for a in range(0, count, step):
-            rows = slice(a, min(a + step, count))
-            if rows.stop - a > room:
-                jobs.append(job)
-                job, room = [], step
-            job.append((p, rows))
-            room -= rows.stop - a
-    jobs.append(job)
-    lanes = min(pool._max_workers + 1, len(jobs))
-
-    def run(lane):
-        return [[work(*pieces[p][1], rows) for p, rows in job] for job in jobs[lane::lanes]]
-
-    futures = [pool.submit(run, lane) for lane in range(1, lanes)]
-    results = [run(0)] + [future.result() for future in futures]
-    out: list[list] = [[] for _ in pieces]
-    for n, job in enumerate(jobs):
-        for (p, _), r in zip(job, results[n % lanes][n // lanes]):
-            out[p].append(r)
-    return out
+    return [[work(*args, slice(a, min(a + step, count))) for a in range(0, count, step)] for count, args in pieces]
 
 
 def _is_leaf(ft: FockTruncation, q: tuple[int, ...]) -> bool:
@@ -217,7 +174,7 @@ class _Plan(NamedTuple):
     entries: dict
 
 
-def _kernel_layers(t: OperatorTuple, ft: FockTruncation, dd: DefectData, pool: ThreadPoolExecutor):
+def _kernel_layers(t: OperatorTuple, ft: FockTruncation, dd: DefectData):
     """The kernel one total degree ``|q|`` at a time, from ``|q| = 0``: ``(stored, leaves)`` per degree.
 
     ``stored`` is ``{q: K_q}`` for the grades of the degree that other grades
@@ -232,11 +189,11 @@ def _kernel_layers(t: OperatorTuple, ft: FockTruncation, dd: DefectData, pool: T
     down, by ``K T_{i,j}^* = (S_{i,j}^* (x) I) K``: the ``S_{i,j}`` target rows
     of grade ``q`` are ``(K_{q - e_i} T_{i,j}^*) / w`` with the shift weights
     ``w`` (``_letter_pieces``).  Each degree is planned first, then its stored
-    grades are formed by ``pool`` in row slabs (``_by_slabs``).  The slabs
-    write disjoint rows, so every block has the same bits for any number of
-    workers.  Only the stored grades of the last degree are held here, so a
-    caller that drops each degree once the next one is yielded keeps two
-    degrees of stored grades alive.
+    grades are formed in row slabs (``_by_slabs``).  The slabs write
+    disjoint rows, so every block has the same bits for any slab size.  Only
+    the stored grades of the last degree are held here, so a caller that
+    drops each degree once the next one is yielded keeps two degrees of
+    stored grades alive.
     """
     by_degree: list[list[tuple[int, ...]]] = [[] for _ in range(sum(ft.shape.caps) + 2)]
     for q in ft.grades:
@@ -250,7 +207,7 @@ def _kernel_layers(t: OperatorTuple, ft: FockTruncation, dd: DefectData, pool: T
             elif not _is_leaf(ft, q):
                 layer[q] = np.zeros((ft.dim(q), t.dimH), dtype=complex)
                 pieces += _letter_pieces(ft, layer[q], _plan(t, ft, q, stored))
-        _by_slabs(pool, _write_rows, pieces, t.dimH)
+        _by_slabs(_write_rows, pieces, t.dimH)
         del pieces  # their targets are not held while the caller reads the degree
         stored = layer
         yield stored, {u: _plan(t, ft, u, stored) for u in ahead if _is_leaf(ft, u)}
@@ -295,13 +252,13 @@ def _letter_pieces(ft: FockTruncation, block: np.ndarray, plan: _Plan) -> list:
     return pieces
 
 
-def _leaf_blocks(t: OperatorTuple, ft: FockTruncation, leaves: dict, pool: ThreadPoolExecutor) -> dict:
-    """``{u: K_u}`` of the ``leaves`` of ``_kernel_layers``, formed by ``pool`` in row slabs."""
+def _leaf_blocks(t: OperatorTuple, ft: FockTruncation, leaves: dict) -> dict:
+    """``{u: K_u}`` of the ``leaves`` of ``_kernel_layers``, formed in row slabs."""
     blocks, pieces = {}, []
     for u, plan in leaves.items():
         blocks[u] = np.zeros((ft.dim(u), t.dimH), dtype=complex)
         pieces += _letter_pieces(ft, blocks[u], plan)
-    _by_slabs(pool, _write_rows, pieces, t.dimH)
+    _by_slabs(_write_rows, pieces, t.dimH)
     return blocks
 
 
@@ -445,35 +402,33 @@ def verify_intertwining(t: OperatorTuple, caps: tuple[int, ...], model: str = "f
     worst = 0.0
     below: dict = {}  # the stored grades of the degree below
     here: dict = {}  # the leaves of this degree
-    with _workers() as pool:
-        for stored, leaves in _kernel_layers(t, ft, dd, pool):
-            ahead = _leaf_rows(t, ft, leaves, pool)
-            # a pair's grades are one degree apart: from the degree below into the stored grades of this
-            # degree, and from this degree into the leaves of the next
-            worst = max(worst, _layer_residual(t, ft, below | stored | here, stored | ahead, pool))
-            below, here = stored, ahead
+    for stored, leaves in _kernel_layers(t, ft, dd):
+        ahead = _leaf_rows(t, ft, leaves)
+        # a pair's grades are one degree apart: from the degree below into the stored grades of this
+        # degree, and from this degree into the leaves of the next
+        worst = max(worst, _layer_residual(t, ft, below | stored | here, stored | ahead))
+        below, here = stored, ahead
     return worst
 
 
-def _leaf_rows(t: OperatorTuple, ft: FockTruncation, leaves: dict, pool: ThreadPoolExecutor) -> dict:
+def _leaf_rows(t: OperatorTuple, ft: FockTruncation, leaves: dict) -> dict:
     """``{u: rows}`` of the ``leaves`` of ``_kernel_layers``: ``_LeafRows`` when every letter into a leaf is a word
     letter (unweighted, at ``(j - 1) n_i^c``; a symmetric one is only at ``n_i = 1``), else ``_leaf_blocks``."""
     word = FockTruncation.factor_letter
     if all(ft.factor_letter(i, j, c - 1)[1] is None and ft.factor_letter(i, j, c - 1)[0] == word(ft, i, j, c - 1)[0]
            for u in leaves for i, c in enumerate(u) if c for j in range(1, ft.shape.n[i] + 1)):
         return {u: _LeafRows(ft, plan, ft.dim(u)) for u, plan in leaves.items()}
-    return _leaf_blocks(t, ft, leaves, pool)
+    return _leaf_blocks(t, ft, leaves)
 
 
-def _layer_residual(t: OperatorTuple, ft: FockTruncation, lower: dict, upper: dict,
-                    pool: ThreadPoolExecutor) -> float:
+def _layer_residual(t: OperatorTuple, ft: FockTruncation, lower: dict, upper: dict) -> float:
     """Max intertwining residual of the tested pairs with ``q`` in ``lower`` and ``q + e_i`` in ``upper``.
 
     Grades map to their blocks or their ``_LeafRows``.  The letters of one
     ``(i, q)`` are one piece, so each slab of ``K_q`` is read, or formed, once
-    for all of them.  Each residual is formed by ``pool`` in row slabs
-    (``_by_slabs``), and ``cp.stacked_norm`` takes its norm from their Gram
-    matrices in row order.
+    for all of them.  Each residual is formed in row slabs (``_by_slabs``),
+    and ``cp.stacked_norm`` takes its norm from their Gram matrices in row
+    order.
     """
     letters: dict = {}
     for i, j, q in _tested_pairs(ft, lower, upper):
@@ -481,7 +436,7 @@ def _layer_residual(t: OperatorTuple, ft: FockTruncation, lower: dict, upper: di
         targets, w = (up.letter_rows(i, j, q), None) if isinstance(up, _LeafRows) else ft.letter_rows(up, i, j, q)[:2]
         letters.setdefault((i, q), []).append((t.entry(i, j), targets, w))
     pieces = [(ft.dim(q), (lower[q], these)) for (i, q), these in letters.items()]
-    slabs = _by_slabs(pool, _residual_slabs, pieces, t.dimH)
+    slabs = _by_slabs(_residual_slabs, pieces, t.dimH)
     return max([0.0] + [stacked_norm(parts) for piece in slabs for parts in zip(*piece)])
 
 
@@ -563,13 +518,12 @@ def connection_residuals(t: OperatorTuple, caps: tuple[int, ...],
     def image(q):
         return dd.defect if not any(q) else cp_apply(t, last_step(q)[0], images[last_step(q)[1]])
 
-    with _workers() as pool:
-        for stored, leaves in _kernel_layers(t, ft, dd, pool):
-            images = {q: image(q) for q in stored}
-            for q, block in stored.items():
-                out[q] = _connection(block, images[q])[2]
-            for u, plan in leaves.items():
-                out[u] = _connection(_leaf_blocks(t, ft, {u: plan}, pool)[u], image(u))[2]
+    for stored, leaves in _kernel_layers(t, ft, dd):
+        images = {q: image(q) for q in stored}
+        for q, block in stored.items():
+            out[q] = _connection(block, images[q])[2]
+        for u, plan in leaves.items():
+            out[u] = _connection(_leaf_blocks(t, ft, {u: plan})[u], image(u))[2]
     return out
 
 
@@ -772,7 +726,9 @@ def _validate_blocks(theta: InnerMultiplier, blocks: dict, caps: tuple[int, ...]
                 rows, w_t, _ = dst_ft.letter_rows(resid[j - 1], i, j, tgrade)
                 rows[...] -= (b if w_t is None else w_t[:, None] * b).reshape(rows.shape)
             worst = max(worst, float(spectral_norms(resid).max()))
-    if not tolerance("multiplier", worst)[0]:
+    # the residual is rounding in the weighted recursion, so it grows with the coefficients
+    scale = max((float(np.abs(b).max()) for b in blocks.values() if b.size), default=0.0)
+    if not tolerance("multiplier", worst, scale)[0]:
         raise ValueError(f"multiplier does not intertwine the shifts (residual {worst:.3e})")
     if theta.isometric:
         # Theta^* Theta - I on interior source grades: the Gram of the adjoint blocks B[s->t]^*

@@ -47,7 +47,7 @@ TOLERANCES = {
     "rank": Tolerance(1e-9, "top", ">", "defect eigenvalues counted in its rank"),
     "svd_rank": Tolerance(1e-12, "top", ">", "singular values counted in a subspace's rank"),
     "intertwine": Tolerance(1e-10, "absolute", "<=", "Theta* Theta - I of an isometric multiplier; the default --tol"),
-    "multiplier": Tolerance(1e-12, "absolute", "<=", "Theta S - S Theta of a multiplier"),
+    "multiplier": Tolerance(1e-12, "relative", "<=", "Theta S - S Theta of a multiplier; scale: its largest entry"),
     "completion": Tolerance(1e-8, "absolute", "<=", "K K* + Theta Theta* - I on interior grades"),
     "gram": Tolerance(1e-12, "absolute", "<=", "B* B - I of a loaded subspace basis"),
     "invariance": Tolerance(1e-10, "absolute", "<=", "shift-invariance residual of a loaded subspace"),

@@ -489,8 +489,9 @@ def bidisc_difference_subspace(caps=(5, 5)) -> GradedSubspace:
 
 
 def invariant_span(ft: FockTruncation, seeds: np.ndarray) -> GradedSubspace:
-    """Smallest shift-invariant subspace of the truncation containing the seeds."""
-    cols = [np.asarray(s, dtype=complex) for s in np.asarray(seeds, dtype=complex).T]
+    """Smallest shift-invariant subspace of the truncation containing the seeds, each nonzero one normalized first:
+    the span does not depend on their scale, since the ``span_shift`` and ``span_new`` rows read unit vectors."""
+    cols = [s / norm if (norm := np.linalg.norm(s)) else s for s in np.asarray(seeds, dtype=complex).T]
     frontier = list(cols)
     while frontier:
         nxt = []

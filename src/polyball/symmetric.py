@@ -106,7 +106,8 @@ def curv_c_estimate(t: OperatorTuple, q_max: int) -> CurvEstimate:
     est = _estimate(t.shape.n, grade_trace_table(t, (q_max,) * t.k, "symmetric"),
                     lambda qq, tr: fact * tr / math.prod(float(qq) ** ni for ni in t.shape.n) if qq else math.nan)
     if any(ni >= 2 for ni in t.shape.n):
-        ft = SymFockTruncation(t.shape.with_caps((min(q_max, 3) + 1,) * t.k), defect_data(t).rank)
+        # at least the unit box: at caps 1 the interior is empty and would read as positive
+        ft = SymFockTruncation(t.shape.with_caps((max(min(q_max, 3), 1) + 1,) * t.k), defect_data(t).rank)
         # kernel rows do not depend on the caps: each box builds the kernel on its own grades
         if not defect_positive("characteristic-function test", ft,
                                lambda box: identity_minus_kk_star(berezin_kernel(t, box.shape.caps, "symmetric"), box)):

@@ -437,7 +437,7 @@ def _index_pieces(block, plan) -> list:
     return [(len(targets), (block, targets, src, kept, entry, w)) for entry, targets, kept, w in letters]
 
 
-def index_kernel_layers(t: OperatorTuple, ft: FockTruncation, dd, pool):
+def index_kernel_layers(t: OperatorTuple, ft: FockTruncation, dd):
     """``berezin._kernel_layers`` with every letter's rows scattered through its index map."""
     by_degree = [[] for _ in range(sum(ft.shape.caps) + 2)]
     for q in ft.grades:
@@ -451,7 +451,7 @@ def index_kernel_layers(t: OperatorTuple, ft: FockTruncation, dd, pool):
             elif not berezin._is_leaf(ft, q):
                 layer[q] = np.zeros((ft.dim(q), t.dimH), dtype=complex)
                 pieces += _index_pieces(layer[q], _index_plan(t, ft, q, stored))
-        berezin._by_slabs(pool, _index_write_rows, pieces, t.dimH)
+        berezin._by_slabs(_index_write_rows, pieces, t.dimH)
         stored = layer
         yield stored, {u: _index_plan(t, ft, u, stored) for u in ahead if berezin._is_leaf(ft, u)}
 
@@ -460,14 +460,13 @@ def index_kernel_blocks(t: OperatorTuple, caps: tuple[int, ...], model: str = "f
     """The blocks of ``berezin_kernel`` by the index-map route."""
     dd, ft = berezin._kernel_truncation(t, caps, model)
     blocks: dict = {}
-    with berezin._workers() as pool:
-        for stored, leaves in index_kernel_layers(t, ft, dd, pool):
-            blocks |= stored
-            pieces = []
-            for u, plan in leaves.items():
-                blocks[u] = np.zeros((ft.dim(u), t.dimH), dtype=complex)
-                pieces += _index_pieces(blocks[u], plan)
-            berezin._by_slabs(pool, _index_write_rows, pieces, t.dimH)
+    for stored, leaves in index_kernel_layers(t, ft, dd):
+        blocks |= stored
+        pieces = []
+        for u, plan in leaves.items():
+            blocks[u] = np.zeros((ft.dim(u), t.dimH), dtype=complex)
+            pieces += _index_pieces(blocks[u], plan)
+        berezin._by_slabs(_index_write_rows, pieces, t.dimH)
     return blocks
 
 
@@ -531,18 +530,17 @@ def index_verify_intertwining(t: OperatorTuple, caps: tuple[int, ...], model: st
     and the leaf rows formed by ``IndexLeafRows``."""
     dd, ft = berezin._kernel_truncation(t, caps, model)
     worst, below, here = 0.0, {}, {}
-    with berezin._workers() as pool:
-        for stored, leaves in index_kernel_layers(t, ft, dd, pool):
-            ahead = {u: IndexLeafRows(plan, ft.dim(u)) for u, plan in leaves.items()}
-            lower, upper = below | stored | here, stored | ahead
-            letters: dict = {}
-            for i, j, q in berezin._tested_pairs(ft, lower, upper):
-                targets, w, _ = ft.shift(i, j, q)
-                letters.setdefault((i, q), []).append((t.entry(i, j), targets, None if (w == 1.0).all() else w))
-            pieces = [(ft.dim(q), (lower[q], upper[bump(q, i)], these)) for (i, q), these in letters.items()]
-            slabs = berezin._by_slabs(pool, _index_residual_slabs, pieces, t.dimH)
-            worst = max([worst] + [stacked_norm(parts) for piece in slabs for parts in zip(*piece)])
-            below, here = stored, ahead
+    for stored, leaves in index_kernel_layers(t, ft, dd):
+        ahead = {u: IndexLeafRows(plan, ft.dim(u)) for u, plan in leaves.items()}
+        lower, upper = below | stored | here, stored | ahead
+        letters: dict = {}
+        for i, j, q in berezin._tested_pairs(ft, lower, upper):
+            targets, w, _ = ft.shift(i, j, q)
+            letters.setdefault((i, q), []).append((t.entry(i, j), targets, None if (w == 1.0).all() else w))
+        pieces = [(ft.dim(q), (lower[q], upper[bump(q, i)], these)) for (i, q), these in letters.items()]
+        slabs = berezin._by_slabs(_index_residual_slabs, pieces, t.dimH)
+        worst = max([worst] + [stacked_norm(parts) for piece in slabs for parts in zip(*piece)])
+        below, here = stored, ahead
     return worst
 
 

@@ -1,10 +1,8 @@
 import itertools
 import json
 import math
-import sys
 import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -193,9 +191,8 @@ def test_intertwining_peaks_below_the_whole_kernel():
 def test_intertwining_peaks_at_two_layers_and_a_few_slabs_per_thread(monkeypatch):
     # the leaves, the grades with the last factor at its cap, are formed a slab at a time: beyond the stored
     # grades of two adjacent degrees and the row plans of the top leaves (the top pairs hold no index array: in
-    # the word model their targets are views), each of the 4 threads (3 workers and the caller) holds a few slabs
+    # the word model their targets are views), the calling thread, which runs every slab, holds a few slabs
     monkeypatch.setattr(berezin, "SLAB_BYTES", 2**16)
-    monkeypatch.setattr(berezin, "_workers", lambda: ThreadPoolExecutor(3))
     t = random_polyball_tuple(np.random.default_rng(7), (2, 2), (4, 4), 0.7)
     kb = berezin_kernel(t, (5, 5))
     ft = kb.truncation
@@ -209,7 +206,7 @@ def test_intertwining_peaks_at_two_layers_and_a_few_slabs_per_thread(monkeypatch
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < stored[-3] + stored[-2] + plans + 4 * 6 * berezin.SLAB_BYTES
+    assert peak < stored[-3] + stored[-2] + plans + 3 * berezin.SLAB_BYTES
 
 
 def _slab_cases():
@@ -219,29 +216,24 @@ def _slab_cases():
 
 
 @pytest.mark.parametrize("model", ["full", "symmetric"])
-def test_kernel_and_residual_bits_do_not_depend_on_workers_or_slabs(monkeypatch, model):
+def test_kernel_and_residual_bits_do_not_depend_on_slabs(monkeypatch, model):
     t, caps = next((t, caps) for m, t, caps in _slab_cases() if m == model)
     base = berezin_kernel(t, caps, model)
     resid = verify_intertwining(t, caps, model)
-    # one worker, and every layer one slab, run by the calling thread
+    connection = connection_residuals(t, caps) if model == "full" else None
+    # every layer one slab
     monkeypatch.setattr(berezin, "SLAB_BYTES", 2**40)
-    monkeypatch.setattr(berezin, "_workers", lambda: ThreadPoolExecutor(1))
     kb = berezin_kernel(t, caps, model)
     assert all(np.array_equal(kb.blocks[q].view(np.uint64), base.blocks[q].view(np.uint64)) for q in base.blocks)
     assert verify_intertwining(t, caps, model) == resid
-    # slabs of dimH rows on more workers than cores, switching threads as often as it can:
-    # every kernel bit is kept, and the residual norm sums more slab Grams
+    # slabs of dimH rows: every kernel bit is kept, and the residual norm sums more slab Grams
     monkeypatch.setattr(berezin, "SLAB_BYTES", 0)
-    monkeypatch.setattr(berezin, "_workers", lambda: ThreadPoolExecutor(8))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        kb = berezin_kernel(t, caps, model)
-        tiny = verify_intertwining(t, caps, model)
-    finally:
-        sys.setswitchinterval(interval)
+    kb = berezin_kernel(t, caps, model)
+    tiny = verify_intertwining(t, caps, model)
     assert all(np.array_equal(kb.blocks[q].view(np.uint64), base.blocks[q].view(np.uint64)) for q in base.blocks)
     assert abs(tiny - resid) <= 1e-12 * resid
+    if model == "full":  # each residual is of one whole kernel block
+        assert connection_residuals(t, caps) == connection
 
 
 @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e150])
@@ -253,8 +245,7 @@ def test_norm_from_many_slabs_matches_the_whole(monkeypatch, scale):
     x[6:9] *= 1e-100
 
     def norm(m):
-        with ThreadPoolExecutor(2) as pool:
-            (parts,) = berezin._by_slabs(pool, lambda m, rows: slab_gram(m[rows], len(m)), [(len(m), (m,))], 3)
+        (parts,) = berezin._by_slabs(lambda m, rows: slab_gram(m[rows], len(m)), [(len(m), (m,))], 3)
         return parts, stacked_norm(parts)
 
     parts, got = norm(x)
@@ -267,24 +258,25 @@ def test_norm_from_many_slabs_matches_the_whole(monkeypatch, scale):
     assert norm(np.zeros((50, 3), dtype=complex))[1] == 0.0
 
 
-@pytest.mark.parametrize("workers, rows", [(3, 50), (3, 7), (1, 50)])
-def test_slab_jobs_are_dealt_to_threads_in_turn(monkeypatch, workers, rows):
-    # slab s (3 rows each) runs in lane s mod lanes, lane 0 on the calling thread, however the threads are
-    # scheduled: the calling thread runs no worker's slab, so the memory each thread holds does not depend on timing
-    monkeypatch.setattr(berezin, "SLAB_BYTES", 0)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        with ThreadPoolExecutor(workers) as pool:
-            (got,) = berezin._by_slabs(pool, lambda rows: (rows.start, threading.get_ident()), [(rows, ())], 3)
-    finally:
-        sys.setswitchinterval(interval)
-    slabs = -(-rows // 3)
-    lanes = min(workers + 1, slabs)
-    assert [start for start, _ in got] == list(range(0, rows, 3))
-    assert got[0][1] == threading.get_ident()
-    assert all(got[s][1] == got[s % lanes][1] for s in range(slabs))
-    assert all(got[s][1] != got[0][1] for s in range(slabs) if s % lanes)
+@pytest.mark.parametrize("slab, counts", [(0, (50, 7, 1)), (0, (2, 0, 3)), (2**20, (50, 7))],
+                         ids=["slabs-of-3-rows", "an-empty-piece", "one-slab-a-piece"])
+def test_slabs_run_on_the_calling_thread_in_row_order(monkeypatch, slab, counts):
+    # slabs of 3 rows (or one per piece): piece by piece, each from its first row, all on the calling thread
+    monkeypatch.setattr(berezin, "SLAB_BYTES", slab)
+    started, calls = [], []
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self))
+
+    def work(p, rows):
+        calls.append((p, rows.start, rows.stop, threading.get_ident()))
+        return p, rows.start
+
+    got = berezin._by_slabs(work, [(c, (p,)) for p, c in enumerate(counts)], 3)
+    step = berezin._slab_rows(3)
+    want = [(p, a, min(a + step, c)) for p, c in enumerate(counts) for a in range(0, c, step)]
+    assert [call[:3] for call in calls] == want
+    assert {call[3] for call in calls} == {threading.get_ident()}
+    assert got == [[(p, a) for a in range(0, c, step)] for p, c in enumerate(counts)]
+    assert started == []
 
 
 @pytest.mark.parametrize("n, caps", [((2,), (4,)), ((1, 2), (2, 3)), ((2, 2), (3, 3))])
@@ -323,17 +315,16 @@ def test_leaf_rows_have_the_bits_of_the_kernel_blocks(monkeypatch, model, n, dim
     kb = berezin_kernel(t, caps, model)
     dd, ft = berezin._kernel_truncation(t, caps, model)
     leaves = []
-    with berezin._workers() as pool:
-        for _, plans in berezin._kernel_layers(t, ft, dd, pool):
-            for u, rows in berezin._leaf_rows(t, ft, plans, pool).items():
-                block = kb.blocks[u]
-                d = len(block)
-                idxs = [slice(0, d), slice(d // 3, d), *(slice(r, r + 1) for r in range(d))]
-                if model == "symmetric":
-                    idxs += [*np.arange(d)[:, None], rng.permutation(d)[: d // 2 + 1]]
-                for idx in idxs:
-                    assert np.array_equal(rows[idx].view(np.uint64), block[idx].view(np.uint64))
-                leaves.append(u)
+    for _, plans in berezin._kernel_layers(t, ft, dd):
+        for u, rows in berezin._leaf_rows(t, ft, plans).items():
+            block = kb.blocks[u]
+            d = len(block)
+            idxs = [slice(0, d), slice(d // 3, d), *(slice(r, r + 1) for r in range(d))]
+            if model == "symmetric":
+                idxs += [*np.arange(d)[:, None], rng.permutation(d)[: d // 2 + 1]]
+            for idx in idxs:
+                assert np.array_equal(rows[idx].view(np.uint64), block[idx].view(np.uint64))
+            leaves.append(u)
     assert leaves == [q for q in ft.grades if berezin._is_leaf(ft, q)]
     assert leaves == [q for q in ft.grades if q[-1] == caps[-1]]
 

@@ -20,6 +20,7 @@ from polyball.subspaces import (
     finite_codim_subspace,
     full_subspace,
     inner_sequence_check,
+    invariant_span,
     multiplicity_estimate,
     span_subspace,
     subspace_from_json,
@@ -184,6 +185,19 @@ def test_multiplicity_counts_each_grade_once(sub, monkeypatch):
         assert sorted(counted) == sorted(est.grade_values)
     dim_e = sub.truncation.coeff_dim
     assert est.curvature.grade_values == {q: dim_e - y for q, y in est.grade_values.items()}
+
+
+@pytest.mark.parametrize("scale", [1e6, 1e-6, 1e-11, 1e-13])
+def test_invariant_span_does_not_depend_on_the_seed_scale(scale):
+    # the bidisc difference seed: each seed is normalized first, so no shifted vector of a small seed is dropped
+    ft = bidisc_truncation((4, 4))
+    seed = np.zeros((ft.total_dim, 1), dtype=complex)
+    seed[ft.offset((1, 0)), 0], seed[ft.offset((0, 1)), 0] = 1.0, -1.0
+    want = invariant_span(ft, seed).columns
+    got = invariant_span(ft, scale * seed)
+    assert got.columns.shape == want.shape == (ft.total_dim, 20)
+    assert np.abs(got.columns @ got.columns.conj().T - want @ want.conj().T).max() <= 1e-14
+    assert got.certify_invariance() < 1e-12
 
 
 def test_multiplicity_polydisc_monomial():

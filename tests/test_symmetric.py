@@ -21,6 +21,7 @@ from oracle import (
 from polyball.basis import Shape, grade_dim
 from polyball.berezin import (
     InnerMultiplier,
+    _validate_blocks,
     berezin_kernel,
     connection_identity,
     has_characteristic_function,
@@ -258,6 +259,18 @@ def test_curv_c_monotone_and_caveat_free_for_nice_tuple():
     assert not math.isnan(est.defect_product_seq[1])
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_curv_c_caveat_at_qmax_0_is_that_of_qmax_1(seed):
+    # the characteristic-function test reads at least the unit box: at caps 1 the interior is empty
+    rng = np.random.default_rng(seed)
+    n = [(2,), (2, 2), (1, 2), (3,)][seed % 4]
+    parts = [commuting_tuple(rng, ni, 2, 0.8) for ni in n]
+    t = parts[0] if len(parts) == 1 else ampliation(parts)
+    assert curv_c_estimate(t, 0).caveats == curv_c_estimate(t, 1).caveats
+    if len(n) == 2:  # these tuples fail the test
+        assert curv_c_estimate(t, 0).caveats
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3), dim=st.integers(1, 3), q_max=st.integers(0, 4))
 def test_curv_and_curv_c_agree_bit_for_bit_when_every_n_i_is_1(seed, k, dim, q_max):
@@ -270,6 +283,22 @@ def test_curv_and_curv_c_agree_bit_for_bit_when_every_n_i_is_1(seed, k, dim, q_m
     assert word.grade_values.array.tobytes() == sym.grade_values.array.tobytes()
     assert word.monotone_ok == sym.monotone_ok
     assert sym.caveats == ()
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e5, 1e8])
+def test_multiplier_residual_is_read_at_the_scale_of_its_coefficients(scale):
+    # the residual of a valid multiplier is rounding, which grows with its coefficients; perturbed blocks still
+    # fail at any scale
+    base = sym_monomial_multiplier(Shape((2, 3)), ((1, 0), (1, 1, 0)))
+    (d, coeff), = base.coeffs.items()
+    rng = np.random.default_rng(5)
+    coeff = scale * (rng.standard_normal(coeff.shape) + 1j * rng.standard_normal(coeff.shape))
+    theta = InnerMultiplier(base.shape, 1, 1, {d: coeff}, model="symmetric")
+    assert validate_multiplier(theta, (4, 4)) <= 1e-14 * scale
+    blocks = theta.materialize_blocks((4, 4))
+    blocks = {key: b + 2e-4 * scale * rng.standard_normal(b.shape) for key, b in blocks.items()}
+    with pytest.raises(ValueError, match="does not intertwine"):
+        _validate_blocks(theta, blocks, (4, 4))
 
 
 def test_factorial_form_universal_counts():

@@ -167,7 +167,7 @@ def case_support(tmp_path, capsys):
 
 
 def case_span_shift(tmp_path, capsys):
-    # the seed 0.3 e_0 shifts to 0.3 e_1
+    # the seed 0.3 e_0, normalized to e_0, shifts to e_1
     ft = FockTruncation(Shape((1,), caps=(1,)))
     return lambda: invariant_span(ft, np.array([[0.3], [0.0]])).columns.shape[1] == 2
 

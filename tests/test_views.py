@@ -102,25 +102,23 @@ def _check_view_route(n, dims, caps, slab, seed):
     assert all(np.array_equal(blocks[q].view(np.uint64), want[q].view(np.uint64)) for q in want)
     dd, ft = berezin._kernel_truncation(t, caps, "full")
     step = berezin._slab_rows(t.dimH)
-    with berezin._workers() as pool:
-        for (_, plans), (_, index_plans) in zip(berezin._kernel_layers(t, ft, dd, pool),
-                                                index_kernel_layers(t, ft, dd, pool)):
-            for u, plan in plans.items():
-                rows, oracle = berezin._LeafRows(ft, plan, ft.dim(u)), IndexLeafRows(index_plans[u], ft.dim(u))
-                assert all(not isinstance(v, np.ndarray) for k, v in vars(rows).items() if k != "plan")
-                d = len(blocks[u])
-                for f0, f1 in [(0, d), *np.sort(np.random.default_rng(seed).integers(0, d + 1, (6, 2)))]:
-                    assert np.array_equal(rows[f0:f1].view(np.uint64), blocks[u][f0:f1].view(np.uint64))
-                # each pair into the leaf, read slab by slab as _residual_slabs reads it
-                for i in range(plan.i):  # the tested pairs into a leaf are of the factors before its own
-                    if u[i] == 0:
-                        continue
-                    for j in range(1, n[i] + 1):
-                        q = bump(u, i, -1)
-                        targets, index = rows.letter_rows(i, j, q), ft.shift(i, j, q)[0]
-                        for a in range(0, len(index), step):
-                            got = berezin._read_rows(targets, a, min(a + step, len(index)))
-                            assert np.array_equal(got.view(np.uint64), oracle[index[a : a + step]].view(np.uint64))
+    for (_, plans), (_, index_plans) in zip(berezin._kernel_layers(t, ft, dd), index_kernel_layers(t, ft, dd)):
+        for u, plan in plans.items():
+            rows, oracle = berezin._LeafRows(ft, plan, ft.dim(u)), IndexLeafRows(index_plans[u], ft.dim(u))
+            assert all(not isinstance(v, np.ndarray) for k, v in vars(rows).items() if k != "plan")
+            d = len(blocks[u])
+            for f0, f1 in [(0, d), *np.sort(np.random.default_rng(seed).integers(0, d + 1, (6, 2)))]:
+                assert np.array_equal(rows[f0:f1].view(np.uint64), blocks[u][f0:f1].view(np.uint64))
+            # each pair into the leaf, read slab by slab as _residual_slabs reads it
+            for i in range(plan.i):  # the tested pairs into a leaf are of the factors before its own
+                if u[i] == 0:
+                    continue
+                for j in range(1, n[i] + 1):
+                    q = bump(u, i, -1)
+                    targets, index = rows.letter_rows(i, j, q), ft.shift(i, j, q)[0]
+                    for a in range(0, len(index), step):
+                        got = berezin._read_rows(targets, a, min(a + step, len(index)))
+                        assert np.array_equal(got.view(np.uint64), oracle[index[a : a + step]].view(np.uint64))
     if 0 in caps:
         with pytest.raises(ValueError, match="no grade pair"):
             verify_intertwining(t, caps)

@@ -106,8 +106,7 @@ def kernel_tail_bound(t: OperatorTuple, caps: tuple[int, ...]) -> float:
     the per-factor tails, not their max, for pure tuples.  It needs the tuple
     and the caps, not the kernel's blocks.
     """
-    eye = np.eye(t.dimH, dtype=complex)
-    return sum(spectral_norms(np.stack([cp_apply_power(t, i, eye, caps[i] + 1) for i in range(t.k)])).tolist())
+    return sum(spectral_norms(np.stack([cp_apply_power(t, i, None, caps[i] + 1) for i in range(t.k)])).tolist())
 
 
 def berezin_kernel(t: OperatorTuple, caps: tuple[int, ...], model: str = "full") -> BerezinKernel:
@@ -570,14 +569,15 @@ def curvature_operator_trace(kb: BerezinKernel, q: tuple[int, ...]) -> TraceChec
     vectors, injectively for each letter, so ``id - Phi_i`` acts on those
     diagonals by scattering squared shift weights; both models differ only in
     the ``factor_letter`` weights.  The squares are the exact ratios, never a
-    rounded square root squared.
+    rounded square root squared.  Grade ``s`` reads only the grades ``s - e_i``
+    below it, so ``q`` may reach the caps.
     """
     ft = kb.truncation
     caps = ft.shape.caps
     if len(q) != ft.shape.k or any(qi < 0 for qi in q):
         raise ValueError(f"grade {q} must have {ft.shape.k} non-negative entries")
-    if any(qi > c - 1 for qi, c in zip(q, caps)):
-        raise ValueError(f"grade {q} needs one interior grade of margin below caps {caps}")
+    if any(qi > c for qi, c in zip(q, caps)):
+        raise ValueError(f"grade {q} lies beyond caps {caps}")
     lattice = list(iter_grades(q))
     diag = {s: np.einsum("rh,rh->r", kb.blocks[s], kb.blocks[s].conj()).real for s in lattice}
     for i in range(ft.shape.k):
@@ -763,10 +763,18 @@ def index_formula_check(kb: BerezinKernel, theta: InnerMultiplier, blocks: dict 
     kernel's caps, when the caller has them.
     """
     ft = kb.truncation
+    require_index_caps(ft.shape.caps)
     _require_same_model(theta, ft, "kernel")
     blocks = theta.materialize_blocks(ft.shape.caps) if blocks is None else blocks
     _validate_blocks(theta, blocks, ft.shape.caps)
     return index_check_from_blocks(kb, theta, blocks)
+
+
+def require_index_caps(caps: tuple[int, ...]) -> None:
+    """Refuse a zero cap: the index check reads the grades ``q <= caps - 1``, and a zero cap leaves none."""
+    if 0 in caps:
+        raise ValueError(f"caps {tuple(caps)} leave a factor with no interior grade to check the index on; "
+                         "every cap must be >= 1")
 
 
 def index_check_from_blocks(kb, theta, blocks) -> IndexCheck:

@@ -25,6 +25,7 @@ from .berezin import (
     index_formula_check,
     kernel_tail_bound,
     multiplier_from_json,
+    require_index_caps,
     verify_intertwining,
 )
 from .cp import TOLERANCES, MembershipError, tuple_from_json
@@ -173,7 +174,7 @@ def cmd_curv(args) -> int:
     est = curvature_estimate(t, args.qmax)
     bounds = bounds_report(t, args.qmax)
     depth = min(args.qmax, 3)
-    kb = berezin_kernel(t, (depth + 1,) * t.k)
+    kb = berezin_kernel(t, (depth,) * t.k)
     op_trace = curvature_operator_trace(kb, (depth,) * t.k)
     cross = {
         "depth": depth,
@@ -355,6 +356,7 @@ def cmd_check_intertwine(args) -> int:
 
 def cmd_check_index(args) -> int:
     t, caps = _tuple_and_caps(args)
+    require_index_caps(caps)
     with open(args.theta) as fh:
         theta = multiplier_from_json(fh.read())
     blocks = theta.materialize_blocks(caps)  # first: at large caps these, not the kernel, exceed the size budget

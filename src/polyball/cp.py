@@ -106,6 +106,31 @@ def herm(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
+class Spectrum(NamedTuple):
+    values: np.ndarray  # ascending
+    vectors: np.ndarray | None  # LAPACK's unit eigenvectors as columns, in the order of ``values``, when asked for
+    positions: np.ndarray | None  # read from the diagonal: ``values[j]`` has the unit vector at ``positions[j]``
+
+
+def hermitian_spectrum(h: np.ndarray, vectors: bool = False) -> Spectrum:
+    """The spectrum of a Hermitian ``h``: the one route of every Hermitian eigenvalue problem but ``_gram_norm``.
+
+    When nothing lies off the diagonal (a ``-0.0`` is nothing), the values are
+    the real diagonal sorted stably, ties in diagonal order, and the
+    eigenvectors are the unit vectors at ``positions``: no LAPACK call and no
+    product.  LAPACK gives the same value bits and the same vectors, up to the
+    order among tied eigenvalues, which it does not keep stable.  Otherwise one
+    ``eigvalsh``, or one ``eigh`` with ``vectors``.
+    """
+    d = h.diagonal()
+    if np.count_nonzero(h) == np.count_nonzero(d):
+        order = np.argsort(d.real, kind="stable")
+        return Spectrum(d.real[order], None, order)
+    if vectors:
+        return Spectrum(*np.linalg.eigh(h), None)
+    return Spectrum(np.linalg.eigvalsh(h), None, None)
+
+
 @dataclass(frozen=True)
 class PsdVerdict:
     positive: bool
@@ -281,30 +306,51 @@ class OperatorTuple:
     @cached_property  # the entries are read-only: what follows from them alone is formed once per tuple
     def _defect(self) -> np.ndarray:
         """``herm(Delta_T(I))``, read-only: ``check_polyball`` at ``p = (1,...,1)`` and ``defect_data`` both read it."""
-        return _read_only(herm(defect_map(self, (1,) * self.k, np.eye(self.dimH, dtype=complex))))
+        return _read_only(herm(defect_map(self, (1,) * self.k)))
 
     @cached_property
     def _verdict(self) -> PolyballVerdict:
-        def spectrum(p):  # Delta_0(I) is I: its spectrum is read as ones
-            if not any(p):
-                return np.ones(self.dimH)
-            return np.linalg.eigvalsh(self._defect if all(p) else herm(defect_map(self, p, np.eye(self.dimH))))
-        verdicts = {p: psd_verdict(spectrum(p)) for p in itertools.product((0, 1), repeat=self.k)}
+        verdicts = {p: psd_verdict(np.ones(self.dimH) if h is None else hermitian_spectrum(h).values)
+                    for p, h in self._membership_maps()}  # Delta_0(I) is I: its spectrum is read as ones
         worst = min(verdicts, key=lambda p: verdicts[p].min_eigenvalue - verdicts[p].bound)
         eigs = {p: v.min_eigenvalue for p, v in verdicts.items()}
         return PolyballVerdict(all(v.positive for v in verdicts.values()), worst, eigs[worst], eigs)
 
+    def _membership_maps(self, i: int = 0, y: np.ndarray | None = None, p: tuple[int, ...] = ()):
+        """``(p + r, herm(Delta_{p + r}(I)))`` for every ``r`` in ``{0,1}^{k - i}``, in ``itertools.product`` order.
+
+        ``y`` is ``Delta_p(I)``; None is the identity, and is yielded as None.
+        Each map is one ``_defect_step`` of the map without its last factor:
+        the bits of ``defect_map`` in ``2^k - 1`` steps.  The map at
+        ``(1,...,1)`` is the defect, kept as ``_defect`` or read from it.
+        """
+        if i == self.k:
+            yield p, (None if y is None else herm(y))
+            return
+        yield from self._membership_maps(i + 1, y, p + (0,))
+        if i < self.k - 1 or not all(p):
+            yield from self._membership_maps(i + 1, _defect_step(self, i, y), p + (1,))
+            return
+        if "_defect" not in self.__dict__:  # where cached_property keeps it
+            self.__dict__["_defect"] = _read_only(herm(_defect_step(self, i, y)))
+        yield p + (1,), self._defect
+
     @cached_property
     def _defect_data(self) -> DefectData:
-        vals, vecs = np.linalg.eigh(self._defect)
+        vals, vecs, positions = hermitian_spectrum(self._defect, vectors=True)
         if not (verdict := psd_verdict(vals)).positive:
             raise DefectNotPositiveError(verdict.min_eigenvalue)
         clipped = np.clip(vals, 0.0, None)
-        sqrt = (vecs * np.sqrt(clipped)) @ vecs.conj().T
         keep = tolerance("rank", clipped)[0]
-        cols = [vecs[:, j] for j in np.argsort(clipped)[::-1] if keep[j]]
-        basis = np.stack(cols, axis=1) if cols else np.zeros((self.dimH, 0), dtype=complex)
-        return DefectData(self._defect, _read_only(sqrt), int(np.count_nonzero(keep)), _read_only(basis))
+        kept = [j for j in np.argsort(clipped)[::-1] if keep[j]]
+        if positions is None:
+            sqrt = (vecs * np.sqrt(clipped)) @ vecs.conj().T
+            basis = np.stack([vecs[:, j] for j in kept], axis=1) if kept else np.zeros((self.dimH, 0), dtype=complex)
+        else:  # a diagonal defect: its root is the diagonal of roots, its range basis unit vectors
+            sqrt = np.diag(np.sqrt(np.clip(self._defect.diagonal().real, 0.0, None))).astype(complex)
+            basis = np.zeros((self.dimH, len(kept)), dtype=complex)
+            basis[positions[kept], np.arange(len(kept))] = 1.0
+        return DefectData(self._defect, _read_only(sqrt), len(kept), _read_only(basis))
 
     def entry(self, i: int, j: int) -> np.ndarray:
         """Matrix of generator ``j`` (1-based letter) in factor ``i`` (0-based)."""
@@ -321,45 +367,54 @@ def max_cross_commutator(t: OperatorTuple) -> float:
     )
 
 
-def cp_apply(t: OperatorTuple, i: int, y: np.ndarray) -> np.ndarray:
-    """Transfer map of factor ``i``: ``sum_j T_{i,j} Y T_{i,j}^*``."""
+def cp_apply(t: OperatorTuple, i: int, y: np.ndarray | None) -> np.ndarray:
+    """Transfer map of factor ``i``: ``sum_j T_{i,j} Y T_{i,j}^*``; ``y`` None is the identity, ``sum_j T T^*``."""
+    return _transfer(t, i, y, adjoint=False)
+
+
+def cp_apply_adjoint(t: OperatorTuple, i: int, y: np.ndarray | None) -> np.ndarray:
+    """Hilbert-Schmidt adjoint of the transfer map of factor ``i``: ``sum_j T_{i,j}^* Y T_{i,j}``; None is I."""
+    return _transfer(t, i, y, adjoint=True)
+
+
+def _transfer(t: OperatorTuple, i: int, y: np.ndarray | None, adjoint: bool) -> np.ndarray:
+    """``cp_apply`` or its adjoint.  None is the identity, never a factor: ``a @ I @ a^*`` has ``a @ a^*``'s bits."""
+    if y is None:
+        out = np.zeros((t.dimH, t.dimH), dtype=complex)
+        for a in t.factors[i]:
+            out += a.conj().T @ a if adjoint else a @ a.conj().T
+        return out
     y = np.asarray(y, dtype=complex)
     if y.shape != (t.dimH, t.dimH):
         raise ValueError(f"argument has shape {y.shape}, expected ({t.dimH}, {t.dimH})")
     out = np.zeros_like(y)
     for a in t.factors[i]:
-        out += a @ y @ a.conj().T
+        out += a.conj().T @ y @ a if adjoint else a @ y @ a.conj().T
     return out
 
 
-def cp_apply_adjoint(t: OperatorTuple, i: int, y: np.ndarray) -> np.ndarray:
-    """Hilbert-Schmidt adjoint of the factor-``i`` transfer map: ``sum_j T_{i,j}^* Y T_{i,j}``."""
-    y = np.asarray(y, dtype=complex)
-    if y.shape != (t.dimH, t.dimH):
-        raise ValueError(f"argument has shape {y.shape}, expected ({t.dimH}, {t.dimH})")
-    out = np.zeros_like(y)
-    for a in t.factors[i]:
-        out += a.conj().T @ y @ a
-    return out
-
-
-def cp_apply_power(t: OperatorTuple, i: int, y: np.ndarray, q: int) -> np.ndarray:
+def cp_apply_power(t: OperatorTuple, i: int, y: np.ndarray | None, q: int) -> np.ndarray:
     for _ in range(q):
         y = cp_apply(t, i, y)
-    return y
+    return np.eye(t.dimH, dtype=complex) if y is None else y
 
 
-def defect_map(t: OperatorTuple, p: tuple[int, ...], y: np.ndarray) -> np.ndarray:
-    """``(id - Phi_1)^{p_1} o ... o (id - Phi_k)^{p_k}`` applied to ``y``."""
+def defect_map(t: OperatorTuple, p: tuple[int, ...], y: np.ndarray | None = None) -> np.ndarray:
+    """``(id - Phi_1)^{p_1} o ... o (id - Phi_k)^{p_k}`` applied to ``y``, the identity by default."""
     if len(p) != t.k or any(v < 0 for v in p):
         raise ValueError(f"exponent vector {p} invalid for k={t.k}")
-    out = np.asarray(y, dtype=complex)
-    if out.shape != (t.dimH, t.dimH):
+    out = None if y is None else np.asarray(y, dtype=complex)
+    if out is not None and out.shape != (t.dimH, t.dimH):
         raise ValueError(f"argument has shape {out.shape}, expected ({t.dimH}, {t.dimH})")
     for i in range(t.k):
         for _ in range(p[i]):
-            out = out - cp_apply(t, i, out)
-    return out
+            out = _defect_step(t, i, out)
+    return np.eye(t.dimH, dtype=complex) if out is None else out
+
+
+def _defect_step(t: OperatorTuple, i: int, y: np.ndarray | None) -> np.ndarray:
+    """``y - Phi_i(y)``; ``y`` None is the identity."""
+    return (np.eye(t.dimH, dtype=complex) if y is None else y) - cp_apply(t, i, y)
 
 
 @dataclass(frozen=True)
@@ -401,7 +456,7 @@ def check_pure(t: OperatorTuple) -> PurityReport:
     """Iterate ``Y <- Phi_i(Y)`` from the identity; heuristic norm-decay purity test."""
     verdicts, iters, norms = [], [], []
     for i in range(t.k):
-        y = np.eye(t.dimH, dtype=complex)
+        y = None  # the identity
         verdict = "undetermined"
         norm = 1.0
         it = 0

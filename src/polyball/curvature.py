@@ -94,11 +94,11 @@ def grade_trace_table(t: OperatorTuple, qmax: tuple[int, ...], model: str = "ful
     split = (t.k + 1) // 2
     stacked = math.prod(q + 1 for q in qmax[split:]) * t.dimH**2
     require_budget(f"grade table at qmax {qmax}", 16 * (math.prod(q + 1 for q in qmax) + 2 * stacked))
-    stack = [np.eye(t.dimH, dtype=complex)]
+    stack = [None]  # the identity, which the maps take without a product by it
     for i in range(split, t.k):
         stack = [y for x in stack for y in _chain(partial(cp_apply_adjoint, t, i), x, qmax[i])]
     # trace[X Y] = sum_rs X_sr Y_rs: a row of the transposed stack against vec(Y)
-    rows = np.stack([x.T for x in stack]).reshape(len(stack), -1)
+    rows = np.stack([np.eye(t.dimH, dtype=complex) if x is None else x.T for x in stack]).reshape(len(stack), -1)
     traces = np.empty((*(q + 1 for q in qmax[:split]), len(stack)), dtype=complex)
 
     def walk(i: int, y: np.ndarray, prefix: tuple[int, ...]) -> None:

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .basis import Shape, grade_dim, iter_grades
-from .cp import PsdVerdict, psd_verdict, require_budget, spectral_norms, tolerance
+from .cp import PsdVerdict, hermitian_spectrum, psd_verdict, require_budget, spectral_norms, tolerance
 
 
 @dataclass(frozen=True)
@@ -347,20 +347,13 @@ def _dense_defect(what: str, ft: FockTruncation, build) -> tuple[FockTruncation,
     return box, h
 
 
-def _spectrum_verdict(h: np.ndarray) -> PsdVerdict:
-    """PSD verdict of a Hermitian ``h`` from its whole spectrum: the sorted diagonal when nothing lies off it,
-    else one ``eigvalsh``."""
-    d = h.diagonal()
-    return psd_verdict(np.sort(d.real) if np.count_nonzero(h) == np.count_nonzero(d) else np.linalg.eigvalsh(h))
-
-
 def defect_verdict(what: str, ft: FockTruncation, build) -> PsdVerdict | None:
     """PSD verdict of ``Delta_{S (x) I}(build(box))`` on ``box = interior_box(ft)``: the one dense positivity route.
 
     ``None`` when a cap is 0; see ``_dense_defect`` for the size check and the release of the built blocks.
     """
     dense = _dense_defect(what, ft, build)
-    return None if dense is None else _spectrum_verdict(dense[1])
+    return None if dense is None else psd_verdict(hermitian_spectrum(dense[1]).values)
 
 
 def defect_positive(what: str, ft: FockTruncation, build) -> bool:
@@ -378,7 +371,7 @@ def defect_positive(what: str, ft: FockTruncation, build) -> bool:
     unit = tuple(min(c, 2) for c in caps)
     if unit != caps:
         dense = _dense_defect(what, truncation_for(ft.model, ft.shape.with_caps(unit), ft.coeff_dim), build)
-        if dense is not None and not tolerance("psd", np.linalg.eigvalsh(dense[1])[0] / 2, 2.0**ft.shape.k)[0]:
+        if dense is not None and not tolerance("psd", hermitian_spectrum(dense[1]).values[0] / 2, 2.0**ft.shape.k)[0]:
             return False
     dense = _dense_defect(what, ft, build)
-    return dense is None or _spectrum_verdict(dense[1]).positive
+    return dense is None or psd_verdict(hermitian_spectrum(dense[1]).values).positive

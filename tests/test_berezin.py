@@ -469,6 +469,20 @@ def assert_matches_oracle(kb, q):
     assert abs(value - dense_operator_trace(kb, q)) <= 1e-12 * max(1.0, abs(value))
 
 
+@pytest.mark.parametrize("model", ["full", "symmetric"])
+def test_operator_trace_reaches_the_caps_with_the_bits_of_a_deeper_kernel(model):
+    # grade s reads only the grades below it: the kernel at caps q gives the trace at q of the kernel at q + 1
+    rng = np.random.default_rng(139)
+    t = ampliation([commuting_tuple(rng, 2, 2, 0.7), commuting_tuple(rng, 1, 3, 0.7)])
+    for q in [(0, 0), (1, 2), (3, 3)]:
+        kb = berezin_kernel(t, q, model)
+        got = curvature_operator_trace(kb, q)
+        assert got == curvature_operator_trace(berezin_kernel(t, tuple(c + 1 for c in q), model), q)
+        assert_matches_oracle(kb, q)
+    with pytest.raises(ValueError, match=r"grade \(4, 3\) lies beyond caps \(3, 3\)"):
+        curvature_operator_trace(kb, (4, 3))
+
+
 @pytest.mark.parametrize(
     "n, dims, caps",
     [((2, 2), (2, 2), (4, 4)), ((1, 2, 1), (2, 2, 1), (3, 3, 3))],

@@ -189,6 +189,39 @@ def test_check_index(tmp_path, capsys):
     assert payload["residual"] < 1e-8
 
 
+def test_check_index_refuses_a_zero_cap_by_name(tmp_path, capsys, monkeypatch):
+    t_path, theta_path = index_files(tmp_path)
+    sym_tuple, sym_theta = tmp_path / "sym_tuple.json", tmp_path / "sym_theta.json"
+    sf = SymFockTruncation(Shape((1, 1), caps=(3, 3)), 1)
+    sym_tuple.write_text(tuple_to_json(compression_tuple(coordinate_multiple_subspace(sf, 0, 1))))
+    sym_theta.write_text(multiplier_to_json(sym_monomial_multiplier(Shape((1, 1)), ((1,), (0,)))))
+    code, out, _ = run(["check", "index", "--input", t_path, "--theta", theta_path, "--qmax", "0"], capsys)
+    assert code == 0 and json.loads(out)["completion_residual"] < 1e-8  # caps 1: grade 0 is interior
+    monkeypatch.setattr(berezin.InnerMultiplier, "materialize_blocks", lambda *a: pytest.fail("blocks formed"))
+    for argv, caps in [([t_path, "--theta", theta_path, "--caps", "0"], "(0,)"),
+                       ([str(sym_tuple), "--theta", str(sym_theta), "--caps", "0,3"], "(0, 3)")]:
+        code, out, err = run(["check", "index", "--input", *argv], capsys)
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "invalid-input"
+        assert f"caps {caps} leave a factor with no interior grade" in payload["reason"]
+
+
+def test_curv_builds_its_cross_check_kernel_at_the_depth_it_reads(scalar_file, tmp_path, capsys, monkeypatch):
+    import polyball.cli as cli
+
+    caps = []
+    real = cli.berezin_kernel
+    monkeypatch.setattr(cli, "berezin_kernel", lambda t, c, *rest: caps.append(c) or real(t, c, *rest))
+    path = tmp_path / "t.json"
+    path.write_text(tuple_to_json(random_polyball_tuple(np.random.default_rng(5), (2, 1), (2, 2), 0.7)))
+    for argv, depth in [([scalar_file, "--qmax", "2"], (2,)), ([str(path), "--qmax", "5"], (3, 3))]:
+        code, out, _ = run(["curv", "--input", *argv], capsys)
+        cross = json.loads(out)["formula_cross_check"]
+        assert code == 0 and caps.pop() == depth
+        assert abs(cross["operator_trace"] - cross["ratio"]) <= 1e-9
+
+
 def test_output_independent_of_thread_count(tmp_path, capsys):
     sub = bidisc_difference_subspace((5, 5))
     path = tmp_path / "diff.json"

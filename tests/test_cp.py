@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 
 import numpy as np
@@ -180,7 +181,7 @@ def test_one_defect_decomposition_per_tuple(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(cp, "defect_map", spy("defect_map", cp.defect_map, lambda u, p, y: (u.dimH, p)))
+    monkeypatch.setattr(cp, "_defect_step", spy("step", cp._defect_step, lambda u, i, y: (u.dimH, i, y is None)))
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name), lambda a, *rest: a.shape))
     # the ampliation forms the tuple's Delta(I) as it checks it: construction is counted too
@@ -188,8 +189,10 @@ def test_one_defect_decomposition_per_tuple(monkeypatch):
     curvature_estimate(t, 3)
     bounds_report(t, 3)
     berezin_kernel(t, (2, 2))
-    assert sorted(p for name, (dim, p) in (c for c in calls if c[0] == "defect_map") if dim == 6) == [
-        (0, 1), (1, 0), (1, 1)]
+    # the defect, two steps from I; then the membership walk's maps at p = (0, 1) and (1, 0), one step from I
+    # each, with the defect at (1, 1) read from the first
+    assert [key for name, key in calls if name == "step" and key[0] == 6] == [
+        (6, 0, True), (6, 1, False), (6, 1, True), (6, 0, True)]
     assert [c for c in calls if c[0] == "eigh"] == [("eigh", (6, 6))]
     assert calls.count(("eigvalsh", (6, 6))) == 3  # one per p != 0
     assert check_polyball(t) is check_polyball(t) and defect_data(t) is defect_data(t)
@@ -203,18 +206,18 @@ def test_ampliation_reads_each_defect_once(monkeypatch):
     rng = np.random.default_rng(44)
     parts = [random_row_tuple(rng, 2, 3, 0.8) for _ in range(2)]
     calls = []
-    real = cp.defect_map
+    real = cp._defect_step
 
-    def spy(u, p, y):
-        calls.append((u.dimH, p))
-        return real(u, p, y)
+    def spy(u, i, y):
+        calls.append((u.dimH, i, y is None))
+        return real(u, i, y)
 
-    monkeypatch.setattr(cp, "defect_map", spy)
+    monkeypatch.setattr(cp, "_defect_step", spy)
     out = ampliation(parts)
     assert check_polyball(out).member
-    # each part's Delta(I) once, for its membership; the product's once, checked and then reused
-    assert calls.count((3, (1,))) == 2 and calls.count((9, (1, 1))) == 1
-    assert sorted(calls) == [(3, (1,)), (3, (1,)), (9, (0, 1)), (9, (1, 0)), (9, (1, 1))]
+    # each part's Delta(I) once, by its membership walk; the product's once, checked and then reused by the walk,
+    # which forms only the maps at p = (0, 1) and (1, 0)
+    assert calls == [(3, 0, True), (3, 0, True), (9, 0, True), (9, 1, False), (9, 1, True), (9, 0, True)]
 
 
 def test_membership_bits_match_a_fresh_decomposition():
@@ -384,3 +387,108 @@ def test_spectral_norms_of_empty_and_non_finite_matrices():
     x[1, 0, 0], x[2, 1, 1] = np.nan, np.inf
     got = spectral_norms(x)
     assert got[0] == pytest.approx(2.0, rel=1e-15) and np.isnan(got[1:]).all()
+
+
+def _tied_diagonal(rng, n):
+    """A Hermitian matrix with a diagonal of tied, negative and tiny entries and ``-0.0`` parts off the diagonal."""
+    h = np.diag(rng.choice([0.0, 1.0, 0.5, -0.25, 0.75, 1e-300, -1e-12], size=n)).astype(complex)
+    off = ~np.eye(n, dtype=bool) & (rng.random((n, n)) < 0.5)
+    h[off] = complex(-0.0, -0.0)
+    return h
+
+
+def _column_positions(vecs):
+    """The row of the single 1.0 in each column, after checking that the columns are exact unit vectors."""
+    assert np.array_equal(np.abs(vecs), np.abs(vecs).astype(bool)) and not vecs.imag.any()
+    assert (vecs.real.sum(axis=0) == 1.0).all()
+    return vecs.real.argmax(axis=0)
+
+
+def test_spectrum_of_a_diagonal_is_lapacks_without_calling_it(monkeypatch):
+    rng = np.random.default_rng(61)
+    cases = [_tied_diagonal(rng, int(rng.integers(1, 13))) for _ in range(300)]
+    wants = [(np.linalg.eigvalsh(h), *np.linalg.eigh(h)) for h in cases]
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, lambda *a, **k: pytest.fail("LAPACK was called"))
+    for h, (values, lapack_values, lapack_vecs) in zip(cases, wants):
+        got = cp.hermitian_spectrum(h, vectors=True)
+        assert got.vectors is None and got.positions.tolist() == cp.hermitian_spectrum(h).positions.tolist()
+        assert got.values.tobytes() == np.sort(h.diagonal().real).tobytes()
+        if np.abs(h).max() >= 1e-146:
+            assert got.values.tobytes() == values.tobytes() == lapack_values.tobytes()
+        else:  # LAPACK scales so small a matrix up and its eigenvalues back down, with rounding: ours are exact
+            assert np.allclose(values, got.values, rtol=1e-15, atol=0) and lapack_values.tobytes() == values.tobytes()
+        ours, lapacks = got.positions, _column_positions(lapack_vecs)
+        # the same vectors up to the order among ties; ours keep the diagonal order
+        for v in np.unique(values):
+            tied = values == v
+            assert sorted(ours[tied]) == sorted(lapacks[tied]) and list(ours[tied]) == sorted(ours[tied])
+
+
+def _diagonal_tuple(rng, n, dim):
+    """One-factor tuple of diagonal matrices with tied entries: its defect is diagonal, with ties and zeros."""
+    entries = rng.choice([0.0, 0.5, 0.6, 0.8, 1.0], size=(n, dim)) / np.sqrt(n)
+    return OperatorTuple(Shape((n,)), dim, (tuple(np.diag(e) for e in entries),))
+
+
+def test_defect_data_of_a_diagonal_defect_has_lapacks_bits(monkeypatch):
+    rng = np.random.default_rng(62)
+    for _ in range(60):
+        t = _diagonal_tuple(rng, int(rng.integers(1, 4)), int(rng.integers(1, 10)))
+        vals, vecs = np.linalg.eigh(t._defect)
+        clipped = np.clip(vals, 0.0, None)
+        sqrt = (vecs * np.sqrt(clipped)) @ vecs.conj().T
+        keep = cp.tolerance("rank", clipped)[0]
+        with monkeypatch.context() as m:
+            for name in ("eigh", "eigvalsh"):
+                m.setattr(np.linalg, name, lambda *a, **k: pytest.fail("LAPACK was called"))
+            dd = defect_data(t)
+            check_polyball(t)
+        assert dd.sqrt.tobytes() == sqrt.tobytes()
+        assert dd.rank == np.count_nonzero(keep)
+        lapack = vecs[:, [j for j in np.argsort(clipped)[::-1] if keep[j]]]
+        assert sorted(_column_positions(dd.range_basis)) == sorted(_column_positions(lapack))
+
+
+def test_a_defect_off_the_diagonal_makes_the_lapack_calls_of_before(monkeypatch):
+    t = random_polyball_tuple(np.random.default_rng(63), (2, 1), (2, 3), 0.8)
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, *rest, real=real, name=name:
+                            calls.append((name, a.shape)) or real(a, *rest))
+    check_polyball(t)
+    defect_data(t)
+    # one eigvalsh per p != 0 of the membership test, then the defect's eigendecomposition
+    assert calls == [("eigvalsh", (6, 6))] * 3 + [("eigh", (6, 6))]
+
+
+_ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 0.3, -2.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 3), dim=st.integers(1, 6))
+def test_transfer_of_the_identity_has_the_bits_of_the_product_by_it(data, n, dim):
+    # sparse entries with signed zeros in both parts: the product by I must not be what sets a bit
+    parts = st.lists(_ENTRIES, min_size=2 * dim * dim, max_size=2 * dim * dim)
+    mats = [np.array(data.draw(parts)).view(complex).reshape(dim, dim) for _ in range(n)]
+    t = OperatorTuple(Shape((n,)), dim, (tuple(mats),))
+    eye = np.eye(dim, dtype=complex)
+    assert cp_apply(t, 0, None).tobytes() == cp_apply(t, 0, eye).tobytes()
+    assert cp.cp_apply_adjoint(t, 0, None).tobytes() == cp.cp_apply_adjoint(t, 0, eye).tobytes()
+    assert defect_map(t, (2,)).tobytes() == defect_map(t, (2,), eye).tobytes()
+
+
+@pytest.mark.parametrize("n, dims, seed", [((2,), (4,), 64), ((2, 1), (2, 3), 65), ((1, 2, 1), (2, 2, 2), 66)])
+def test_membership_walk_has_the_bits_of_each_defect_map(n, dims, seed):
+    t = random_polyball_tuple(np.random.default_rng(seed), n, dims, 0.8)
+    t = OperatorTuple(t.shape, t.dimH, t.factors)  # a fresh tuple: the walk forms the defect itself
+    maps = list(t._membership_maps())
+    assert [p for p, _ in maps] == list(itertools.product((0, 1), repeat=t.k))
+    eye = np.eye(t.dimH, dtype=complex)
+    for p, h in maps:
+        if any(p):
+            assert h.tobytes() == cp.herm(defect_map(t, p, eye)).tobytes(), p
+        else:
+            assert h is None
+    assert maps[-1][1] is t._defect

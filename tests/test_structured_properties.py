@@ -1,13 +1,15 @@
 """Properties of random structured subspaces: exact counts, serialization, the tensor law and the Beurling verdict."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 
 from conftest import _one_factor_subspace, structured_subspaces
 from oracle import defect_shift_composed
-from polyball.cp import herm, psd_verdict
+from polyball.cp import check_polyball, defect_data, defect_map, herm, psd_verdict
 from polyball.curvature import grade_trace_table
 from polyball.subspaces import (
     beurling_check,
@@ -87,3 +89,21 @@ def test_tensor_ratios_and_limits_are_the_products_of_the_parts(first, second):
     for s in (sub, subspace_from_json(subspace_to_json(sub))):
         assert s.limit == limit
         assert multiplicity_estimate(s, q_max).exact_limit == limit
+
+
+@settings(max_examples=60, deadline=None)
+@given(sub=structured_subspaces(max_cap=4).filter(lambda s: s.truncation.total_dim <= 200))
+def test_compression_defects_are_read_from_their_diagonal(sub):
+    # the compression to a complement spanned by basis vectors has diagonal defect maps, in both models
+    t = compression_tuple(sub)
+    with pytest.MonkeyPatch.context() as m:
+        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+            m.setattr(np.linalg, name, lambda *a, name=name, **k: pytest.fail(f"np.linalg.{name} was called"))
+        verdict, dd = check_polyball(t), defect_data(t)
+    eye = np.eye(t.dimH, dtype=complex)
+    for p in itertools.product((0, 1), repeat=t.k):
+        if any(p):
+            oracle = psd_verdict(np.linalg.eigvalsh(herm(defect_map(t, p, eye))))
+            assert verdict.eigenvalues[p] == oracle.min_eigenvalue, p
+    vals, vecs = np.linalg.eigh(dd.defect)
+    assert dd.sqrt.tobytes() == ((vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T).tobytes()

@@ -31,6 +31,7 @@ from .basis import Shape, grade_dim, iter_grades, word_rank
 from .cp import (
     DefectData,
     OperatorTuple,
+    PartialPermutation,
     PsdVerdict,
     cp_apply,
     cp_apply_power,
@@ -165,7 +166,8 @@ def _is_leaf(ft: FockTruncation, q: tuple[int, ...]) -> bool:
 
 
 class _Plan(NamedTuple):
-    """How a grade's rows are written (``_plan``): from ``grade`` (block ``src``) by factor ``i``, ``{j: T_{i,j}}``."""
+    """How a grade's rows are written (``_plan``): from ``grade`` (block ``src``) by factor ``i``, ``{j: T_{i,j}}``,
+    each entry as ``_letter_rows`` takes it."""
 
     i: int
     grade: tuple[int, ...]
@@ -200,11 +202,16 @@ def _kernel_layers(t: OperatorTuple, ft: FockTruncation, dd: DefectData):
     stored: dict[tuple[int, ...], np.ndarray] = {}
     for grades, ahead in zip(by_degree, by_degree[1:]):
         layer, pieces = {}, []
+        # the stored blocks of a degree are rows of one buffer: with an allocation per block, freed blocks of
+        # earlier degrees left holes between live ones, and the peak of a check moved by megabytes with what
+        # the process had allocated before
+        rows = np.zeros((sum(ft.dim(q) for q in grades if any(q) and not _is_leaf(ft, q)), t.dimH), dtype=complex)
+        at = 0
         for q in grades:
             if not any(q):
                 layer[q] = dd.range_basis.conj().T @ dd.sqrt  # rank x dimH
             elif not _is_leaf(ft, q):
-                layer[q] = np.zeros((ft.dim(q), t.dimH), dtype=complex)
+                layer[q], at = rows[at : at + ft.dim(q)], at + ft.dim(q)
                 pieces += _letter_pieces(ft, layer[q], _plan(t, ft, q, stored))
         _by_slabs(_write_rows, pieces, t.dimH)
         del pieces  # their targets are not held while the caller reads the degree
@@ -216,7 +223,9 @@ def _plan(t: OperatorTuple, ft: FockTruncation, q: tuple[int, ...], below: dict)
     """How the rows of grade ``q != 0`` are written: from ``below[q - e_i]`` by the letters of factor ``i``, the
     last factor with ``q_i > 0``, last to first (``_letter_pieces``)."""
     i, src = last_step(q)
-    return _Plan(i, src, below[src], {j: t.entry(i, j) for j in range(t.shape.n[i], 0, -1)})
+    gathers = t.partial_permutations[i]
+    return _Plan(i, src, below[src], {j: t.entry(i, j) if gathers[j - 1] is None else gathers[j - 1]
+                                      for j in range(t.shape.n[i], 0, -1)})
 
 
 def _letter_pieces(ft: FockTruncation, block: np.ndarray, plan: _Plan) -> list:
@@ -291,13 +300,20 @@ def _boxes(shape: tuple[int, ...], a: int, b: int) -> list:
     return _boxes(shape, a, first * inner) + whole[: last > first] + _boxes(shape, last * inner, b)
 
 
-def _letter_rows(src_rows: np.ndarray, entry: np.ndarray, w: np.ndarray | None) -> np.ndarray:
+def _letter_rows(src_rows: np.ndarray, entry: np.ndarray | PartialPermutation, w: np.ndarray | None) -> np.ndarray:
     """``(src_rows T^*) / w``: the kernel rows one letter ``T`` sends to its targets.
 
     The product comes first, then the division, so exact rows stay exact.
-    Weights None are all 1, whose division would keep every bit.
+    Weights None are all 1, whose division would keep every bit.  A
+    ``PartialPermutation`` entry is a gather of columns, with the product's
+    bits: column ``r`` of ``src_rows T^*`` is ``src_rows[:, c] conj(v)``
+    for the nonzero ``v`` at ``(r, c)``, and 0 when row ``r`` of ``T`` is.
     """
-    rows = src_rows @ entry.conj().T
+    if isinstance(entry, PartialPermutation):
+        rows = np.zeros((len(src_rows), src_rows.shape[1]), dtype=complex)
+        rows[:, entry.rows] = src_rows[:, entry.cols] * np.conj(entry.values)
+    else:
+        rows = src_rows @ entry.conj().T
     if w is not None:
         divide_real(rows, w[:, None])
     return rows

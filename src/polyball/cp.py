@@ -106,6 +106,33 @@ def herm(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
+class PartialPermutation(NamedTuple):
+    """A real weighted partial permutation ``T``: its only nonzeros are ``T[rows, cols] = values``, at most one per row
+    and per column, with all imaginary parts zero."""
+
+    rows: np.ndarray  # ascending
+    cols: np.ndarray
+    values: np.ndarray  # complex
+
+
+def partial_permutation(a: np.ndarray) -> PartialPermutation | None:
+    """``a`` as a ``PartialPermutation``, or None when it has a nonzero imaginary part or two nonzeros in a row or
+    a column.
+
+    The count comes first, so a dense ``a`` is refused without allocating.
+    Only real entries qualify: each entry of a product with them is one
+    product of two numbers, so a gather has the bits of ``zgemm``, which
+    adds only exact zeros to it.
+    """
+    if np.count_nonzero(a) > len(a) or np.count_nonzero(a.imag):
+        return None
+    rows, cols = np.nonzero(a)
+    seen = np.sort(cols)
+    if np.any(rows[1:] == rows[:-1]) or np.any(seen[1:] == seen[:-1]):
+        return None
+    return PartialPermutation(rows, cols, a[rows, cols])
+
+
 class Spectrum(NamedTuple):
     values: np.ndarray  # ascending
     vectors: np.ndarray | None  # LAPACK's unit eigenvectors as columns, in the order of ``values``, when asked for
@@ -309,6 +336,11 @@ class OperatorTuple:
         return _read_only(herm(defect_map(self, (1,) * self.k)))
 
     @cached_property
+    def partial_permutations(self) -> tuple[tuple[PartialPermutation | None, ...], ...]:
+        """``partial_permutation`` of each entry, by factor: the products of an entry that is one take gathers."""
+        return tuple(tuple(map(partial_permutation, mats)) for mats in self.factors)
+
+    @cached_property
     def _verdict(self) -> PolyballVerdict:
         verdicts = {p: psd_verdict(np.ones(self.dimH) if h is None else hermitian_spectrum(h).values)
                     for p, h in self._membership_maps()}  # Delta_0(I) is I: its spectrum is read as ones
@@ -378,11 +410,19 @@ def cp_apply_adjoint(t: OperatorTuple, i: int, y: np.ndarray | None) -> np.ndarr
 
 
 def _transfer(t: OperatorTuple, i: int, y: np.ndarray | None, adjoint: bool) -> np.ndarray:
-    """``cp_apply`` or its adjoint.  None is the identity, never a factor: ``a @ I @ a^*`` has ``a @ a^*``'s bits."""
+    """``cp_apply`` or its adjoint.  None is the identity, never a factor: ``a @ I @ a^*`` has ``a @ a^*``'s bits.
+
+    With None, a partial permutation ``a`` adds ``|v|^2`` to the diagonal at
+    its rows (at its columns for ``a^* a``): the bits of the product.
+    """
     if y is None:
         out = np.zeros((t.dimH, t.dimH), dtype=complex)
-        for a in t.factors[i]:
-            out += a.conj().T @ a if adjoint else a @ a.conj().T
+        for a, g in zip(t.factors[i], t.partial_permutations[i]):
+            if g is None:
+                out += a.conj().T @ a if adjoint else a @ a.conj().T
+            else:
+                at = g.cols if adjoint else g.rows
+                out[at, at] += g.values * np.conj(g.values)
         return out
     y = np.asarray(y, dtype=complex)
     if y.shape != (t.dimH, t.dimH):
@@ -536,7 +576,9 @@ def ampliation(tuples: list[OperatorTuple]) -> OperatorTuple:
                 row.append(reduce(np.kron, pieces))
             factors.append(tuple(row))
     out = OperatorTuple(Shape(n), total, tuple(factors))
-    # the parts' defects were formed by require_membership, and out's is the one check_polyball(out) reads
+    # the parts' defects were formed by require_membership; out's verdict is read first, since its walk forms
+    # and keeps out's defect, which is then formed once
+    check_polyball(out)
     expected = reduce(np.kron, [t._defect for t in tuples])
     resid, scale = spectral_norms(np.stack([out._defect - expected, expected]))
     if not tolerance("ampliation", resid, scale)[0]:
@@ -560,8 +602,13 @@ def gc_paused(fn):
 
 @gc_paused
 def tuple_to_json(t: OperatorTuple) -> str:
-    """Serialize to the wire format; floats round-trip bit-exactly."""
-    factors = [[matrix_to_pairs(a) for a in row] for row in t.factors]
+    """Serialize to the wire format; floats round-trip bit-exactly.
+
+    A matrix is written as ``{"nonzero": [[row, col, re, im], ...]}``, in
+    row-major order, when fewer than half of its entries have a set bit (a
+    ``-0.0`` part is one), else as its ``[re, im]`` pairs (``matrix_to_pairs``).
+    """
+    factors = [[_tuple_matrix_to_json(a) for a in row] for row in t.factors]
     return json.dumps({"n": list(t.shape.n), "dimH": t.dimH, "factors": factors})
 
 
@@ -573,15 +620,47 @@ def tuple_from_json(text: str) -> OperatorTuple:
     dim = json_field(data, "dimH", "int")
     if dim < 1:
         raise ValueError(f"dimH must be >= 1, got {dim}")
+    require_budget(f"a tuple matrix of dimH {dim}", 16 * dim * dim)  # a sparse matrix is formed whole
     rows = json_field(data, "factors", "list")
     if not all(isinstance(row, list) for row in rows):
         raise ValueError("field 'factors' must be a list of rows, each a list of matrices")
-    factors = tuple(tuple(matrix_from_pairs(m, dim, dim) for m in row) for row in rows)
+    factors = tuple(tuple(_tuple_matrix_from_json(m, dim) for m in row) for row in rows)
     return OperatorTuple(Shape(n), dim, factors)
 
 
+def _tuple_matrix_to_json(a: np.ndarray):
+    """A tuple matrix in the form ``tuple_to_json`` picks: sparse when ``2 * nnz < dimH^2``, ``nnz`` counting the
+    entries with any set bit."""
+    nonzero = a.view(np.uint64).reshape(*a.shape, 2).any(-1)
+    if 2 * np.count_nonzero(nonzero) >= a.size:  # counted first: a dense matrix forms no index arrays
+        return matrix_to_pairs(a)
+    rows, cols = np.nonzero(nonzero)
+    v = a[rows, cols]
+    return {"nonzero": list(zip(rows.tolist(), cols.tolist(), v.real.tolist(), v.imag.tolist()))}
+
+
+def _tuple_matrix_from_json(m, dim: int) -> np.ndarray:
+    """A tuple matrix in either form ``tuple_to_json`` writes: ``[re, im]`` pairs, or an object with ``nonzero``."""
+    if not isinstance(m, dict):
+        return matrix_from_pairs(m, dim, dim)
+    entries = json_field(m, "nonzero", "list")
+    if not all(isinstance(e, list) and len(e) == 4 for e in entries):
+        raise ValueError("each entry of 'nonzero' must be a list [row, col, re, im]")
+    index = [v for e in entries for v in e[:2]]
+    if not all(_is_json_int(v) and 0 <= v < dim for v in index):
+        raise ValueError(f"the row and column of a 'nonzero' entry must be integers in 0..{dim - 1}")
+    at = np.array(index, dtype=np.int64).reshape(-1, 2)
+    flat = np.sort(at[:, 0] * dim + at[:, 1])  # not np.unique, whose first call imports numpy.ma
+    if np.any(flat[1:] == flat[:-1]):
+        raise ValueError("'nonzero' lists a matrix position twice")
+    out = np.zeros((dim, dim), dtype=complex)
+    out[at[:, 0], at[:, 1]] = matrix_from_pairs([e[2:] for e in entries], len(entries), 1)[:, 0]
+    return out
+
+
 def matrix_to_pairs(a: np.ndarray) -> list[list[float]]:
-    """The entries of ``a`` in row-major order as ``[re, im]`` pairs, the wire format of every matrix."""
+    """The entries of ``a`` in row-major order as ``[re, im]`` pairs, the wire format of every matrix but a sparse
+    tuple matrix."""
     return np.stack([a.real, a.imag], -1).reshape(-1, 2).tolist()
 
 

@@ -975,3 +975,31 @@ def test_mutated_inputs_exit_0_to_3_and_every_refusal_is_one_json_error(fuzz, da
         assert code in (0, 1, 2, 3), args
         if code:
             assert "error" in json.loads(err.getvalue()), args
+
+
+HUGE = "__1e999__"  # written as the JSON number 1e999, which json.dumps cannot write
+
+
+@pytest.mark.parametrize("mutate, reason", [
+    (lambda rows: rows[0].__setitem__(0, 10**6), "integers in"),  # out of range
+    (lambda rows: rows[0].__setitem__(1, -1), "integers in"),
+    (lambda rows: rows[0].__setitem__(0, True), "integers in"),
+    (lambda rows: rows[0].__setitem__(1, 1.0), "integers in"),
+    (lambda rows: rows.append(list(rows[-1])), "twice"),
+    (lambda rows: rows.append(rows[-1][:2] + [0.25, 0.0]), "twice"),  # the same position, another value
+    (lambda rows: rows[0].pop(), "[row, col, re, im]"),
+    (lambda rows: rows[0].append(0.0), "[row, col, re, im]"),
+    (lambda rows: rows[0].__setitem__(2, None), "finite"),
+    (lambda rows: rows[0].__setitem__(3, HUGE), "finite"),
+])
+def test_sparse_tuple_mutations_are_each_one_invalid_input_error(fuzz, mutate, reason, tmp_path, capsys):
+    fuzz_dir, payloads = fuzz
+    payload = copy.deepcopy(payloads["index_tuple"][0])
+    rows = payload["factors"][0][0]["nonzero"]  # the writer's sparse form of a compression entry
+    mutate(rows)
+    path = tmp_path / "tuple.json"
+    path.write_text(json.dumps(payload).replace(f'"{HUGE}"', "1e999"))
+    code, out, err = run(["check", "index", "--input", str(path), "--theta", str(fuzz_dir / "theta.json"),
+                          "--caps", "3"], capsys)
+    assert_invalid_input(code, out, err)
+    assert reason in json.loads(err)["reason"]

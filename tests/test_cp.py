@@ -1,6 +1,8 @@
 import gc
 import itertools
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,10 +191,10 @@ def test_one_defect_decomposition_per_tuple(monkeypatch):
     curvature_estimate(t, 3)
     bounds_report(t, 3)
     berezin_kernel(t, (2, 2))
-    # the defect, two steps from I; then the membership walk's maps at p = (0, 1) and (1, 0), one step from I
-    # each, with the defect at (1, 1) read from the first
+    # the membership walk's maps at p = (0, 1) and (1, 0), one step from I each, and the defect at (1, 1), one
+    # step from the second
     assert [key for name, key in calls if name == "step" and key[0] == 6] == [
-        (6, 0, True), (6, 1, False), (6, 1, True), (6, 0, True)]
+        (6, 1, True), (6, 0, True), (6, 1, False)]
     assert [c for c in calls if c[0] == "eigh"] == [("eigh", (6, 6))]
     assert calls.count(("eigvalsh", (6, 6))) == 3  # one per p != 0
     assert check_polyball(t) is check_polyball(t) and defect_data(t) is defect_data(t)
@@ -215,9 +217,9 @@ def test_ampliation_reads_each_defect_once(monkeypatch):
     monkeypatch.setattr(cp, "_defect_step", spy)
     out = ampliation(parts)
     assert check_polyball(out).member
-    # each part's Delta(I) once, by its membership walk; the product's once, checked and then reused by the walk,
-    # which forms only the maps at p = (0, 1) and (1, 0)
-    assert calls == [(3, 0, True), (3, 0, True), (9, 0, True), (9, 1, False), (9, 1, True), (9, 0, True)]
+    # each part's Delta(I) once, by its membership walk; the product's once, by its walk, which the check of the
+    # product defect then reads: I - Phi_0(I) is formed once
+    assert calls == [(3, 0, True), (3, 0, True), (9, 1, True), (9, 0, True), (9, 1, False)]
 
 
 def test_membership_bits_match_a_fresh_decomposition():
@@ -287,6 +289,54 @@ def test_cross_commutation_rejected():
         OperatorTuple(Shape((1, 1)), 3, ((0.1 * a,), (0.1 * b,)))
 
 
+@pytest.mark.parametrize("matrix, reason", [
+    ({"nonzero": [[0, 2, 1.0, 0.0]]}, "integers in 0..1"),
+    ({"nonzero": [[-1, 0, 1.0, 0.0]]}, "integers in 0..1"),
+    ({"nonzero": [[0, False, 1.0, 0.0]]}, "integers in 0..1"),
+    ({"nonzero": [[0.0, 1, 1.0, 0.0]]}, "integers in 0..1"),
+    ({"nonzero": [[1, 0, 1.0, 0.0], [0, 1, 0.5, 0.0], [1, 0, 0.0, 0.0]]}, "twice"),
+    ({"nonzero": [[1, 0, 1.0]]}, "[row, col, re, im]"),
+    ({"nonzero": [[1, 0, 1.0, 0.0, 0.0]]}, "[row, col, re, im]"),
+    ({"nonzero": [[1, 0, None, 0.0]]}, "finite"),
+    ({"nonzero": [[1, 0, 1.0, float("inf")]]}, "finite"),
+    ({"nonzero": [[1, 0, "1.0", 0.0]]}, "pairs of numbers"),
+    ({"nonzero": None}, "'nonzero'"),
+    ({"nonzero": {}}, "'nonzero'"),
+    ({}, "'nonzero'"),
+])
+def test_sparse_matrix_refusals_are_named(matrix, reason):
+    good = {"n": [1], "dimH": 2, "factors": [[{"nonzero": [[1, 0, 0.5, 0.0]]}]]}
+    assert tuple_from_json(json.dumps(good)).factors[0][0].tolist() == [[0, 0], [0.5, 0]]
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        tuple_from_json(json.dumps(good | {"factors": [[matrix]]}))
+
+
+def test_a_dimh_over_the_budget_is_refused_before_a_sparse_matrix_is_formed():
+    with pytest.raises(ValueError, match="budget"):
+        tuple_from_json(json.dumps({"n": [1], "dimH": 10**6, "factors": [[{"nonzero": []}]]}))
+
+
+def test_partial_permutations_are_the_real_entries_with_one_nonzero_per_row_and_column():
+    perm = np.array([[0, 2.0, 0], [0, 0, 0], [0.5, 0, 0]], dtype=complex)
+    shared_column = np.array([[1.0, 0, 0], [1.0, 0, 0], [0, 0, 0]], dtype=complex)
+    dense = np.random.default_rng(3).standard_normal((3, 3)) + 0j
+    signed = perm.copy()
+    signed.imag[...] = -0.0  # a -0.0 imaginary part is zero
+    t = OperatorTuple(Shape((5,)), 3, ((perm, 1j * perm, shared_column, dense, signed),))
+    g, complex_entry, column, full, real = t.partial_permutations[0]
+    assert (g.rows.tolist(), g.cols.tolist(), g.values.tolist()) == ([0, 2], [1, 0], [2.0, 0.5])
+    assert complex_entry is column is full is None
+    assert real is not None and np.signbit(real.values.imag).all()
+    big = np.random.default_rng(4).standard_normal((256, 256)) + 0j
+    tracemalloc.start()
+    try:
+        assert cp.partial_permutation(big) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096  # a dense entry is refused by its count, before any mask is formed
+
+
 def test_json_roundtrip_bit_exact():
     rng = np.random.default_rng(67)
     t = random_polyball_tuple(rng, (2, 2), (2, 2), 0.8)
@@ -307,11 +357,17 @@ def test_json_writer_matches_per_entry_floats():
     entries[0, 1, 2] = (5e-324, -0.0)
     entries[1, 2, 1] = (-2.5e-310, 1e-320)
     factors = [[[[float(re), float(im)] for re, im in m.reshape(-1, 2)] for m in entries]]
-    text = json.dumps({"n": [2], "dimH": 3, "factors": factors})
+    # a matrix with fewer than half of its entries set is written sparse; a -0.0 part is set, a +0.0 entry is not
+    sparse = [[0, 1, 0.0, -0.0], [1, 2, -2.5e-310, 1e-320], [2, 0, 5e-324, -0.0]]
+    factors[0].append({"nonzero": sparse})
+    text = json.dumps({"n": [3], "dimH": 3, "factors": factors})
     t = tuple_from_json(text)
     assert tuple_to_json(t) == text
     assert np.signbit(t.factors[0][0][0, 0].real) and np.signbit(t.factors[0][0][0, 0].imag)
     assert t.factors[0][0][1, 2] == complex(5e-324, 0.0)
+    m = t.factors[0][2]
+    assert np.count_nonzero(m) == 2 and np.signbit(m[0, 1].imag) and not np.signbit(m[0, 0].imag)
+    assert (m[2, 0], m[1, 2]) == (complex(5e-324, 0.0), complex(-2.5e-310, 1e-320))
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -451,16 +507,17 @@ def test_defect_data_of_a_diagonal_defect_has_lapacks_bits(monkeypatch):
 
 
 def test_a_defect_off_the_diagonal_makes_the_lapack_calls_of_before(monkeypatch):
-    t = random_polyball_tuple(np.random.default_rng(63), (2, 1), (2, 3), 0.8)
     calls = []
     for name in ("eigh", "eigvalsh"):
         real = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name, lambda a, *rest, real=real, name=name:
                             calls.append((name, a.shape)) or real(a, *rest))
+    # the ampliation reads the product's membership verdict as it checks the product's defect
+    t = random_polyball_tuple(np.random.default_rng(63), (2, 1), (2, 3), 0.8)
     check_polyball(t)
     defect_data(t)
     # one eigvalsh per p != 0 of the membership test, then the defect's eigendecomposition
-    assert calls == [("eigvalsh", (6, 6))] * 3 + [("eigh", (6, 6))]
+    assert [c for c in calls if c[1] == (6, 6)] == [("eigvalsh", (6, 6))] * 3 + [("eigh", (6, 6))]
 
 
 _ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 0.3, -2.0])

@@ -624,29 +624,29 @@ def compression_tuple(sub: GradedSubspace) -> OperatorTuple:
     """Explicit matrices of the shift compression to the orthocomplement on the whole truncation.
 
     Meant for spot checks at small caps; large-scale curvature goes through
-    the per-grade counting route instead.
+    the per-grade counting route instead. It is sized before anything is formed:
+    span mode forms the ``total_dim``-square SVD of its complement; graded modes
+    form the ``total_dim x m`` complement columns (``m`` from the exact per-grade
+    counts), their conjugate and one shifted copy, and the ``m x m`` entries.
     """
     ft = sub.truncation
-    require_budget(f"compression tuple at caps {ft.shape.caps}", 16 * ft.total_dim**2)
+    what = f"compression tuple at caps {ft.shape.caps}"
     if sub.mode == "span":
+        require_budget(what, 16 * ft.total_dim**2)
         comp = sub.complement_columns()
     else:
-        cols = []
+        m = ft.total_dim - sum(sub.grade_trace_exact(q) for q in ft.grades)
+        require_budget(what, 16 * (3 * ft.total_dim + sum(ft.shape.n) * m) * m)
+        comp = np.zeros((ft.total_dim, m), dtype=complex)
+        col = 0
         for q in ft.grades:
             cb = sub.complement_grade_basis(q)
-            full = np.zeros((ft.total_dim, cb.shape[1]), dtype=complex)
-            full[ft.offset(q) : ft.offset(q) + ft.dim(q), :] = cb
-            cols.append(full)
-        comp = np.concatenate(cols, axis=1) if cols else np.zeros((ft.total_dim, 0), dtype=complex)
-    m = comp.shape[1]
-    factors = []
-    for i in range(ft.shape.k):
-        row = []
-        for j in range(1, ft.shape.n[i] + 1):
-            shifted = _apply_shift_columns(ft, i, j, comp)
-            row.append(comp.conj().T @ shifted)
-        factors.append(tuple(row))
-    return OperatorTuple(Shape(ft.shape.n), m, tuple(factors))
+            comp[ft.offset(q) : ft.offset(q) + ft.dim(q), col : col + cb.shape[1]] = cb
+            col += cb.shape[1]
+    comp_h = comp.conj().T
+    factors = tuple(tuple(comp_h @ _apply_shift_columns(ft, i, j, comp) for j in range(1, ft.shape.n[i] + 1))
+                    for i in range(ft.shape.k))
+    return OperatorTuple(Shape(ft.shape.n), comp.shape[1], factors)
 
 
 # -- serialization ------------------------------------------------------------

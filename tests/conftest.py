@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from polyball.basis import Shape
 from polyball.cp import OperatorTuple, ampliation
 from polyball.subspaces import (
+    GradedSubspace,
     construct_mt,
     construct_nadic,
     cur0_subspace,
@@ -49,6 +50,12 @@ def random_normal_contraction(rng, dim, radius=0.9):
     q, _ = np.linalg.qr(g)
     eigs = radius * rng.uniform(0.1, 1.0, dim) * np.exp(2j * np.pi * rng.uniform(0, 1, dim))
     return q @ np.diag(eigs) @ q.conj().T
+
+
+def as_grade_bases(sub):
+    """The structured subspace ``sub`` as a basis-mode subspace: one coordinate basis per grade."""
+    ft = sub.truncation
+    return GradedSubspace(ft, "basis", grade_bases={q: sub.grade_basis(q) for q in ft.grades})
 
 
 def _first_exponent(n, t):

@@ -222,19 +222,6 @@ def test_curv_builds_its_cross_check_kernel_at_the_depth_it_reads(scalar_file, t
         assert abs(cross["operator_trace"] - cross["ratio"]) <= 1e-9
 
 
-def test_output_independent_of_thread_count(tmp_path, capsys):
-    sub = bidisc_difference_subspace((5, 5))
-    path = tmp_path / "diff.json"
-    path.write_text(subspace_to_json(sub))
-    outputs = []
-    for attempt in ("a", "b"):
-        out_path = tmp_path / f"mult-{attempt}.json"
-        code, _, _ = run(["mult", "--input", str(path), "--qmax", "4", "--out", str(out_path)], capsys)
-        assert code == 0
-        outputs.append(out_path.read_bytes())
-    assert outputs[0] == outputs[1]
-
-
 @pytest.mark.parametrize("command", ["curv", "curv-c", "mult"])
 def test_negative_qmax_is_invalid_input(command, scalar_file, tmp_path, capsys):
     path = scalar_file
@@ -532,6 +519,7 @@ def test_one_parser_serves_a_sequence_of_calls_as_fresh_processes_do(scalar_file
         ["curv", "--input", scalar_file, "--qmax", "abc"],
         ["construct", "mt", "--caps", "3"],
         ["curv", "--input", scalar_file, "--qmax", "3", "--formula", "cesaro"],
+        ["check", "intertwine", "--input", scalar_file, "--caps", "4"],
     ]
     env = os.environ | {"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
     for argv in sequence:

@@ -7,16 +7,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import commuting_tuple, random_polyball_tuple
+from conftest import as_grade_bases, commuting_tuple, random_polyball_tuple
 from oracle import cp_matrix
-from polyball import cp
+from polyball import cp, subspaces
 from polyball.basis import Shape
 from polyball.berezin import InnerMultiplier, berezin_kernel, has_characteristic_function
 from polyball.cli import main
 from polyball.cp import SIZE_BUDGET, OperatorTuple, ampliation
 from polyball.fock import defect_shift, interior_box, truncation_for
-from polyball.subspaces import beurling_check, bidisc_difference_subspace, uncountable_family
-from polyball.symmetric import curv_c_estimate
+from polyball.subspaces import (GradedSubspace, beurling_check, bidisc_difference_subspace, compression_tuple,
+                                construct_mt, construct_nadic, uncountable_family)
+from polyball.symmetric import SymFockTruncation, coordinate_multiple_subspace, curv_c_estimate
 
 
 def predicted_bytes(monkeypatch, route):
@@ -67,6 +68,46 @@ def test_multiplier_size_is_its_blocks(model, monkeypatch):
     theta = InnerMultiplier(Shape(n), ds, dt, coeffs, model=model)
     caps = (3, 2)
     assert predicted_bytes(monkeypatch, lambda: theta.materialize_blocks(caps)) == nbytes(theta.materialize_blocks(caps))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: construct_mt(construct_nadic(2, 0.5), 5),
+    lambda: as_grade_bases(coordinate_multiple_subspace(SymFockTruncation(Shape((2, 1), caps=(3, 2))), 0, 2)),
+    lambda: bidisc_difference_subspace((3, 3)),
+], ids=["structured", "basis", "span"])
+def test_compression_tuple_size_is_what_it_forms(make, monkeypatch):
+    sub = make()
+    if sub.mode == "span":
+        # the full SVD of the subspace's columns, whose trailing columns span the complement
+        assert predicted_bytes(monkeypatch, lambda: compression_tuple(sub)) == np.linalg.svd(sub.columns)[0].nbytes
+        return
+    formed = set()
+    shift = subspaces._apply_shift_columns
+
+    def recorded(ft, i, j, comp):
+        shifted = shift(ft, i, j, comp)
+        formed.add((comp.nbytes, shifted.nbytes))
+        return shifted
+
+    monkeypatch.setattr(subspaces, "_apply_shift_columns", recorded)
+    t = compression_tuple(sub)
+    [(comp, shifted)] = formed
+    assert t.dimH and comp == shifted == 16 * sub.truncation.total_dim * t.dimH
+    # the complement columns, their conjugate, one shifted copy at a time, and the entries
+    entries = sum(a.nbytes for row in t.factors for a in row)
+    assert predicted_bytes(monkeypatch, lambda: compression_tuple(sub)) == 2 * comp + shifted + entries
+
+
+def test_compression_tuple_is_sized_before_a_complement_basis_is_formed(monkeypatch):
+    monkeypatch.setattr(GradedSubspace, "complement_grade_basis", lambda *a: pytest.fail("basis formed"))
+    # total_dim 10201 and 101 complement columns: under the budget, though 16 * total_dim**2 is not
+    cm = coordinate_multiple_subspace(SymFockTruncation(Shape((1, 1), caps=(100, 100))), 0, 1)
+    assert predicted_bytes(monkeypatch, lambda: compression_tuple(cm)) == 16 * (3 * 10201 + 2 * 101) * 101
+    assert 16 * (3 * 10201 + 2 * 101) * 101 < SIZE_BUDGET < 16 * 10201**2
+    # total_dim 8191 with 4096 complement columns: over the budget, though 16 * total_dim**2 is not
+    mt = construct_mt(construct_nadic(2, 0.5), 12)
+    assert predicted_bytes(monkeypatch, lambda: compression_tuple(mt)) == 16 * (3 * 8191 + 2 * 4096) * 4096
+    assert 16 * 8191**2 < SIZE_BUDGET < 16 * (3 * 8191 + 2 * 4096) * 4096
 
 
 def test_transfer_matrix_size_is_its_bytes(monkeypatch):

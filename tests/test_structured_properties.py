@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import _one_factor_subspace, structured_subspaces
+from conftest import _one_factor_subspace, as_grade_bases, structured_subspaces
 from oracle import defect_shift_composed
 from polyball.basis import Shape
 from polyball.berezin import berezin_kernel, curvature_operator_trace, index_formula_check, monomial_multiplier
@@ -54,15 +54,17 @@ def test_complement_identity_is_exact(sub):
 
 
 @settings(max_examples=40, deadline=None)
-@given(sub=structured_subspaces(max_cap=4).filter(lambda s: s.truncation.total_dim <= 400))
-def test_curv_grade_table_of_the_compression_is_the_exact_complement_count(sub):
+@given(sub=structured_subspaces(max_cap=4).filter(lambda s: s.truncation.total_dim <= 400), bases=st.booleans())
+def test_curv_grade_table_of_the_compression_is_the_exact_complement_count(sub, bases):
     # trace[Phi^q(defect)] of the compression to M perp is dim(q) - |M in grade q|: exact in the word
-    # model, whose traces are sums of 0/1 entries; the symmetric shifts carry rounded square-root weights
+    # model, whose traces are sums of 0/1 entries; the symmetric shifts carry rounded square-root weights,
+    # and the complement of a subspace reloaded as grade bases comes from an SVD
     ft = sub.truncation
+    sub = as_grade_bases(sub) if bases else sub
     traces = grade_trace_table(compression_tuple(sub), ft.shape.caps, ft.model).traces
     for q in ft.grades:
         count = ft.dim(q) - sub.grade_trace_exact(q)
-        if ft.model == "symmetric":
+        if ft.model == "symmetric" or bases:
             assert abs(traces[q] - count) <= 1e-12 * max(1, count), q
         else:
             assert traces[q] == count, q
